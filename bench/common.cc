@@ -47,9 +47,7 @@ void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
                           Series* rejected, Series* corrected) {
   for (const auto& r : engine.records()) {
     const double t_min = minutes_at(r.t);
-    const bool ok = r.outcome == protocol::SampleOutcome::kAcceptedWarmup ||
-                    r.outcome == protocol::SampleOutcome::kAcceptedRegular;
-    if (ok) {
+    if (r.reported()) {
       if (accepted) accepted->emplace_back(t_min, r.offset_s * 1e3);
       if (corrected && !r.bootstrap) {
         corrected->emplace_back(t_min, r.corrected_s * 1e3);

@@ -12,8 +12,6 @@
 // Flags: --clients N --seconds S --shards K --threads T --seed S
 //        --kod-limit N --fleet-out PATH (mntp_fleet_report artifact)
 //        --min-qps-per-core Q (throughput check floor, default 1e5)
-//        --no-fast-paths (disable the SNR LUT + coarse OU advance, to
-//        measure what the fleet fast paths buy)
 //        --check-determinism (re-run serially and require bit-identical
 //        results; the cross-thread/shard matrix lives in
 //        fleet_determinism_test)
@@ -58,20 +56,14 @@ int main(int argc, char** argv) {
   params.seed = bench::parse_size_flag(argc, argv, "--seed", 1);
   params.kod_limit_per_slice =
       bench::parse_size_flag(argc, argv, "--kod-limit", 1'500);
-  if (bench::parse_bool_flag(argc, argv, "--no-fast-paths")) {
-    params.use_snr_lut = false;
-    params.coarse_ou_advance = false;
-  }
   const std::size_t threads = bench::parse_threads(argc, argv, 1);
   const double min_qps_per_core =
       parse_double_flag(argc, argv, "--min-qps-per-core", 1e5);
   const std::string fleet_out = bench::parse_flag(argc, argv, "--fleet-out");
 
-  std::printf("fleet_qps: %llu clients, %.0f s, %zu shards, %zu thread(s), "
-              "fast paths %s\n\n",
+  std::printf("fleet_qps: %llu clients, %.0f s, %zu shards, %zu thread(s)\n\n",
               static_cast<unsigned long long>(params.clients),
-              params.duration_s, params.shards, threads,
-              params.use_snr_lut ? "on" : "off");
+              params.duration_s, params.shards, threads);
 
   auto fleet = std::make_shared<const fleet::ClientFleet>(
       fleet::ClientFleet::build(params));

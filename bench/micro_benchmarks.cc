@@ -119,20 +119,6 @@ void BM_WirelessChannelTransmit(benchmark::State& state) {
 }
 BENCHMARK(BM_WirelessChannelTransmit);
 
-void BM_WirelessChannelTransmitCoarse(benchmark::State& state) {
-  net::WirelessChannelParams params;
-  params.coarse_ou_advance = true;
-  params.use_snr_lut = true;
-  net::WirelessChannel channel(params, core::Rng(5));
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    t += 100'000'000;  // 100 ms apart
-    auto r = channel.transmit_dir(core::TimePoint::from_ns(t), 76, true);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_WirelessChannelTransmitCoarse);
-
 void BM_RngNormal(benchmark::State& state) {
   core::Rng rng(7);
   for (auto _ : state) {

@@ -814,7 +814,7 @@ def validate_fleet(path):
         raise SystemExit(f"SCHEMA ERROR: {path}: {msg}")
     if not isinstance(doc, dict):
         ffail("top level must be an object")
-    if doc.get("schema_version") != 1:
+    if doc.get("schema_version") != 2:
         ffail(f"unsupported schema_version {doc.get('schema_version')}")
     if doc.get("kind") != "mntp_fleet_report":
         ffail(f"kind must be 'mntp_fleet_report', got {doc.get('kind')!r}")
@@ -828,9 +828,6 @@ def validate_fleet(path):
     for key in ("duration_s", "cache_bucket_ms", "batch_window_ms"):
         if not is_number(params.get(key)) or params[key] <= 0:
             ffail(f"params.{key} must be a positive number")
-    for key in ("use_snr_lut", "coarse_ou_advance"):
-        if not isinstance(params.get(key), bool):
-            ffail(f"params.{key} must be a boolean")
 
     pop = doc.get("population")
     if not isinstance(pop, dict):

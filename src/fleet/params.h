@@ -94,13 +94,10 @@ struct FleetParams {
   double server_err_sigma_ms = 2.0;
 
   // --- Channel ---------------------------------------------------------
-  // The fleet path defaults ONTO the fast paths WirelessChannelParams
-  // keeps opt-in: there is no per-realization baseline to preserve here,
-  // and at 10^6 clients the exp() per MAC attempt and per-tick OU draws
-  // are the hot multiplies (see DESIGN.md §10). Turning either off is
-  // only useful to measure what they buy.
-  bool use_snr_lut = true;
-  bool coarse_ou_advance = true;
+  // Wireless clients run the testbed channel's kernel
+  // (net/wireless_kernel.h): exact shadowing OU, logistic attempt
+  // failure, MAC retry loop. No collision term: cross-traffic is a
+  // testbed-only process.
   /// Mean SNR margin and its per-client spread (dB); per-query SNR adds
   /// the OU shadowing state.
   double snr_mean_db = 12.0;

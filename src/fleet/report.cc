@@ -28,7 +28,7 @@ std::string render_fleet_report(const FleetParams& params,
   core::JsonWriter w(out, 2);
   w.begin_object();
   w.kv("kind", "mntp_fleet_report");
-  w.kv("schema_version", std::int64_t{1});
+  w.kv("schema_version", std::int64_t{2});
 
   w.key("params").begin_object();
   w.kv("clients", params.clients);
@@ -38,8 +38,6 @@ std::string render_fleet_report(const FleetParams& params,
   w.kv("kod_limit_per_slice", params.kod_limit_per_slice);
   w.key("cache_bucket_ms").value_fixed(params.cache_bucket_ms, 3);
   w.key("batch_window_ms").value_fixed(params.batch_window_ms, 3);
-  w.kv("use_snr_lut", params.use_snr_lut);
-  w.kv("coarse_ou_advance", params.coarse_ou_advance);
   w.end_object();
 
   w.key("population").begin_object();

@@ -8,6 +8,7 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "net/wireless_kernel.h"
 #include "obs/metric_names.h"
 #include "obs/telemetry.h"
 
@@ -18,10 +19,6 @@ namespace {
 constexpr std::uint64_t kClientStream = 0;  // see client_fleet.cc seed map
 constexpr double kNsPerSec = 1e9;
 constexpr double kNsPerMs = 1e6;
-
-/// Euler tick used by the slow (coarse_ou_advance=false) shadowing
-/// integrator, matching WirelessChannelParams::tick.
-constexpr double kOuTickS = 0.1;
 
 }  // namespace
 
@@ -52,10 +49,6 @@ Simulator::Simulator(std::shared_ptr<const ClientFleet> fleet,
     // the collision-free calendar wheel) needs slice < min poll.
     throw std::invalid_argument(
         "Simulator: slice_s must be in (0, min poll interval)");
-  }
-  if (params_.use_snr_lut) {
-    snr_lut_ = net::SnrFailureLut::build(params_.snr50_db,
-                                         params_.snr_slope_db);
   }
   obs::MetricsRegistry& m = obs::Telemetry::global().metrics();
   queries_counter_ = m.sharded_counter(obs::metric_names::kFleetClientQueries);
@@ -144,50 +137,24 @@ FleetResult Simulator::run(std::size_t threads) {
         bool delivered;
         double backoff_ms = 0.0;
         if (wireless) {
-          // Shadowing OU advance across the idle gap: one exact
-          // transition on the fast path, Euler ticks otherwise (the
-          // same pair of integrators WirelessChannel::advance_to has,
-          // here keyed per client).
+          // The testbed channel's per-link kernel, keyed per client:
+          // exact shadowing OU advance across the idle gap, then the
+          // SNR failure curve and the MAC retry loop.
+          namespace kernel = net::wireless_kernel;
           const double gap_s =
               static_cast<double>(poll_ns - last_adv_ns[id]) / kNsPerSec;
-          double sh_db = shadow_db[id];
-          if (params_.coarse_ou_advance) {
-            const double d = std::exp(-gap_s / params_.shadowing_tau_s);
-            sh_db = d * sh_db + params_.shadowing_sigma_db *
-                                    std::sqrt(1.0 - d * d) *
-                                    q.normal(0.0, 1.0);
-          } else {
-            double remaining = gap_s;
-            while (remaining > 0.0) {
-              const double dt = std::min(remaining, kOuTickS);
-              const double a = dt / params_.shadowing_tau_s;
-              sh_db += -a * sh_db + params_.shadowing_sigma_db *
-                                        std::sqrt(2.0 * a) *
-                                        q.normal(0.0, 1.0);
-              remaining -= dt;
-            }
-          }
+          const double sh_db = kernel::ou_advance(
+              shadow_db[id], gap_s, params_.shadowing_sigma_db,
+              params_.shadowing_tau_s, q);
           shadow_db[id] = sh_db;
           last_adv_ns[id] = poll_ns;
-
-          const double snr_db = fleet.snr_mean_db()[id] + sh_db;
-          const double p_fail =
-              params_.use_snr_lut
-                  ? snr_lut_(snr_db)
-                  : 1.0 / (1.0 + std::exp((snr_db - params_.snr50_db) /
-                                          params_.snr_slope_db));
-          // MAC retry loop, same draw discipline as WirelessChannel:
-          // no backoff is drawn for a retry that never happens.
-          delivered = false;
-          for (int attempt = 0; attempt <= params_.max_retries; ++attempt) {
-            if (!q.bernoulli(p_fail)) {
-              delivered = true;
-              break;
-            }
-            if (attempt == params_.max_retries) break;
-            backoff_ms += q.exponential(params_.retry_backoff_ms) *
-                          static_cast<double>(attempt + 1);
-          }
+          const double p_fail = kernel::snr_failure_probability(
+              fleet.snr_mean_db()[id] + sh_db, params_.snr50_db,
+              params_.snr_slope_db);
+          const kernel::MacResult mac = kernel::mac_transmit(
+              p_fail, params_.max_retries, params_.retry_backoff_ms, q);
+          delivered = mac.delivered;
+          backoff_ms = mac.backoff;
         } else {
           delivered = !q.bernoulli(params_.wired_loss);
         }

@@ -33,7 +33,6 @@
 #include "fleet/owd_collector.h"
 #include "fleet/params.h"
 #include "fleet/server_fleet.h"
-#include "net/snr_lut.h"
 #include "obs/metrics.h"
 
 namespace mntp::fleet {
@@ -76,9 +75,8 @@ struct FleetResult {
 class Simulator {
  public:
   /// Binds fleet.client.* registry handles from the current global obs
-  /// context and prebuilds the shared SNR lookup table. The fleet is
-  /// taken by shared_ptr so bench reps can reuse one immutable
-  /// population across many run() calls.
+  /// context. The fleet is taken by shared_ptr so bench reps can reuse
+  /// one immutable population across many run() calls.
   Simulator(std::shared_ptr<const ClientFleet> fleet, FleetParams params);
 
   /// One full run over `params.duration_s`, fanned out over
@@ -93,7 +91,6 @@ class Simulator {
  private:
   std::shared_ptr<const ClientFleet> fleet_;
   FleetParams params_;
-  net::SnrFailureLut snr_lut_;  // empty unless params_.use_snr_lut
   obs::ShardedCounter* queries_counter_;
   obs::ShardedCounter* dropped_counter_;
 };

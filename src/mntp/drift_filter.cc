@@ -34,6 +34,7 @@ void DriftFilter::reset() {
   samples_.clear();
   acc_.reset();
   fit_.reset();
+  pruned_t_s_.clear();
   rejected_ = 0;
   consecutive_rejections_ = 0;
   bootstrap_done_ = false;
@@ -171,7 +172,11 @@ void DriftFilter::prune_and_refit() {
   // re-centered fit over them.
   std::size_t out = 0;
   for (std::size_t i = 0; i < samples_.size(); ++i) {
-    if (scratch_sq_[i] <= gate) samples_[out++] = samples_[i];
+    if (scratch_sq_[i] <= gate) {
+      samples_[out++] = samples_[i];
+    } else {
+      pruned_t_s_.push_back(samples_[i].t_s);
+    }
   }
   samples_.resize(keep_n);
   rebuild_fit();

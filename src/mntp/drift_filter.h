@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/linreg.h"
@@ -85,6 +86,14 @@ class DriftFilter {
   /// refits on the survivors. Called when the warm-up phase completes.
   void prune_and_refit();
 
+  /// Times (TimePoint::to_seconds) of the accepted samples pruning has
+  /// dropped since the last call, including the prune offer() runs when
+  /// the bootstrap completes. The trend discarded them, so a caller that
+  /// reports accepted samples withdraws these.
+  [[nodiscard]] std::vector<double> take_pruned_times_s() {
+    return std::exchange(pruned_t_s_, {});
+  }
+
   /// Estimated drift (slope), seconds of offset per second of time —
   /// multiply by 1e6 for ppm. nullopt until a trend exists.
   [[nodiscard]] std::optional<double> drift_s_per_s() const;
@@ -126,6 +135,7 @@ class DriftFilter {
   /// Scratch for squared residuals (gate stats, pruning); reused across
   /// calls so the steady-state offer path never heap-allocates.
   std::vector<double> scratch_sq_;
+  std::vector<double> pruned_t_s_;
   std::size_t rejected_ = 0;
   std::size_t consecutive_rejections_ = 0;
   bool bootstrap_done_ = false;

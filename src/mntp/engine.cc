@@ -133,7 +133,21 @@ void MntpEngine::restart(core::TimePoint t) {
 
 void MntpEngine::enter_regular() {
   filter_.prune_and_refit();
+  withdraw_pruned();
   phase_ = Phase::kRegular;
+}
+
+void MntpEngine::withdraw_pruned() {
+  for (const double t_s : filter_.take_pruned_times_s()) {
+    // Pruned samples belong to the current cycle; search it backwards.
+    for (auto it = records_.rbegin();
+         it != records_.rend() && it->t >= cycle_start_; ++it) {
+      if (it->reported() && it->t.to_seconds() == t_s) {
+        it->pruned = true;
+        break;
+      }
+    }
+  }
 }
 
 void MntpEngine::note_clock_step(double step_s) { cum_step_s_ += step_s; }
@@ -231,6 +245,7 @@ MntpEngine::RoundResult MntpEngine::on_round(
                                     .outcome = rr.outcome,
                                     .phase = phase_,
                                     .bootstrap = fd.bootstrap});
+    withdraw_pruned();
     outcome_counters_[static_cast<std::size_t>(rr.outcome)]->inc();
     if (telemetry_->tracing()) {
       telemetry_->event(t, obs::categories::kMntp, "round",
@@ -273,10 +288,7 @@ MntpEngine::RoundResult MntpEngine::on_round(
 std::vector<double> MntpEngine::accepted_offsets_ms() const {
   std::vector<double> out;
   for (const OffsetRecord& r : records_) {
-    if (r.outcome == SampleOutcome::kAcceptedWarmup ||
-        r.outcome == SampleOutcome::kAcceptedRegular) {
-      out.push_back(r.offset_s * 1e3);
-    }
+    if (r.reported()) out.push_back(r.offset_s * 1e3);
   }
   return out;
 }
@@ -285,11 +297,7 @@ std::vector<double> MntpEngine::corrected_offsets_ms() const {
   std::vector<double> out;
   for (const OffsetRecord& r : records_) {
     // Bootstrap acceptances have no meaningful trend residual yet.
-    if (r.bootstrap) continue;
-    if (r.outcome == SampleOutcome::kAcceptedWarmup ||
-        r.outcome == SampleOutcome::kAcceptedRegular) {
-      out.push_back(r.corrected_s * 1e3);
-    }
+    if (r.reported() && !r.bootstrap) out.push_back(r.corrected_s * 1e3);
   }
   return out;
 }
@@ -297,10 +305,7 @@ std::vector<double> MntpEngine::corrected_offsets_ms() const {
 std::vector<double> MntpEngine::rejected_offsets_ms() const {
   std::vector<double> out;
   for (const OffsetRecord& r : records_) {
-    if (r.outcome == SampleOutcome::kRejectedFilter ||
-        r.outcome == SampleOutcome::kRejectedFalseTicker) {
-      out.push_back(r.offset_s * 1e3);
-    }
+    if (!r.reported()) out.push_back(r.offset_s * 1e3);
   }
   return out;
 }

@@ -55,6 +55,16 @@ struct OffsetRecord {
   /// Accepted while the filter was still bootstrapping its trend; the
   /// residual is not yet meaningful for such records.
   bool bootstrap = false;
+  /// Accepted, then dropped from the trend by the outlier prune at
+  /// bootstrap completion or warm-up end (§4.2).
+  bool pruned = false;
+
+  /// A reported offset: accepted and still part of the trend (§5 reports
+  /// only what survives the filter).
+  [[nodiscard]] bool reported() const {
+    return !pruned && (outcome == SampleOutcome::kAcceptedWarmup ||
+                       outcome == SampleOutcome::kAcceptedRegular);
+  }
 };
 
 class MntpEngine {
@@ -134,17 +144,19 @@ class MntpEngine {
     params_.warmup_wait_time = wait;
   }
 
-  /// Accepted measured offsets in ms (for RMSE/summary computations).
+  /// Reported measured offsets in ms (for RMSE/summary computations).
   [[nodiscard]] std::vector<double> accepted_offsets_ms() const;
-  /// Residuals-vs-trend of accepted offsets in ms ("clock corrected
+  /// Residuals-vs-trend of reported offsets in ms ("clock corrected
   /// drift" series of Fig 12).
   [[nodiscard]] std::vector<double> corrected_offsets_ms() const;
-  /// Offsets the filter rejected, in ms.
+  /// Offsets the filter rejected or later pruned from the trend, in ms.
   [[nodiscard]] std::vector<double> rejected_offsets_ms() const;
 
  private:
   void restart(core::TimePoint t);
   void enter_regular();
+  /// Mark this cycle's records the filter has pruned since the last call.
+  void withdraw_pruned();
 
   // Telemetry handles, resolved once at construction from the ambient
   // obs::Telemetry::global() so the hot path stays a pointer increment.

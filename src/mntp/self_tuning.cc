@@ -11,7 +11,15 @@ SelfTuner::SelfTuner(sim::Simulation& sim, MntpClient& client,
       params_(params),
       process_(sim, params.adapt_interval, [this] { adapt(); }) {}
 
-void SelfTuner::start() { process_.start(params_.adapt_interval); }
+void SelfTuner::start() {
+  // The band bounds the wait from the start, not only once an
+  // adaptation happens to move it.
+  const core::Duration wait = current_wait();
+  const core::Duration clamped =
+      std::clamp(wait, params_.min_regular_wait, params_.max_regular_wait);
+  if (clamped != wait) client_.mutable_engine().set_regular_wait_time(clamped);
+  process_.start(params_.adapt_interval);
+}
 void SelfTuner::stop() { process_.stop(); }
 
 core::Duration SelfTuner::current_wait() const {

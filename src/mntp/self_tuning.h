@@ -39,7 +39,8 @@ class SelfTuner {
  public:
   SelfTuner(sim::Simulation& sim, MntpClient& client, SelfTunerParams params);
 
-  /// Begin adapting; call after the client has started.
+  /// Clamp the regular wait into the band and begin adapting; call
+  /// after the client has started.
   void start();
   void stop();
 

@@ -16,8 +16,7 @@ class CellularNetwork::DirectionalLink final : public Link {
     const obs::Labels dir{{"dir", is_uplink ? "up" : "down"}};
     tx_counter_ = m.counter(obs::metric_names::kNetCellTx, dir);
     drop_counter_ = m.counter(obs::metric_names::kNetCellDrop, dir);
-    delay_ms_ = m.histogram(obs::metric_names::kNetCellDelayMs,
-                            obs::HistogramOptions::latency_ms(), dir);
+    delay_ms_ = m.hdr_histogram(obs::metric_names::kNetCellDelayMs, {}, dir);
     delay_probe_ = obs::Telemetry::global().timeseries().probe(
         obs::metric_names::kTsNetDelayMs,
         obs::Labels{{"transport", "cell"}, {"dir", is_uplink ? "up" : "down"}},
@@ -86,7 +85,7 @@ class CellularNetwork::DirectionalLink final : public Link {
   core::Rng rng_;
   obs::Counter* tx_counter_;
   obs::Counter* drop_counter_;
-  obs::Histogram* delay_ms_;
+  obs::ShardedHdrHistogram* delay_ms_;
   double last_delay_ms_ = 0.0;
   bool has_delay_ = false;
   obs::ProbeHandle delay_probe_;

@@ -14,7 +14,7 @@ CrossTrafficGenerator::CrossTrafficGenerator(sim::Simulation& sim,
     : sim_(sim), channel_(channel), params_(params), rng_(std::move(rng)) {
   obs::MetricsRegistry& m = sim_.telemetry().metrics();
   downloads_counter_ = m.counter(obs::metric_names::kNetXtrafficDownloads);
-  utilization_gauge_ = m.gauge(obs::metric_names::kNetXtrafficUtilization);
+  utilization_ = m.hdr_histogram(obs::metric_names::kNetXtrafficUtilization);
 }
 
 void CrossTrafficGenerator::start() {
@@ -50,7 +50,7 @@ void CrossTrafficGenerator::begin_download() {
   const double utilization =
       rng_.uniform(params_.min_utilization, params_.max_utilization);
   channel_.set_utilization(utilization);
-  utilization_gauge_->set(utilization);
+  utilization_->record(utilization);
   const double dur_s = rng_.lognormal(
       std::log(params_.median_download.to_seconds()), params_.download_sigma);
   if (sim_.telemetry().tracing()) {

@@ -67,7 +67,10 @@ class CrossTrafficGenerator {
   bool downloading_ = false;
   std::size_t completed_ = 0;
   obs::Counter* downloads_counter_ = nullptr;
-  obs::Gauge* utilization_gauge_ = nullptr;
+  /// Per-download utilization levels. A histogram, not a last-written
+  /// gauge: replicate workers share one registry, and the last writer
+  /// across threads would depend on scheduling.
+  obs::ShardedHdrHistogram* utilization_ = nullptr;
 };
 
 }  // namespace mntp::net

@@ -1,9 +1,9 @@
 #include "net/wireless_channel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
+#include "net/wireless_kernel.h"
 #include "obs/metric_names.h"
 
 namespace mntp::net {
@@ -13,25 +13,18 @@ WirelessChannel::WirelessChannel(WirelessChannelParams params, core::Rng rng)
       rng_(std::move(rng)),
       tx_power_(params.default_tx_power),
       telemetry_(&obs::Telemetry::global()) {
-  if (params_.tick <= core::Duration::zero()) {
-    throw std::invalid_argument("WirelessChannel: tick must be > 0");
-  }
   if (params_.max_retries < 0) {
     throw std::invalid_argument("WirelessChannel: max_retries must be >= 0");
   }
   if (params_.snr_slope_db <= 0.0) {
     throw std::invalid_argument("WirelessChannel: snr_slope_db must be > 0");
   }
-  if (params_.use_snr_lut) {
-    snr_lut_ = SnrFailureLut::build(params_.snr50_db, params_.snr_slope_db);
-  }
   obs::MetricsRegistry& m = telemetry_->metrics();
   for (int d = 0; d < 2; ++d) {
     const obs::Labels dir{{"dir", d == 0 ? "up" : "down"}};
     tx_counter_[d] = m.sharded_counter(obs::metric_names::kNetWifiTx, dir);
     drop_counter_[d] = m.sharded_counter(obs::metric_names::kNetWifiDrop, dir);
-    delay_ms_[d] = m.histogram(obs::metric_names::kNetWifiDelayMs,
-                               obs::HistogramOptions::latency_ms(), dir);
+    delay_ms_[d] = m.hdr_histogram(obs::metric_names::kNetWifiDelayMs, {}, dir);
   }
   bad_transitions_ = m.sharded_counter(obs::metric_names::kNetWifiBadStateTransitions);
   obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
@@ -74,39 +67,15 @@ void WirelessChannel::advance_to(core::TimePoint t) {
                               .to_seconds();
     next_transition_ += core::Duration::from_seconds(rng_.exponential(mean_s));
   }
-  if (params_.coarse_ou_advance) {
-    // One exact OU transition across the whole gap: X(t+g) has mean
-    // e^{-g/tau} X(t) and variance sigma^2 (1 - e^{-2g/tau}). Cost is
-    // independent of the gap length, where the tick integrator below
-    // pays 2 normal draws per 100 ms of simulated idle time.
-    if (last_ < t) {
-      const double gap = (t - last_).to_seconds();
-      const double d_sh = std::exp(-gap / params_.shadowing_tau_s);
-      shadow_db_ = d_sh * shadow_db_ +
-                   params_.shadowing_sigma_db * std::sqrt(1.0 - d_sh * d_sh) *
-                       rng_.normal_fast(0.0, 1.0);
-      const double d_no = std::exp(-gap / params_.noise_tau_s);
-      noise_wander_db_ = d_no * noise_wander_db_ +
-                         params_.noise_sigma_db * std::sqrt(1.0 - d_no * d_no) *
-                             rng_.normal_fast(0.0, 1.0);
-      last_ = t;
-    }
-    return;
-  }
-  // OU processes, integrated in fixed ticks for query-order independence.
-  while (last_ < t) {
-    const core::TimePoint next = std::min(t, last_ + params_.tick);
-    const double dt = (next - last_).to_seconds();
-    const double a_sh = dt / params_.shadowing_tau_s;
-    shadow_db_ += -a_sh * shadow_db_ +
-                  params_.shadowing_sigma_db * std::sqrt(2.0 * a_sh) *
-                      rng_.normal(0.0, 1.0);
-    const double a_no = dt / params_.noise_tau_s;
-    noise_wander_db_ += -a_no * noise_wander_db_ +
-                        params_.noise_sigma_db * std::sqrt(2.0 * a_no) *
-                            rng_.normal(0.0, 1.0);
-    last_ = next;
-  }
+  // Exact OU transitions across the gap; a zero gap draws nothing.
+  const double gap_s = (t - last_).to_seconds();
+  shadow_db_ = wireless_kernel::ou_advance(shadow_db_, gap_s,
+                                           params_.shadowing_sigma_db,
+                                           params_.shadowing_tau_s, rng_);
+  noise_wander_db_ = wireless_kernel::ou_advance(
+      noise_wander_db_, gap_s, params_.noise_sigma_db, params_.noise_tau_s,
+      rng_);
+  last_ = t;
 }
 
 bool WirelessChannel::in_bad_state(core::TimePoint now) {
@@ -139,19 +108,6 @@ WirelessHints WirelessChannel::observe_hints(core::TimePoint now) {
   };
 }
 
-double WirelessChannel::snr_failure_probability(double snr_db) const {
-  if (!snr_lut_.empty()) return snr_lut_(snr_db);
-  // Logistic in SNR margin: ~0 above snr50 + a few slopes, ~1 well below.
-  return 1.0 /
-         (1.0 + std::exp((snr_db - params_.snr50_db) / params_.snr_slope_db));
-}
-
-double WirelessChannel::attempt_failure_probability(core::Decibels snr) const {
-  const double p_snr = snr_failure_probability(snr.value());
-  const double p_collision = params_.collision_at_full_load * utilization_;
-  return std::clamp(p_snr + (1.0 - p_snr) * p_collision, 0.0, 1.0);
-}
-
 TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
                                              std::size_t bytes,
                                              bool is_uplink) {
@@ -161,28 +117,15 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
   const double queue_factor = is_uplink ? 1.0 : params_.downlink_queue_factor;
   const double spike_factor = is_uplink ? 1.0 : params_.downlink_spike_factor;
   const core::Decibels snr = true_rssi(now) - true_noise(now);
-  const double p_fail = attempt_failure_probability(snr);
-
-  // MAC retry loop: each attempt independently fails with p_fail; a
-  // failed attempt costs an exponential backoff before the next try.
-  // The final attempt's failure drops the packet outright — no backoff
-  // is drawn for a retry that never happens (a dead draw here would
-  // shift the RNG stream of every event after a drop).
-  int retries = 0;
-  bool delivered = false;
-  core::Duration backoff = core::Duration::zero();
-  for (int attempt = 0; attempt <= params_.max_retries; ++attempt) {
-    if (!rng_.bernoulli(p_fail)) {
-      delivered = true;
-      retries = attempt;
-      break;
-    }
-    if (attempt == params_.max_retries) break;
-    backoff += core::Duration::from_seconds(
-        rng_.exponential(params_.retry_backoff.to_seconds()) *
-        static_cast<double>(attempt + 1));
-  }
-  if (!delivered) {
+  // MAC retry loop over the SNR + collision failure curve; a drop draws
+  // no backoff for the retry that never happens.
+  const double p_fail = wireless_kernel::attempt_failure_probability(
+      wireless_kernel::snr_failure_probability(
+          snr.value(), params_.snr50_db, params_.snr_slope_db),
+      params_.collision_at_full_load * utilization_);
+  const wireless_kernel::MacResult mac = wireless_kernel::mac_transmit(
+      p_fail, params_.max_retries, params_.retry_backoff.to_seconds(), rng_);
+  if (!mac.delivered) {
     drop_counter_[dir]->inc();
     if (auto q = obs::ambient_query(); q.tracer) {
       q.tracer->stage(q.id, now, "airtime", obs::Reason::kNone,
@@ -217,10 +160,11 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
     spike = std::min(spike, params_.max_spike);
   }
 
+  const core::Duration backoff = core::Duration::from_seconds(mac.backoff);
   core::Duration serialization = core::Duration::zero();
   if (params_.bytes_per_second > 0.0) {
     serialization = core::Duration::from_seconds(
-        static_cast<double>(bytes) * (1.0 + static_cast<double>(retries)) /
+        static_cast<double>(bytes) * (1.0 + static_cast<double>(mac.retries)) /
         params_.bytes_per_second);
   }
 
@@ -233,7 +177,7 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
     // Per-query airtime breakdown: where this packet's delay came from.
     q.tracer->stage(q.id, now, "airtime", obs::Reason::kNone,
                     {{"dir", std::string(is_uplink ? "up" : "down")},
-                     {"retries", static_cast<std::int64_t>(retries)},
+                     {"retries", static_cast<std::int64_t>(mac.retries)},
                      {"backoff_ms", backoff.to_millis()},
                      {"queueing_ms", queueing.to_millis()},
                      {"spike_ms", spike.to_millis()},

@@ -14,21 +14,22 @@
 // RSSI and noise-floor wander; cross-traffic (set externally by
 // CrossTrafficGenerator) raises utilization, which adds queueing delay,
 // collision losses and a noise-floor rise. Transmit power is adjustable
-// at runtime — the knob the paper's monitor node scripts.
+// at runtime — the knob the paper's monitor node scripts. The per-frame
+// physics (exact OU advance, failure curve, MAC retry loop) is the
+// stateless kernel in net/wireless_kernel.h, shared with the fleet.
 //
 // All state advances lazily and deterministically from the owning
 // simulation's clock; two packets offered at the same instant see the
-// same channel state.
+// same channel state. The OU transition is exact at any gap, so the
+// processes' law does not depend on how often the channel is queried,
+// but their realization does (one draw per process per advance).
 #pragma once
-
-#include <vector>
 
 #include "core/rng.h"
 #include "core/time.h"
 #include "core/units.h"
 #include "net/hints.h"
 #include "net/link.h"
-#include "net/snr_lut.h"
 #include "obs/telemetry.h"
 
 namespace mntp::net {
@@ -91,29 +92,6 @@ struct WirelessChannelParams {
   /// Downlink terms are scaled by these factors.
   double downlink_queue_factor = 0.25;
   double downlink_spike_factor = 0.25;
-
-  /// Integration step for the OU processes.
-  core::Duration tick = core::Duration::milliseconds(100);
-
-  // --- Opt-in fast paths (both default off) -----------------------------
-  //
-  // Neither is enabled in the paper-reproduction configurations: the LUT
-  // perturbs attempt-failure probabilities by up to its interpolation
-  // error (a borderline Bernoulli draw can flip), and the coarse advance
-  // draws the OU processes differently, so enabling either changes
-  // realizations even though the modeled distributions are unchanged.
-
-  /// Replace the per-attempt logistic evaluation with a precomputed
-  /// lookup table (linear interpolation; |error| <= 1e-5 for any slope,
-  /// see WirelessChannel::snr_failure_probability).
-  bool use_snr_lut = false;
-  /// Advance the OU shadowing/noise processes across an idle gap in one
-  /// exact transition step (decay e^{-gap/tau}, innovation variance
-  /// sigma^2 (1 - e^{-2 gap/tau})) instead of fixed ticks. Exact at any
-  /// horizon — the tick integrator is only an Euler approximation — but
-  /// one draw per advance means the realization depends on *when* the
-  /// channel is queried, not just on the seed.
-  bool coarse_ou_advance = false;
 };
 
 class WirelessChannel {
@@ -152,11 +130,6 @@ class WirelessChannel {
 
   [[nodiscard]] const WirelessChannelParams& params() const { return params_; }
 
-  /// Probability that a single MAC attempt fails from SNR alone (no
-  /// collision term): the logistic curve, or its lookup table when
-  /// `use_snr_lut` is set. Public so tests can pin the LUT error bound.
-  [[nodiscard]] double snr_failure_probability(double snr_db) const;
-
  private:
   class Endpoint final : public Link {
    public:
@@ -172,7 +145,6 @@ class WirelessChannel {
   };
 
   void advance_to(core::TimePoint t);
-  [[nodiscard]] double attempt_failure_probability(core::Decibels snr) const;
 
   Endpoint uplink_endpoint_{*this, true};
   Endpoint downlink_endpoint_{*this, false};
@@ -187,18 +159,12 @@ class WirelessChannel {
   double shadow_db_ = 0.0;
   double noise_wander_db_ = 0.0;
 
-  // SNR-failure lookup table (built only when params_.use_snr_lut; see
-  // net/snr_lut.h — the fleet layer shares the same table type): uniform
-  // grid over snr50 ± 20 slopes; outside that span the logistic is
-  // within 2.1e-9 of its asymptote, so lookups clamp to the ends.
-  SnrFailureLut snr_lut_;
-
   // Telemetry handles (per direction: [0]=up, [1]=down), bound at
   // construction to the then-current global obs context.
   obs::Telemetry* telemetry_;
   obs::ShardedCounter* tx_counter_[2];
   obs::ShardedCounter* drop_counter_[2];
-  obs::Histogram* delay_ms_[2];
+  obs::ShardedHdrHistogram* delay_ms_[2];
   obs::ShardedCounter* bad_transitions_;
   // Timeline probes: latest delivered delay per direction and the
   // offered-load knob (inert unless the recorder captures).

@@ -31,8 +31,7 @@ QueryEngine::QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock)
   ok_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryOk);
   timeout_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryTimeout);
   error_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryError);
-  rtt_ms_ = m.histogram(obs::metric_names::kNtpQueryRttMs,
-                        obs::HistogramOptions::latency_ms());
+  rtt_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryRttMs);
   owd_up_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryOwdMs, {},
                                obs::Labels{{"dir", "up"}});
   owd_down_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryOwdMs, {},

@@ -69,7 +69,7 @@ class QueryEngine {
   obs::ShardedCounter* ok_counter_ = nullptr;
   obs::ShardedCounter* timeout_counter_ = nullptr;
   obs::ShardedCounter* error_counter_ = nullptr;
-  obs::Histogram* rtt_ms_ = nullptr;
+  obs::ShardedHdrHistogram* rtt_ms_ = nullptr;
   /// Per-direction one-way delays on the TRUE timeline (the simulator
   /// can observe what a real client cannot). Mergeable HDR histograms —
   /// these are the distributions replicate/fleet aggregation needs.

@@ -177,6 +177,9 @@ ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
 ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
                                               Labels labels,
                                               const ShardedCounter* counter) {
+  // Read the merged total only for a probe that will exist: a worker
+  // binding an inert probe must not read cells other threads write.
+  if (!capturing()) return {};
   return register_probe(
       name, std::move(labels), "counter",
       [counter](core::TimePoint) -> std::optional<double> {

@@ -5,22 +5,12 @@
 
 namespace mntp::sim {
 
-namespace {
-
-/// Queue depths are small integers; linear-ish low buckets then doubling.
-obs::HistogramOptions queue_depth_buckets() {
-  return obs::HistogramOptions{.bucket_bounds = {1, 2, 4, 8, 16, 32, 64, 128,
-                                                 256, 512, 1024}};
-}
-
-}  // namespace
-
 Simulation::Simulation()
     : telemetry_(&obs::Telemetry::global()),
       dispatched_counter_(telemetry_->metrics().counter(
           obs::metric_names::kSimEventsDispatched)),
-      queue_depth_(telemetry_->metrics().histogram(
-          obs::metric_names::kSimQueueDepth, queue_depth_buckets())),
+      queue_depth_(telemetry_->metrics().hdr_histogram(
+          obs::metric_names::kSimQueueDepth)),
       run_until_span_(
           obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil)),
       run_span_(obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun)) {
@@ -31,8 +21,8 @@ void Simulation::set_telemetry(obs::Telemetry& telemetry) {
   telemetry_ = &telemetry;
   dispatched_counter_ =
       telemetry_->metrics().counter(obs::metric_names::kSimEventsDispatched);
-  queue_depth_ = telemetry_->metrics().histogram(
-      obs::metric_names::kSimQueueDepth, queue_depth_buckets());
+  queue_depth_ =
+      telemetry_->metrics().hdr_histogram(obs::metric_names::kSimQueueDepth);
   run_until_span_ =
       obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil);
   run_span_ = obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun);

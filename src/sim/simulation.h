@@ -81,7 +81,7 @@ class Simulation {
   std::uint64_t executed_ = 0;
   obs::Telemetry* telemetry_;
   obs::Counter* dispatched_counter_;
-  obs::Histogram* queue_depth_;
+  obs::ShardedHdrHistogram* queue_depth_;
   obs::TimeSeriesRecorder* timeline_ = nullptr;
   bool timeline_capturing_ = false;
   core::TimePoint next_sample_;

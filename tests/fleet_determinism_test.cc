@@ -69,19 +69,6 @@ TEST(FleetDeterminism, BitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(FleetDeterminism, ThreadAndShardMatrixAgreesWithoutFastPaths) {
-  // The exact (non-LUT, fine-grained OU) channel path must satisfy the
-  // same contract: fast paths change values, never determinism.
-  fleet::FleetParams p = base_params();
-  p.clients = 5'000;
-  p.use_snr_lut = false;
-  p.coarse_ou_advance = false;
-  const fleet::FleetResult reference = run_once(p, 1);
-  p.shards = 5;
-  const fleet::FleetResult other = run_once(p, 8);
-  EXPECT_TRUE(reference.deterministic_equal(other));
-}
-
 TEST(FleetDeterminism, RegistryHistogramsMatchAcrossThreads) {
   // The obs-layer series (what telemetry sinks export) must merge to the
   // same histogram regardless of which worker recorded each sample.

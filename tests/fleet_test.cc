@@ -1,6 +1,5 @@
-// Fleet layer unit tests: SmallRng stream contract, the shared SNR LUT
-// error bound, population build calibration, and the simulator's
-// conservation / mechanism invariants.
+// Fleet layer unit tests: SmallRng stream contract, population build
+// calibration, and the simulator's conservation / mechanism invariants.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include "fleet/params.h"
 #include "fleet/report.h"
 #include "fleet/simulator.h"
-#include "net/snr_lut.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 
@@ -60,25 +58,6 @@ TEST(SmallRng, ParetoRespectsScaleAndTailClamp) {
     EXPECT_GE(x, 1.0);
     EXPECT_LE(x, std::pow(2.0, 53.0 / 4.0));
   }
-}
-
-TEST(SnrFailureLut, InterpolationErrorWithinBound) {
-  const double snr50 = 8.0;
-  const double slope = 2.2;
-  const net::SnrFailureLut lut = net::SnrFailureLut::build(snr50, slope);
-  ASSERT_FALSE(lut.empty());
-  for (double snr = snr50 - 19.0 * slope; snr <= snr50 + 19.0 * slope;
-       snr += 0.013) {
-    const double exact = 1.0 / (1.0 + std::exp((snr - snr50) / slope));
-    EXPECT_NEAR(lut(snr), exact, 1e-5) << "snr=" << snr;
-  }
-}
-
-TEST(SnrFailureLut, EmptyTableFallsBackToExactLogistic) {
-  const net::SnrFailureLut empty;
-  EXPECT_TRUE(empty.empty());
-  // Default-constructed midpoint/slope (0, 1).
-  EXPECT_NEAR(empty(0.0), 0.5, 1e-12);
 }
 
 fleet::FleetParams small_params() {
@@ -228,7 +207,7 @@ TEST(FleetReport, RendersAndRoundTripsKeyFields) {
   const fleet::FleetResult r = sim.run(1);
   const std::string doc = fleet::render_fleet_report(p, r);
   EXPECT_NE(doc.find("\"kind\": \"mntp_fleet_report\""), std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(doc.find("\"qps_per_core\""), std::string::npos);
   EXPECT_NE(doc.find("\"category\": \"mobile\""), std::string::npos);
   EXPECT_NE(doc.find("\"speaker\": \"sntp\""), std::string::npos);

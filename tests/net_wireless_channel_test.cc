@@ -34,12 +34,11 @@ TEST(WirelessChannel, DeterministicPerSeed) {
 }
 
 TEST(WirelessChannel, DropConsumesNoBackoffDraw) {
-  // Regression: the final failed attempt used to draw an exponential
-  // backoff for a retry that never happens, silently shifting the RNG
-  // stream of every event after a drop. With max_retries = 0 and a
-  // guaranteed collision, a drop must consume exactly as many draws as
-  // a clean first-attempt delivery (one bernoulli), so two channels
-  // sharing a seed stay in lockstep afterwards.
+  // End to end through the channel (the MAC loop's own draw counts are
+  // pinned on the kernel, WirelessKernel.DropConsumesNoBackoffDraw):
+  // with max_retries = 0 and a guaranteed collision, a drop must consume
+  // exactly as many draws as a clean first-attempt delivery, so two
+  // channels sharing a seed stay in lockstep afterwards.
   WirelessChannelParams p;
   p.max_retries = 0;
   p.collision_at_full_load = 1.0;
@@ -68,10 +67,10 @@ TEST(WirelessChannel, TimeBackwardsThrows) {
 
 TEST(WirelessChannel, RejectsBadParams) {
   WirelessChannelParams p;
-  p.tick = Duration::zero();
+  p.max_retries = -1;
   EXPECT_THROW(WirelessChannel(p, Rng(1)), std::invalid_argument);
   WirelessChannelParams q;
-  q.max_retries = -1;
+  q.snr_slope_db = 0.0;
   EXPECT_THROW(WirelessChannel(q, Rng(1)), std::invalid_argument);
 }
 
@@ -218,77 +217,6 @@ TEST(WirelessChannel, HintObservationTracksTrueState) {
   }
   EXPECT_NEAR(error.mean(), 0.0, 0.1);
   EXPECT_NEAR(error.stddev(), WirelessChannelParams{}.fast_fading_sigma_db, 0.1);
-}
-
-TEST(WirelessChannel, SnrLutMatchesExactLogisticWithinBound) {
-  // The LUT's documented contract: |interpolated - exact| <= 1e-5 across
-  // the whole SNR axis (clamped tails included), for any positive slope.
-  for (const double slope : {0.5, 2.2, 6.0}) {
-    WirelessChannelParams p;
-    p.snr_slope_db = slope;
-    p.use_snr_lut = true;
-    WirelessChannel lut(p, Rng(30));
-    double worst = 0.0;
-    for (double snr = p.snr50_db - 30.0 * slope; snr <= p.snr50_db + 30.0 * slope;
-         snr += slope / 100.0) {
-      const double exact =
-          1.0 / (1.0 + std::exp((snr - p.snr50_db) / p.snr_slope_db));
-      worst = std::max(worst, std::fabs(lut.snr_failure_probability(snr) - exact));
-    }
-    EXPECT_LE(worst, 1e-5) << "slope " << slope;
-  }
-}
-
-TEST(WirelessChannel, SnrLutOffByDefaultUsesExactLogistic) {
-  WirelessChannel c(WirelessChannelParams{}, Rng(31));
-  const WirelessChannelParams p;
-  const double snr = p.snr50_db + 1.7;
-  EXPECT_DOUBLE_EQ(c.snr_failure_probability(snr),
-                   1.0 / (1.0 + std::exp((snr - p.snr50_db) / p.snr_slope_db)));
-}
-
-TEST(WirelessChannel, CoarseOuAdvanceMatchesStationaryStatistics) {
-  // The closed-form advance is the exact OU transition, so the shadowing
-  // process it produces must have the same stationary law the tick
-  // integrator targets: mean 0, stddev ~= shadowing_sigma_db, and the
-  // configured relaxation time. Pin the channel in the good state so
-  // true_rssi exposes the shadowing term directly.
-  WirelessChannelParams p;
-  p.coarse_ou_advance = true;
-  p.mean_good_duration = Duration::seconds(1e9);
-  WirelessChannel c(p, Rng(32));
-  const double baseline = p.default_tx_power.value() - p.path_loss.value();
-  core::RunningStats shadow;
-  double lag_acc = 0.0;
-  double prev = 0.0;
-  const double step_s = 5.0;
-  const int n = 40000;
-  for (int i = 1; i <= n; ++i) {
-    const double x = c.true_rssi(at_s(i * step_s)).value() - baseline;
-    shadow.add(x);
-    if (i > 1) lag_acc += prev * x;
-    prev = x;
-  }
-  EXPECT_NEAR(shadow.mean(), 0.0, 0.1);
-  EXPECT_NEAR(shadow.stddev(), p.shadowing_sigma_db, 0.1);
-  // Lag-1 autocorrelation at a 5 s step of a tau = 25 s OU process is
-  // e^(-5/25) ~= 0.819.
-  const double lag1 = lag_acc / (n - 1) / shadow.variance();
-  EXPECT_NEAR(lag1, std::exp(-step_s / p.shadowing_tau_s), 0.02);
-}
-
-TEST(WirelessChannel, CoarseOuAdvanceIsDeterministicPerSeed) {
-  WirelessChannelParams p;
-  p.coarse_ou_advance = true;
-  p.use_snr_lut = true;
-  WirelessChannel a(p, Rng(33));
-  WirelessChannel b(p, Rng(33));
-  for (int i = 1; i <= 200; ++i) {
-    const auto ra = a.transmit_dir(at_s(i * 7.0), 76, i % 2 == 0);
-    const auto rb = b.transmit_dir(at_s(i * 7.0), 76, i % 2 == 0);
-    ASSERT_EQ(ra.delivered, rb.delivered);
-    ASSERT_EQ(ra.delay, rb.delay);
-  }
 }
 
 }  // namespace
