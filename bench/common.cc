@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -153,17 +154,36 @@ void Checks::expect_near(double value, double target, double tolerance,
   entries_.push_back({std::fabs(value - target) <= tolerance, buf});
 }
 
+namespace {
+
+[[noreturn]] void reject_flag(const char* flag, const std::string& value,
+                              const char* expected) {
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag, expected,
+               value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 std::string parse_flag(int argc, char** argv, const char* flag) {
   const std::size_t flag_len = std::strlen(flag);
+  bool present = false;
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
-      value = argv[i + 1];
+    if (std::strcmp(arg, flag) == 0) {
+      present = true;
+      value = i + 1 < argc ? argv[i + 1] : "";
     } else if (std::strncmp(arg, flag, flag_len) == 0 &&
                arg[flag_len] == '=') {
+      present = true;
       value = arg + flag_len + 1;
     }
+  }
+  // A flag followed by nothing, by `=` alone or by another flag has no
+  // value; running on the default instead would hide the typo.
+  if (present && (value.empty() || value.starts_with("--"))) {
+    reject_flag(flag, value, "a value");
   }
   return value;
 }
@@ -174,8 +194,22 @@ std::size_t parse_size_flag(int argc, char** argv, const char* flag,
   if (value.empty()) return def;
   char* end = nullptr;
   const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return def;
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0') {
+    reject_flag(flag, value, "a non-negative integer");
+  }
   return static_cast<std::size_t>(n);
+}
+
+double parse_double_flag(int argc, char** argv, const char* flag,
+                         double def) {
+  const std::string value = parse_flag(argc, argv, flag);
+  if (value.empty()) return def;
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0') {
+    reject_flag(flag, value, "a number");
+  }
+  return parsed;
 }
 
 bool parse_bool_flag(int argc, char** argv, const char* flag) {
@@ -234,24 +268,9 @@ void print_replicate_distributions(const sim::ReplicateReport& report) {
 }
 
 std::size_t parse_threads(int argc, char** argv, std::size_t def) {
-  const char* value = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    } else {
-      constexpr const char kPrefix[] = "--threads=";
-      if (std::strncmp(arg, kPrefix, sizeof kPrefix - 1) == 0) {
-        value = arg + (sizeof kPrefix - 1);
-      }
-    }
-  }
-  if (value == nullptr) return def;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0') return def;
-  return n == 0 ? core::ThreadPool::default_workers()
-                : static_cast<std::size_t>(n);
+  if (parse_flag(argc, argv, "--threads").empty()) return def;
+  const std::size_t n = parse_size_flag(argc, argv, "--threads", def);
+  return n == 0 ? core::ThreadPool::default_workers() : n;
 }
 
 BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)

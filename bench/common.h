@@ -113,7 +113,8 @@ void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
                           Series* rejected, Series* corrected);
 
 /// Parse `--threads N` (or `--threads=N`) from argv; `def` when absent
-/// or malformed. 0 means "one worker per hardware thread".
+/// (malformed exits 2, as parse_size_flag). 0 means "one worker per
+/// hardware thread".
 std::size_t parse_threads(int argc, char** argv, std::size_t def = 1);
 
 /// `--replicates K --threads N` for the multi-seed benches. replicates
@@ -136,11 +137,19 @@ void print_replicate_distributions(const sim::ReplicateReport& report);
 
 /// Parse `--<flag> value` / `--<flag>=value` from argv (last occurrence
 /// wins); empty string when absent. `flag` includes the leading dashes.
+/// A present flag without a value (last argument, empty `=`, or followed
+/// by another `--` flag) prints an error naming the flag and exits 2.
 std::string parse_flag(int argc, char** argv, const char* flag);
 
-/// parse_flag for non-negative integers; `def` when absent or malformed.
+/// parse_flag for non-negative integers; `def` when absent. A value that
+/// is not all digits (`1e6`, `-3`, `12x`) prints an error and exits 2.
 std::size_t parse_size_flag(int argc, char** argv, const char* flag,
                             std::size_t def);
+
+/// parse_flag for decimal numbers; `def` when absent. A value strtod
+/// cannot consume whole prints an error and exits 2.
+double parse_double_flag(int argc, char** argv, const char* flag,
+                         double def);
 
 /// True when the bare flag is present (`--flag`; `--flag=anything` also
 /// counts). For switches that carry no value.

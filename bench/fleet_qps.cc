@@ -31,34 +31,21 @@
 #include "fleet/simulator.h"
 #include "logs/spec.h"
 
-namespace {
-
 using namespace mntp;
-
-double parse_double_flag(int argc, char** argv, const char* flag,
-                         double def) {
-  const std::string v = bench::parse_flag(argc, argv, flag);
-  if (v.empty()) return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  return (end == nullptr || *end != '\0') ? def : parsed;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fleet_qps", argc, argv);
 
   fleet::FleetParams params;
   params.clients = bench::parse_size_flag(argc, argv, "--clients", 250'000);
-  params.duration_s = parse_double_flag(argc, argv, "--seconds", 60.0);
+  params.duration_s = bench::parse_double_flag(argc, argv, "--seconds", 60.0);
   params.shards = bench::parse_size_flag(argc, argv, "--shards", 64);
   params.seed = bench::parse_size_flag(argc, argv, "--seed", 1);
   params.kod_limit_per_slice =
       bench::parse_size_flag(argc, argv, "--kod-limit", 1'500);
   const std::size_t threads = bench::parse_threads(argc, argv, 1);
   const double min_qps_per_core =
-      parse_double_flag(argc, argv, "--min-qps-per-core", 1e5);
+      bench::parse_double_flag(argc, argv, "--min-qps-per-core", 1e5);
   const std::string fleet_out = bench::parse_flag(argc, argv, "--fleet-out");
 
   std::printf("fleet_qps: %llu clients, %.0f s, %zu shards, %zu thread(s)\n\n",

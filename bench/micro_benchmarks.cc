@@ -298,7 +298,7 @@ BENCHMARK(BM_EngineRoundTracedRingSink);
 void BM_MetricsCounterInc(benchmark::State& state) {
   obs::Telemetry telemetry;
   obs::ScopedTelemetry scope(telemetry);
-  obs::Counter* c = telemetry.metrics().counter("bench.counter");
+  obs::ShardedCounter* c = telemetry.metrics().counter("bench.counter");
   for (auto _ : state) {
     c->inc();
     benchmark::DoNotOptimize(c);
@@ -309,8 +309,8 @@ BENCHMARK(BM_MetricsCounterInc);
 void BM_MetricsHistogramRecord(benchmark::State& state) {
   obs::Telemetry telemetry;
   obs::ScopedTelemetry scope(telemetry);
-  obs::Histogram* h = telemetry.metrics().histogram(
-      "bench.histogram", obs::HistogramOptions::latency_ms());
+  obs::ShardedHdrHistogram* h =
+      telemetry.metrics().histogram("bench.histogram");
   core::Rng rng(11);
   for (auto _ : state) {
     h->record(rng.uniform(0.1, 500.0));

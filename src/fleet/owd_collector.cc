@@ -43,18 +43,18 @@ OwdCollector::OwdCollector(std::size_t slots, double valid_min_ms,
   for (Speaker sp : kSpeakers) {
     for (Population pop : kPopulations) {
       reg_class_[static_cast<std::size_t>(sp)][static_cast<std::size_t>(pop)] =
-          m.hdr_histogram(
+          m.histogram(
               obs::metric_names::kFleetOwdMs, owd_hist_options(),
               obs::Labels{{"speaker", std::string(speaker_name(sp))},
                           {"population", std::string(population_name(pop))}});
     }
   }
   for (logs::ProviderCategory cat : kCategories) {
-    reg_category_[static_cast<std::size_t>(cat)] = m.hdr_histogram(
+    reg_category_[static_cast<std::size_t>(cat)] = m.histogram(
         obs::metric_names::kFleetCategoryOwdMs, owd_hist_options(),
         obs::Labels{{"category", std::string(logs::category_name(cat))}});
   }
-  reg_invalid_ = m.sharded_counter(obs::metric_names::kFleetOwdInvalid);
+  reg_invalid_ = m.counter(obs::metric_names::kFleetOwdInvalid);
 }
 
 void OwdCollector::record(std::size_t slot, Speaker speaker,

@@ -34,15 +34,13 @@ ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
                                     ? logs::kPaperServers[s].id
                                     : std::string_view("?");
     requests_counter_.push_back(
-        m.sharded_counter(obs::metric_names::kFleetServerRequests,
-                          obs::Labels{{"server", std::string(id)}}));
+        m.counter(obs::metric_names::kFleetServerRequests,
+                  obs::Labels{{"server", std::string(id)}}));
   }
-  kod_counter_ = m.sharded_counter(obs::metric_names::kFleetServerKod);
-  batches_counter_ = m.sharded_counter(obs::metric_names::kFleetServerBatches);
-  cache_hit_counter_ =
-      m.sharded_counter(obs::metric_names::kFleetServerCacheHits);
-  cache_miss_counter_ =
-      m.sharded_counter(obs::metric_names::kFleetServerCacheMisses);
+  kod_counter_ = m.counter(obs::metric_names::kFleetServerKod);
+  batches_counter_ = m.counter(obs::metric_names::kFleetServerBatches);
+  cache_hit_counter_ = m.counter(obs::metric_names::kFleetServerCacheHits);
+  cache_miss_counter_ = m.counter(obs::metric_names::kFleetServerCacheMisses);
 }
 
 void ServerFleet::process_slice(std::size_t server,

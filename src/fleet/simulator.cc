@@ -51,8 +51,8 @@ Simulator::Simulator(std::shared_ptr<const ClientFleet> fleet,
         "Simulator: slice_s must be in (0, min poll interval)");
   }
   obs::MetricsRegistry& m = obs::Telemetry::global().metrics();
-  queries_counter_ = m.sharded_counter(obs::metric_names::kFleetClientQueries);
-  dropped_counter_ = m.sharded_counter(obs::metric_names::kFleetClientDropped);
+  queries_counter_ = m.counter(obs::metric_names::kFleetClientQueries);
+  dropped_counter_ = m.counter(obs::metric_names::kFleetClientDropped);
 }
 
 FleetResult Simulator::run(std::size_t threads) {

@@ -61,12 +61,12 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
     // Sharded: every engine (one per replicate/tuner worker) increments
     // these from its own thread on the round hot path.
     outcome_counters_[static_cast<std::size_t>(outcome)] =
-        m.sharded_counter(obs::metric_names::kMntpSample,
-                          obs::Labels{{"outcome", to_string(outcome)}});
+        m.counter(obs::metric_names::kMntpSample,
+                  obs::Labels{{"outcome", to_string(outcome)}});
   }
-  rounds_counter_ = m.sharded_counter(obs::metric_names::kMntpRounds);
-  deferrals_counter_ = m.sharded_counter(obs::metric_names::kMntpDeferrals);
-  resets_counter_ = m.sharded_counter(obs::metric_names::kMntpResets);
+  rounds_counter_ = m.counter(obs::metric_names::kMntpRounds);
+  deferrals_counter_ = m.counter(obs::metric_names::kMntpDeferrals);
+  resets_counter_ = m.counter(obs::metric_names::kMntpResets);
   obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
   offset_probe_ = ts.probe(obs::metric_names::kTsMntpOffsetMs, {},
                            [this](core::TimePoint) -> std::optional<double> {

@@ -79,9 +79,9 @@ class MntpClient {
   /// decision, every exchange of the round, and the engine verdict all
   /// land under one query id. Zero while no round is in flight.
   obs::QueryId round_trace_ = 0;
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* forced_counter_ = nullptr;
-  obs::Counter* clock_steps_counter_ = nullptr;
+  obs::ShardedCounter* requests_counter_ = nullptr;
+  obs::ShardedCounter* forced_counter_ = nullptr;
+  obs::ShardedCounter* clock_steps_counter_ = nullptr;
   /// Timeline probe: deferral-gate state at the latest acquisition
   /// opportunity (0 = deferred, 1 = emitted favorably, 2 = forced by the
   /// max_deferral fallback). Inert unless the recorder captures.

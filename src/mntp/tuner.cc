@@ -151,7 +151,7 @@ std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
                                 const SearchOptions& options) {
   obs::Telemetry& telemetry = obs::Telemetry::global();
   obs::ProfileScope profile(obs::spans::kTunerSearch);
-  obs::Counter* scored =
+  obs::ShardedCounter* scored =
       telemetry.metrics().counter(obs::metric_names::kTunerConfigsScored);
 
   // Flatten the 4-deep cartesian product into an enumerated config

@@ -16,7 +16,7 @@ class CellularNetwork::DirectionalLink final : public Link {
     const obs::Labels dir{{"dir", is_uplink ? "up" : "down"}};
     tx_counter_ = m.counter(obs::metric_names::kNetCellTx, dir);
     drop_counter_ = m.counter(obs::metric_names::kNetCellDrop, dir);
-    delay_ms_ = m.hdr_histogram(obs::metric_names::kNetCellDelayMs, {}, dir);
+    delay_ms_ = m.histogram(obs::metric_names::kNetCellDelayMs, {}, dir);
     delay_probe_ = obs::Telemetry::global().timeseries().probe(
         obs::metric_names::kTsNetDelayMs,
         obs::Labels{{"transport", "cell"}, {"dir", is_uplink ? "up" : "down"}},
@@ -83,8 +83,8 @@ class CellularNetwork::DirectionalLink final : public Link {
   CellularNetwork& net_;
   bool is_uplink_;
   core::Rng rng_;
-  obs::Counter* tx_counter_;
-  obs::Counter* drop_counter_;
+  obs::ShardedCounter* tx_counter_;
+  obs::ShardedCounter* drop_counter_;
   obs::ShardedHdrHistogram* delay_ms_;
   double last_delay_ms_ = 0.0;
   bool has_delay_ = false;

@@ -78,7 +78,7 @@ class CellularNetwork {
   core::Rng rng_;
   bool congested_ = false;
   core::TimePoint next_transition_;
-  obs::Counter* congestion_episodes_ = nullptr;
+  obs::ShardedCounter* congestion_episodes_ = nullptr;
   std::unique_ptr<DirectionalLink> uplink_;
   std::unique_ptr<DirectionalLink> downlink_;
 };

@@ -14,7 +14,7 @@ CrossTrafficGenerator::CrossTrafficGenerator(sim::Simulation& sim,
     : sim_(sim), channel_(channel), params_(params), rng_(std::move(rng)) {
   obs::MetricsRegistry& m = sim_.telemetry().metrics();
   downloads_counter_ = m.counter(obs::metric_names::kNetXtrafficDownloads);
-  utilization_ = m.hdr_histogram(obs::metric_names::kNetXtrafficUtilization);
+  utilization_ = m.histogram(obs::metric_names::kNetXtrafficUtilization);
 }
 
 void CrossTrafficGenerator::start() {

@@ -66,7 +66,7 @@ class CrossTrafficGenerator {
   bool running_ = false;
   bool downloading_ = false;
   std::size_t completed_ = 0;
-  obs::Counter* downloads_counter_ = nullptr;
+  obs::ShardedCounter* downloads_counter_ = nullptr;
   /// Per-download utilization levels. A histogram, not a last-written
   /// gauge: replicate workers share one registry, and the last writer
   /// across threads would depend on scheduling.

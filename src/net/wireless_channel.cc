@@ -22,11 +22,11 @@ WirelessChannel::WirelessChannel(WirelessChannelParams params, core::Rng rng)
   obs::MetricsRegistry& m = telemetry_->metrics();
   for (int d = 0; d < 2; ++d) {
     const obs::Labels dir{{"dir", d == 0 ? "up" : "down"}};
-    tx_counter_[d] = m.sharded_counter(obs::metric_names::kNetWifiTx, dir);
-    drop_counter_[d] = m.sharded_counter(obs::metric_names::kNetWifiDrop, dir);
-    delay_ms_[d] = m.hdr_histogram(obs::metric_names::kNetWifiDelayMs, {}, dir);
+    tx_counter_[d] = m.counter(obs::metric_names::kNetWifiTx, dir);
+    drop_counter_[d] = m.counter(obs::metric_names::kNetWifiDrop, dir);
+    delay_ms_[d] = m.histogram(obs::metric_names::kNetWifiDelayMs, {}, dir);
   }
-  bad_transitions_ = m.sharded_counter(obs::metric_names::kNetWifiBadStateTransitions);
+  bad_transitions_ = m.counter(obs::metric_names::kNetWifiBadStateTransitions);
   obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
   for (int d = 0; d < 2; ++d) {
     const obs::Labels labels{{"transport", "wifi"},

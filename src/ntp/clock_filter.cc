@@ -14,8 +14,8 @@ ClockFilter::ClockFilter(ClockFilterParams params)
     throw std::invalid_argument("ClockFilter: stages must be > 0");
   }
   obs::MetricsRegistry& m = obs::Telemetry::global().metrics();
-  samples_counter_ = m.sharded_counter(obs::metric_names::kNtpFilterSamples);
-  suppressed_counter_ = m.sharded_counter(obs::metric_names::kNtpFilterSuppressed);
+  samples_counter_ = m.counter(obs::metric_names::kNtpFilterSamples);
+  suppressed_counter_ = m.counter(obs::metric_names::kNtpFilterSuppressed);
 }
 
 void ClockFilter::reset() {

@@ -27,15 +27,15 @@ struct Exchange {
 QueryEngine::QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock)
     : sim_(sim), clock_(clock) {
   obs::MetricsRegistry& m = sim_.telemetry().metrics();
-  sent_counter_ = m.sharded_counter(obs::metric_names::kNtpQuerySent);
-  ok_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryOk);
-  timeout_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryTimeout);
-  error_counter_ = m.sharded_counter(obs::metric_names::kNtpQueryError);
-  rtt_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryRttMs);
-  owd_up_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryOwdMs, {},
-                               obs::Labels{{"dir", "up"}});
-  owd_down_ms_ = m.hdr_histogram(obs::metric_names::kNtpQueryOwdMs, {},
-                                 obs::Labels{{"dir", "down"}});
+  sent_counter_ = m.counter(obs::metric_names::kNtpQuerySent);
+  ok_counter_ = m.counter(obs::metric_names::kNtpQueryOk);
+  timeout_counter_ = m.counter(obs::metric_names::kNtpQueryTimeout);
+  error_counter_ = m.counter(obs::metric_names::kNtpQueryError);
+  rtt_ms_ = m.histogram(obs::metric_names::kNtpQueryRttMs);
+  owd_up_ms_ = m.histogram(obs::metric_names::kNtpQueryOwdMs, {},
+                           obs::Labels{{"dir", "up"}});
+  owd_down_ms_ = m.histogram(obs::metric_names::kNtpQueryOwdMs, {},
+                             obs::Labels{{"dir", "down"}});
   obs::TimeSeriesRecorder& ts = sim_.telemetry().timeseries();
   owd_up_probe_ =
       ts.probe(obs::metric_names::kTsNtpOwdMs, obs::Labels{{"dir", "up"}},

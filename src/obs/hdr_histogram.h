@@ -1,15 +1,12 @@
-// Mergeable log-linear histogram ("HDR-style"), the exact-count
-// complement to the P² estimators in obs/metrics.h.
+// Mergeable log-linear histogram ("HDR-style"): the registry's one
+// histogram primitive.
 //
-// P² tracks one quantile in O(1) memory but is order-sensitive and
-// fundamentally non-mergeable: two P² marker sets cannot be combined
-// into the marker set of the concatenated stream. That rules it out
-// wherever distributions must be aggregated across independent recorders
-// — sim::ReplicationRunner replicates, thread-pool shards, or future
-// fleet shards (the server's-eye OWD distributions of TimeWeaver and the
-// paper's §3.1 measurement study are exactly such aggregates).
-//
-// HdrHistogram instead buckets values on a log-linear grid: the magnitude
+// Distributions here must aggregate exactly across independent recorders
+// — sim::ReplicationRunner replicates, thread-pool shards, fleet shards
+// (the server's-eye OWD distributions of TimeWeaver and the paper's §3.1
+// measurement study are exactly such aggregates). A streaming quantile
+// estimator such as P² is order-sensitive and cannot be merged, so
+// HdrHistogram buckets values on a log-linear grid instead: the magnitude
 // axis is split into octaves (powers of two above `min_magnitude`), each
 // octave into 2^sub_bucket_bits equal-width linear sub-buckets. Bucket
 // counts are exact integers, so
@@ -123,7 +120,7 @@ class HdrHistogram {
 
 /// Registry-facing wrapper: per-thread HdrHistogram shards so the record
 /// hot path takes no lock (after the first record on each thread), merged
-/// on demand. Handles are created by MetricsRegistry::hdr_histogram() and
+/// on demand. Handles are created by MetricsRegistry::histogram() and
 /// stay valid for the registry's lifetime.
 class ShardedHdrHistogram {
  public:

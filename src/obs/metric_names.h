@@ -121,9 +121,7 @@ inline constexpr const char kTsDeviceRadioOnS[] = "device.radio_on_s";
 inline constexpr const char kTsNtpServerRequests[] = "ntp.server.requests";
 }  // namespace metric_names
 
-/// Profiler span names (obs/profiler.h). The sim.run/run_until names
-/// deliberately match the SpanTimer histogram prefixes so wall-time
-/// histograms and span profiles line up by name.
+/// Profiler span names (obs/profiler.h).
 namespace spans {
 inline constexpr const char kSimRun[] = "sim.run";
 inline constexpr const char kSimRunUntil[] = "sim.run_until";

@@ -1,198 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace mntp::obs {
-
-// --- P2Quantile -----------------------------------------------------------
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (q <= 0.0 || q >= 1.0) {
-    throw std::invalid_argument("P2Quantile: q must be in (0,1)");
-  }
-  desired_ = {1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0};
-  incr_ = {0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0};
-}
-
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    height_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(height_.begin(), height_.end());
-      for (std::size_t i = 0; i < 5; ++i) pos_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-
-  // Locate the cell containing x; stretch the extreme markers if needed.
-  std::size_t k;
-  if (x < height_[0]) {
-    height_[0] = x;
-    k = 0;
-  } else if (x >= height_[4]) {
-    height_[4] = std::max(height_[4], x);
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= height_[k + 1]) ++k;
-  }
-
-  for (std::size_t i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) desired_[i] += incr_[i];
-  ++n_;
-
-  // Adjust interior markers toward their desired positions using the
-  // piecewise-parabolic (P²) height update, falling back to linear when
-  // the parabolic step would cross a neighbour.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - pos_[i];
-    const bool right = d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0;
-    const bool left = d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0;
-    if (!right && !left) continue;
-    const double s = right ? 1.0 : -1.0;
-
-    const double qip = height_[i + 1];
-    const double qi = height_[i];
-    const double qim = height_[i - 1];
-    const double nip = pos_[i + 1];
-    const double ni = pos_[i];
-    const double nim = pos_[i - 1];
-    double candidate =
-        qi + s / (nip - nim) *
-                 ((ni - nim + s) * (qip - qi) / (nip - ni) +
-                  (nip - ni - s) * (qi - qim) / (ni - nim));
-    if (candidate <= qim || candidate >= qip) {
-      // Parabolic prediction left the bracket: linear update.
-      candidate = s > 0 ? qi + (qip - qi) / (nip - ni)
-                        : qi - (qim - qi) / (nim - ni);
-    }
-    height_[i] = candidate;
-    pos_[i] += s;
-  }
-}
-
-double P2Quantile::estimate() const {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    // Exact: interpolated order statistic over the sorted prefix.
-    std::array<double, 5> sorted = height_;
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n_));
-    const double rank = q_ * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, n_ - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-  }
-  return height_[2];
-}
-
-// --- Histogram ------------------------------------------------------------
-
-HistogramOptions HistogramOptions::exponential(double start, double factor,
-                                               std::size_t count) {
-  if (start <= 0.0 || factor <= 1.0) {
-    throw std::invalid_argument("HistogramOptions::exponential: need start > 0, factor > 1");
-  }
-  HistogramOptions o;
-  o.bucket_bounds.reserve(count);
-  double b = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    o.bucket_bounds.push_back(b);
-    b *= factor;
-  }
-  return o;
-}
-
-HistogramOptions HistogramOptions::latency_ms() {
-  return exponential(0.25, 2.0, 15);  // 0.25 ms .. 4096 ms, then overflow
-}
-
-Histogram::Histogram(HistogramOptions options, const std::atomic<bool>* enabled)
-    : enabled_(enabled), bounds_(std::move(options.bucket_bounds)) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
-    throw std::invalid_argument("Histogram: bucket bounds must ascend");
-  }
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::record(double v) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  // le semantics: a value equal to a bound belongs to that bound's bucket.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += v;
-  if (count_ == 1) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  p50_.add(v);
-  p90_.add(v);
-  p99_.add(v);
-}
-
-std::uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
-}
-
-double Histogram::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sum_;
-}
-
-double Histogram::min() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_ ? min_ : 0.0;
-}
-
-double Histogram::max() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_ ? max_ : 0.0;
-}
-
-double Histogram::mean() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double Histogram::p50() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return p50_.estimate();
-}
-
-double Histogram::p90() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return p90_.estimate();
-}
-
-double Histogram::p99() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return p99_.estimate();
-}
-
-std::size_t Histogram::bucket_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_.size();
-}
-
-std::uint64_t Histogram::bucket_value(std::size_t i) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_.at(i);
-}
-
-double Histogram::bucket_bound(std::size_t i) const {
-  // bounds_ is immutable after construction; no lock needed.
-  if (i < bounds_.size()) return bounds_[i];
-  if (i == bounds_.size()) return std::numeric_limits<double>::infinity();
-  throw std::out_of_range("Histogram::bucket_bound");
-}
 
 // --- MetricShardSlabs -----------------------------------------------------
 
@@ -218,10 +29,7 @@ MetricShardSlabs::Slab& MetricShardSlabs::slab_for_this_thread() {
   // address, then create this thread's slab under the lock.
   std::erase_if(cache, [this](const CacheEntry& e) { return e.owner == this; });
   std::lock_guard<std::mutex> lock(mutex_);
-  auto slab = std::make_unique<Slab>();
-  slab->counters.assign(counter_count_, 0);
-  slab->gauges.assign(gauge_count_, 0.0);
-  slabs_.push_back(std::move(slab));
+  slabs_.push_back(std::make_unique<Slab>(counter_count_, 0));
   Slab* raw = slabs_.back().get();
   cache.push_back({this, instance_id_, raw});
   return *raw;
@@ -229,44 +37,21 @@ MetricShardSlabs::Slab& MetricShardSlabs::slab_for_this_thread() {
 
 void MetricShardSlabs::grow(Slab& slab) {
   std::lock_guard<std::mutex> lock(mutex_);
-  slab.counters.resize(counter_count_, 0);
-  slab.gauges.resize(gauge_count_, 0.0);
+  slab.resize(counter_count_, 0);
 }
 
 std::uint64_t MetricShardSlabs::merged_counter(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& slab : slabs_) {
-    if (index < slab->counters.size()) total += slab->counters[index];
+    if (index < slab->size()) total += (*slab)[index];
   }
-  return total;
-}
-
-double MetricShardSlabs::merged_gauge(std::size_t index) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Sum in ascending value order: for a fixed multiset of per-thread
-  // partials the result does not depend on which thread recorded first.
-  std::vector<double> partials;
-  partials.reserve(slabs_.size());
-  for (const auto& slab : slabs_) {
-    if (index < slab->gauges.size() && slab->gauges[index] != 0.0) {
-      partials.push_back(slab->gauges[index]);
-    }
-  }
-  std::sort(partials.begin(), partials.end());
-  double total = 0.0;
-  for (const double p : partials) total += p;
   return total;
 }
 
 std::size_t MetricShardSlabs::allocate_counter() {
   std::lock_guard<std::mutex> lock(mutex_);
   return counter_count_++;
-}
-
-std::size_t MetricShardSlabs::allocate_gauge() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return gauge_count_++;
 }
 
 // --- MetricsRegistry ------------------------------------------------------
@@ -276,102 +61,60 @@ Labels MetricsRegistry::normalize(Labels labels) {
   return labels;
 }
 
-Counter* MetricsRegistry::counter(std::string_view name, Labels labels) {
+namespace {
+
+/// Find-or-create under the caller's registry lock; `make` runs only on a
+/// miss.
+template <typename Map, typename Key, typename Make>
+auto* find_or_create(Map& map, Key key, Make make) {
+  auto it = map.find(key);
+  if (it == map.end()) it = map.emplace(std::move(key), make()).first;
+  return it->second.get();
+}
+
+}  // namespace
+
+ShardedCounter* MetricsRegistry::counter(std::string_view name,
+                                         Labels labels) {
   Key key{std::string(name), normalize(std::move(labels))};
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(key);
-  if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::move(key),
-                      std::unique_ptr<Counter>(new Counter(&enabled_)))
-             .first;
-  }
-  return it->second.get();
+  return find_or_create(counters_, std::move(key), [this] {
+    return std::unique_ptr<ShardedCounter>(
+        new ShardedCounter(&enabled_, &slabs_, slabs_.allocate_counter()));
+  });
 }
 
 Gauge* MetricsRegistry::gauge(std::string_view name, Labels labels) {
   Key key{std::string(name), normalize(std::move(labels))};
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(key);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::move(key), std::unique_ptr<Gauge>(new Gauge(&enabled_)))
-             .first;
-  }
-  return it->second.get();
+  return find_or_create(gauges_, std::move(key), [this] {
+    return std::unique_ptr<Gauge>(new Gauge(&enabled_));
+  });
 }
 
-Histogram* MetricsRegistry::histogram(std::string_view name,
-                                      HistogramOptions options, Labels labels) {
+ShardedHdrHistogram* MetricsRegistry::histogram(std::string_view name,
+                                                HdrHistogramOptions options,
+                                                Labels labels) {
   Key key{std::string(name), normalize(std::move(labels))};
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::move(key), std::unique_ptr<Histogram>(new Histogram(
-                                          std::move(options), &enabled_)))
-             .first;
-  }
-  return it->second.get();
-}
-
-ShardedHdrHistogram* MetricsRegistry::hdr_histogram(std::string_view name,
-                                                    HdrHistogramOptions options,
-                                                    Labels labels) {
-  Key key{std::string(name), normalize(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = hdr_histograms_.find(key);
-  if (it == hdr_histograms_.end()) {
-    it = hdr_histograms_
-             .emplace(std::move(key),
-                      std::unique_ptr<ShardedHdrHistogram>(
-                          new ShardedHdrHistogram(options, &enabled_)))
-             .first;
-  }
-  return it->second.get();
-}
-
-ShardedCounter* MetricsRegistry::sharded_counter(std::string_view name,
-                                                 Labels labels) {
-  Key key{std::string(name), normalize(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sharded_counters_.find(key);
-  if (it == sharded_counters_.end()) {
-    it = sharded_counters_
-             .emplace(std::move(key),
-                      std::unique_ptr<ShardedCounter>(new ShardedCounter(
-                          &enabled_, &slabs_, slabs_.allocate_counter())))
-             .first;
-  }
-  return it->second.get();
-}
-
-ShardedGauge* MetricsRegistry::sharded_gauge(std::string_view name,
-                                             Labels labels) {
-  Key key{std::string(name), normalize(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sharded_gauges_.find(key);
-  if (it == sharded_gauges_.end()) {
-    it = sharded_gauges_
-             .emplace(std::move(key),
-                      std::unique_ptr<ShardedGauge>(new ShardedGauge(
-                          &enabled_, &slabs_, slabs_.allocate_gauge())))
-             .first;
-  }
-  return it->second.get();
+  return find_or_create(histograms_, std::move(key), [&] {
+    return std::unique_ptr<ShardedHdrHistogram>(
+        new ShardedHdrHistogram(options, &enabled_));
+  });
 }
 
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         hdr_histograms_.size() + sharded_counters_.size() +
-         sharded_gauges_.size();
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSnapshot> out;
   out.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  // Counters and histograms merge their per-thread shards here, at
+  // snapshot time; both merges are order-insensitive, so the result is
+  // identical for every thread count.
   for (const auto& [key, c] : counters_) {
     MetricSnapshot s;
     s.kind = MetricSnapshot::Kind::kCounter;
@@ -388,48 +131,9 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
     s.value = g->value();
     out.push_back(std::move(s));
   }
-  // Sharded series merge here, at snapshot time (the same rule as the
-  // hdr histograms below), and export as plain counter/gauge snapshots:
-  // the report shape carries no trace of the sharding.
-  for (const auto& [key, c] : sharded_counters_) {
-    MetricSnapshot s;
-    s.kind = MetricSnapshot::Kind::kCounter;
-    s.name = key.name;
-    s.labels = key.labels;
-    s.value = static_cast<double>(c->value());
-    out.push_back(std::move(s));
-  }
-  for (const auto& [key, g] : sharded_gauges_) {
-    MetricSnapshot s;
-    s.kind = MetricSnapshot::Kind::kGauge;
-    s.name = key.name;
-    s.labels = key.labels;
-    s.value = g->value();
-    out.push_back(std::move(s));
-  }
   for (const auto& [key, h] : histograms_) {
-    MetricSnapshot s;
-    s.kind = MetricSnapshot::Kind::kHistogram;
-    s.name = key.name;
-    s.labels = key.labels;
-    s.count = h->count();
-    s.sum = h->sum();
-    s.min = h->min();
-    s.max = h->max();
-    s.p50 = h->p50();
-    s.p90 = h->p90();
-    s.p99 = h->p99();
-    s.buckets.reserve(h->bucket_count());
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      s.buckets.emplace_back(h->bucket_bound(i), h->bucket_value(i));
-    }
-    out.push_back(std::move(s));
-  }
-  for (const auto& [key, h] : hdr_histograms_) {
-    // Shards merge here, at snapshot time; the merged result is identical
-    // for every thread count because HdrHistogram::merge is
-    // order-insensitive. Exported in the same histogram shape the report
-    // schema expects: non-empty buckets ascending, then the +inf bucket.
+    // Exported in the histogram shape the report schema expects:
+    // non-empty buckets ascending, then the +inf bucket.
     const HdrHistogram merged = h->merged();
     MetricSnapshot s;
     s.kind = MetricSnapshot::Kind::kHistogram;

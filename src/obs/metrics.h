@@ -4,10 +4,11 @@
 // trace-event sink in obs/trace_event.h is the qualitative half). Design
 // constraints, in order:
 //
-//   1. Hot-path cheapness. Instrumented code resolves a handle (Counter*,
-//      Gauge*, Histogram*) ONCE at construction; recording through the
-//      handle is O(1) with no map lookup and no allocation. A disabled
-//      registry reduces every record to one predictable branch.
+//   1. Hot-path cheapness. Instrumented code resolves a handle
+//      (ShardedCounter*, Gauge*, ShardedHdrHistogram*) ONCE at
+//      construction; recording through the handle is O(1) with no map
+//      lookup and no allocation. A disabled registry reduces every record
+//      to one predictable branch.
 //   2. Determinism. Metrics only observe; nothing in the library reads a
 //      metric back to make a decision, so instrumentation can never
 //      perturb an experiment's RNG streams or event order.
@@ -15,30 +16,14 @@
 //      structs that the report writer (obs/report.h) serializes without
 //      knowing anything about individual metrics.
 //
-// Histograms record into fixed buckets (for distribution shape) AND into
-// P-squared streaming quantile estimators (for accurate p50/p90/p99
-// without retaining samples) — the two complement each other: buckets are
-// mergeable and exact-boundary, P² is O(1)-memory and boundary-free.
-//
-// Thread safety. The simulation kernel is single-threaded, but offline
-// work (the parallel tuner searcher, core::ThreadPool::parallel_for
-// callers) records from worker threads, so recording is safe under
-// concurrent writers and loses no updates:
-//
-//   * Counter / Gauge — lock-free atomics (relaxed ordering; totals are
-//     exact, cross-metric ordering is unspecified);
-//   * ShardedCounter / ShardedGauge — per-thread slab cells (plain
-//     stores, no atomics at all) merged at read; exact totals once the
-//     writers have joined, following the ShardedHdrHistogram rule;
-//   * Histogram — a per-histogram mutex around record() and the
-//     accessors (the P² marker update is a read-modify-write over five
-//     correlated arrays and cannot be usefully sharded);
-//   * MetricsRegistry — a registry mutex around find-or-create and
-//     snapshot(). Handle *resolution* may lock; recording through a
-//     resolved Counter/Gauge handle never does.
+// One primitive per concept. Counters and histograms are per-thread
+// shards merged at snapshot(): integer cell sums and HDR bucket sums are
+// commutative and associative, so every snapshot is bit-identical for
+// any thread count or scheduling once the writers have joined. The gauge
+// is a set-only atomic (last writer wins). Handle *resolution* takes the
+// registry mutex; recording through a resolved handle never does.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -58,41 +43,13 @@ namespace mntp::obs {
 /// key so label order at the call site does not create distinct series.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonic event count. Lock-free: concurrent inc() calls never lose
-/// updates (relaxed atomics — exact totals, no ordering guarantee).
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written instantaneous value. Lock-free; add() is a CAS loop so
-/// concurrent deltas all land (set() racing add() keeps one
-/// serialization, as for any last-writer-wins gauge).
+/// Last-written instantaneous value. Lock-free and set-only: concurrent
+/// set() calls keep one serialization (last writer wins).
 class Gauge {
  public:
   void set(double v) {
     if (enabled_->load(std::memory_order_relaxed)) {
       value_.store(v, std::memory_order_relaxed);
-    }
-  }
-  void add(double d) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d,
-                                         std::memory_order_relaxed)) {
     }
   }
   [[nodiscard]] double value() const {
@@ -108,15 +65,12 @@ class Gauge {
 
 class MetricShardSlabs;
 
-/// Sharded monotonic counter: the fleet-scale complement to Counter.
-/// Counter's single atomic is exact but CONTENDED — at 10⁵+ clients
-/// spread over a thread pool every inc() bounces one cache line between
-/// cores. ShardedCounter instead writes a per-thread slab cell (see
-/// MetricShardSlabs): a plain uncontended store, no RMW, no sharing.
-/// value() sums the cells; integer addition is commutative and
-/// associative, so the merged total is bit-identical for any thread
-/// count and any scheduling — the same merge rule ShardedHdrHistogram
-/// relies on. Reads are only exact after parallel sections have joined
+/// Monotonic event count. Each inc() writes this thread's slab cell (see
+/// MetricShardSlabs): a plain uncontended store, no RMW, no cache line
+/// shared between cores. value() sums the cells; integer addition is
+/// commutative and associative, so the merged total is bit-identical for
+/// any thread count and any scheduling — the same merge rule
+/// ShardedHdrHistogram relies on. Reads are only exact after parallel sections have joined
 /// (cell writes are not synchronized with the merge, the rule
 /// obs/hdr_histogram.h documents for merged()).
 class ShardedCounter {
@@ -135,41 +89,16 @@ class ShardedCounter {
   std::size_t index_;
 };
 
-/// Sharded additive gauge: per-thread double cells summed at read. Unlike
-/// Gauge there is no set() — last-writer-wins has no meaning when every
-/// thread owns a private cell — so this is an accumulator exported with
-/// gauge semantics (the registry snapshots it as Kind::kGauge). The
-/// merge sums the per-thread partials in ascending value order, which
-/// makes the result independent of thread arrival order for a given
-/// partition; it is bit-identical across thread COUNTS when the deltas
-/// are integral (or any sum where IEEE addition is exact), the same
-/// restriction that led obs/hdr_histogram.h to ban FP accumulators.
-class ShardedGauge {
- public:
-  void add(double d);
-  /// Sum of every thread's partial, ascending-value order.
-  [[nodiscard]] double value() const;
-
- private:
-  friend class MetricsRegistry;
-  ShardedGauge(const std::atomic<bool>* enabled, MetricShardSlabs* slabs,
-               std::size_t index)
-      : enabled_(enabled), slabs_(slabs), index_(index) {}
-  const std::atomic<bool>* enabled_;
-  MetricShardSlabs* slabs_;
-  std::size_t index_;
-};
-
-/// The per-thread slab backing every ShardedCounter/ShardedGauge of one
-/// registry. Each thread that records gets ONE slab (two dense arrays,
-/// uint64 counter cells and double gauge cells) shared by all that
-/// registry's sharded metrics; a handle is just {slab set, cell index}.
-/// The hot path resolves this thread's slab through a thread-local
-/// cache (one owner/instance compare — the ShardedHdrHistogram idiom,
-/// amortized O(1)), bounds-checks the cell and does a plain `+=`:
-/// no atomics, no locks, no false sharing between threads. Slab
-/// creation and growth (a handle registered after this thread's slab
-/// was built) take the mutex; merged reads take it too and sum cells.
+/// The per-thread slab backing every ShardedCounter of one registry. Each
+/// thread that records gets ONE slab (a dense array of uint64 cells)
+/// shared by all that registry's counters; a handle is just {slab set,
+/// cell index}. The hot path resolves this thread's slab through a
+/// thread-local cache (one owner/instance compare — the
+/// ShardedHdrHistogram idiom, amortized O(1)), bounds-checks the cell and
+/// does a plain `+=`: no atomics, no locks, no false sharing between
+/// threads. Slab creation and growth (a handle registered after this
+/// thread's slab was built) take the mutex; merged reads take it too and
+/// sum cells.
 class MetricShardSlabs {
  public:
   MetricShardSlabs();
@@ -178,30 +107,20 @@ class MetricShardSlabs {
 
   void counter_add(std::size_t index, std::uint64_t n) {
     Slab& s = slab_for_this_thread();
-    if (index >= s.counters.size()) grow(s);
-    s.counters[index] += n;
-  }
-  void gauge_add(std::size_t index, double d) {
-    Slab& s = slab_for_this_thread();
-    if (index >= s.gauges.size()) grow(s);
-    s.gauges[index] += d;
+    if (index >= s.size()) grow(s);
+    s[index] += n;
   }
 
   [[nodiscard]] std::uint64_t merged_counter(std::size_t index) const;
-  [[nodiscard]] double merged_gauge(std::size_t index) const;
 
   /// Reserve the next cell index (registration path, rare).
   [[nodiscard]] std::size_t allocate_counter();
-  [[nodiscard]] std::size_t allocate_gauge();
 
  private:
-  struct Slab {
-    std::vector<std::uint64_t> counters;
-    std::vector<double> gauges;
-  };
+  using Slab = std::vector<std::uint64_t>;
 
   Slab& slab_for_this_thread();
-  /// Resize the calling thread's slab to the registered cell counts.
+  /// Resize the calling thread's slab to the registered cell count.
   /// Only the owning thread touches its cells, so the realloc cannot
   /// race the hot path; merged reads serialize on mutex_.
   void grow(Slab& slab);
@@ -211,7 +130,6 @@ class MetricShardSlabs {
   std::uint64_t instance_id_;
   mutable std::mutex mutex_;
   std::size_t counter_count_ = 0;  // guarded by mutex_
-  std::size_t gauge_count_ = 0;    // guarded by mutex_
   std::vector<std::unique_ptr<Slab>> slabs_;
 };
 
@@ -224,89 +142,6 @@ inline void ShardedCounter::inc(std::uint64_t n) {
 inline std::uint64_t ShardedCounter::value() const {
   return slabs_->merged_counter(index_);
 }
-
-inline void ShardedGauge::add(double d) {
-  if (enabled_->load(std::memory_order_relaxed)) {
-    slabs_->gauge_add(index_, d);
-  }
-}
-
-inline double ShardedGauge::value() const {
-  return slabs_->merged_gauge(index_);
-}
-
-/// P-squared (P²) streaming quantile estimator (Jain & Chlamtac, 1985):
-/// tracks one quantile of a stream in O(1) memory and O(1) per sample by
-/// maintaining five markers whose heights follow a piecewise-parabolic
-/// interpolation of the empirical CDF. Exact for the first five samples.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  /// Current estimate; exact order statistic while n <= 5.
-  [[nodiscard]] double estimate() const;
-  [[nodiscard]] std::size_t count() const { return n_; }
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  std::array<double, 5> height_{};    // marker heights (sample values)
-  std::array<double, 5> pos_{};       // actual marker positions (1-based)
-  std::array<double, 5> desired_{};   // desired marker positions
-  std::array<double, 5> incr_{};      // desired-position increments
-};
-
-struct HistogramOptions {
-  /// Ascending upper bounds of the finite buckets; an implicit +inf
-  /// overflow bucket is always appended.
-  std::vector<double> bucket_bounds;
-
-  /// Geometric bucket ladder: {start, start*factor, ...} (count bounds).
-  static HistogramOptions exponential(double start, double factor,
-                                      std::size_t count);
-  /// Default ladder for latency-style metrics in milliseconds:
-  /// 0.25 ms .. ~4 s in x2 steps (15 finite buckets).
-  static HistogramOptions latency_ms();
-};
-
-/// Fixed-bucket histogram + streaming p50/p90/p99 + running moments.
-/// record() and the accessors serialize on a per-histogram mutex, so
-/// concurrent recorders lose no samples and readers see consistent state.
-class Histogram {
- public:
-  void record(double v);
-
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double p50() const;
-  [[nodiscard]] double p90() const;
-  [[nodiscard]] double p99() const;
-
-  /// Finite buckets plus the trailing overflow bucket.
-  [[nodiscard]] std::size_t bucket_count() const;
-  /// Upper bound of bucket i; +inf for the last (overflow) bucket.
-  [[nodiscard]] double bucket_bound(std::size_t i) const;
-  [[nodiscard]] std::uint64_t bucket_value(std::size_t i) const;
-
- private:
-  friend class MetricsRegistry;
-  Histogram(HistogramOptions options, const std::atomic<bool>* enabled);
-  const std::atomic<bool>* enabled_;
-  mutable std::mutex mutex_;
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  P2Quantile p50_{0.50};
-  P2Quantile p90_{0.90};
-  P2Quantile p99_{0.99};
-};
 
 /// Point-in-time copy of one metric, for export (see obs/report.h).
 struct MetricSnapshot {
@@ -338,28 +173,13 @@ class MetricsRegistry {
 
   /// Find-or-create. Returned pointers stay valid for the registry's
   /// lifetime; call once at setup and record through the handle.
-  Counter* counter(std::string_view name, Labels labels = {});
+  ShardedCounter* counter(std::string_view name, Labels labels = {});
   Gauge* gauge(std::string_view name, Labels labels = {});
-  Histogram* histogram(std::string_view name,
-                       HistogramOptions options = HistogramOptions::latency_ms(),
-                       Labels labels = {});
-  /// Mergeable alternative to histogram() (see obs/hdr_histogram.h):
-  /// exact log-linear bucket counts, per-thread shards merged at
-  /// snapshot(), so the hot path never takes the per-histogram mutex the
-  /// P² markers require. Choose this for distributions that must be
-  /// aggregated across replicates/shards; choose histogram() when the
-  /// named P² percentiles and hand-picked bucket bounds matter more.
-  ShardedHdrHistogram* hdr_histogram(std::string_view name,
-                                     HdrHistogramOptions options = {},
-                                     Labels labels = {});
-  /// Sharded alternatives to counter()/gauge() for series that hot loops
-  /// increment from many threads: per-thread slab cells, merged at
-  /// snapshot() (exported as plain counter/gauge snapshots, so the
-  /// report schema does not change). Do NOT register the same
-  /// name+labels through both counter() and sharded_counter() — they
-  /// are distinct stores and would export duplicate series.
-  ShardedCounter* sharded_counter(std::string_view name, Labels labels = {});
-  ShardedGauge* sharded_gauge(std::string_view name, Labels labels = {});
+  /// Mergeable log-linear histogram (see obs/hdr_histogram.h): exact
+  /// bucket counts in per-thread shards, merged at snapshot().
+  ShardedHdrHistogram* histogram(std::string_view name,
+                                 HdrHistogramOptions options = {},
+                                 Labels labels = {});
 
   /// Disable/enable all recording (handles stay valid; records become a
   /// single branch). Used to measure instrumentation overhead.
@@ -389,13 +209,10 @@ class MetricsRegistry {
 
   std::atomic<bool> enabled_{true};
   mutable std::mutex mutex_;  // guards the maps, not the metric values
-  MetricShardSlabs slabs_;    // cells behind every sharded counter/gauge
-  std::map<Key, std::unique_ptr<Counter>> counters_;
+  MetricShardSlabs slabs_;    // cells behind every counter
+  std::map<Key, std::unique_ptr<ShardedCounter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
-  std::map<Key, std::unique_ptr<Histogram>> histograms_;
-  std::map<Key, std::unique_ptr<ShardedHdrHistogram>> hdr_histograms_;
-  std::map<Key, std::unique_ptr<ShardedCounter>> sharded_counters_;
-  std::map<Key, std::unique_ptr<ShardedGauge>> sharded_gauges_;
+  std::map<Key, std::unique_ptr<ShardedHdrHistogram>> histograms_;
 };
 
 }  // namespace mntp::obs

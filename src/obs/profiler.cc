@@ -59,7 +59,7 @@ void Profiler::record(const SpanRecord& span) {
   ++agg.count;
   agg.total_ns += span.dur_ns;
   agg.self_ns += span.self_ns;
-  agg.p50.add(static_cast<double>(span.dur_ns));
+  agg.dur_us.record(static_cast<double>(span.dur_ns) / 1e3);
 
   if (records_.size() < options_.max_records) {
     records_.push_back(span);
@@ -84,7 +84,7 @@ std::vector<Profiler::SpanStats> Profiler::stats() const {
                             .self_ns = agg.self_ns,
                             .min_ns = agg.min_ns,
                             .max_ns = agg.max_ns,
-                            .p50_ns = agg.p50.estimate()});
+                            .p50_ns = agg.dur_us.quantile(0.5) * 1e3});
   }
   return out;  // std::map iteration is already name-sorted
 }

@@ -54,6 +54,7 @@
 
 #include "core/result.h"
 #include "core/time.h"
+#include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 
 namespace mntp::obs {
@@ -82,7 +83,7 @@ class Profiler {
     std::int64_t self_ns = 0;
     std::int64_t min_ns = 0;
     std::int64_t max_ns = 0;
-    double p50_ns = 0.0;  ///< streaming (P²) median of span durations
+    double p50_ns = 0.0;  ///< HDR-histogram median of span durations
   };
 
   struct Options {
@@ -137,7 +138,9 @@ class Profiler {
     std::int64_t self_ns = 0;
     std::int64_t min_ns = 0;
     std::int64_t max_ns = 0;
-    P2Quantile p50{0.5};
+    /// Durations in microseconds: the default 1e-3..1e9 range spans
+    /// 1 ns..1000 s at 2^-6 relative error.
+    HdrHistogram dur_us;
   };
 
   std::atomic<bool> enabled_{false};

@@ -58,39 +58,4 @@ Telemetry*& Telemetry::global_slot() {
 
 Telemetry& Telemetry::global() { return *global_slot(); }
 
-SpanHistograms resolve_span_histograms(Telemetry& telemetry,
-                                       std::string_view name) {
-  return SpanHistograms{
-      .wall_us = telemetry.metrics().histogram(
-          std::string(name) + ".wall_us",
-          HistogramOptions::exponential(1.0, 4.0, 12)),
-      .sim_ms = telemetry.metrics().histogram(
-          std::string(name) + ".sim_ms",
-          HistogramOptions::exponential(1.0, 4.0, 14)),
-  };
-}
-
-SpanTimer::SpanTimer(Telemetry& telemetry, std::string_view name,
-                     core::TimePoint sim_start)
-    : SpanTimer(resolve_span_histograms(telemetry, name), sim_start) {}
-
-SpanTimer::SpanTimer(const SpanHistograms& histograms,
-                     core::TimePoint sim_start)
-    : wall_us_(histograms.wall_us),
-      sim_ms_(histograms.sim_ms),
-      sim_start_(sim_start),
-      wall_start_(std::chrono::steady_clock::now()) {}
-
-SpanTimer::~SpanTimer() {
-  const auto elapsed = std::chrono::steady_clock::now() - wall_start_;
-  wall_us_->record(
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          elapsed)
-          .count());
-}
-
-void SpanTimer::finish(core::TimePoint sim_end) {
-  sim_ms_->record((sim_end - sim_start_).to_millis());
-}
-
 }  // namespace mntp::obs

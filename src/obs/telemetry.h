@@ -31,15 +31,9 @@
 // the caller). Sink attach/detach is also serialized, but reconfiguring
 // sinks while another thread emits is still a logic error — configure
 // before fanning work out.
-//
-// Wall-clock caveat: `SpanTimer` reads the host's steady clock for
-// profiling. That never feeds back into simulation behaviour — simulated
-// experiments stay bit-deterministic; only the telemetry *output* carries
-// host-dependent wall durations.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -151,45 +145,6 @@ class ScopedTelemetry {
 
  private:
   Telemetry* previous_;
-};
-
-/// Scoped timing span recording BOTH wall-clock (host performance) and
-/// simulated-time duration into histograms `<name>.wall_us` and
-/// `<name>.sim_ms`. Wall time is recorded on destruction; sim time only
-/// if finish() supplied the end instant (the span cannot read the
-/// simulation clock itself).
-/// The two histograms a SpanTimer records into, pre-resolved. Hot loops
-/// (the simulation dispatch path) resolve once and construct SpanTimers
-/// from the handles, skipping the per-call name concatenation + registry
-/// lookup (two string allocations per span otherwise).
-struct SpanHistograms {
-  Histogram* wall_us = nullptr;
-  Histogram* sim_ms = nullptr;
-};
-
-/// Resolve `<name>.wall_us` / `<name>.sim_ms` in `telemetry`'s registry
-/// with SpanTimer's standard buckets.
-[[nodiscard]] SpanHistograms resolve_span_histograms(Telemetry& telemetry,
-                                                     std::string_view name);
-
-class SpanTimer {
- public:
-  SpanTimer(Telemetry& telemetry, std::string_view name,
-            core::TimePoint sim_start);
-  /// Allocation-free: record into already-resolved histograms.
-  SpanTimer(const SpanHistograms& histograms, core::TimePoint sim_start);
-  ~SpanTimer();
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  /// Record the simulated-time duration [sim_start, sim_end].
-  void finish(core::TimePoint sim_end);
-
- private:
-  Histogram* wall_us_;
-  Histogram* sim_ms_;
-  core::TimePoint sim_start_;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 }  // namespace mntp::obs

@@ -161,24 +161,11 @@ ProbeHandle TimeSeriesRecorder::probe(std::string_view name, Labels labels,
 
 ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
                                               Labels labels,
-                                              const Counter* counter) {
-  // The delta computation needs per-registration state; stash the counter
-  // pointer in the closure and the previous reading in the registration
-  // (updated by sample()). The closure returns the RAW value; sample()
-  // differences it.
-  return register_probe(
-      name, std::move(labels), "counter",
-      [counter](core::TimePoint) -> std::optional<double> {
-        return static_cast<double>(counter->value());
-      },
-      counter->value());
-}
-
-ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
-                                              Labels labels,
                                               const ShardedCounter* counter) {
   // Read the merged total only for a probe that will exist: a worker
-  // binding an inert probe must not read cells other threads write.
+  // binding an inert probe must not read cells other threads write. The
+  // closure returns the RAW total; sample() differences it against the
+  // previous reading kept in the registration.
   if (!capturing()) return {};
   return register_probe(
       name, std::move(labels), "counter",
@@ -186,17 +173,6 @@ ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
         return static_cast<double>(counter->value());
       },
       counter->value());
-}
-
-ProbeHandle TimeSeriesRecorder::gauge_probe(std::string_view name,
-                                            Labels labels,
-                                            const Gauge* gauge) {
-  return register_probe(
-      name, std::move(labels), "gauge",
-      [gauge](core::TimePoint) -> std::optional<double> {
-        return gauge->value();
-      },
-      0);
 }
 
 void TimeSeriesRecorder::unregister(std::uint64_t id) {

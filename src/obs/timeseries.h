@@ -8,8 +8,8 @@
 // mobility items need. The TimeSeriesRecorder fills that gap:
 //
 //   * Components register PROBES — callbacks returning an optional scalar
-//     at a given sim time, or counter/gauge handles the recorder reads
-//     itself (counters are differenced into per-interval deltas).
+//     at a given sim time, or counter handles the recorder reads itself
+//     (differenced into per-interval deltas).
 //   * The recorder itself never schedules anything (obs depends only on
 //     core, never on sim). sim::Simulation drives it: when the recorder
 //     is capturing, run_until() arms a self-rescheduling EventQueue event
@@ -83,7 +83,7 @@ class TimeSeries {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const Labels& labels() const { return labels_; }
-  /// "callback", "counter" or "gauge" — how the value was obtained.
+  /// "callback" or "counter" — how the value was obtained.
   [[nodiscard]] const std::string& probe_kind() const { return probe_kind_; }
   [[nodiscard]] const std::vector<TimeSeriesPoint>& points() const {
     return points_;
@@ -184,16 +184,11 @@ class TimeSeriesRecorder {
   /// suffix).
   ProbeHandle probe(std::string_view name, Labels labels, Probe fn);
   /// Samples the counter's per-interval DELTA (0 on the first sample).
-  ProbeHandle counter_probe(std::string_view name, Labels labels,
-                            const Counter* counter);
-  /// Same, over a sharded counter (reads the merged total; the sampler
-  /// runs on the simulation thread, which owns all writes in a
-  /// single-threaded sim, so the delta is exact there).
+  /// Reads the merged total; the sampler runs on the simulation thread,
+  /// which owns all writes in a single-threaded sim, so the delta is
+  /// exact there.
   ProbeHandle counter_probe(std::string_view name, Labels labels,
                             const ShardedCounter* counter);
-  /// Samples the gauge's current value.
-  ProbeHandle gauge_probe(std::string_view name, Labels labels,
-                          const Gauge* gauge);
 
   /// Evaluate every live probe at sim time `now` and fold the values into
   /// their series. Called by sim::Simulation's sampler event.

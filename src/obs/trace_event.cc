@@ -1,7 +1,5 @@
 #include "obs/trace_event.h"
 
-#include <cstdio>
-
 #include "core/json_writer.h"
 
 namespace mntp::obs {
@@ -9,24 +7,6 @@ namespace mntp::obs {
 std::string json_escape(std::string_view s) {
   return core::json_escape(s);
 }
-
-namespace {
-
-void append_plain_value(std::string& out, const FieldValue& v) {
-  if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    out += std::to_string(*i);
-  } else if (const auto* d = std::get_if<double>(&v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", *d);
-    out += buf;
-  } else if (const auto* s = std::get_if<std::string>(&v)) {
-    out += *s;
-  } else {
-    out += std::get<bool>(v) ? "true" : "false";
-  }
-}
-
-}  // namespace
 
 std::string to_jsonl_line(const TraceEvent& e) {
   std::string out;
@@ -44,26 +24,6 @@ std::string to_jsonl_line(const TraceEvent& e) {
     std::visit([&](const auto& v) { w.value(v); }, f.value);
   }
   w.end_object().end_object();
-  return out;
-}
-
-std::string to_csv_line(const TraceEvent& e) {
-  std::string out;
-  out += std::to_string(e.t.ns());
-  out += ',';
-  out += e.category;
-  out += ',';
-  out += e.name;
-  out += ",\"";
-  bool first = true;
-  for (const Field& f : e.fields) {
-    if (!first) out += ';';
-    first = false;
-    out += f.key;
-    out += '=';
-    append_plain_value(out, f.value);
-  }
-  out += '"';
   return out;
 }
 

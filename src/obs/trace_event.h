@@ -11,15 +11,15 @@
 // event out to every attached sink. Provided sinks:
 //
 //   * RingBufferSink — bounded in-memory capture, oldest-evicted; the
-//     default for tests and for bench run reports;
-//   * JsonlTraceSink — one JSON object per line on an ostream (the run
-//     report interchange format, see obs/report.h for the schema);
-//   * CsvTraceSink   — flat CSV for spreadsheet-style inspection;
+//     default for tests and for bench run reports (serialized one
+//     to_jsonl_line per event, see obs/report.h for the schema);
 //   * NullSink       — discards everything (overhead measurement).
+//
+// obs/streaming.h adds StreamingTraceEventSink, which writes the events
+// to a chunked JSONL file as they arrive.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -52,9 +52,6 @@ struct TraceEvent {
 /// Render one event as a single-line JSON object:
 /// {"type":"event","t_ns":...,"category":"..","name":"..","fields":{..}}
 [[nodiscard]] std::string to_jsonl_line(const TraceEvent& e);
-
-/// Render one event as a CSV row: t_ns,category,name,"k=v;k=v".
-[[nodiscard]] std::string to_csv_line(const TraceEvent& e);
 
 class TraceSink {
  public:
@@ -90,34 +87,6 @@ class RingBufferSink final : public TraceSink {
  private:
   core::RingBuffer<TraceEvent> events_;
   std::uint64_t total_ = 0;
-};
-
-/// One JSON object per line; the stream must outlive the sink.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream& out) : out_(out) {}
-  void on_event(const TraceEvent& event) override {
-    out_ << to_jsonl_line(event) << '\n';
-  }
-  void flush() override { out_.flush(); }
-
- private:
-  std::ostream& out_;
-};
-
-/// Header + one row per event; the stream must outlive the sink.
-class CsvTraceSink final : public TraceSink {
- public:
-  explicit CsvTraceSink(std::ostream& out) : out_(out) {
-    out_ << "t_ns,category,name,fields\n";
-  }
-  void on_event(const TraceEvent& event) override {
-    out_ << to_csv_line(event) << '\n';
-  }
-  void flush() override { out_.flush(); }
-
- private:
-  std::ostream& out_;
 };
 
 /// Discards every event; used to measure pure emission overhead.

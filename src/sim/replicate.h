@@ -20,7 +20,7 @@
 //     including the inline `threads <= 1` path (no pool is created).
 //
 // Scenarios run full simulations, so the only shared state they may
-// touch is the thread-safe obs layer (atomic counters, mutexed sinks) —
+// touch is the thread-safe obs layer (sharded metrics, mutexed sinks) —
 // the same rule core::ThreadPool documents for all offline parallelism.
 #pragma once
 
@@ -49,8 +49,8 @@ struct MetricValue {
 };
 
 /// One whole distribution observed in a single replicate (e.g. every
-/// per-poll offset). obs::HdrHistogram, not the P² Histogram, precisely
-/// because these are merged across replicates.
+/// per-poll offset). obs::HdrHistogram because these are merged across
+/// replicates.
 struct DistributionValue {
   std::string name;
   obs::HdrHistogram histogram;

@@ -9,11 +9,8 @@ Simulation::Simulation()
     : telemetry_(&obs::Telemetry::global()),
       dispatched_counter_(telemetry_->metrics().counter(
           obs::metric_names::kSimEventsDispatched)),
-      queue_depth_(telemetry_->metrics().hdr_histogram(
-          obs::metric_names::kSimQueueDepth)),
-      run_until_span_(
-          obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil)),
-      run_span_(obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun)) {
+      queue_depth_(telemetry_->metrics().histogram(
+          obs::metric_names::kSimQueueDepth)) {
   bind_timeline();
 }
 
@@ -22,10 +19,7 @@ void Simulation::set_telemetry(obs::Telemetry& telemetry) {
   dispatched_counter_ =
       telemetry_->metrics().counter(obs::metric_names::kSimEventsDispatched);
   queue_depth_ =
-      telemetry_->metrics().hdr_histogram(obs::metric_names::kSimQueueDepth);
-  run_until_span_ =
-      obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRunUntil);
-  run_span_ = obs::resolve_span_histograms(*telemetry_, obs::spans::kSimRun);
+      telemetry_->metrics().histogram(obs::metric_names::kSimQueueDepth);
   sampler_event_.cancel();
   bind_timeline();
 }
@@ -79,29 +73,25 @@ void Simulation::dispatch_next() {
 
 void Simulation::run_until(core::TimePoint deadline) {
   obs::ProfileScope profile(obs::spans::kSimRunUntil, now_);
-  obs::SpanTimer span(run_until_span_, now_);
   arm_sampler(deadline);
   // The dispatch count is batched into one counter update per run call:
-  // per-event atomic increments are measurable on the churn bench, and
-  // nothing observes the counter mid-run (the loop never yields).
+  // per-event increments are measurable on the churn bench, and nothing
+  // observes the counter mid-run (the loop never yields).
   const std::uint64_t before = executed_;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     dispatch_next();
   }
   dispatched_counter_->inc(executed_ - before);
   if (deadline > now_) now_ = deadline;
-  span.finish(now_);
 }
 
 void Simulation::run() {
   obs::ProfileScope profile(obs::spans::kSimRun, now_);
-  obs::SpanTimer span(run_span_, now_);
   const std::uint64_t before = executed_;
   while (!queue_.empty()) {
     dispatch_next();
   }
   dispatched_counter_->inc(executed_ - before);
-  span.finish(now_);
 }
 
 void PeriodicProcess::start(core::Duration initial_delay) {

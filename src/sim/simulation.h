@@ -57,8 +57,7 @@ class Simulation {
 
   /// Telemetry context this simulation records into. Bound at
   /// construction to the then-current obs::Telemetry::global(); the sink
-  /// for event-queue stats (sim.events_dispatched, sim.queue_depth) and
-  /// run_until timing spans.
+  /// for event-queue stats (sim.events_dispatched, sim.queue_depth).
   [[nodiscard]] obs::Telemetry& telemetry() const { return *telemetry_; }
   /// Rebind (e.g. a long-lived simulation crossing telemetry scopes).
   void set_telemetry(obs::Telemetry& telemetry);
@@ -80,7 +79,7 @@ class Simulation {
   core::TimePoint now_;
   std::uint64_t executed_ = 0;
   obs::Telemetry* telemetry_;
-  obs::Counter* dispatched_counter_;
+  obs::ShardedCounter* dispatched_counter_;
   obs::ShardedHdrHistogram* queue_depth_;
   obs::TimeSeriesRecorder* timeline_ = nullptr;
   bool timeline_capturing_ = false;
@@ -88,11 +87,6 @@ class Simulation {
   core::TimePoint sampler_deadline_;
   EventHandle sampler_event_;
   obs::ProbeHandle queue_depth_probe_;
-  /// Span histograms resolved once per telemetry binding, so run()/
-  /// run_until() open their timing spans without name concatenation or
-  /// registry lookups (the dispatch loop is allocation-free once warm).
-  obs::SpanHistograms run_until_span_;
-  obs::SpanHistograms run_span_;
 };
 
 /// Repeating task helper: runs `action` every `interval`, starting at

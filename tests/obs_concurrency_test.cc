@@ -19,7 +19,7 @@ constexpr std::size_t kPerThread = 20000;
 
 TEST(ObsConcurrency, CounterHammerExactTotal) {
   MetricsRegistry reg;
-  Counter* c = reg.counter("hammer.counter");
+  ShardedCounter* c = reg.counter("hammer.counter");
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([c] {
@@ -30,23 +30,9 @@ TEST(ObsConcurrency, CounterHammerExactTotal) {
   EXPECT_EQ(c->value(), kThreads * kPerThread);
 }
 
-TEST(ObsConcurrency, GaugeAddExactTotal) {
-  MetricsRegistry reg;
-  Gauge* g = reg.gauge("hammer.gauge");
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([g] {
-      for (std::size_t i = 0; i < kPerThread; ++i) g->add(1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(g->value(), static_cast<double>(kThreads * kPerThread));
-}
-
 TEST(ObsConcurrency, HistogramHammerExactCountAndSum) {
   MetricsRegistry reg;
-  Histogram* h =
-      reg.histogram("hammer.hist", HistogramOptions::exponential(1.0, 2.0, 8));
+  ShardedHdrHistogram* h = reg.histogram("hammer.hist");
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([h, t] {
@@ -56,16 +42,16 @@ TEST(ObsConcurrency, HistogramHammerExactCountAndSum) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(h->count(), kThreads * kPerThread);
-  // 8 threads record values 1,2,3,4 twice each: sum = 2*(1+2+3+4)*per.
-  EXPECT_DOUBLE_EQ(h->sum(), 2.0 * 10.0 * static_cast<double>(kPerThread));
-  std::uint64_t bucketed = 0;
-  for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-    bucketed += h->bucket_value(i);
-  }
-  EXPECT_EQ(bucketed, h->count());
-  EXPECT_DOUBLE_EQ(h->min(), 1.0);
-  EXPECT_DOUBLE_EQ(h->max(), 4.0);
+  // 8 threads record values 1,2,3,4 twice each; the merged shards equal
+  // one histogram fed the same multiset on one thread, bit for bit.
+  HdrHistogram expected;
+  for (double v : {1.0, 2.0, 3.0, 4.0}) expected.record(v, 2 * kPerThread);
+  const HdrHistogram merged = h->merged();
+  EXPECT_EQ(merged, expected);
+  EXPECT_EQ(merged.count(), kThreads * kPerThread);
+  EXPECT_EQ(merged.sum(), expected.sum());
+  EXPECT_DOUBLE_EQ(merged.min(), 1.0);
+  EXPECT_DOUBLE_EQ(merged.max(), 4.0);
 }
 
 TEST(ObsConcurrency, RegistryFindOrCreateFromManyThreads) {
@@ -105,7 +91,7 @@ TEST(ObsConcurrency, ParallelForWorkersShareOneCounter) {
   // counter while writing disjoint result slots.
   Telemetry tel;
   ScopedTelemetry scope(tel);
-  Counter* scored = Telemetry::global().metrics().counter("t.scored");
+  ShardedCounter* scored = Telemetry::global().metrics().counter("t.scored");
   core::ThreadPool pool(4);
   std::vector<double> results(512);
   pool.parallel_for(0, results.size(), [&](std::size_t i) {
@@ -120,7 +106,7 @@ TEST(ObsConcurrency, ParallelForWorkersShareOneCounter) {
 
 TEST(ObsConcurrency, DisabledRegistryIgnoresConcurrentWrites) {
   MetricsRegistry reg;
-  Counter* c = reg.counter("off.counter");
+  ShardedCounter* c = reg.counter("off.counter");
   reg.set_enabled(false);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {

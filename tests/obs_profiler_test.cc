@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/json.h"
@@ -174,6 +176,30 @@ TEST(Profiler, RecordCapCountsDroppedButKeepsAggregates) {
   const auto stats = profiler.stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].count, 10u);  // aggregates see every span
+}
+
+TEST(Profiler, P50WithinHdrBoundOfExactMedian) {
+  // The p50 comes from an HDR histogram of durations in microseconds: it
+  // must land within the 2^-6 relative bound of the exact median for
+  // spans from tens of nanoseconds up to minutes.
+  for (const auto& [lo_ns, hi_ns] :
+       {std::pair{50.0, 2e11}, std::pair{1e7, 9e11}}) {
+    std::vector<std::int64_t> durs;
+    for (int i = 0; i <= 100; ++i) {
+      durs.push_back(static_cast<std::int64_t>(
+          lo_ns * std::pow(hi_ns / lo_ns, i / 100.0)));
+    }
+    Profiler profiler;
+    for (int i = 0; i <= 100; ++i) {  // 37 is coprime to 101: a permutation
+      const std::int64_t d = durs[static_cast<std::size_t>(i * 37 % 101)];
+      profiler.record(Profiler::SpanRecord{
+          .name = "test.p50", .tid = 1, .dur_ns = d, .self_ns = d});
+    }
+    const double exact = static_cast<double>(durs[50]);
+    const auto stats = profiler.stats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_NEAR(stats[0].p50_ns, exact, exact / 64.0) << "lo_ns=" << lo_ns;
+  }
 }
 
 TEST(Profiler, ExportToMetricsPublishesGauges) {

@@ -74,7 +74,7 @@ TEST(TimeSeriesRecorder, NulloptSkipsTheSample) {
 
 TEST(TimeSeriesRecorder, CounterProbeRecordsDeltas) {
   MetricsRegistry reg;
-  Counter* c = reg.counter("n");
+  ShardedCounter* c = reg.counter("n");
   TimeSeriesRecorder rec;
   rec.set_enabled(true);
   ProbeHandle h = rec.counter_probe("n", {}, c);
@@ -89,23 +89,6 @@ TEST(TimeSeriesRecorder, CounterProbeRecordsDeltas) {
   EXPECT_DOUBLE_EQ(s.points()[0].last, 0.0);
   EXPECT_DOUBLE_EQ(s.points()[1].last, 5.0);
   EXPECT_DOUBLE_EQ(s.points()[2].last, 2.0);
-}
-
-TEST(TimeSeriesRecorder, GaugeProbeReadsCurrentValue) {
-  MetricsRegistry reg;
-  Gauge* g = reg.gauge("g");
-  TimeSeriesRecorder rec;
-  rec.set_enabled(true);
-  ProbeHandle h = rec.gauge_probe("g", {}, g);
-  g->set(2.5);
-  rec.sample(at_s(1));
-  g->set(-1.0);
-  rec.sample(at_s(2));
-  const TimeSeries& s = *rec.series()[0];
-  EXPECT_EQ(s.probe_kind(), "gauge");
-  ASSERT_EQ(s.points().size(), 2u);
-  EXPECT_DOUBLE_EQ(s.points()[0].last, 2.5);
-  EXPECT_DOUBLE_EQ(s.points()[1].last, -1.0);
 }
 
 TEST(TimeSeriesRecorder, CompactionConservesSamplesAndDoublesStride) {

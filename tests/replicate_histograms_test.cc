@@ -1,13 +1,14 @@
-// Thread-count invariance of the per-packet and per-event histograms.
+// Thread-count invariance of the metrics registry.
 //
 // Replicate workers share one obs::Telemetry, so every transmit, query
 // and dispatch records into the same series from several threads. Those
-// series are sharded HDR histograms: per-thread shards whose merge is
-// order-free, so the report a replicated run prints must not depend on
-// how many workers recorded it or in which order they ran.
+// series are sharded counters and HDR histograms: per-thread shards whose
+// merge is order-free, so the report a replicated run prints must not
+// depend on how many workers recorded it or in which order they ran.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mntp/mntp_client.h"
@@ -21,9 +22,8 @@
 namespace mntp {
 namespace {
 
-/// Snapshots of the per-packet/per-event series after a replicated
-/// Fig 12 head-to-head (SNTP + MNTP on one wireless channel) on
-/// `threads` workers.
+/// Every registry snapshot after a replicated Fig 12 head-to-head (SNTP +
+/// MNTP on one wireless channel) on `threads` workers.
 std::vector<obs::MetricSnapshot> replicated_head_to_head(std::size_t threads) {
   obs::Telemetry telemetry;
   obs::ScopedTelemetry scope(telemetry);
@@ -50,40 +50,71 @@ std::vector<obs::MetricSnapshot> replicated_head_to_head(std::size_t threads) {
                                                  core::Duration::hours(1));
                              return std::vector<sim::MetricValue>{};
                            }));
+  return telemetry.metrics().snapshot();
+}
+
+/// The serial and 4-worker runs, computed once for every test below.
+const std::pair<std::vector<obs::MetricSnapshot>,
+                std::vector<obs::MetricSnapshot>>&
+serial_and_parallel() {
+  static const auto runs =
+      std::pair{replicated_head_to_head(1), replicated_head_to_head(4)};
+  return runs;
+}
+
+/// Exact equality: the merged state is bit-identical.
+void expect_identical(const obs::MetricSnapshot& a,
+                      const obs::MetricSnapshot& b) {
+  SCOPED_TRACE(a.name);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p90, b.p90);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.buckets, b.buckets);
+}
+
+std::vector<obs::MetricSnapshot> per_packet_histograms(
+    const std::vector<obs::MetricSnapshot>& all) {
   std::vector<obs::MetricSnapshot> out;
-  for (obs::MetricSnapshot& m : telemetry.metrics().snapshot()) {
+  for (const obs::MetricSnapshot& m : all) {
     if (m.name == obs::metric_names::kNetWifiDelayMs ||
         m.name == obs::metric_names::kNtpQueryRttMs ||
         m.name == obs::metric_names::kSimQueueDepth) {
-      out.push_back(std::move(m));
+      out.push_back(m);
     }
   }
   return out;
 }
 
 TEST(ReplicatedHeadToHead, MergedHistogramsMatchAcrossThreadCounts) {
-  const std::vector<obs::MetricSnapshot> serial = replicated_head_to_head(1);
-  const std::vector<obs::MetricSnapshot> parallel = replicated_head_to_head(4);
+  const auto serial = per_packet_histograms(serial_and_parallel().first);
+  const auto parallel = per_packet_histograms(serial_and_parallel().second);
   // net.wifi.delay_ms{up,down}, ntp.query.rtt_ms, sim.queue_depth.
   ASSERT_EQ(serial.size(), 4u);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const obs::MetricSnapshot& a = serial[i];
-    const obs::MetricSnapshot& b = parallel[i];
-    SCOPED_TRACE(a.name);
-    EXPECT_EQ(a.kind, obs::MetricSnapshot::Kind::kHistogram);
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.labels, b.labels);
-    EXPECT_GT(a.count, 0u);
-    // Exact equality: the merged state is bit-identical.
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.sum, b.sum);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
-    EXPECT_EQ(a.p50, b.p50);
-    EXPECT_EQ(a.p90, b.p90);
-    EXPECT_EQ(a.p99, b.p99);
-    EXPECT_EQ(a.buckets, b.buckets);
+    EXPECT_EQ(serial[i].kind, obs::MetricSnapshot::Kind::kHistogram);
+    EXPECT_GT(serial[i].count, 0u);
+    expect_identical(serial[i], parallel[i]);
+  }
+}
+
+TEST(ReplicatedHeadToHead, EveryMetricMatchesAcrossThreadCounts) {
+  // Not only the per-packet histograms: every counter, gauge and
+  // histogram the run registers, so no host-dependent series (wall
+  // clocks, per-thread state) can reach the report.
+  const auto& [serial, parallel] = serial_and_parallel();
+  ASSERT_FALSE(serial.empty());
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_identical(serial[i], parallel[i]);
   }
 }
 

@@ -88,7 +88,7 @@ TEST(Simulation, DispatchCountsAreObservable) {
     sim.after(Duration::seconds(i), [] {});
   }
   sim.run();
-  const obs::Counter* dispatched =
+  const obs::ShardedCounter* dispatched =
       telemetry.metrics().counter("sim.events_dispatched");
   EXPECT_EQ(dispatched->value(), 5u);
 }
