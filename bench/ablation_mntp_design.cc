@@ -228,6 +228,7 @@ int ablation_vote_vs_marzullo() {
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("ablation_mntp_design", argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   int failures = 0;
   failures += ablation_gate_vs_filter();
   failures += ablation_drift_reestimation();

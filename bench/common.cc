@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "core/format.h"
@@ -163,9 +164,50 @@ namespace {
   std::exit(2);
 }
 
+/// Every flag a parse_* helper has looked up, for reject_unknown_flags.
+struct KnownFlag {
+  std::string name;
+  bool takes_value;
+};
+
+std::vector<KnownFlag>& known_flags() {
+  static std::vector<KnownFlag> flags;
+  return flags;
+}
+
+void note_flag(const char* flag, bool takes_value) {
+  std::vector<KnownFlag>& flags = known_flags();
+  for (const KnownFlag& f : flags) {
+    if (f.name == flag) return;
+  }
+  flags.push_back({flag, takes_value});
+}
+
 }  // namespace
 
+void reject_unknown_flags(int argc, char** argv) {
+  const std::vector<KnownFlag>& flags = known_flags();
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    const auto it = std::find_if(
+        flags.begin(), flags.end(),
+        [&](const KnownFlag& f) { return f.name == name; });
+    if (it == flags.end()) {
+      std::string known;
+      for (const KnownFlag& f : flags) known += " " + f.name;
+      std::fprintf(stderr, "error: unknown %s '%s' (known flags:%s)\n",
+                   arg.starts_with("-") ? "flag" : "argument", argv[i],
+                   known.empty() ? " none" : known.c_str());
+      std::exit(2);
+    }
+    // `--flag value`: the next argument is the value, not a flag.
+    if (it->takes_value && name.size() == arg.size()) ++i;
+  }
+}
+
 std::string parse_flag(int argc, char** argv, const char* flag) {
+  note_flag(flag, /*takes_value=*/true);
   const std::size_t flag_len = std::strlen(flag);
   bool present = false;
   std::string value;
@@ -213,6 +255,7 @@ double parse_double_flag(int argc, char** argv, const char* flag,
 }
 
 bool parse_bool_flag(int argc, char** argv, const char* flag) {
+  note_flag(flag, /*takes_value=*/false);
   const std::size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -281,21 +324,30 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       timeline_path_(parse_flag(argc, argv, "--timeline-out")),
       obs_self_(parse_bool_flag(argc, argv, "--obs-self")),
       scope_(telemetry_) {
+  // Every flag is parsed whether or not the flag it refines is present,
+  // so reject_unknown_flags knows it and a malformed value always exits 2.
+  obs::QueryTracer::Sampling sampling;
+  sampling.sample_one_in_n = std::max<std::size_t>(
+      1, parse_size_flag(argc, argv, "--query-trace-sample", 1));
+  sampling.seed = parse_size_flag(argc, argv, "--query-trace-seed", 0);
+  sampling.reservoir =
+      parse_size_flag(argc, argv, "--query-trace-reservoir", 0);
+  const bool query_stream =
+      parse_bool_flag(argc, argv, "--query-trace-stream");
+  const std::string trace_stream_path =
+      parse_flag(argc, argv, "--trace-stream-out");
+  const std::size_t cadence_ms =
+      parse_size_flag(argc, argv, "--timeline-cadence-ms", 1000);
+
   if (enabled()) telemetry_.add_sink(&trace_);
   if (profiling()) telemetry_.profiler().set_enabled(true);
   if (query_tracing()) {
     obs::QueryTracer& qt = telemetry_.query_tracer();
     qt.set_enabled(true);
-    obs::QueryTracer::Sampling sampling;
-    sampling.sample_one_in_n = std::max<std::size_t>(
-        1, parse_size_flag(argc, argv, "--query-trace-sample", 1));
-    sampling.seed = parse_size_flag(argc, argv, "--query-trace-seed", 0);
-    sampling.reservoir =
-        parse_size_flag(argc, argv, "--query-trace-reservoir", 0);
     if (sampling.sample_one_in_n > 1 || sampling.reservoir > 0) {
       qt.set_sampling(sampling);
     }
-    if (parse_bool_flag(argc, argv, "--query-trace-stream")) {
+    if (query_stream) {
       if (query_stream_.open(query_trace_path_)) {
         qt.set_stream(&query_stream_);
         query_streaming_ = true;
@@ -307,8 +359,6 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       }
     }
   }
-  const std::string trace_stream_path =
-      parse_flag(argc, argv, "--trace-stream-out");
   if (!trace_stream_path.empty()) {
     if (event_stream_.open(trace_stream_path)) {
       telemetry_.add_sink(&event_stream_);
@@ -318,8 +368,6 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
     }
   }
   if (timeline_enabled()) {
-    const std::size_t cadence_ms =
-        parse_size_flag(argc, argv, "--timeline-cadence-ms", 1000);
     telemetry_.timeseries().set_cadence(
         core::Duration::milliseconds(std::max<std::size_t>(1, cadence_ms)));
     telemetry_.timeseries().set_enabled(true);

@@ -155,6 +155,12 @@ double parse_double_flag(int argc, char** argv, const char* flag,
 /// counts). For switches that carry no value.
 bool parse_bool_flag(int argc, char** argv, const char* flag);
 
+/// Call once in main() after every flag has been parsed. The parse_*
+/// helpers (and BenchTelemetry, which uses them) record each flag they
+/// look up; any other argument — a misspelled flag, a stray word — is
+/// an error naming it, exit 2, instead of a run on the defaults.
+void reject_unknown_flags(int argc, char** argv);
+
 /// Per-run telemetry harness for bench binaries.
 ///
 /// Construct FIRST in main() — before any Testbed or client — so every

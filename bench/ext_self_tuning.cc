@@ -181,6 +181,7 @@ int offline_grid_baseline(std::size_t threads) {
 
 int main(int argc, char** argv) {
   const std::size_t threads = bench::parse_threads(argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   int failures = 0;
   failures += self_tuning_tradeoff();
   failures += unstable_channel();

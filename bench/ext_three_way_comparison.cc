@@ -212,9 +212,10 @@ int run_replicated(const mntp::bench::ReplicateCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("== Extension: SNTP vs NTP vs MNTP vs GPS (6 h, same channel) ==\n");
   const mntp::bench::ReplicateCli cli =
       mntp::bench::parse_replicate_cli(argc, argv);
+  mntp::bench::reject_unknown_flags(argc, argv);
+  std::printf("== Extension: SNTP vs NTP vs MNTP vs GPS (6 h, same channel) ==\n");
   if (cli.replicates > 1) return run_replicated(cli);
   const Outcome outcomes[] = {run_sntp(), run_ntp(), run_mntp(), run_gps()};
 

@@ -78,13 +78,14 @@ int run_replicated(const ntp::TestbedConfig& config,
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig12_long_run", argc, argv);
+  const bench::ReplicateCli cli = bench::parse_replicate_cli(argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 12: 4-hour run, free-running clock ==\n");
   ntp::TestbedConfig config;
   config.seed = 12;
   config.wireless = true;
   config.ntp_correction = false;
 
-  const bench::ReplicateCli cli = bench::parse_replicate_cli(argc, argv);
   if (cli.replicates > 1) return run_replicated(config, cli, telemetry);
 
   const bench::HeadToHead r = bench::run_head_to_head(

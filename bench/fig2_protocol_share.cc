@@ -14,7 +14,8 @@
 
 using namespace mntp;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 2: NTP vs SNTP share per server and per provider ==\n");
   logs::LogGenerator generator({.scale = 1.0 / 100.0}, core::Rng(3));
   bench::Checks checks;

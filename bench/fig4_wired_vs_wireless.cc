@@ -32,6 +32,7 @@ ntp::TestbedConfig scenario(bool wireless, bool corrected, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig4_wired_vs_wireless", argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 4: SNTP offsets, wired vs wireless, +/- NTP correction ==\n");
   const core::Duration span = core::Duration::hours(1);
   bench::Checks checks;

@@ -12,6 +12,7 @@ using namespace mntp;
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig5_cellular", argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 5: SNTP offsets on a 4G network (3 h) ==\n");
   core::Rng rng(5);
   sim::Simulation sim;

@@ -13,6 +13,7 @@ using namespace mntp;
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig6_mntp_vs_sntp_corrected", argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 6: SNTP vs MNTP on wireless, NTP-corrected clock ==\n");
   ntp::TestbedConfig config;
   config.seed = 6;

@@ -14,6 +14,7 @@ using namespace mntp;
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig7_signals_selection", argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 7: wireless hints and MNTP selection ==\n");
   ntp::TestbedConfig config;
   config.seed = 6;  // same run as Figure 6

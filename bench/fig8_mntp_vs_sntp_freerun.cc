@@ -88,6 +88,8 @@ int run_replicated(const ntp::TestbedConfig& config,
 
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("fig8_mntp_vs_sntp_freerun", argc, argv);
+  const bench::ReplicateCli cli = bench::parse_replicate_cli(argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 8: SNTP vs MNTP on wireless, free-running clock ==\n");
   ntp::TestbedConfig config;
   config.seed = 8;
@@ -97,7 +99,6 @@ int main(int argc, char** argv) {
   // corrects it, then is switched off), so offsets start near zero and
   // ride the skew trend over the hour.
 
-  const bench::ReplicateCli cli = bench::parse_replicate_cli(argc, argv);
   if (cli.replicates > 1) return run_replicated(config, cli, telemetry);
 
   const bench::HeadToHead r = bench::run_head_to_head(

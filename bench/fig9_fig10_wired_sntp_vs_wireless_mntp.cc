@@ -62,7 +62,8 @@ int run_variant(bool corrected, const char* figure, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_unknown_flags(argc, argv);
   int failures = 0;
   failures += run_variant(/*corrected=*/true, "Figure 9", 90);
   failures += run_variant(/*corrected=*/false, "Figure 10", 92);

@@ -47,6 +47,9 @@ int main(int argc, char** argv) {
   const double min_qps_per_core =
       bench::parse_double_flag(argc, argv, "--min-qps-per-core", 1e5);
   const std::string fleet_out = bench::parse_flag(argc, argv, "--fleet-out");
+  const bool check_determinism =
+      bench::parse_bool_flag(argc, argv, "--check-determinism");
+  bench::reject_unknown_flags(argc, argv);
 
   std::printf("fleet_qps: %llu clients, %.0f s, %zu shards, %zu thread(s)\n\n",
               static_cast<unsigned long long>(params.clients),
@@ -200,7 +203,7 @@ int main(int argc, char** argv) {
   checks.expect(result.cache_hits > result.cache_misses,
                 "cache: bucket reuse dominates at fleet request rates");
 
-  if (bench::parse_bool_flag(argc, argv, "--check-determinism")) {
+  if (check_determinism) {
     fleet::FleetResult serial = sim.run(1);
     checks.expect(result.deterministic_equal(serial),
                   "determinism: threaded run bit-identical to serial");

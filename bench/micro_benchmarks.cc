@@ -155,9 +155,13 @@ void BM_RngExponentialFast(benchmark::State& state) {
 }
 BENCHMARK(BM_RngExponentialFast);
 
+// Publishes each round to the engine's registry counters the way
+// MntpClient does, so the pair below prices the counter hot path.
 void BM_EngineRound(benchmark::State& state) {
   protocol::MntpEngine engine(protocol::head_to_head_params(),
                               core::TimePoint::epoch());
+  const protocol::EngineCounters counters(
+      obs::Telemetry::global().metrics());
   core::Rng rng(6);
   std::int64_t t = 0;
   std::vector<double> offsets(1);
@@ -165,6 +169,7 @@ void BM_EngineRound(benchmark::State& state) {
     t += 5'000'000'000;
     offsets[0] = rng.normal(0, 0.003);
     auto r = engine.on_round(core::TimePoint::from_ns(t), offsets);
+    counters.count_round(r, true);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -179,6 +184,7 @@ void BM_EngineRoundTelemetryDisabled(benchmark::State& state) {
   obs::ScopedTelemetry scope(telemetry);
   protocol::MntpEngine engine(protocol::head_to_head_params(),
                               core::TimePoint::epoch());
+  const protocol::EngineCounters counters(telemetry.metrics());
   core::Rng rng(6);
   std::int64_t t = 0;
   std::vector<double> offsets(1);
@@ -186,6 +192,7 @@ void BM_EngineRoundTelemetryDisabled(benchmark::State& state) {
     t += 5'000'000'000;
     offsets[0] = rng.normal(0, 0.003);
     auto r = engine.on_round(core::TimePoint::from_ns(t), offsets);
+    counters.count_round(r, true);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -149,17 +149,19 @@ std::vector<Workload> build_workloads() {
   }});
 
   // Telemetry self-overhead: the engine_round body under three
-  // instrumentation levels. `off` pins the disabled-telemetry budget
-  // (≤1% over engine_round — every metric record degrades to one
-  // branch); `metrics` prices the sharded-counter hot path; `trace`
-  // additionally mints one sampled query per round (1-in-16 hash gate)
-  // with the ambient scope installed, so filter decision points pay
-  // their tracer lookups.
+  // instrumentation levels, publishing each round to the engine's
+  // registry counters the way MntpClient does. `off` pins the
+  // disabled-telemetry budget (≤1% over engine_round — every metric
+  // record degrades to one branch); `metrics` prices the sharded-counter
+  // hot path; `trace` additionally mints one sampled query per round
+  // (1-in-16 hash gate) with the ambient scope installed, so filter
+  // decision points pay their tracer lookups.
   {
     auto telemetry_round = [](obs::Telemetry& tel, bool trace_rounds) {
       obs::ScopedTelemetry scope(tel);
       protocol::MntpEngine engine(protocol::head_to_head_params(),
                                   core::TimePoint::epoch());
+      const protocol::EngineCounters counters(tel.metrics());
       core::Rng rng(6);
       obs::QueryTracer& tracer = tel.query_tracer();
       std::int64_t t = 0;
@@ -171,10 +173,10 @@ std::vector<Workload> build_workloads() {
         if (trace_rounds) {
           const obs::QueryId id = tracer.begin(now, "round");
           obs::ActiveQueryScope q(tracer, id);
-          engine.on_round(now, offsets);
+          counters.count_round(engine.on_round(now, offsets), true);
           tracer.finish(id, now, obs::Reason::kNone);
         } else {
-          engine.on_round(now, offsets);
+          counters.count_round(engine.on_round(now, offsets), true);
         }
       }
     };
@@ -431,6 +433,7 @@ int main(int argc, char** argv) {
   std::string out_path = bench::parse_flag(argc, argv, "--out");
   if (out_path.empty()) out_path = "BENCH_results.json";
   const std::string only = bench::parse_flag(argc, argv, "--workload");
+  bench::reject_unknown_flags(argc, argv);
 
   std::printf("== MNTP perf suite: %zu reps (+%zu warmup) ==\n", reps, warmup);
   std::vector<WorkloadResult> results;

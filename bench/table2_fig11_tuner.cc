@@ -35,6 +35,7 @@ protocol::MntpParams paper_config(double warmup_min, double wwait_min,
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("table2_fig11_tuner", argc, argv);
   const std::size_t threads = bench::parse_threads(argc, argv);
+  bench::reject_unknown_flags(argc, argv);
   std::printf("== Table 2 / Figure 11: MNTP tuner ==\n");
   std::printf("searcher threads: %zu\n", threads);
 

@@ -46,6 +46,32 @@ void DriftFilter::rebuild_fit() {
   fit_ = acc_.fit();
 }
 
+double DriftFilter::window_gate_sq() const {
+  // The variance pass recomputes each residual rather than caching it,
+  // so the offer path needs no scratch buffer and never allocates.
+  const std::size_t begin =
+      config_.stats_window > 0 && samples_.size() > config_.stats_window
+          ? samples_.size() - config_.stats_window
+          : 0;
+  const auto window_n = static_cast<double>(samples_.size() - begin);
+  const auto sq_residual = [this](const Sample& s) {
+    const double r = s.offset_s - fit_->predict(s.t_s);
+    return r * r;
+  };
+  double mean_sq = 0.0;
+  for (std::size_t i = begin; i < samples_.size(); ++i) {
+    mean_sq += sq_residual(samples_[i]);
+  }
+  mean_sq /= window_n;
+  double var_sq = 0.0;
+  for (std::size_t i = begin; i < samples_.size(); ++i) {
+    const double dev = sq_residual(samples_[i]) - mean_sq;
+    var_sq += dev * dev;
+  }
+  var_sq /= window_n;
+  return mean_sq + std::sqrt(var_sq);
+}
+
 FilterDecision DriftFilter::offer(core::TimePoint t, double offset_s) {
   FilterDecision d;
   const double ts = time_axis(t);
@@ -80,32 +106,17 @@ FilterDecision DriftFilter::offer(core::TimePoint t, double offset_s) {
     d.has_prediction = true;
     d.predicted_s = fit_->predict(ts);
     d.residual_s = offset_s - d.predicted_s;
-    // Mean + sd of squared residuals over the recent window only. One
-    // prediction per sample, squared residuals cached in the scratch
-    // buffer for the variance pass.
-    const std::size_t begin =
-        config_.stats_window > 0 && samples_.size() > config_.stats_window
-            ? samples_.size() - config_.stats_window
-            : 0;
-    const auto window_n = static_cast<double>(samples_.size() - begin);
-    scratch_sq_.clear();
-    double mean_sq = 0.0;
-    for (std::size_t i = begin; i < samples_.size(); ++i) {
-      const double r = samples_[i].offset_s - fit_->predict(samples_[i].t_s);
-      scratch_sq_.push_back(r * r);
-      mean_sq += r * r;
-    }
-    mean_sq /= window_n;
-    double var_sq = 0.0;
-    for (const double sq : scratch_sq_) {
-      const double dev = sq - mean_sq;
-      var_sq += dev * dev;
-    }
-    var_sq /= window_n;
-    const double gate =
-        std::max(mean_sq + std::sqrt(var_sq),
-                 config_.min_accept_band_s * config_.min_accept_band_s);
     const double err_sq = d.residual_s * d.residual_s;
+    // The gate is max(window stats, band²) >= band², so a sample inside
+    // the band is accepted whatever the window holds: the window pass
+    // runs only when it can change the verdict, or when a traced query
+    // wants the threshold it was judged against.
+    const double band_sq =
+        config_.min_accept_band_s * config_.min_accept_band_s;
+    const bool traced = mntp::obs::ambient_query().tracer != nullptr;
+    const double gate = err_sq <= band_sq && !traced
+                            ? band_sq
+                            : std::max(window_gate_sq(), band_sq);
     if (err_sq > gate) {
       const bool escape =
           config_.max_consecutive_rejections > 0 &&

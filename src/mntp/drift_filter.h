@@ -86,6 +86,10 @@ class DriftFilter {
   /// refits on the survivors. Called when the warm-up phase completes.
   void prune_and_refit();
 
+  /// True when pruning has dropped samples take_pruned_times_s() has not
+  /// yet handed out.
+  [[nodiscard]] bool has_pruned() const { return !pruned_t_s_.empty(); }
+
   /// Times (TimePoint::to_seconds) of the accepted samples pruning has
   /// dropped since the last call, including the prune offer() runs when
   /// the bootstrap completes. The trend discarded them, so a caller that
@@ -124,6 +128,10 @@ class DriftFilter {
   /// a from-scratch refit because `core::least_squares` is itself just
   /// sequential `IncrementalLinReg::add` calls over the same sequence.
   void rebuild_fit();
+  /// Mean + sd of the squared residuals of the last `stats_window`
+  /// samples against `fit_` (which must exist): the gate before the
+  /// `min_accept_band_s` floor.
+  [[nodiscard]] double window_gate_sq() const;
   [[nodiscard]] double time_axis(core::TimePoint t) const {
     return t.to_seconds();
   }
@@ -132,8 +140,8 @@ class DriftFilter {
   std::vector<Sample> samples_;
   core::IncrementalLinReg acc_;
   std::optional<core::LinearFit> fit_;
-  /// Scratch for squared residuals (gate stats, pruning); reused across
-  /// calls so the steady-state offer path never heap-allocates.
+  /// Scratch for squared residuals in prune_and_refit, reused across
+  /// calls.
   std::vector<double> scratch_sq_;
   std::vector<double> pruned_t_s_;
   std::size_t rejected_ = 0;

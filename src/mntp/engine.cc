@@ -54,19 +54,6 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
       params_(params),
       cycle_start_(start),
       filter_(filter_config(params)) {
-  obs::MetricsRegistry& m = telemetry_->metrics();
-  for (const SampleOutcome outcome :
-       {SampleOutcome::kAcceptedWarmup, SampleOutcome::kAcceptedRegular,
-        SampleOutcome::kRejectedFalseTicker, SampleOutcome::kRejectedFilter}) {
-    // Sharded: every engine (one per replicate/tuner worker) increments
-    // these from its own thread on the round hot path.
-    outcome_counters_[static_cast<std::size_t>(outcome)] =
-        m.counter(obs::metric_names::kMntpSample,
-                  obs::Labels{{"outcome", to_string(outcome)}});
-  }
-  rounds_counter_ = m.counter(obs::metric_names::kMntpRounds);
-  deferrals_counter_ = m.counter(obs::metric_names::kMntpDeferrals);
-  resets_counter_ = m.counter(obs::metric_names::kMntpResets);
   obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
   offset_probe_ = ts.probe(obs::metric_names::kTsMntpOffsetMs, {},
                            [this](core::TimePoint) -> std::optional<double> {
@@ -79,9 +66,6 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
                             if (!d) return std::nullopt;
                             return *d * 1e6;
                           });
-  deferral_probe_ =
-      ts.counter_probe(obs::metric_names::kTsMntpDeferrals, {},
-                       deferrals_counter_);
   if (params_.warmup_period == core::Duration::zero()) {
     // Head-to-head mode: no distinct warm-up; the filter still
     // bootstraps its first min_warmup_samples unconditionally.
@@ -91,7 +75,6 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
 
 void MntpEngine::note_deferral(core::TimePoint t) {
   ++deferrals_;
-  deferrals_counter_->inc();
   if (telemetry_->tracing()) {
     telemetry_->event(t, obs::categories::kMntp, "deferral",
                       {{"phase", std::string(to_string(phase_))}});
@@ -120,7 +103,6 @@ core::Duration MntpEngine::next_wait() const {
 
 void MntpEngine::restart(core::TimePoint t) {
   ++resets_;
-  resets_counter_->inc();
   if (telemetry_->tracing()) {
     telemetry_->event(t, obs::categories::kMntp, "reset", {});
   }
@@ -138,6 +120,7 @@ void MntpEngine::enter_regular() {
 }
 
 void MntpEngine::withdraw_pruned() {
+  if (!filter_.has_pruned()) return;
   for (const double t_s : filter_.take_pruned_times_s()) {
     // Pruned samples belong to the current cycle; search it backwards.
     for (auto it = records_.rbegin();
@@ -179,7 +162,6 @@ MntpEngine::RoundResult MntpEngine::on_round(
     core::TimePoint t, const std::vector<double>& offsets_s) {
   obs::ProfileScope profile(obs::spans::kEngineRound, t);
   ++rounds_;
-  rounds_counter_->inc();
   RoundResult rr;
 
   // Query-trace ownership: a driver that minted a round trace (the
@@ -246,7 +228,7 @@ MntpEngine::RoundResult MntpEngine::on_round(
                                     .phase = phase_,
                                     .bootstrap = fd.bootstrap});
     withdraw_pruned();
-    outcome_counters_[static_cast<std::size_t>(rr.outcome)]->inc();
+    ++outcome_counts_[static_cast<std::size_t>(rr.outcome)];
     if (telemetry_->tracing()) {
       telemetry_->event(t, obs::categories::kMntp, "round",
                         {{"outcome", std::string(to_string(rr.outcome))},
@@ -308,6 +290,33 @@ std::vector<double> MntpEngine::rejected_offsets_ms() const {
     if (!r.reported()) out.push_back(r.offset_s * 1e3);
   }
   return out;
+}
+
+EngineCounters::EngineCounters(obs::MetricsRegistry& metrics)
+    : rounds_(metrics.counter(obs::metric_names::kMntpRounds)),
+      deferrals_(metrics.counter(obs::metric_names::kMntpDeferrals)),
+      resets_(metrics.counter(obs::metric_names::kMntpResets)) {
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    outcomes_[i] = metrics.counter(
+        obs::metric_names::kMntpSample,
+        obs::Labels{{"outcome", to_string(static_cast<SampleOutcome>(i))}});
+  }
+}
+
+void EngineCounters::count_round(const MntpEngine::RoundResult& rr,
+                                 bool had_offsets) const {
+  rounds_->inc();
+  if (rr.reset_occurred) resets_->inc();
+  if (had_offsets) outcomes_[static_cast<std::size_t>(rr.outcome)]->inc();
+}
+
+void EngineCounters::add_totals(const MntpEngine& engine) const {
+  rounds_->inc(engine.rounds());
+  deferrals_->inc(engine.deferrals());
+  resets_->inc(engine.resets());
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    outcomes_[i]->inc(engine.outcome_count(static_cast<SampleOutcome>(i)));
+  }
 }
 
 }  // namespace mntp::protocol

@@ -12,8 +12,15 @@
 // The paper's MNTP tuner exists precisely because the algorithm is
 // replayable over traces; factoring the engine this way is what makes
 // that possible without code duplication.
+//
+// The engine only tallies what it did (rounds(), deferrals(), resets(),
+// outcome_count()). The registry counters those tallies feed
+// (mntp.rounds, mntp.deferrals, mntp.resets, mntp.sample{outcome}) live
+// in the drivers, through EngineCounters: MntpClient publishes each event
+// as it happens, tuner::emulate publishes a replay's totals once.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -36,6 +43,7 @@ enum class SampleOutcome {
   kRejectedFalseTicker,  // entire round discarded by the warm-up vote
   kRejectedFilter,       // trend filter rejected the combined offset
 };
+inline constexpr std::size_t kSampleOutcomes = 4;
 
 [[nodiscard]] const char* to_string(SampleOutcome outcome);
 [[nodiscard]] const char* to_string(Phase phase);
@@ -133,6 +141,10 @@ class MntpEngine {
   [[nodiscard]] std::size_t deferrals() const { return deferrals_; }
   [[nodiscard]] std::size_t resets() const { return resets_; }
   [[nodiscard]] std::size_t rounds() const { return rounds_; }
+  /// Rounds with at least one offset that ended in `outcome`.
+  [[nodiscard]] std::size_t outcome_count(SampleOutcome outcome) const {
+    return outcome_counts_[static_cast<std::size_t>(outcome)];
+  }
   [[nodiscard]] const MntpParams& params() const { return params_; }
 
   /// Runtime parameter adjustment (self-tuning, the paper's future work):
@@ -158,20 +170,15 @@ class MntpEngine {
   /// Mark this cycle's records the filter has pruned since the last call.
   void withdraw_pruned();
 
-  // Telemetry handles, resolved once at construction from the ambient
-  // obs::Telemetry::global() so the hot path stays a pointer increment.
-  // The engine stays simulation-free: obs depends only on core.
+  // The ambient obs::Telemetry::global() at construction, for trace
+  // events and query-trace stages. The engine stays simulation-free:
+  // obs depends only on core.
   obs::Telemetry* telemetry_ = nullptr;
-  obs::ShardedCounter* outcome_counters_[4] = {};  // indexed by SampleOutcome
-  obs::ShardedCounter* rounds_counter_ = nullptr;
-  obs::ShardedCounter* deferrals_counter_ = nullptr;
-  obs::ShardedCounter* resets_counter_ = nullptr;
   // Timeline probes (obs/timeseries.h): inert unless the recorder is
   // capturing at construction. Unregister with the engine, so a bench
   // running several experiments in sequence gets one series per engine.
   obs::ProbeHandle offset_probe_;
   obs::ProbeHandle drift_probe_;
-  obs::ProbeHandle deferral_probe_;
   std::optional<double> last_accepted_offset_s_;
 
   MntpParams params_;
@@ -193,7 +200,35 @@ class MntpEngine {
   std::size_t deferrals_ = 0;
   std::size_t resets_ = 0;
   std::size_t rounds_ = 0;
+  std::array<std::size_t, kSampleOutcomes> outcome_counts_{};
   std::size_t accepted_in_cycle_ = 0;
+};
+
+/// The registry counters of the engine's tallies: mntp.rounds,
+/// mntp.deferrals, mntp.resets and mntp.sample{outcome}. Drivers own
+/// one; live drivers publish per event (count_*), trace replays publish
+/// their totals once (add_totals). Either way the registry ends up with
+/// the same totals.
+class EngineCounters {
+ public:
+  explicit EngineCounters(obs::MetricsRegistry& metrics);
+
+  void count_deferral() const { deferrals_->inc(); }
+  /// One on_round() call; `had_offsets` is whether it was fed any.
+  void count_round(const MntpEngine::RoundResult& rr, bool had_offsets) const;
+  /// Add every tally of `engine` at once.
+  void add_totals(const MntpEngine& engine) const;
+
+  /// The deferral counter, for the mntp.deferrals timeline probe.
+  [[nodiscard]] const obs::ShardedCounter* deferrals() const {
+    return deferrals_;
+  }
+
+ private:
+  obs::ShardedCounter* rounds_;
+  obs::ShardedCounter* deferrals_;
+  obs::ShardedCounter* resets_;
+  std::array<obs::ShardedCounter*, kSampleOutcomes> outcomes_{};
 };
 
 }  // namespace mntp::protocol

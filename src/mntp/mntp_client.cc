@@ -20,7 +20,8 @@ MntpClient::MntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
       params_(params),
       rng_(std::move(rng)),
       query_options_(query_options),
-      query_engine_(sim, clock) {
+      query_engine_(sim, clock),
+      engine_counters_(sim.telemetry().metrics()) {
   obs::MetricsRegistry& m = sim_.telemetry().metrics();
   requests_counter_ = m.counter(obs::metric_names::kMntpClientRequests);
   forced_counter_ = m.counter(obs::metric_names::kMntpClientForcedEmissions);
@@ -39,6 +40,8 @@ void MntpClient::start() {
   running_ = true;
   last_emission_ = sim_.now();
   engine_ = std::make_unique<MntpEngine>(params_, sim_.now());
+  deferral_probe_ = sim_.telemetry().timeseries().counter_probe(
+      obs::metric_names::kTsMntpDeferrals, {}, engine_counters_.deferrals());
   pending_ = sim_.after(core::Duration::zero(), [this] { attempt(); });
 }
 
@@ -73,10 +76,12 @@ void MntpClient::attempt() {
                 {"snr_margin_db", hints.snr_margin().value()}});
       obs::ActiveQueryScope scope(qt, id);
       engine_->note_deferral(sim_.now());
+      engine_counters_.count_deferral();
       qt.finish(id, sim_.now(), obs::Reason::kChannelDefer,
                 {{"phase", std::string(to_string(engine_->phase()))}});
     } else {
       engine_->note_deferral(sim_.now());
+      engine_counters_.count_deferral();
     }
     pending_ = sim_.after(params.hint_recheck_interval, [this] { attempt(); });
     return;
@@ -156,6 +161,7 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
     obs::ActiveQueryScope scope(qt, round_id);
     rr = engine_->on_round(now, offsets_s);
   }
+  engine_counters_.count_round(rr, !offsets_s.empty());
 
   if (rr.accepted && params_.apply_corrections_to_clock &&
       engine_->phase() == Phase::kRegular) {

@@ -68,6 +68,7 @@ class MntpClient {
   ntp::QueryOptions query_options_;
   ntp::QueryEngine query_engine_;
   std::unique_ptr<MntpEngine> engine_;
+  EngineCounters engine_counters_;
   sim::EventHandle pending_;
   bool running_ = false;
   std::vector<HintRecord> hint_log_;
@@ -86,6 +87,10 @@ class MntpClient {
   /// opportunity (0 = deferred, 1 = emitted favorably, 2 = forced by the
   /// max_deferral fallback). Inert unless the recorder captures.
   obs::ProbeHandle gate_probe_;
+  /// Timeline probe over the mntp.deferrals counter, registered with
+  /// each engine start() creates so the series order matches the
+  /// engine's own probes.
+  obs::ProbeHandle deferral_probe_;
 };
 
 }  // namespace mntp::protocol

@@ -101,6 +101,8 @@ EmulationResult emulate(const Trace& trace, const MntpParams& params) {
   MntpEngine engine(params, core::TimePoint::epoch());
   // Next instant at which the algorithm wants to act; starts immediately.
   double next_action_s = 0.0;
+  // One round's offsets, reused round to round.
+  std::vector<double> offsets;
 
   for (const TraceRecord& rec : trace.records) {
     if (rec.t_s < next_action_s) continue;  // still waiting
@@ -120,7 +122,7 @@ EmulationResult emulate(const Trace& trace, const MntpParams& params) {
 
     // Emit: consume up to sources_to_query() offsets from the record.
     const std::size_t want = engine.sources_to_query();
-    std::vector<double> offsets(
+    offsets.assign(
         rec.offsets_s.begin(),
         rec.offsets_s.begin() +
             static_cast<std::ptrdiff_t>(std::min(want, rec.offsets_s.size())));
@@ -134,6 +136,12 @@ EmulationResult emulate(const Trace& trace, const MntpParams& params) {
   result.rmse_ms = core::rmse(result.reported_offsets_ms, 0.0);
   result.deferrals = engine.deferrals();
   result.rejections = engine.rejected_offsets_ms().size();
+  result.rounds = engine.rounds();
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    result.outcomes[i] = engine.outcome_count(static_cast<SampleOutcome>(i));
+  }
+  // The replay's registry totals, published once rather than per round.
+  EngineCounters(obs::Telemetry::global().metrics()).add_totals(engine);
   return result;
 }
 
@@ -178,7 +186,8 @@ std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
 
   // Score. emulate() is pure and each worker writes only slot i, so the
   // result is bit-identical to the serial loop for any thread count; the
-  // counter increment is atomic (obs/metrics.h), so the total is exact.
+  // counters are per-thread shards summed at read (obs/metrics.h), so
+  // every total is exact once the pool has joined.
   const auto score = [&](std::size_t i) {
     // Span emitted from whichever thread scores config i — the profiler
     // aggregates across threads; records carry the worker's thread id.

@@ -15,6 +15,7 @@
 //     Figure 11.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -102,10 +103,16 @@ struct EmulationResult {
   std::size_t deferrals = 0;
   std::size_t rejections = 0;
   std::size_t resets = 0;
+  /// The engine's tallies (MntpEngine::rounds / outcome_count), which
+  /// emulate() also adds to the mntp.rounds and mntp.sample counters.
+  std::size_t rounds = 0;
+  std::array<std::size_t, kSampleOutcomes> outcomes{};
 };
 
-/// Replay Algorithm 1 over `trace` under `params`. Pure function of its
-/// inputs — no network, no randomness.
+/// Replay Algorithm 1 over `trace` under `params`. The result is a pure
+/// function of the inputs — no network, no randomness. Before returning
+/// it adds the replay's totals to the ambient registry's engine counters
+/// (see EngineCounters); an empty trace publishes nothing.
 [[nodiscard]] EmulationResult emulate(const Trace& trace, const MntpParams& params);
 
 /// One searcher configuration and its score (a Table 2 row).

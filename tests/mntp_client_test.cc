@@ -7,6 +7,7 @@
 #include "mntp/mntp_client.h"
 #include "ntp/sntp_client.h"
 #include "ntp/testbed.h"
+#include "obs/telemetry.h"
 
 namespace mntp::protocol {
 namespace {
@@ -112,6 +113,49 @@ TEST(MntpClient, ResetPeriodRestartsWarmup) {
   client.start();
   bed.sim().run_until(TimePoint::epoch() + Duration::hours(1));
   EXPECT_GE(client.engine().resets(), 2u);
+}
+
+TEST(MntpClient, PublishesCountersEqualToEngineTallies) {
+  // The engine only tallies; the client publishes each event to the
+  // registry as it happens. A run with deferrals, resets and both
+  // phases must leave the counters equal to the engine's tallies.
+  obs::Telemetry tel;
+  obs::ScopedTelemetry scope(tel);
+  ntp::TestbedConfig config;
+  config.seed = 303;
+  config.wireless = true;
+  config.ntp_correction = false;
+  ntp::Testbed bed(config);
+  MntpParams params;
+  params.warmup_period = Duration::minutes(2);
+  params.warmup_wait_time = Duration::seconds(10);
+  params.regular_wait_time = Duration::seconds(30);
+  params.reset_period = Duration::minutes(20);
+  params.min_warmup_samples = 5;
+  MntpClient client(bed.sim(), bed.target_clock(), bed.pool(), bed.channel(),
+                    params, bed.fork_rng());
+  bed.start();
+  client.start();
+  bed.sim().run_until(TimePoint::epoch() + Duration::hours(1));
+
+  const MntpEngine& engine = client.engine();
+  ASSERT_GT(engine.deferrals(), 0u);
+  ASSERT_GT(engine.resets(), 0u);
+  obs::MetricsRegistry& m = tel.metrics();
+  EXPECT_EQ(m.counter("mntp.rounds")->value(), engine.rounds());
+  EXPECT_EQ(m.counter("mntp.deferrals")->value(), engine.deferrals());
+  EXPECT_EQ(m.counter("mntp.resets")->value(), engine.resets());
+  std::size_t sampled = 0;
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    const auto outcome = static_cast<SampleOutcome>(i);
+    sampled += engine.outcome_count(outcome);
+    EXPECT_EQ(
+        m.counter("mntp.sample", {{"outcome", to_string(outcome)}})->value(),
+        engine.outcome_count(outcome))
+        << to_string(outcome);
+  }
+  // One record per round that had offsets, each with one outcome.
+  EXPECT_EQ(sampled, engine.records().size());
 }
 
 TEST(MntpClient, AppliedCorrectionsKeepFreeRunningClockTight) {

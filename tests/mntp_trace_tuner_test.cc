@@ -220,6 +220,61 @@ TEST(Searcher, CountsEveryConfigOnceUnderParallelScoring) {
   EXPECT_EQ(tel.metrics().counter("tuner.configs_scored")->value(), 18u);
 }
 
+TEST(Searcher, EngineCountersEqualReplayTalliesAtAnyThreadCount) {
+  // The engine only tallies; emulate() adds each replay's totals to the
+  // registry once. Whatever the thread count, the counters must equal
+  // the sums of the per-replay tallies.
+  const Trace t = make_noisy_trace(720);
+  tuner::SearchSpace space = golden_space();
+  space.reset_periods = {Duration::minutes(20), Duration::hours(4)};
+
+  tuner::EmulationResult want;
+  {
+    obs::Telemetry scratch;  // the reference replays publish here
+    obs::ScopedTelemetry scope(scratch);
+    for (const Duration wp : space.warmup_periods) {
+      for (const Duration wwt : space.warmup_wait_times) {
+        for (const Duration rwt : space.regular_wait_times) {
+          for (const Duration rp : space.reset_periods) {
+            MntpParams p = space.base;
+            p.warmup_period = wp;
+            p.warmup_wait_time = wwt;
+            p.regular_wait_time = rwt;
+            p.reset_period = rp;
+            const tuner::EmulationResult r = tuner::emulate(t, p);
+            want.rounds += r.rounds;
+            want.deferrals += r.deferrals;
+            want.resets += r.resets;
+            for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+              want.outcomes[i] += r.outcomes[i];
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_GT(want.rounds, 0u);
+  ASSERT_GT(want.deferrals, 0u);
+  ASSERT_GT(want.resets, 0u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    obs::Telemetry tel;
+    obs::ScopedTelemetry scope(tel);
+    (void)tuner::search(t, space, {.threads = threads});
+    obs::MetricsRegistry& m = tel.metrics();
+    EXPECT_EQ(m.counter("mntp.rounds")->value(), want.rounds) << threads;
+    EXPECT_EQ(m.counter("mntp.deferrals")->value(), want.deferrals) << threads;
+    EXPECT_EQ(m.counter("mntp.resets")->value(), want.resets) << threads;
+    for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+      const auto outcome = static_cast<SampleOutcome>(i);
+      EXPECT_EQ(m.counter("mntp.sample", {{"outcome", to_string(outcome)}})
+                    ->value(),
+                want.outcomes[i])
+          << to_string(outcome) << ", " << threads << " threads";
+    }
+  }
+}
+
 TEST(Emulator, FailedRoundBillsRequestsButReportsNoOffset) {
   // Decision pinned here: all-queries-failed records STAY in the trace
   // (hints drive gating/deferral) and replay as a round that costs
