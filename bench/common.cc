@@ -406,12 +406,9 @@ bool BenchTelemetry::write_profile() {
                  status.error().message.c_str());
     return false;
   }
-  std::printf("profile trace: %s (%llu spans, %llu dropped)\n",
-              profile_path_.c_str(),
+  std::printf("profile trace: %s (%llu spans)\n", profile_path_.c_str(),
               static_cast<unsigned long long>(
-                  telemetry_.profiler().total_spans()),
-              static_cast<unsigned long long>(
-                  telemetry_.profiler().dropped()));
+                  telemetry_.profiler().total_spans()));
   account_artifact(profile_path_);
   return true;
 }

@@ -2,7 +2,7 @@
 // timed with warmup + repetitions, summarized robustly (median / MAD /
 // p95 — medians because wall time on shared machines is contaminated by
 // scheduling noise) and written as BENCH_results.json in a stable schema
-// that scripts/bench_compare.py diffs against the committed
+// that `mntp-inspect diff` gates against the committed
 // BENCH_baseline.json.
 //
 //   build/bench/perf_suite --reps 9 --warmup 2 --out BENCH_results.json
@@ -11,7 +11,8 @@
 // shakeout reps, default 2), --out PATH (default BENCH_results.json),
 // --workload NAME (run just one), plus the common --telemetry-out /
 // --profile-out harness flags (the suite is itself instrumented: a
-// profiled run shows the span tree of every workload).
+// profiled run writes per-span aggregates of every workload, the form
+// BENCH_baseline_profile.json is committed in).
 //
 // Workloads are sized for seconds-not-minutes total runtime so the
 // bench-smoke CTest entry can run the full suite with --reps 2.
@@ -80,7 +81,7 @@ double now_us() {
       .count();
 }
 
-/// Median absolute deviation: the robust spread bench_compare uses to
+/// Median absolute deviation: the robust spread the diff gate uses to
 /// judge whether a regression exceeds run-to-run noise.
 double mad(std::vector<double> xs, double median) {
   for (double& x : xs) x = std::fabs(x - median);
@@ -369,7 +370,7 @@ std::vector<Workload> build_workloads() {
 }
 
 /// BENCH_results.json schema v1 (validated by
-/// scripts/check_telemetry_schema.py, diffed by scripts/bench_compare.py):
+/// scripts/check_telemetry_schema.py, gated by `mntp-inspect diff`):
 /// {schema_version, kind:"mntp_perf_suite", reps, warmup,
 ///  environment{compiler, build_type, build_flags, hardware_threads},
 ///  workloads:[{name, unit:"us", median_us, mad_us, p95_us, min_us,

@@ -160,7 +160,7 @@ std::optional<double> MntpEngine::predict_offset_s(core::TimePoint t) const {
 
 MntpEngine::RoundResult MntpEngine::on_round(
     core::TimePoint t, const std::vector<double>& offsets_s) {
-  obs::ProfileScope profile(obs::spans::kEngineRound, t);
+  obs::ProfileScope profile(obs::spans::kEngineRound);
   ++rounds_;
   RoundResult rr;
 

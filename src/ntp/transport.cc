@@ -9,8 +9,11 @@ namespace mntp::ntp {
 namespace {
 
 /// Per-exchange state kept alive by shared_ptr across the event chain.
+/// `engine_alive` is the engine's liveness flag: every event of the
+/// chain checks it before touching the engine.
 struct Exchange {
   QueryEngine::Callback callback;
+  std::shared_ptr<const bool> engine_alive;
   sim::EventHandle timeout_event;
   bool settled = false;
 
@@ -51,11 +54,14 @@ QueryEngine::QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock)
                });
 }
 
+QueryEngine::~QueryEngine() { *alive_ = false; }
+
 void QueryEngine::query(const ServerEndpoint& endpoint,
                         const QueryOptions& options, Callback callback) {
   ++sent_;
   auto ex = std::make_shared<Exchange>();
   ex->callback = std::move(callback);
+  ex->engine_alive = alive_;
 
   const core::TimePoint send_true = sim_.now();
   const core::NtpTimestamp t1 =
@@ -81,6 +87,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
 
   sent_counter_->inc();
   ex->timeout_event = sim_.after(options.timeout, [this, ex, qid] {
+    if (!*ex->engine_alive) return;
     ++timeouts_;
     timeout_counter_->inc();
     if (sim_.telemetry().tracing()) {
@@ -105,6 +112,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
       sim_, endpoint.up, wire_bytes,
       [this, ex, server, down, request_bytes, t1, wire_bytes, send_true,
        qid](core::TimePoint arrival) {
+        if (!*ex->engine_alive) return;
         // Uplink one-way delay on the true timeline (simulator's-eye
         // view; a real client cannot separate the directions).
         last_owd_up_ms_ = (arrival - send_true).to_millis();
@@ -132,11 +140,13 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
         // The reply leaves after the server's processing delay.
         sim_.at(reply.value().departs, [this, ex, down, reply_bytes, t1,
                                         wire_bytes, qid] {
+          if (!*ex->engine_alive) return;
           const core::TimePoint departs = sim_.now();
           net::send_datagram(
               sim_, down, wire_bytes,
               [this, ex, reply_bytes, t1, departs,
                qid](core::TimePoint t4_true) {
+                if (!*ex->engine_alive) return;
                 last_owd_down_ms_ = (t4_true - departs).to_millis();
                 has_owd_down_ = true;
                 owd_down_ms_->record(last_owd_down_ms_);

@@ -49,6 +49,11 @@ class QueryEngine {
 
   /// `clock` is the client's system clock used for T1/T4 stamping.
   QueryEngine(sim::Simulation& sim, sim::DisciplinedClock& clock);
+  /// Exchanges still in flight outlive the engine in the event queue;
+  /// their events become no-ops (the user callback never fires).
+  ~QueryEngine();
+  QueryEngine(const QueryEngine&) = delete;
+  QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Issue one exchange; exactly one callback will fire (sample, loss
   /// mapped to timeout, or validation error).
@@ -62,6 +67,9 @@ class QueryEngine {
  private:
   sim::Simulation& sim_;
   sim::DisciplinedClock& clock_;
+  /// Liveness flag shared with every in-flight exchange: false once the
+  /// engine is destroyed, so pending events stop touching `this`.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t timeouts_ = 0;

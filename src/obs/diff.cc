@@ -1,8 +1,10 @@
 #include "obs/diff.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -35,12 +37,14 @@ struct Artifact {
   DiffKind kind = DiffKind::kBench;
   std::string run;
 
-  // bench: workload name -> (median, mad)
+  // bench: workload name -> (median, mad), plus the whole document
+  // (workload order and environment for the delta record and warnings)
   struct Workload {
     double median_us = 0.0;
     double mad_us = 0.0;
   };
   std::map<std::string, Workload> workloads;
+  Json doc;
 
   // profile: span name -> aggregate
   struct SpanAgg {
@@ -101,6 +105,7 @@ Result<Artifact> load_bench(const Json& doc) {
     art.workloads[name] = {w["median_us"].as_double(),
                            w["mad_us"].as_double()};
   }
+  art.doc = doc;
   return art;
 }
 
@@ -119,10 +124,12 @@ Result<Artifact> load_profile(const Json& doc) {
       continue;
     }
     if (ph != "X") continue;
+    // An aggregate event (--profile-out) stands for agg_count spans.
+    const Json& args = e["args"];
     Artifact::SpanAgg& agg = art.spans[e["name"].as_string()];
-    agg.count += 1.0;
+    agg.count += args.has("agg_count") ? args["agg_count"].as_double() : 1.0;
     agg.total_us += e["dur"].as_double();
-    agg.self_us += e["args"]["self_us"].as_double();
+    agg.self_us += args["self_us"].as_double();
   }
   return art;
 }
@@ -311,12 +318,52 @@ void tally(DiffResult& result, const DiffSection& section) {
   }
 }
 
-/// The bench_compare.py gate, verbatim: candidate passes iff
+/// The bench gate: candidate passes iff
 ///   cand <= base * (1 + tolerance) + max(abs_floor, 4 * base_mad).
 double bench_allowance(double base_median, double base_mad,
                        const DiffOptions& opt) {
   return base_median * opt.tolerance +
          std::max(opt.abs_floor_us, 4.0 * base_mad);
+}
+
+/// Within-candidate budgets: both medians come from `cand`, so a
+/// budget gates the candidate's own overhead claim, not its speed
+/// against the baseline. `before` is the reference workload's median.
+DiffSection diff_budgets(const Artifact& cand,
+                         const std::vector<BenchBudget>& budgets) {
+  DiffSection section{"budgets", {}};
+  for (const BenchBudget& budget : budgets) {
+    DiffEntry e;
+    e.name = budget.spec;
+    const auto a_it = cand.workloads.find(budget.a);
+    const auto b_it = cand.workloads.find(budget.b);
+    if (a_it == cand.workloads.end() || b_it == cand.workloads.end()) {
+      e.cls = kRemoved;
+      e.significant = e.regression = true;
+      e.note = "workload '" +
+               (a_it == cand.workloads.end() ? budget.a : budget.b) +
+               "' missing from candidate";
+      section.entries.push_back(std::move(e));
+      continue;
+    }
+    e.has_before = e.has_after = true;
+    e.before = b_it->second.median_us;
+    e.after = a_it->second.median_us;
+    e.delta = e.after - e.before;
+    const double limit = e.before * (1.0 + budget.pct / 100.0);
+    const double allowance = limit - e.before;
+    e.score = allowance > 0.0 ? e.delta / allowance
+                              : (e.delta > 0.0 ? 2.0 : 0.0);
+    e.significant = e.regression = e.after > limit;
+    e.cls = e.regression ? kChanged : kEqual;
+    e.note = core::strformat(
+        "%+.2f%%, budget %g%%",
+        e.before > 0.0 ? (e.after / e.before - 1.0) * 100.0 : 0.0,
+        budget.pct);
+    section.entries.push_back(std::move(e));
+  }
+  rank(section);
+  return section;
 }
 
 DiffResult diff_bench(const Artifact& a, const Artifact& b,
@@ -332,7 +379,7 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
     auto it = b.workloads.find(name);
     if (it == b.workloads.end()) {
       e.cls = kRemoved;
-      e.significant = e.regression = true;  // bench_compare: FAIL missing
+      e.significant = e.regression = true;
       e.note = "missing from candidate";
       section.entries.push_back(std::move(e));
       continue;
@@ -364,6 +411,21 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
   rank(section);
   tally(result, section);
   result.sections.push_back(std::move(section));
+
+  if (!opt.budgets.empty()) {
+    DiffSection budgets = diff_budgets(b, opt.budgets);
+    tally(result, budgets);
+    result.sections.push_back(std::move(budgets));
+  }
+  for (const char* key : {"compiler", "build_type"}) {
+    const std::string& before = a.doc["environment"][key].as_string();
+    const std::string& after = b.doc["environment"][key].as_string();
+    if (before != after) {
+      result.warnings.push_back(core::strformat(
+          "environment.%s differs: baseline '%s' vs candidate '%s'", key,
+          before.c_str(), after.c_str()));
+    }
+  }
   return result;
 }
 
@@ -693,7 +755,45 @@ std::string fmt_opt(bool present, double v) {
   return present ? core::fmt_double(v) : std::string("-");
 }
 
+/// Shortest round-trip rendering, so a delta record repeats the medians
+/// exactly as the perf-suite files spell them.
+void put_number(core::JsonWriter& w, std::string_view key, double v) {
+  w.key(key);
+  if (!std::isfinite(v)) {
+    w.null();
+    return;
+  }
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  w.raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
 }  // namespace
+
+core::Result<BenchBudget> parse_bench_budget(std::string_view spec) {
+  const auto bad = [spec] {
+    return Error::invalid_argument("bad budget '" + std::string(spec) +
+                                   "' (want A:B:PCT)");
+  };
+  const std::size_t c1 = spec.find(':');
+  const std::size_t c2 =
+      c1 == std::string_view::npos ? c1 : spec.find(':', c1 + 1);
+  if (c2 == std::string_view::npos ||
+      spec.find(':', c2 + 1) != std::string_view::npos) {
+    return bad();
+  }
+  BenchBudget budget{.spec = std::string(spec),
+                     .a = std::string(spec.substr(0, c1)),
+                     .b = std::string(spec.substr(c1 + 1, c2 - c1 - 1))};
+  const std::string pct(spec.substr(c2 + 1));
+  char* end = nullptr;
+  budget.pct = std::strtod(pct.c_str(), &end);
+  if (budget.a.empty() || budget.b.empty() || pct.empty() || *end != '\0' ||
+      !std::isfinite(budget.pct)) {
+    return bad();
+  }
+  return budget;
+}
 
 const char* diff_kind_name(DiffKind kind) {
   switch (kind) {
@@ -719,6 +819,11 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
         diff_kind_name(a.value().kind), b_path.c_str(),
         diff_kind_name(b.value().kind)));
   }
+  if (!options.budgets.empty() && a.value().kind != DiffKind::kBench) {
+    return Error::invalid_argument(
+        core::strformat("budgets apply to bench artifacts only, not %s",
+                        diff_kind_name(a.value().kind)));
+  }
   DiffResult result;
   switch (a.value().kind) {
     case DiffKind::kBench:
@@ -742,6 +847,82 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
   result.a_run = a.value().run;
   result.b_run = b.value().run;
   return result;
+}
+
+core::Result<std::string> render_perf_delta(const std::string& a_path,
+                                            const std::string& b_path) {
+  auto a = load_artifact(a_path);
+  if (!a.ok()) return a.error();
+  auto b = load_artifact(b_path);
+  if (!b.ok()) return b.error();
+  if (a.value().kind != DiffKind::kBench ||
+      b.value().kind != DiffKind::kBench) {
+    return Error::invalid_argument(core::strformat(
+        "a perf delta needs two bench artifacts, got %s and %s",
+        diff_kind_name(a.value().kind), diff_kind_name(b.value().kind)));
+  }
+  const Artifact& base = a.value();
+  const Artifact& cand = b.value();
+  std::string out;
+  core::JsonWriter w(out, 2);
+  w.begin_object()
+      .kv("schema_version", 1)
+      .kv("kind", "mntp_perf_delta")
+      .kv("description",
+          core::strformat("perf_suite medians: candidate vs baseline (reps "
+                          "%lld, warmup %lld), generated by mntp-inspect "
+                          "diff --write-delta",
+                          static_cast<long long>(cand.doc["reps"].as_int()),
+                          static_cast<long long>(cand.doc["warmup"].as_int())));
+  // The candidate's flat environment block (strings and numbers).
+  w.key("environment").begin_object();
+  for (const auto& [key, value] : cand.doc["environment"].as_object()) {
+    if (value.is_number()) {
+      put_number(w, key, value.as_double());
+    } else {
+      w.kv(key, value.as_string());
+    }
+  }
+  w.end_object();
+  w.key("workloads").begin_array();
+  // Candidate order: the record documents what the candidate measures.
+  for (const Json& workload : cand.doc["workloads"].as_array()) {
+    const std::string& name = workload["name"].as_string();
+    const Artifact::Workload& after = cand.workloads.at(name);
+    w.begin_object().kv("name", name);
+    put_number(w, "after_median_us", after.median_us);
+    put_number(w, "after_mad_us", after.mad_us);
+    const auto it = base.workloads.find(name);
+    if (it == base.workloads.end()) {
+      w.key("before_median_us").null().kv("note", "new workload in this PR");
+    } else {
+      put_number(w, "before_median_us", it->second.median_us);
+      put_number(w, "before_mad_us", it->second.mad_us);
+      // Rounded to 3 decimals, as in the committed records.
+      const double speedup =
+          after.median_us > 0.0
+              ? std::strtod(core::strformat("%.3f", it->second.median_us /
+                                                        after.median_us)
+                                .c_str(),
+                            nullptr)
+              : std::nan("");
+      put_number(w, "speedup", speedup);
+    }
+    w.end_object();
+  }
+  for (const Json& workload : base.doc["workloads"].as_array()) {
+    const std::string& name = workload["name"].as_string();
+    if (cand.workloads.count(name)) continue;
+    const Artifact::Workload& before = base.workloads.at(name);
+    w.begin_object().kv("name", name);
+    w.key("after_median_us").null();
+    put_number(w, "before_median_us", before.median_us);
+    put_number(w, "before_mad_us", before.mad_us);
+    w.kv("note", "workload removed in this PR").end_object();
+  }
+  w.end_array().end_object();
+  out += "\n";
+  return out;
 }
 
 std::string render_diff_text(const DiffResult& result,

@@ -12,15 +12,16 @@
 // from content, exactly like tools/mntp_inspect and
 // check_telemetry_schema.py) and computes statistically-aware deltas:
 //
-//   * bench       — per-workload median gate with the SAME math as
-//                   scripts/bench_compare.py (candidate_median <=
+//   * bench       — the perf gate: per workload, candidate_median <=
 //                   baseline_median * (1+tolerance) + max(abs_floor,
-//                   4 * baseline_mad)); missing workloads fail, new
-//                   ones are noted. Cross-checked against the Python
-//                   gate by the diff_gate_agreement CTest entry so the
-//                   two can never drift apart.
+//                   4 * baseline_mad); missing workloads fail, new
+//                   ones are noted. Optional within-candidate budgets
+//                   (DiffOptions::budgets) add a "budgets" section, and
+//                   render_perf_delta() writes the before/after record
+//                   committed as BENCH_pr*.json.
 //   * profile     — spans aggregated by name (count / total_us /
-//                   self_us summed over complete events), deltas
+//                   self_us summed over complete events; an aggregate
+//                   event stands for args.agg_count spans), deltas
 //                   attributed per span and ranked by self-time
 //                   contribution: |delta_self| / sum |delta_self|.
 //                   Only *increases* beyond the allowance gate; a
@@ -55,6 +56,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.h"
@@ -70,12 +72,26 @@ enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
 /// Stable lowercase name used in JSON output and error messages.
 [[nodiscard]] const char* diff_kind_name(DiffKind kind);
 
+/// A within-candidate bench budget (`--budget A:B:PCT`): in file B,
+/// workload `a`'s median must satisfy median(a) <= median(b) * (1 +
+/// pct/100). Both medians come from the same run, so machine speed
+/// cancels out (this is how the telemetry-off overhead claim is gated).
+struct BenchBudget {
+  std::string spec;  // as given; names the entry in the "budgets" section
+  std::string a, b;
+  double pct = 0.0;
+};
+
+/// Parse "A:B:PCT" (two non-empty workload names and a finite number).
+[[nodiscard]] core::Result<BenchBudget> parse_bench_budget(
+    std::string_view spec);
+
 struct DiffOptions {
   /// Relative tolerance for bench medians, profile span times and
-  /// report scalars (same default as bench_compare.py).
+  /// report scalars.
   double tolerance = 0.5;
   /// Absolute allowance floor in microseconds for bench/profile time
-  /// deltas (same default as bench_compare.py --abs-floor-us).
+  /// deltas.
   double abs_floor_us = 200.0;
   /// Two-proportion z threshold for query-trace distribution shifts.
   double sigma = 4.0;
@@ -84,6 +100,9 @@ struct DiffOptions {
   /// Rows rendered per section in the human tables (JSON always
   /// carries every entry; exit codes never depend on this cap).
   std::size_t top = 20;
+  /// Bench budgets; a failed or unresolvable one is a regression.
+  /// Non-empty budgets on any other kind make diff_files fail.
+  std::vector<BenchBudget> budgets;
 };
 
 /// Delta classes. `exact` / `shifted` are the exact-reconciliation
@@ -125,6 +144,9 @@ struct DiffResult {
   std::size_t significant = 0;     // entries flagged significant
   std::size_t regressions = 0;     // entries counting toward exit 1
   std::vector<DiffSection> sections;
+  /// Non-gating remarks for stderr (bench: baseline and candidate were
+  /// built with a different compiler or build type).
+  std::vector<std::string> warnings;
 
   /// The 0/1 half of the exit-code contract (2 is "diff_files returned
   /// an error" and never appears in a DiffResult).
@@ -137,6 +159,16 @@ struct DiffResult {
 [[nodiscard]] core::Result<DiffResult> diff_files(const std::string& a_path,
                                                   const std::string& b_path,
                                                   const DiffOptions& options);
+
+/// The before/after record of a bench pair (A = baseline, B =
+/// candidate) in the committed BENCH_pr*.json format: kind
+/// mntp_perf_delta, schema_version 1, B's environment, and per workload
+/// (candidate order) the after/before median and MAD plus the speedup
+/// before/after rounded to 3 decimals; candidate-only workloads get a
+/// null before_median_us and a note, baseline-only ones follow with a
+/// null after_median_us. Fails unless both files are bench artifacts.
+[[nodiscard]] core::Result<std::string> render_perf_delta(
+    const std::string& a_path, const std::string& b_path);
 
 /// Human rendering: one aligned table per section (rows capped at
 /// options.top) plus a one-line verdict.

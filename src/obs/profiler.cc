@@ -1,13 +1,10 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <utility>
 
 #include "core/json_writer.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 
 namespace mntp::obs {
 
@@ -22,23 +19,13 @@ struct Frame {
   const char* name;
   std::int64_t start_ns;
   std::int64_t child_ns;
-  std::int64_t sim_t_ns;
-  bool has_sim;
 };
 
 thread_local std::vector<Frame> t_span_stack;
 
-std::uint32_t this_thread_profile_id() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local const std::uint32_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 }  // namespace
 
-Profiler::Profiler(Options options)
-    : epoch_(std::chrono::steady_clock::now()), options_(options) {}
+Profiler::Profiler() : epoch_(std::chrono::steady_clock::now()) {}
 
 std::int64_t Profiler::now_ns() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -46,31 +33,25 @@ std::int64_t Profiler::now_ns() const {
       .count();
 }
 
-void Profiler::record(const SpanRecord& span) {
+void Profiler::record(std::string_view name, std::int64_t dur_ns,
+                      std::int64_t self_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Aggregate& agg = aggregates_[span.name];
+  auto it = aggregates_.find(name);
+  if (it == aggregates_.end()) {
+    it = aggregates_.emplace(std::string(name), Aggregate{}).first;
+  }
+  Aggregate& agg = it->second;
   if (agg.count == 0) {
-    agg.min_ns = span.dur_ns;
-    agg.max_ns = span.dur_ns;
+    agg.min_ns = dur_ns;
+    agg.max_ns = dur_ns;
   } else {
-    agg.min_ns = std::min(agg.min_ns, span.dur_ns);
-    agg.max_ns = std::max(agg.max_ns, span.dur_ns);
+    agg.min_ns = std::min(agg.min_ns, dur_ns);
+    agg.max_ns = std::max(agg.max_ns, dur_ns);
   }
   ++agg.count;
-  agg.total_ns += span.dur_ns;
-  agg.self_ns += span.self_ns;
-  agg.dur_us.record(static_cast<double>(span.dur_ns) / 1e3);
-
-  if (records_.size() < options_.max_records) {
-    records_.push_back(span);
-  } else {
-    ++dropped_;
-  }
-}
-
-std::vector<Profiler::SpanRecord> Profiler::records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_;
+  agg.total_ns += dur_ns;
+  agg.self_ns += self_ns;
+  agg.dur_us.record(static_cast<double>(dur_ns) / 1e3);
 }
 
 std::vector<Profiler::SpanStats> Profiler::stats() const {
@@ -89,21 +70,16 @@ std::vector<Profiler::SpanStats> Profiler::stats() const {
   return out;  // std::map iteration is already name-sorted
 }
 
-std::uint64_t Profiler::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
 std::uint64_t Profiler::total_spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size() + dropped_;
+  std::uint64_t total = 0;
+  for (const auto& [name, agg] : aggregates_) total += agg.count;
+  return total;
 }
 
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
   aggregates_.clear();
-  dropped_ = 0;
 }
 
 void Profiler::export_to_metrics(MetricsRegistry& registry) const {
@@ -121,108 +97,87 @@ void Profiler::export_to_metrics(MetricsRegistry& registry) const {
     registry.gauge("profile.span.p50_us", labels)->set(s.p50_ns / 1e3);
     registry.gauge("profile.span.max_us", labels)->set(us(s.max_ns));
   }
-  if (const std::uint64_t n = dropped(); n > 0) {
-    registry.gauge("profile.spans_dropped")->set(static_cast<double>(n));
-  }
 }
 
 Profiler& current_profiler() noexcept { return Telemetry::global().profiler(); }
 
-void ProfileScope::open(const char* name, bool has_sim,
-                        core::TimePoint sim_t) {
+void ProfileScope::open(const char* name) {
   Profiler& profiler = current_profiler();
   t_span_stack.push_back(Frame{.profiler = &profiler,
                                .name = name,
                                .start_ns = profiler.now_ns(),
-                               .child_ns = 0,
-                               .sim_t_ns = sim_t.ns(),
-                               .has_sim = has_sim});
+                               .child_ns = 0});
 }
 
 void ProfileScope::close() {
-  Frame frame = t_span_stack.back();
+  const Frame frame = t_span_stack.back();
   t_span_stack.pop_back();
   const std::int64_t dur_ns = frame.profiler->now_ns() - frame.start_ns;
   if (!t_span_stack.empty()) t_span_stack.back().child_ns += dur_ns;
-  frame.profiler->record(
-      Profiler::SpanRecord{.name = frame.name,
-                           .tid = this_thread_profile_id(),
-                           .depth = static_cast<std::uint32_t>(
-                               t_span_stack.size()),
-                           .start_ns = frame.start_ns,
-                           .dur_ns = dur_ns,
-                           .self_ns = dur_ns - frame.child_ns,
-                           .sim_t_ns = frame.sim_t_ns,
-                           .has_sim = frame.has_sim});
+  frame.profiler->record(frame.name, dur_ns, dur_ns - frame.child_ns);
 }
 
 void write_chrome_trace(std::ostream& out, const Profiler& profiler,
                         std::string_view run_name) {
-  std::vector<Profiler::SpanRecord> spans = profiler.records();
-  // chrome://tracing accepts any order, but a time-sorted file diffs and
-  // reads better.
-  std::stable_sort(spans.begin(), spans.end(),
-                   [](const Profiler::SpanRecord& a,
-                      const Profiler::SpanRecord& b) {
-                     return a.start_ns < b.start_ns;
-                   });
+  const std::vector<Profiler::SpanStats> spans = profiler.stats();
+  std::uint64_t span_count = 0;
+  for (const Profiler::SpanStats& s : spans) span_count += s.count;
 
-  // Chrome trace ts/dur are fractional microseconds, rendered "%.3f".
+  // Chrome trace dur/self are fractional microseconds, rendered "%.3f".
   const auto us = [](std::int64_t ns) {
     return static_cast<double>(ns) / 1e3;
   };
-  std::string line;
-  {
-    core::JsonWriter w(line);
-    w.begin_object()
-        .kv("displayTimeUnit", "ms")
-        .key("otherData")
-        .begin_object()
-        .kv("run", run_name)
-        .kv("span_count", static_cast<std::int64_t>(spans.size()))
-        .kv("dropped_spans", static_cast<std::int64_t>(profiler.dropped()))
-        .end_object();
-  }
-  line += ",\"traceEvents\":[";
-  {
-    core::JsonWriter w(line);
-    w.begin_object()
-        .kv("ph", "M")
-        .kv("pid", 0)
-        .kv("tid", 0)
-        .kv("name", "process_name")
-        .key("args")
-        .begin_object()
-        .kv("name", run_name)
-        .end_object()
-        .end_object();
-  }
-  out << line;
-  // Spans stream one event at a time through a reused buffer — a trace
-  // can hold hundreds of thousands of records.
-  for (const Profiler::SpanRecord& s : spans) {
-    line.assign(",\n");
-    core::JsonWriter w(line);
+  std::string text;
+  core::JsonWriter w(text, /*indent=*/1);
+  w.begin_object()
+      .kv("displayTimeUnit", "ms")
+      .key("otherData")
+      .begin_object()
+      .kv("run", run_name)
+      .kv("span_count", span_count)
+      .end_object();
+  w.key("traceEvents").begin_array();
+  w.begin_object()
+      .kv("ph", "M")
+      .kv("pid", 0)
+      .kv("tid", 0)
+      .kv("name", "process_name")
+      .key("args")
+      .begin_object()
+      .kv("name", run_name)
+      .end_object()
+      .end_object();
+  // One event per span name, laid end to end on synthetic timestamps so
+  // trace viewers show non-overlapping bars.
+  std::int64_t ts_us = 0;
+  for (const Profiler::SpanStats& s : spans) {
     w.begin_object()
         .kv("name", s.name)
-        .kv("cat", "span")
+        .kv("cat", "aggregate")
         .kv("ph", "X")
-        .kv("pid", 0)
-        .kv("tid", static_cast<std::int64_t>(s.tid))
-        .key("ts")
-        .value_fixed(us(s.start_ns), 3)
+        .kv("pid", 1)
+        .kv("tid", 1)
+        .kv("ts", ts_us)
         .key("dur")
-        .value_fixed(us(s.dur_ns), 3)
+        .value_fixed(us(s.total_ns), 3)
         .key("args")
         .begin_object()
         .key("self_us")
         .value_fixed(us(s.self_ns), 3)
-        .kv("depth", static_cast<std::int64_t>(s.depth));
-    if (s.has_sim) w.kv("sim_t_ns", s.sim_t_ns);
-    w.end_object().end_object();
-    out << line;
+        .kv("depth", 0)
+        .kv("agg_count", s.count)
+        .key("min_us")
+        .value_fixed(us(s.min_ns), 3)
+        .key("p50_us")
+        .value_fixed(s.p50_ns / 1e3, 3)
+        .key("max_us")
+        .value_fixed(us(s.max_ns), 3)
+        .end_object()
+        .end_object();
+    ts_us += s.total_ns / 1000 + 1;
   }
-  out << "]}\n";
+  w.end_array().end_object();
+  out << text << '\n';
 }
 
 core::Status write_chrome_trace_file(const std::string& path,

@@ -9,7 +9,7 @@
 // Usage: wrap a scope in a RAII `ProfileScope`:
 //
 //     void Simulation::run_until(core::TimePoint deadline) {
-//       obs::ProfileScope span(obs::spans::kSimRunUntil, now_);
+//       obs::ProfileScope span(obs::spans::kSimRunUntil);
 //       ...
 //     }
 //
@@ -25,19 +25,20 @@
 // reads profiler state back into simulation logic, so enabling profiling
 // cannot change any simulated result.
 //
-// Two exporters:
-//   * `export_to_metrics` — per-span-name aggregates (count, total/self
-//     wall, min/p50/max) as `profile.span.*` gauges labelled
-//     {span=<name>}, which the run-report writer (obs/report.h) then
-//     serializes like any other metric;
-//   * `write_chrome_trace[_file]` — the full span list as a Chrome
+// The profiler keeps only per-span-name aggregates (count, total/self
+// wall, min/p50/max), so memory and export size depend on the number of
+// span names, not on the number of spans. Two exporters:
+//   * `export_to_metrics` — the aggregates as `profile.span.*` gauges
+//     labelled {span=<name>}, which the run-report writer (obs/report.h)
+//     then serializes like any other metric;
+//   * `write_chrome_trace[_file]` — the aggregates as a Chrome
 //     trace-event JSON object (open in chrome://tracing or Perfetto),
-//     one complete ("ph":"X") event per span with self time, nesting
-//     depth and the simulation timestamp in "args".
+//     one complete ("ph":"X") event per span name; this is the artifact
+//     `mntp-inspect` summarizes and `mntp-inspect diff` compares.
 //
 // Thread safety: spans may open and close concurrently on any thread
 // (each thread keeps its own span stack; completed spans serialize on
-// one mutex into the record buffer and aggregates). A span crossing a
+// one mutex into the aggregates). A span crossing a
 // `ScopedTelemetry` boundary records into the profiler that was current
 // at its *open*; nesting accounting (self time) spans such boundaries
 // transparently.
@@ -53,7 +54,6 @@
 #include <vector>
 
 #include "core/result.h"
-#include "core/time.h"
 #include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 
@@ -61,21 +61,8 @@ namespace mntp::obs {
 
 class Profiler {
  public:
-  /// One completed span. Wall times are nanoseconds on the host steady
-  /// clock, relative to the profiler's construction instant.
-  struct SpanRecord {
-    const char* name = "";     ///< static-storage span name
-    std::uint32_t tid = 0;     ///< small per-thread id (1-based)
-    std::uint32_t depth = 0;   ///< nesting depth at open (0 = root)
-    std::int64_t start_ns = 0;
-    std::int64_t dur_ns = 0;   ///< total wall duration
-    std::int64_t self_ns = 0;  ///< dur minus nested spans' durations
-    std::int64_t sim_t_ns = 0; ///< simulation timestamp, when supplied
-    bool has_sim = false;
-  };
-
-  /// Per-span-name aggregate over every recorded span (kept complete
-  /// even when the raw record buffer overflows).
+  /// Per-span-name aggregate over every recorded span. Wall times are
+  /// nanoseconds on the host steady clock.
   struct SpanStats {
     std::string name;
     std::uint64_t count = 0;
@@ -86,14 +73,7 @@ class Profiler {
     double p50_ns = 0.0;  ///< HDR-histogram median of span durations
   };
 
-  struct Options {
-    /// Raw-record buffer cap; spans past it still aggregate but are not
-    /// exported to the Chrome trace (counted in dropped()).
-    std::size_t max_records = 1 << 20;
-  };
-
-  Profiler() : Profiler(Options{}) {}
-  explicit Profiler(Options options);
+  Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -106,20 +86,17 @@ class Profiler {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Append a completed span (normally called by ProfileScope, public
-  /// for tests and custom instrumentation).
-  void record(const SpanRecord& span);
+  /// Fold one completed span into its name's aggregate (normally called
+  /// by ProfileScope, public for tests and custom instrumentation).
+  void record(std::string_view name, std::int64_t dur_ns,
+              std::int64_t self_ns);
 
-  /// Copy of the retained raw spans, in completion order.
-  [[nodiscard]] std::vector<SpanRecord> records() const;
   /// Aggregates per span name, name-sorted.
   [[nodiscard]] std::vector<SpanStats> stats() const;
-  /// Spans aggregated but not retained (record-buffer overflow).
-  [[nodiscard]] std::uint64_t dropped() const;
-  /// Total spans ever recorded (retained + dropped).
+  /// Total spans ever recorded.
   [[nodiscard]] std::uint64_t total_spans() const;
 
-  /// Drop all records and aggregates (the enabled flag is untouched).
+  /// Drop all aggregates (the enabled flag is untouched).
   void clear();
 
   /// Publish the per-span aggregates into `registry` as `profile.span.*`
@@ -128,7 +105,7 @@ class Profiler {
   void export_to_metrics(MetricsRegistry& registry) const;
 
   /// Nanoseconds on the host steady clock since this profiler was
-  /// constructed (the time base of every SpanRecord).
+  /// constructed (the time base of span start/stop stamps).
   [[nodiscard]] std::int64_t now_ns() const;
 
  private:
@@ -145,11 +122,10 @@ class Profiler {
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  Options options_;
   mutable std::mutex mutex_;
-  std::vector<SpanRecord> records_;
-  std::uint64_t dropped_ = 0;
-  std::map<std::string, Aggregate> aggregates_;
+  /// Transparent comparator: the hot path looks names up without
+  /// building a std::string.
+  std::map<std::string, Aggregate, std::less<>> aggregates_;
 };
 
 /// The profiler of the current `Telemetry::global()` context.
@@ -162,13 +138,7 @@ class ProfileScope {
  public:
   explicit ProfileScope(const char* name)
       : active_(current_profiler().enabled()) {
-    if (active_) open(name, false, core::TimePoint::epoch());
-  }
-  /// Span carrying the simulation timestamp of its occurrence (exported
-  /// into the Chrome trace args for sim/wall correlation).
-  ProfileScope(const char* name, core::TimePoint sim_t)
-      : active_(current_profiler().enabled()) {
-    if (active_) open(name, true, sim_t);
+    if (active_) open(name);
   }
   ~ProfileScope() {
     if (active_) close();
@@ -177,15 +147,18 @@ class ProfileScope {
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-  static void open(const char* name, bool has_sim, core::TimePoint sim_t);
+  static void open(const char* name);
   static void close();
 
   bool active_;
 };
 
-/// Render the retained spans as a Chrome trace-event JSON object
+/// Render the aggregates as a Chrome trace-event JSON object
 /// (chrome://tracing / Perfetto "JSON" format): {"traceEvents":[...]},
-/// one "ph":"X" complete event per span, ts/dur in microseconds.
+/// one "ph":"X" event per span name (cat "aggregate", pid/tid 1) laid
+/// end to end on synthetic timestamps; `dur` is the summed wall time in
+/// microseconds and "args" carries self_us, depth 0, agg_count (spans
+/// folded in) and min_us/p50_us/max_us.
 void write_chrome_trace(std::ostream& out, const Profiler& profiler,
                         std::string_view run_name = "mntp");
 

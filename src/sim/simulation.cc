@@ -72,7 +72,7 @@ void Simulation::dispatch_next() {
 }
 
 void Simulation::run_until(core::TimePoint deadline) {
-  obs::ProfileScope profile(obs::spans::kSimRunUntil, now_);
+  obs::ProfileScope profile(obs::spans::kSimRunUntil);
   arm_sampler(deadline);
   // The dispatch count is batched into one counter update per run call:
   // per-event increments are measurable on the churn bench, and nothing
@@ -86,7 +86,7 @@ void Simulation::run_until(core::TimePoint deadline) {
 }
 
 void Simulation::run() {
-  obs::ProfileScope profile(obs::spans::kSimRun, now_);
+  obs::ProfileScope profile(obs::spans::kSimRun);
   const std::uint64_t before = executed_;
   while (!queue_.empty()) {
     dispatch_next();

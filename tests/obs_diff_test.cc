@@ -1,5 +1,6 @@
 // Cross-run diff engine (obs/diff.h): per-kind significance semantics,
-// the bench_compare.py gate math, profile span attribution, accounting
+// the bench gate math and budgets, the perf delta record, profile span
+// attribution (plain and aggregate events), accounting
 // reconciliation classes, query-trace share shifts, timeline divergence
 // scoring, and the load/kind-mismatch error paths. All fixtures are
 // written to gtest's temp dir so the suite runs from any CWD.
@@ -24,9 +25,12 @@ std::string write_file(const std::string& name, const std::string& content) {
 }
 
 std::string bench_doc(double engine_median, double engine_mad,
-                      bool with_tuner = true) {
+                      bool with_tuner = true,
+                      const std::string& compiler = "gcc") {
   std::string doc =
       "{\"schema_version\":1,\"kind\":\"mntp_perf_suite\",\"reps\":3,"
+      "\"warmup\":1,\"environment\":{\"compiler\":\"" + compiler +
+      "\",\"build_type\":\"Release\"},"
       "\"workloads\":[{\"name\":\"engine_round\",\"median_us\":" +
       std::to_string(engine_median) +
       ",\"mad_us\":" + std::to_string(engine_mad) + "}";
@@ -125,7 +129,7 @@ TEST(DiffBench, SelfDiffIsCleanAndExitsZero) {
 
 TEST(DiffBench, GateMatchesBenchCompareAllowance) {
   // limit = 1000 * (1 + 0.5) + max(200, 4*10) = 1700: exactly at the
-  // limit passes (bench_compare uses <=), one microsecond over fails.
+  // limit passes (the gate uses <=), one microsecond over fails.
   const std::string base = write_file("bench_b.json", bench_doc(1000.0, 10.0));
   const std::string at = write_file("bench_c.json", bench_doc(1700.0, 10.0));
   const std::string over = write_file("bench_d.json", bench_doc(1701.0, 10.0));
@@ -182,6 +186,114 @@ TEST(DiffBench, MissingWorkloadFailsNewWorkloadNotes) {
   EXPECT_EQ(added.value().exit_code(), 0);
 }
 
+TEST(DiffBench, BudgetGatesWithinTheCandidate) {
+  // tuner_grid_slice has median 200 in every bench_doc, so a 50% budget
+  // puts engine_round's limit at exactly 300. Self-diffs keep the
+  // workload gate clean: only the budgets can regress.
+  const auto run = [](double engine_median, const std::string& spec) {
+    const std::string p = write_file("budget.json", bench_doc(engine_median, 1));
+    DiffOptions opt;
+    opt.budgets.push_back(parse_bench_budget(spec).value());
+    auto r = diff_files(p, p, opt);
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return r.value();
+  };
+  const DiffResult at = run(300.0, "engine_round:tuner_grid_slice:50");
+  EXPECT_EQ(at.exit_code(), 0);
+  ASSERT_EQ(at.sections.size(), 2u);
+  EXPECT_EQ(at.sections[1].title, "budgets");
+  const DiffEntry* e = find_entry(at, "engine_round:tuner_grid_slice:50");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->before, 200.0);  // the reference workload
+  EXPECT_EQ(e->after, 300.0);
+  EXPECT_EQ(e->cls, "equal");
+
+  const DiffResult over = run(301.0, "engine_round:tuner_grid_slice:50");
+  EXPECT_EQ(over.regressions, 1u);
+  EXPECT_EQ(over.exit_code(), 1);
+
+  const DiffResult missing = run(100.0, "nope:tuner_grid_slice:50");
+  const DiffEntry* gone = find_entry(missing, "nope:tuner_grid_slice:50");
+  ASSERT_NE(gone, nullptr);
+  EXPECT_TRUE(gone->regression);
+  EXPECT_NE(gone->note.find("'nope' missing"), std::string::npos);
+  EXPECT_EQ(missing.exit_code(), 1);
+
+  EXPECT_EQ(run(200.0, "engine_round:tuner_grid_slice:0").exit_code(), 0);
+  EXPECT_EQ(run(201.0, "engine_round:tuner_grid_slice:0").exit_code(), 1);
+}
+
+TEST(DiffBench, BudgetSpecParsing) {
+  auto ok = parse_bench_budget("telemetry_overhead_off:engine_round:3");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().a, "telemetry_overhead_off");
+  EXPECT_EQ(ok.value().b, "engine_round");
+  EXPECT_EQ(ok.value().pct, 3.0);
+  for (const char* bad : {"", "a:b", "a:b:c:1", ":b:1", "a::1", "a:b:",
+                          "a:b:3x", "a:b:inf"}) {
+    EXPECT_FALSE(parse_bench_budget(bad).ok()) << bad;
+  }
+  // Budgets are a bench-only option.
+  const std::string prof =
+      write_file("budget_prof.json", profile_doc("p", 100.0, 80.0));
+  DiffOptions opt;
+  opt.budgets.push_back(ok.value());
+  EXPECT_FALSE(diff_files(prof, prof, opt).ok());
+}
+
+TEST(DiffBench, EnvironmentMismatchWarnsWithoutGating) {
+  const std::string gcc = write_file("env_a.json", bench_doc(1000.0, 10.0));
+  const std::string clang =
+      write_file("env_b.json", bench_doc(1000.0, 10.0, true, "clang"));
+  auto same = diff_files(gcc, gcc, {});
+  ASSERT_TRUE(same.ok());
+  EXPECT_TRUE(same.value().warnings.empty());
+  auto r = diff_files(gcc, clang, {});
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value().warnings.size(), 1u);
+  EXPECT_NE(r.value().warnings[0].find("environment.compiler"),
+            std::string::npos);
+  EXPECT_EQ(r.value().exit_code(), 0);
+}
+
+TEST(DiffBench, PerfDeltaRecord) {
+  const std::string base =
+      write_file("delta_a.json", bench_doc(1000.0, 10.0, false));
+  const std::string cand = write_file("delta_b.json", bench_doc(800.0, 4.0));
+  auto delta = render_perf_delta(base, cand);
+  ASSERT_TRUE(delta.ok()) << delta.error().message;
+  auto doc = core::Json::parse(delta.value());
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  EXPECT_EQ(doc.value()["kind"].as_string(), "mntp_perf_delta");
+  EXPECT_EQ(doc.value()["schema_version"].as_int(), 1);
+  EXPECT_EQ(doc.value()["environment"]["compiler"].as_string(), "gcc");
+  const auto& workloads = doc.value()["workloads"].as_array();
+  ASSERT_EQ(workloads.size(), 2u);  // candidate order
+  EXPECT_EQ(workloads[0]["name"].as_string(), "engine_round");
+  EXPECT_EQ(workloads[0]["after_median_us"].as_double(), 800.0);
+  EXPECT_EQ(workloads[0]["after_mad_us"].as_double(), 4.0);
+  EXPECT_EQ(workloads[0]["before_median_us"].as_double(), 1000.0);
+  EXPECT_EQ(workloads[0]["before_mad_us"].as_double(), 10.0);
+  EXPECT_EQ(workloads[0]["speedup"].as_double(), 1.25);
+  EXPECT_EQ(workloads[1]["name"].as_string(), "tuner_grid_slice");
+  EXPECT_TRUE(workloads[1]["before_median_us"].is_null());
+  EXPECT_EQ(workloads[1]["note"].as_string(), "new workload in this PR");
+
+  auto reverse = render_perf_delta(cand, base);
+  ASSERT_TRUE(reverse.ok());
+  const auto reverse_doc = core::Json::parse(reverse.value());
+  ASSERT_TRUE(reverse_doc.ok());
+  const auto& rw = reverse_doc.value()["workloads"].as_array();
+  ASSERT_EQ(rw.size(), 2u);
+  EXPECT_EQ(rw[0]["speedup"].as_double(), 0.8);
+  EXPECT_TRUE(rw[1]["after_median_us"].is_null());
+  EXPECT_EQ(rw[1]["note"].as_string(), "workload removed in this PR");
+
+  const std::string prof =
+      write_file("delta_prof.json", profile_doc("p", 100.0, 80.0));
+  EXPECT_FALSE(render_perf_delta(prof, prof).ok());
+}
+
 TEST(DiffProfile, PerturbedSpanIsTopContributor) {
   const std::string base =
       write_file("prof_a.json", profile_doc("base", 100.0, 80.0));
@@ -205,6 +317,27 @@ TEST(DiffProfile, PerturbedSpanIsTopContributor) {
   ASSERT_TRUE(self.ok());
   EXPECT_EQ(self.value().significant, 0u);
   EXPECT_EQ(self.value().exit_code(), 0);
+}
+
+TEST(DiffProfile, AggregateEventsCountTheirSpans) {
+  // The --profile-out form: one event per span name standing for
+  // args.agg_count spans. Counts sum over events of the same name.
+  const std::string compact = write_file(
+      "prof_compact.json",
+      "{\"traceEvents\":["
+      "{\"ph\":\"X\",\"name\":\"mntp.engine.round\",\"cat\":\"aggregate\","
+      "\"ts\":0,\"dur\":700,\"args\":{\"self_us\":600,\"depth\":0,"
+      "\"agg_count\":582820}},"
+      "{\"ph\":\"X\",\"name\":\"mntp.engine.round\",\"cat\":\"aggregate\","
+      "\"ts\":701,\"dur\":300,\"args\":{\"self_us\":200,\"depth\":0,"
+      "\"agg_count\":4}}]}");
+  auto r = diff_files(compact, compact, {});
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  const DiffEntry* e = find_entry(r.value(), "mntp.engine.round");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->before, 800.0);
+  EXPECT_EQ(e->note, "total 1000.0 -> 1000.0 us, count 582824 -> 582824");
+  EXPECT_EQ(r.value().exit_code(), 0);
 }
 
 TEST(DiffReport, AccountingCountersReconcileExactly) {

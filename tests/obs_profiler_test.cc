@@ -32,7 +32,7 @@ TEST(Profiler, DisabledRecordsNothing) {
   {
     ProfileScope span("test.disabled");
   }
-  EXPECT_TRUE(telemetry.profiler().records().empty());
+  EXPECT_TRUE(telemetry.profiler().stats().empty());
   EXPECT_EQ(telemetry.profiler().total_spans(), 0u);
 }
 
@@ -44,30 +44,17 @@ TEST(Profiler, RecordsCompletedSpans) {
   {
     ProfileScope span("test.outer");
   }
-  const auto records = p.telemetry.profiler().records();
-  ASSERT_EQ(records.size(), 2u);
-  for (const auto& r : records) {
-    EXPECT_STREQ(r.name, "test.outer");
-    EXPECT_EQ(r.depth, 0u);
-    EXPECT_GE(r.dur_ns, 0);
-    EXPECT_EQ(r.self_ns, r.dur_ns);  // no children
-    EXPECT_FALSE(r.has_sim);
-    EXPECT_GT(r.tid, 0u);
-  }
+  const auto stats = p.telemetry.profiler().stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].name, "test.outer");
+  EXPECT_EQ(stats[0].count, 2u);
+  EXPECT_GE(stats[0].total_ns, 0);
+  EXPECT_EQ(stats[0].self_ns, stats[0].total_ns);  // no children
+  EXPECT_LE(stats[0].min_ns, stats[0].max_ns);
+  EXPECT_EQ(p.telemetry.profiler().total_spans(), 2u);
 }
 
-TEST(Profiler, SimTimestampCarried) {
-  ProfiledScope p;
-  {
-    ProfileScope span("test.sim", core::TimePoint::from_ns(1'234'567));
-  }
-  const auto records = p.telemetry.profiler().records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].has_sim);
-  EXPECT_EQ(records[0].sim_t_ns, 1'234'567);
-}
-
-TEST(Profiler, NestingComputesDepthAndSelfTime) {
+TEST(Profiler, NestingComputesSelfTime) {
   ProfiledScope p;
   {
     ProfileScope outer("test.outer");
@@ -78,18 +65,17 @@ TEST(Profiler, NestingComputesDepthAndSelfTime) {
       ProfileScope inner_b("test.inner");
     }
   }
-  const auto records = p.telemetry.profiler().records();
-  ASSERT_EQ(records.size(), 3u);  // completion order: inner, inner, outer
-  const auto& inner_a = records[0];
-  const auto& inner_b = records[1];
-  const auto& outer = records[2];
-  EXPECT_STREQ(outer.name, "test.outer");
-  EXPECT_EQ(outer.depth, 0u);
-  EXPECT_EQ(inner_a.depth, 1u);
-  EXPECT_EQ(inner_b.depth, 1u);
+  const auto stats = p.telemetry.profiler().stats();
+  ASSERT_EQ(stats.size(), 2u);  // name-sorted: inner, outer
+  const auto& inner = stats[0];
+  const auto& outer = stats[1];
+  EXPECT_EQ(inner.name, "test.inner");
+  EXPECT_EQ(inner.count, 2u);
+  EXPECT_EQ(inner.self_ns, inner.total_ns);
+  EXPECT_EQ(outer.name, "test.outer");
   // Self time is exactly total minus the children's recorded durations.
-  EXPECT_EQ(outer.self_ns, outer.dur_ns - inner_a.dur_ns - inner_b.dur_ns);
-  EXPECT_GE(outer.dur_ns, inner_a.dur_ns + inner_b.dur_ns);
+  EXPECT_EQ(outer.self_ns, outer.total_ns - inner.total_ns);
+  EXPECT_GE(outer.total_ns, inner.total_ns);
 }
 
 TEST(Profiler, SpanCrossingScopedTelemetryRecordsWhereItOpened) {
@@ -108,15 +94,14 @@ TEST(Profiler, SpanCrossingScopedTelemetryRecordsWhereItOpened) {
       ProfileScope inner_span("test.crossing.inner");
     }
   }
-  const auto outer_records = outer_telemetry.profiler().records();
-  const auto inner_records = inner_telemetry.profiler().records();
-  ASSERT_EQ(outer_records.size(), 1u);
-  ASSERT_EQ(inner_records.size(), 1u);
-  EXPECT_STREQ(outer_records[0].name, "test.crossing.outer");
-  EXPECT_STREQ(inner_records[0].name, "test.crossing.inner");
-  EXPECT_EQ(inner_records[0].depth, 1u);
-  EXPECT_EQ(outer_records[0].self_ns,
-            outer_records[0].dur_ns - inner_records[0].dur_ns);
+  const auto outer_stats = outer_telemetry.profiler().stats();
+  const auto inner_stats = inner_telemetry.profiler().stats();
+  ASSERT_EQ(outer_stats.size(), 1u);
+  ASSERT_EQ(inner_stats.size(), 1u);
+  EXPECT_EQ(outer_stats[0].name, "test.crossing.outer");
+  EXPECT_EQ(inner_stats[0].name, "test.crossing.inner");
+  EXPECT_EQ(outer_stats[0].self_ns,
+            outer_stats[0].total_ns - inner_stats[0].total_ns);
 }
 
 TEST(Profiler, AggregatesAcrossThreadPoolWorkers) {
@@ -135,47 +120,27 @@ TEST(Profiler, AggregatesAcrossThreadPoolWorkers) {
   EXPECT_EQ(stats[0].count, kTasks);
   EXPECT_EQ(stats[1].name, "test.worker.nested");
   EXPECT_EQ(stats[1].count, kTasks);
-  // Every span got a valid per-thread id and consistent nesting depth,
-  // regardless of which worker ran it.
-  for (const auto& r : p.telemetry.profiler().records()) {
-    EXPECT_GT(r.tid, 0u);
-    EXPECT_EQ(r.depth, r.name == std::string("test.worker") ? 0u : 1u);
-  }
+  // Every worker thread kept its own span stack: each nested span was
+  // charged to its own thread's parent, whichever worker ran it.
+  EXPECT_EQ(stats[0].self_ns, stats[0].total_ns - stats[1].total_ns);
 }
 
 TEST(Profiler, StatsAggregateMatchesRecords) {
-  ProfiledScope p;
-  for (int i = 0; i < 10; ++i) {
-    ProfileScope span("test.agg");
+  Profiler profiler;
+  std::int64_t total = 0;
+  for (std::int64_t i = 0; i < 10; ++i) {
+    const std::int64_t dur = 1000 + (i * 7919) % 10 * 100;  // 1000..1900
+    profiler.record("test.agg", dur, dur / 2);
+    total += dur;
   }
-  const auto records = p.telemetry.profiler().records();
-  const auto stats = p.telemetry.profiler().stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].count, 10u);
-  std::int64_t total = 0, min = records[0].dur_ns, max = records[0].dur_ns;
-  for (const auto& r : records) {
-    total += r.dur_ns;
-    min = std::min(min, r.dur_ns);
-    max = std::max(max, r.dur_ns);
-  }
-  EXPECT_EQ(stats[0].total_ns, total);
-  EXPECT_EQ(stats[0].min_ns, min);
-  EXPECT_EQ(stats[0].max_ns, max);
-  EXPECT_LE(stats[0].min_ns, stats[0].max_ns);
-}
-
-TEST(Profiler, RecordCapCountsDroppedButKeepsAggregates) {
-  Profiler profiler(Profiler::Options{.max_records = 4});
-  for (int i = 0; i < 10; ++i) {
-    profiler.record(Profiler::SpanRecord{
-        .name = "test.cap", .tid = 1, .dur_ns = 100, .self_ns = 100});
-  }
-  EXPECT_EQ(profiler.records().size(), 4u);
-  EXPECT_EQ(profiler.dropped(), 6u);
-  EXPECT_EQ(profiler.total_spans(), 10u);
   const auto stats = profiler.stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].count, 10u);  // aggregates see every span
+  EXPECT_EQ(stats[0].count, 10u);
+  EXPECT_EQ(stats[0].total_ns, total);
+  EXPECT_EQ(stats[0].self_ns, total / 2);
+  EXPECT_EQ(stats[0].min_ns, 1000);
+  EXPECT_EQ(stats[0].max_ns, 1900);
+  EXPECT_EQ(profiler.total_spans(), 10u);
 }
 
 TEST(Profiler, P50WithinHdrBoundOfExactMedian) {
@@ -192,8 +157,7 @@ TEST(Profiler, P50WithinHdrBoundOfExactMedian) {
     Profiler profiler;
     for (int i = 0; i <= 100; ++i) {  // 37 is coprime to 101: a permutation
       const std::int64_t d = durs[static_cast<std::size_t>(i * 37 % 101)];
-      profiler.record(Profiler::SpanRecord{
-          .name = "test.p50", .tid = 1, .dur_ns = d, .self_ns = d});
+      profiler.record("test.p50", d, d);
     }
     const double exact = static_cast<double>(durs[50]);
     const auto stats = profiler.stats();
@@ -219,8 +183,7 @@ TEST(Profiler, ExportToMetricsPublishesGauges) {
 TEST(Profiler, ChromeTraceIsValidJsonWithExpectedShape) {
   ProfiledScope p;
   {
-    ProfileScope outer("test.trace.outer",
-                       core::TimePoint::from_ns(5'000'000'000));
+    ProfileScope outer("test.trace.outer");
     ProfileScope inner("test.trace.inner");
   }
   std::ostringstream out;
@@ -229,23 +192,53 @@ TEST(Profiler, ChromeTraceIsValidJsonWithExpectedShape) {
   ASSERT_TRUE(doc.ok()) << doc.error().message;
   const core::Json& root = doc.value();
   EXPECT_EQ(root["otherData"]["run"].as_string(), "unit_test");
+  EXPECT_EQ(root["otherData"]["span_count"].as_int(), 2);
   const auto& events = root["traceEvents"].as_array();
-  ASSERT_EQ(events.size(), 3u);  // process_name metadata + 2 spans
+  ASSERT_EQ(events.size(), 3u);  // process_name metadata + 2 span names
   EXPECT_EQ(events[0]["ph"].as_string(), "M");
   EXPECT_EQ(events[0]["args"]["name"].as_string(), "unit_test");
-  bool saw_outer = false;
-  for (const core::Json& e : events) {
-    if (e["ph"].as_string() != "X") continue;
-    EXPECT_EQ(e["cat"].as_string(), "span");
+  // One aggregate event per span name, name-sorted, laid end to end.
+  EXPECT_EQ(events[1]["name"].as_string(), "test.trace.inner");
+  EXPECT_EQ(events[2]["name"].as_string(), "test.trace.outer");
+  EXPECT_GE(events[2]["ts"].as_double(),
+            events[1]["ts"].as_double() + events[1]["dur"].as_double());
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    const core::Json& e = events[i];
+    EXPECT_EQ(e["ph"].as_string(), "X");
+    EXPECT_EQ(e["cat"].as_string(), "aggregate");
+    EXPECT_EQ(e["pid"].as_int(), 1);
+    EXPECT_EQ(e["tid"].as_int(), 1);
     EXPECT_GE(e["dur"].as_double(), 0.0);
-    EXPECT_LE(e["args"]["self_us"].as_double(), e["dur"].as_double() + 1e-3);
-    if (e["name"].as_string() == "test.trace.outer") {
-      saw_outer = true;
-      EXPECT_EQ(e["args"]["sim_t_ns"].as_int(), 5'000'000'000);
-      EXPECT_EQ(e["args"]["depth"].as_int(), 0);
-    }
+    const core::Json& args = e["args"];
+    EXPECT_LE(args["self_us"].as_double(), e["dur"].as_double());
+    EXPECT_EQ(args["depth"].as_int(), 0);
+    EXPECT_EQ(args["agg_count"].as_int(), 1);
+    EXPECT_LE(args["min_us"].as_double(), args["max_us"].as_double());
+    EXPECT_TRUE(args.has("p50_us"));
   }
-  EXPECT_TRUE(saw_outer);
+}
+
+TEST(Profiler, ChromeTraceHasOneEventPerSpanName) {
+  // The export size depends on the span names, not the span count:
+  // 10,000 spans of one name export as one event with exact sums.
+  Profiler profiler;
+  for (int i = 0; i < 10'000; ++i) {
+    profiler.record("test.many", 1500 + (i % 2) * 1000, 1000);
+  }
+  std::ostringstream out;
+  write_chrome_trace(out, profiler, "many");
+  const auto doc = core::Json::parse(out.str());
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  const auto& events = doc.value()["traceEvents"].as_array();
+  ASSERT_EQ(events.size(), 2u);
+  const core::Json& e = events[1];
+  EXPECT_EQ(e["name"].as_string(), "test.many");
+  EXPECT_DOUBLE_EQ(e["dur"].as_double(), 5000 * 1.5 + 5000 * 2.5);
+  EXPECT_DOUBLE_EQ(e["args"]["self_us"].as_double(), 10'000 * 1.0);
+  EXPECT_EQ(e["args"]["agg_count"].as_int(), 10'000);
+  EXPECT_DOUBLE_EQ(e["args"]["min_us"].as_double(), 1.5);
+  EXPECT_DOUBLE_EQ(e["args"]["max_us"].as_double(), 2.5);
+  EXPECT_LT(out.str().size(), 1024u);
 }
 
 TEST(Profiler, ClearResetsEverythingButEnabled) {
@@ -254,7 +247,6 @@ TEST(Profiler, ClearResetsEverythingButEnabled) {
     ProfileScope span("test.clear");
   }
   p.telemetry.profiler().clear();
-  EXPECT_TRUE(p.telemetry.profiler().records().empty());
   EXPECT_TRUE(p.telemetry.profiler().stats().empty());
   EXPECT_EQ(p.telemetry.profiler().total_spans(), 0u);
   EXPECT_TRUE(p.telemetry.profiler().enabled());

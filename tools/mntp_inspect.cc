@@ -18,7 +18,9 @@
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
 // same kind and has its own exit contract: 0 identical within
-// tolerance, 1 significant regression, 2 error.
+// tolerance, 1 significant regression, 2 error. On a bench pair it is
+// the perf gate: `--budget A:B:PCT` (repeatable) adds within-candidate
+// budgets, and `--write-delta PATH` writes the BENCH_pr*.json record.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -53,7 +55,8 @@ struct Options {
   std::size_t width = 64;    // timeline: sparkline columns
   bool diff = false;         // `diff` subcommand (cross-run comparison)
   bool json = false;         // diff: machine output instead of tables
-  mntp::obs::DiffOptions diff_opt;  // tolerance/floor/divergence/top
+  std::string write_delta;   // diff: BENCH_pr*.json record path (bench)
+  mntp::obs::DiffOptions diff_opt;  // tolerance/floor/divergence/budgets
 };
 
 /// Checked numeric flag parsing: the whole argument must be a number
@@ -534,9 +537,9 @@ int inspect_profile(const std::string& path, const Json& doc) {
   struct Agg {
     std::size_t count = 0;
     double total_us = 0, self_us = 0, min_us = 0, max_us = 0;
+    bool has_range = true;  // false once an event lacks min/max
   };
   std::map<std::string, Agg> by_name;
-  std::map<std::int64_t, std::size_t> by_tid;
   for (const Json& e : events.as_array()) {
     const std::string& ph = e["ph"].as_string();
     if (ph == "M") {
@@ -546,18 +549,25 @@ int inspect_profile(const std::string& path, const Json& doc) {
       continue;
     }
     if (ph != "X") continue;
+    // An aggregate event (--profile-out) stands for agg_count spans and
+    // carries their range in args; a plain event is one span.
+    const Json& args = e["args"];
     const double dur = e["dur"].as_double();
+    const bool aggregate = args.has("agg_count");
+    const bool has_range = !aggregate || args.has("min_us");
+    const double lo = aggregate ? args["min_us"].as_double() : dur;
+    const double hi = aggregate ? args["max_us"].as_double() : dur;
     Agg& agg = by_name[e["name"].as_string()];
-    if (agg.count == 0) agg.min_us = agg.max_us = dur;
-    agg.min_us = std::min(agg.min_us, dur);
-    agg.max_us = std::max(agg.max_us, dur);
-    ++agg.count;
+    agg.min_us = agg.count == 0 ? lo : std::min(agg.min_us, lo);
+    agg.max_us = agg.count == 0 ? hi : std::max(agg.max_us, hi);
+    agg.has_range = agg.has_range && has_range;
+    agg.count +=
+        aggregate ? static_cast<std::size_t>(args["agg_count"].as_int()) : 1;
     agg.total_us += dur;
-    agg.self_us += e["args"]["self_us"].as_double();
-    ++by_tid[e["tid"].as_int()];
+    agg.self_us += args["self_us"].as_double();
   }
-  std::printf("span profile: %s\n  run=%s  %zu span names, %zu threads\n",
-              path.c_str(), run_name.c_str(), by_name.size(), by_tid.size());
+  std::printf("span profile: %s\n  run=%s  %zu span names\n", path.c_str(),
+              run_name.c_str(), by_name.size());
   // Hottest first — total wall time is the question a profile answers.
   std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
                                                 by_name.end());
@@ -572,8 +582,8 @@ int inspect_profile(const std::string& path, const Json& doc) {
                    mntp::core::fmt_double(agg.self_us / 1e3),
                    mntp::core::fmt_double(agg.total_us /
                                           static_cast<double>(agg.count)),
-                   mntp::core::fmt_double(agg.min_us),
-                   mntp::core::fmt_double(agg.max_us)});
+                   agg.has_range ? mntp::core::fmt_double(agg.min_us) : "-",
+                   agg.has_range ? mntp::core::fmt_double(agg.max_us) : "-"});
   }
   std::printf("%s\n", table.render().c_str());
   return 0;
@@ -932,13 +942,30 @@ int main(int argc, char** argv) {
       if (!take_value(value) || !parse_size_arg(value, opt.diff_opt.top)) {
         return bad_value(flag, value);
       }
+    } else if (flag == "--budget") {
+      if (!take_value(value)) return bad_value(flag, value);
+      auto budget = mntp::obs::parse_bench_budget(value);
+      if (!budget.ok()) {
+        std::fprintf(stderr, "mntp-inspect: --budget: %s\n",
+                     budget.error().message.c_str());
+        return 2;
+      }
+      opt.diff_opt.budgets.push_back(budget.value());
+    } else if (flag == "--write-delta") {
+      if (!take_value(value) || *value == '\0') {
+        std::fprintf(stderr, "mntp-inspect: --write-delta needs a path\n");
+        return 2;
+      }
+      opt.write_delta = value;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: mntp-inspect [--sigma N] <file>...\n"
           "       mntp-inspect explain [--query ID] [--limit N] <trace>...\n"
           "       mntp-inspect timeline [--series S] [--width N] <timeline>...\n"
           "       mntp-inspect diff [--json] [--tolerance R] [--abs-floor-us N]\n"
-          "                         [--sigma N] [--divergence D] [--top N] <A> <B>\n"
+          "                         [--sigma N] [--divergence D] [--top N]\n"
+          "                         [--budget A:B:PCT]... [--write-delta PATH]\n"
+          "                         <A> <B>\n"
           "  summarizes JSONL run reports, Chrome span profiles,\n"
           "  BENCH_results.json files, query-trace and timeline JSONL (kind\n"
           "  detected from content). `explain` adds per-query causal\n"
@@ -947,11 +974,16 @@ int main(int argc, char** argv) {
           "  sparklines with step-change flags (--series filters by\n"
           "  substring, --width sets sparkline columns).\n"
           "  `diff` compares two artifacts of the same kind and attributes\n"
-          "  the change: bench medians gate with the bench_compare.py math,\n"
-          "  profile spans rank by self-time contribution, report counters\n"
-          "  get exact-reconciliation classes, query traces compare verdict\n"
-          "  shares, timelines score per-series divergence; --json emits the\n"
-          "  machine-readable triage record (kind mntp_diff).\n"
+          "  the change: bench medians gate at B <= A * (1 + tolerance) +\n"
+          "  max(abs-floor, 4 * MAD), profile spans rank by self-time\n"
+          "  contribution, report counters get exact-reconciliation classes,\n"
+          "  query traces compare verdict shares, timelines score per-series\n"
+          "  divergence; --json emits the machine-readable triage record\n"
+          "  (kind mntp_diff). Bench pairs only: --budget A:B:PCT fails\n"
+          "  unless median(A) <= median(B) * (1 + PCT/100), both medians\n"
+          "  taken from the candidate (second) file;\n"
+          "  --write-delta PATH writes the before/after record (kind\n"
+          "  mntp_perf_delta), even when the gate fails.\n"
           "  artifacts with an unknown schema_version render best-effort\n"
           "  behind a stderr warning (exit stays 0).\n"
           "  exit codes: 0 ok, 1 unreadable/unrecognized artifact,\n"
@@ -974,7 +1006,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: mntp-inspect diff [--json] [--tolerance R] "
                    "[--abs-floor-us N] [--sigma N] [--divergence D] "
-                   "[--top N] <A> <B>\n");
+                   "[--top N] [--budget A:B:PCT]... [--write-delta PATH] "
+                   "<A> <B>\n");
       return 2;
     }
     auto result = mntp::obs::diff_files(paths[0], paths[1], opt.diff_opt);
@@ -983,14 +1016,33 @@ int main(int argc, char** argv) {
                    result.error().message.c_str());
       return 2;
     }
+    for (const std::string& warning : result.value().warnings) {
+      std::fprintf(stderr, "mntp-inspect: warning: %s\n", warning.c_str());
+    }
+    if (!opt.write_delta.empty()) {
+      auto delta = mntp::obs::render_perf_delta(paths[0], paths[1]);
+      if (!delta.ok()) {
+        std::fprintf(stderr, "mntp-inspect: --write-delta: %s\n",
+                     delta.error().message.c_str());
+        return 2;
+      }
+      std::ofstream out(opt.write_delta);
+      if (!(out << delta.value()).flush()) {
+        std::fprintf(stderr, "mntp-inspect: --write-delta: cannot write %s\n",
+                     opt.write_delta.c_str());
+        return 2;
+      }
+    }
     const std::string rendered =
         opt.json ? mntp::obs::render_diff_json(result.value(), opt.diff_opt)
                  : mntp::obs::render_diff_text(result.value(), opt.diff_opt);
     std::fputs(rendered.c_str(), stdout);
     return result.value().exit_code();
   }
-  if (opt.json) {
-    std::fprintf(stderr, "mntp-inspect: --json requires the diff mode\n");
+  if (opt.json || !opt.diff_opt.budgets.empty() || !opt.write_delta.empty()) {
+    std::fprintf(stderr,
+                 "mntp-inspect: --json, --budget and --write-delta require "
+                 "the diff mode\n");
     return 2;
   }
   if (paths.empty()) {
