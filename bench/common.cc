@@ -334,12 +334,9 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       parse_size_flag(argc, argv, "--query-trace-reservoir", 0);
   const bool query_stream =
       parse_bool_flag(argc, argv, "--query-trace-stream");
-  const std::string trace_stream_path =
-      parse_flag(argc, argv, "--trace-stream-out");
   const std::size_t cadence_ms =
       parse_size_flag(argc, argv, "--timeline-cadence-ms", 1000);
 
-  if (enabled()) telemetry_.add_sink(&trace_);
   if (profiling()) telemetry_.profiler().set_enabled(true);
   if (query_tracing()) {
     obs::QueryTracer& qt = telemetry_.query_tracer();
@@ -359,14 +356,6 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       }
     }
   }
-  if (!trace_stream_path.empty()) {
-    if (event_stream_.open(trace_stream_path)) {
-      telemetry_.add_sink(&event_stream_);
-    } else {
-      std::fprintf(stderr, "trace stream failed to open %s\n",
-                   trace_stream_path.c_str());
-    }
-  }
   if (timeline_enabled()) {
     telemetry_.timeseries().set_cadence(
         core::Duration::milliseconds(std::max<std::size_t>(1, cadence_ms)));
@@ -384,16 +373,15 @@ void BenchTelemetry::account_artifact(const std::string& path) {
 bool BenchTelemetry::write_report(core::TimePoint sim_end) {
   if (!enabled()) return true;
   const core::Status status = obs::write_run_report_file(
-      out_path_, telemetry_, &trace_,
+      out_path_, telemetry_,
       obs::ReportOptions{.run_name = run_name_, .sim_end = sim_end});
   if (!status.ok()) {
     std::fprintf(stderr, "telemetry report failed: %s\n",
                  status.error().message.c_str());
     return false;
   }
-  std::printf("\ntelemetry report: %s (%zu metrics, %zu events)\n",
-              out_path_.c_str(), telemetry_.metrics().snapshot().size(),
-              trace_.events().size());
+  std::printf("\ntelemetry report: %s (%zu metrics)\n", out_path_.c_str(),
+              telemetry_.metrics().snapshot().size());
   return true;
 }
 
@@ -456,21 +444,6 @@ bool BenchTelemetry::write_timeline(core::TimePoint sim_end) {
   return true;
 }
 
-bool BenchTelemetry::close_event_stream(core::TimePoint sim_end) {
-  if (!event_streaming()) return true;
-  if (!event_stream_.close(run_name_, sim_end)) {
-    std::fprintf(stderr, "trace stream close failed\n");
-    return false;
-  }
-  // Counters survive close(); read them after so the final flush counts.
-  const std::uint64_t bytes = event_stream_.bytes_written();
-  std::printf("trace stream: %llu events (%llu bytes)\n",
-              static_cast<unsigned long long>(event_stream_.events()),
-              static_cast<unsigned long long>(bytes));
-  if (obs_self_) artifact_bytes_ += bytes;
-  return true;
-}
-
 bool BenchTelemetry::finalize(core::TimePoint sim_end) {
   bool ok = true;
   // Export span aggregates BEFORE the run report so profile.span.*
@@ -496,18 +469,16 @@ bool BenchTelemetry::finalize(core::TimePoint sim_end) {
     ok = write_profile() && ok;
     ok = write_query_trace(sim_end) && ok;
     ok = write_timeline(sim_end) && ok;
-    ok = close_event_stream(sim_end) && ok;
     return ok;
   }
   // Self-metering: write every other artifact first so its cost is
   // known, fold the obs.self.* family into the registry, and write the
   // report LAST so it carries the measurements. (The report cannot
   // account its own bytes; obs.self.bytes_written covers the profile,
-  // query-trace, timeline and stream artifacts.)
+  // query-trace and timeline artifacts.)
   ok = write_profile() && ok;
   ok = write_query_trace(sim_end) && ok;
   ok = write_timeline(sim_end) && ok;
-  ok = close_event_stream(sim_end) && ok;
   obs::MetricsRegistry& metrics = telemetry_.metrics();
   const auto merge_start = std::chrono::steady_clock::now();
   const std::size_t merged_series = metrics.snapshot().size();
@@ -521,15 +492,13 @@ bool BenchTelemetry::finalize(core::TimePoint sim_end) {
   metrics.counter(obs::metric_names::kObsSelfBytesWritten)
       ->inc(artifact_bytes_);
   metrics.counter(obs::metric_names::kObsSelfStreamFlushes)
-      ->inc(query_stream_.flushes() + event_stream_.flushes() +
-            timeline_flushes_);
+      ->inc(query_stream_.flushes() + timeline_flushes_);
   metrics.gauge(obs::metric_names::kObsSelfMergeWallUs)->set(merge_us);
   std::printf(
       "telemetry self: %llu artifact bytes, %llu stream flushes, "
       "merge %zu series in %.1f us\n",
       static_cast<unsigned long long>(artifact_bytes_),
       static_cast<unsigned long long>(query_stream_.flushes() +
-                                      event_stream_.flushes() +
                                       timeline_flushes_),
       merged_series, merge_us);
   ok = write_report(sim_end) && ok;

@@ -24,7 +24,6 @@
 #include "obs/report.h"
 #include "obs/streaming.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 #include "sim/replicate.h"
 
 namespace mntp::bench {
@@ -193,9 +192,6 @@ void reject_unknown_flags(int argc, char** argv);
 ///   * `--query-trace-stream` — stream finished traces straight to
 ///     --query-trace-out through a bounded reorder buffer instead of
 ///     retaining them (obs/streaming.h); memory stays O(open queries).
-///   * `--trace-stream-out <path>` — stream trace events to a JSONL
-///     file (kind "mntp_trace_events") as they are emitted, unbounded by
-///     the ring buffer's capacity.
 ///   * `--obs-self` — meter the telemetry itself: finalize() writes the
 ///     run report LAST and folds an obs.self.* metric family (artifact
 ///     bytes, stream flushes, registry merge wall time) plus the
@@ -234,10 +230,6 @@ class BenchTelemetry {
 
   /// True when --query-trace-stream was passed (and the sink opened).
   [[nodiscard]] bool query_trace_streaming() const { return query_streaming_; }
-  /// True when --trace-stream-out was passed (and the sink opened).
-  [[nodiscard]] bool event_streaming() const {
-    return event_stream_.is_open();
-  }
   /// True when --obs-self was passed (self-overhead metering).
   [[nodiscard]] bool self_metering() const { return obs_self_; }
 
@@ -250,7 +242,6 @@ class BenchTelemetry {
   bool write_profile();
   bool write_query_trace(core::TimePoint sim_end);
   bool write_timeline(core::TimePoint sim_end);
-  bool close_event_stream(core::TimePoint sim_end);
   /// Adds the on-disk size of `path` to artifact_bytes_ (self-metering).
   void account_artifact(const std::string& path);
 
@@ -264,9 +255,7 @@ class BenchTelemetry {
   std::uint64_t artifact_bytes_ = 0;
   std::uint64_t timeline_flushes_ = 0;
   obs::Telemetry telemetry_;
-  obs::RingBufferSink trace_;
   obs::StreamingQueryTraceSink query_stream_;
-  obs::StreamingTraceEventSink event_stream_;
   obs::ScopedTelemetry scope_;
 };
 

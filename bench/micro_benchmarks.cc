@@ -17,7 +17,6 @@
 #include "ntp/testbed.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 #include "sim/event_queue.h"
 
 using namespace mntp;
@@ -263,44 +262,6 @@ void BM_EngineRoundQueryTraceEnabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineRoundQueryTraceEnabled);
-
-void BM_EngineRoundTracedNullSink(benchmark::State& state) {
-  obs::Telemetry telemetry;
-  obs::NullSink sink;
-  telemetry.add_sink(&sink);
-  obs::ScopedTelemetry scope(telemetry);
-  protocol::MntpEngine engine(protocol::head_to_head_params(),
-                              core::TimePoint::epoch());
-  core::Rng rng(6);
-  std::int64_t t = 0;
-  std::vector<double> offsets(1);
-  for (auto _ : state) {
-    t += 5'000'000'000;
-    offsets[0] = rng.normal(0, 0.003);
-    auto r = engine.on_round(core::TimePoint::from_ns(t), offsets);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_EngineRoundTracedNullSink);
-
-void BM_EngineRoundTracedRingSink(benchmark::State& state) {
-  obs::Telemetry telemetry;
-  obs::RingBufferSink sink(1 << 12);
-  telemetry.add_sink(&sink);
-  obs::ScopedTelemetry scope(telemetry);
-  protocol::MntpEngine engine(protocol::head_to_head_params(),
-                              core::TimePoint::epoch());
-  core::Rng rng(6);
-  std::int64_t t = 0;
-  std::vector<double> offsets(1);
-  for (auto _ : state) {
-    t += 5'000'000'000;
-    offsets[0] = rng.normal(0, 0.003);
-    auto r = engine.on_round(core::TimePoint::from_ns(t), offsets);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_EngineRoundTracedRingSink);
 
 void BM_MetricsCounterInc(benchmark::State& state) {
   obs::Telemetry telemetry;

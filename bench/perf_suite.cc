@@ -43,7 +43,6 @@
 #include "mntp/tuner.h"
 #include "net/wireless_channel.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 #include "sim/simulation.h"
 
 // Build metadata injected by bench/CMakeLists.txt; the fallbacks keep
@@ -187,7 +186,7 @@ std::vector<Workload> build_workloads() {
       telemetry_round(tel, false);
     }});
     workloads.push_back({"telemetry_overhead_metrics", [telemetry_round] {
-      obs::Telemetry tel;  // enabled; counters record, no sinks/tracer
+      obs::Telemetry tel;  // enabled; counters record, no tracer
       telemetry_round(tel, false);
     }});
     workloads.push_back({"telemetry_overhead_trace", [telemetry_round] {

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Validate MNTP observability artifacts.
 
-Eight artifact kinds, detected from content (or forced with --kind):
+Seven artifact kinds, detected from content (or forced with --kind):
 
   * `report` — JSONL telemetry run report (schema v1, src/obs/report.h):
     line 1 is a `meta` object with schema_version 1 and run/sim_end_ns/
-    metric_count/event_count; every following line is a `metric` or an
-    `event` object with the fields its kind requires; metric lines
-    precede event lines, metric names are sorted, and the meta counts
-    match the actual body; histogram buckets have ascending finite
-    bounds with a final "inf" bucket whose counts sum to the histogram
-    count, and p50<=p90<=p99; event t_ns values are non-decreasing.
+    metric_count/event_count, where event_count is 0; every following
+    line is a `metric` object with the fields its kind requires; metric
+    names are sorted and the meta metric_count matches the body;
+    histogram buckets have ascending finite bounds with a final "inf"
+    bucket whose counts sum to the histogram count, and p50<=p90<=p99.
   * `profile` — Chrome trace-event JSON written by --profile-out
     (src/obs/profiler.h): a single object with a traceEvents array of
     "ph":"M" metadata and "ph":"X" complete events carrying numeric
@@ -34,10 +33,6 @@ Eight artifact kinds, detected from content (or forced with --kind):
     query_count == kept - reorder_dropped. Streamed artifacts
     (--query-trace-stream) additionally carry `streamed` and
     `reorder_dropped` meta keys.
-  * `trace-events` — streamed trace-event JSONL written by
-    --trace-stream-out (kind mntp_trace_events, src/obs/streaming.h):
-    line 1 is a close-patched `meta` object; every following line is an
-    `event` with non-decreasing t_ns; event_count matches the body.
   * `diff` — cross-run triage record written by `mntp-inspect diff
     --json` (kind mntp_diff, src/obs/diff.h): schema_version 1, the
     diffed artifact kind, a/b provenance, the significance options,
@@ -100,9 +95,11 @@ def check_meta(obj, lineno):
         fail(lineno, f"unsupported schema_version {obj['schema_version']}")
     if not isinstance(obj["run"], str) or not obj["run"]:
         fail(lineno, "meta 'run' must be a non-empty string")
-    for key in ("sim_end_ns", "metric_count", "event_count"):
+    for key in ("sim_end_ns", "metric_count"):
         if not isinstance(obj[key], int) or obj[key] < 0:
             fail(lineno, f"meta '{key}' must be a non-negative integer")
+    if obj["event_count"] != 0:
+        fail(lineno, f"meta 'event_count' must be 0, got {obj['event_count']}")
 
 
 def check_histogram(obj, lineno):
@@ -165,25 +162,9 @@ def check_metric(obj, lineno):
             fail(lineno, "counter value must be non-negative")
 
 
-def check_event(obj, lineno):
-    for key in ("t_ns", "category", "name", "fields"):
-        if key not in obj:
-            fail(lineno, f"event missing '{key}'")
-    if not isinstance(obj["t_ns"], int):
-        fail(lineno, "event 't_ns' must be an integer")
-    for key in ("category", "name"):
-        if not isinstance(obj[key], str) or not obj[key]:
-            fail(lineno, f"event '{key}' must be a non-empty string")
-    if not isinstance(obj["fields"], dict):
-        fail(lineno, "event 'fields' must be an object")
-
-
 def validate(path, require_prefixes):
     metric_names = []
-    events_seen = 0
-    last_t_ns = None
     meta = None
-    in_events = False
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             raw = raw.strip()
@@ -201,18 +182,8 @@ def validate(path, require_prefixes):
                 meta = obj
                 continue
             if kind == "metric":
-                if in_events:
-                    fail(lineno, "metric line after the first event line")
                 check_metric(obj, lineno)
                 metric_names.append(obj["name"])
-            elif kind == "event":
-                in_events = True
-                check_event(obj, lineno)
-                if last_t_ns is not None and obj["t_ns"] < last_t_ns:
-                    fail(lineno, f"event t_ns {obj['t_ns']} out of order "
-                                 f"(previous {last_t_ns})")
-                last_t_ns = obj["t_ns"]
-                events_seen += 1
             elif kind == "meta":
                 fail(lineno, "duplicate meta line")
             else:
@@ -224,10 +195,6 @@ def validate(path, require_prefixes):
         raise SystemExit(
             f"SCHEMA ERROR: meta metric_count {meta['metric_count']} != "
             f"{len(metric_names)} metric lines")
-    if meta["event_count"] != events_seen:
-        raise SystemExit(
-            f"SCHEMA ERROR: meta event_count {meta['event_count']} != "
-            f"{events_seen} event lines")
     if metric_names != sorted(metric_names):
         raise SystemExit("SCHEMA ERROR: metric lines not sorted by name")
 
@@ -237,8 +204,7 @@ def validate(path, require_prefixes):
                 f"SCHEMA ERROR: no metric with required prefix '{prefix}' "
                 f"(got {sorted(set(metric_names))})")
 
-    print(f"OK: {path} — {len(metric_names)} metrics, {events_seen} events, "
-          f"run '{meta['run']}'")
+    print(f"OK: {path} — {len(metric_names)} metrics, run '{meta['run']}'")
 
 
 def is_number(v):
@@ -507,64 +473,6 @@ def validate_query_trace(path):
             f"SCHEMA ERROR: meta query_count {meta['query_count']} != "
             f"{queries} query lines")
     print(f"OK: {path} — query trace with {queries} queries, "
-          f"run '{meta['run']}'")
-
-
-def validate_trace_events(path):
-    """Streamed trace-event JSONL from --trace-stream-out
-    (kind mntp_trace_events, src/obs/streaming.h): the meta line is
-    patched at close with the final event_count; every other line is an
-    event with non-decreasing t_ns (emission order is sim order)."""
-    meta = None
-    events_seen = 0
-    last_t_ns = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                fail(lineno, "blank line")
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                fail(lineno, f"invalid JSON: {e}")
-            kind = obj.get("type")
-            if lineno == 1:
-                if kind != "meta":
-                    fail(lineno, "first line must be the meta object")
-                for key in ("schema_version", "kind", "run", "sim_end_ns",
-                            "event_count"):
-                    if key not in obj:
-                        fail(lineno, f"meta missing '{key}'")
-                if obj["schema_version"] != 1:
-                    fail(lineno, f"unsupported schema_version "
-                                 f"{obj['schema_version']}")
-                if obj["kind"] != "mntp_trace_events":
-                    fail(lineno, f"meta kind must be 'mntp_trace_events', "
-                                 f"got {obj['kind']!r}")
-                for key in ("sim_end_ns", "event_count"):
-                    if not isinstance(obj[key], int) or obj[key] < 0:
-                        fail(lineno, f"meta '{key}' must be a non-negative "
-                                     "integer")
-                meta = obj
-                continue
-            if kind == "meta":
-                fail(lineno, "duplicate meta line")
-            if kind != "event":
-                fail(lineno, f"unknown line type '{kind}'")
-            check_event(obj, lineno)
-            if last_t_ns is not None and obj["t_ns"] < last_t_ns:
-                fail(lineno, f"event t_ns {obj['t_ns']} out of order "
-                             f"(previous {last_t_ns})")
-            last_t_ns = obj["t_ns"]
-            events_seen += 1
-
-    if meta is None:
-        raise SystemExit("SCHEMA ERROR: empty trace-event stream")
-    if meta["event_count"] != events_seen:
-        raise SystemExit(
-            f"SCHEMA ERROR: meta event_count {meta['event_count']} != "
-            f"{events_seen} event lines")
-    print(f"OK: {path} — trace-event stream with {events_seen} events, "
           f"run '{meta['run']}'")
 
 
@@ -945,9 +853,6 @@ def detect_kind(path):
             if isinstance(first, dict) and \
                     first.get("kind") == "mntp_timeline":
                 return "timeline"
-            if isinstance(first, dict) and \
-                    first.get("kind") == "mntp_trace_events":
-                return "trace-events"
         except (json.JSONDecodeError, UnicodeDecodeError):
             pass
         return "report"
@@ -965,9 +870,6 @@ def detect_kind(path):
     # Likewise a timeline with no non-empty series.
     if isinstance(doc, dict) and doc.get("kind") == "mntp_timeline":
         return "timeline"
-    # And an event stream that captured zero events.
-    if isinstance(doc, dict) and doc.get("kind") == "mntp_trace_events":
-        return "trace-events"
     raise SystemExit(f"SCHEMA ERROR: {path}: unrecognized artifact "
                      "(pass --kind to force)")
 
@@ -977,7 +879,7 @@ def main():
     parser.add_argument("artifact", nargs="?", help="artifact to validate")
     parser.add_argument("--kind",
                         choices=("report", "profile", "bench", "query-trace",
-                                 "timeline", "trace-events", "diff", "fleet"),
+                                 "timeline", "diff", "fleet"),
                         help="artifact kind; detected from content if omitted")
     parser.add_argument("--generate", metavar="BINARY",
                         help="bench binary to run with --telemetry-out "
@@ -999,7 +901,6 @@ def main():
         flag = {"profile": "--profile-out",
                 "query-trace": "--query-trace-out",
                 "timeline": "--timeline-out",
-                "trace-events": "--trace-stream-out",
                 "fleet": "--fleet-out"}.get(args.kind, "--telemetry-out")
         # The bench's own PASS/FAIL shape checks are not under test here;
         # only the telemetry output is.
@@ -1019,8 +920,6 @@ def main():
         validate_query_trace(path)
     elif kind == "timeline":
         validate_timeline(path)
-    elif kind == "trace-events":
-        validate_trace_events(path)
     elif kind == "diff":
         validate_diff(path)
     elif kind == "fleet":

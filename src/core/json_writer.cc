@@ -1,5 +1,6 @@
 #include "core/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -50,8 +51,8 @@ void append_json_number(std::string& out, double v) {
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out.append(buf, end);
 }
 
 JsonWriter& JsonWriter::value_fixed(double v, int decimals) {

@@ -3,15 +3,16 @@
 // Every observability artifact in this repo is JSON written by hand on a
 // hot(ish) path — run reports (obs/report.cc), Chrome trace profiles
 // (obs/profiler.cc), perf-suite baselines (bench/perf_suite.cc), query
-// traces (obs/query_trace.cc). Before this header each writer carried
-// its own copy of string escaping and number rendering; JsonWriter is
-// the single implementation they all append through.
+// traces (obs/query_trace.cc), timelines (obs/timeseries.cc) and diff
+// records (obs/diff.cc). JsonWriter is the single implementation of
+// string escaping and number rendering they all append through.
 //
 // The writer targets an append-only std::string (the callers' existing
 // idiom: build one line/object, then stream it), tracks nesting and
 // comma placement itself, and renders numbers the way the readers
-// expect: finite doubles via %.17g (round-trippable through strtod),
-// non-finite mapped to null (JSON has no inf/nan), integers exactly.
+// expect: finite doubles as the shortest string that round-trips
+// bit-exact through strtod (std::to_chars), non-finite mapped to null
+// (JSON has no inf/nan), integers exactly.
 // With `indent > 0` it pretty-prints (newline + indentation per
 // element) for human-facing artifacts like BENCH_results.json.
 //
@@ -31,8 +32,8 @@ namespace mntp::core {
 /// non-ASCII passes through as UTF-8).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Append `v` rendered as a JSON number: %.17g for finite values,
-/// `null` for inf/nan.
+/// Append `v` rendered as a JSON number: the shortest round-trip form
+/// for finite values, `null` for inf/nan.
 void append_json_number(std::string& out, double v);
 
 class JsonWriter {
@@ -115,12 +116,6 @@ class JsonWriter {
   }
   /// Fixed-decimal number (e.g. microsecond fields rendered "%.3f").
   JsonWriter& value_fixed(double v, int decimals);
-  /// Pre-rendered JSON; the caller vouches for its validity.
-  JsonWriter& raw(std::string_view json) {
-    element_prologue();
-    out_ += json;
-    return *this;
-  }
 
   template <typename T>
   JsonWriter& kv(std::string_view k, T&& v) {

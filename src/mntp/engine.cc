@@ -75,10 +75,6 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
 
 void MntpEngine::note_deferral(core::TimePoint t) {
   ++deferrals_;
-  if (telemetry_->tracing()) {
-    telemetry_->event(t, obs::categories::kMntp, "deferral",
-                      {{"phase", std::string(to_string(phase_))}});
-  }
   // Drivers that own a round trace (MntpClient) record the gate detail
   // and the verdict themselves — they install the round as ambient
   // before calling us. With no ambient (tuner emulate, direct engine
@@ -103,9 +99,6 @@ core::Duration MntpEngine::next_wait() const {
 
 void MntpEngine::restart(core::TimePoint t) {
   ++resets_;
-  if (telemetry_->tracing()) {
-    telemetry_->event(t, obs::categories::kMntp, "reset", {});
-  }
   cycle_start_ = t;
   filter_.reset();
   accepted_in_cycle_ = 0;
@@ -229,14 +222,6 @@ MntpEngine::RoundResult MntpEngine::on_round(
                                     .bootstrap = fd.bootstrap});
     withdraw_pruned();
     ++outcome_counts_[static_cast<std::size_t>(rr.outcome)];
-    if (telemetry_->tracing()) {
-      telemetry_->event(t, obs::categories::kMntp, "round",
-                        {{"outcome", std::string(to_string(rr.outcome))},
-                         {"phase", std::string(to_string(phase_))},
-                         {"offset_ms", measured * 1e3},
-                         {"residual_ms", rr.corrected_s * 1e3},
-                         {"sources", static_cast<std::int64_t>(offsets_s.size())}});
-    }
   }
 
   // Warm-up completion check (Algorithm 1 steps 11-13): period elapsed
@@ -246,11 +231,6 @@ MntpEngine::RoundResult MntpEngine::on_round(
       filter_.accepted_count() >= params_.min_warmup_samples) {
     enter_regular();
     rr.warmup_completed = true;
-    if (telemetry_->tracing()) {
-      telemetry_->event(
-          t, obs::categories::kMntp, "phase_transition",
-          {{"from", std::string("warmup")}, {"to", std::string("regular")}});
-    }
     if (round_id != 0) {
       qt.stage(round_id, t, "phase_transition", obs::Reason::kNone);
     }

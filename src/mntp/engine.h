@@ -170,8 +170,8 @@ class MntpEngine {
   /// Mark this cycle's records the filter has pruned since the last call.
   void withdraw_pruned();
 
-  // The ambient obs::Telemetry::global() at construction, for trace
-  // events and query-trace stages. The engine stays simulation-free:
+  // The ambient obs::Telemetry::global() at construction, for
+  // query-trace stages. The engine stays simulation-free:
   // obs depends only on core.
   obs::Telemetry* telemetry_ = nullptr;
   // Timeline probes (obs/timeseries.h): inert unless the recorder is

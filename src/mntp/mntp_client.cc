@@ -97,11 +97,6 @@ void MntpClient::attempt() {
   if (forced) {
     ++forced_emissions_;
     forced_counter_->inc();
-    if (sim_.telemetry().tracing()) {
-      sim_.telemetry().event(
-          sim_.now(), obs::categories::kMntp, "forced_emission",
-          {{"rssi_dbm", hints.rssi.value()}, {"noise_dbm", hints.noise.value()}});
-    }
   }
   last_emission_ = sim_.now();
   run_round();
@@ -169,10 +164,6 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
     clock_.step(core::Duration::from_seconds(rr.offset_s));
     engine_->note_clock_step(rr.offset_s);
     clock_steps_counter_->inc();
-    if (sim_.telemetry().tracing()) {
-      sim_.telemetry().event(now, obs::categories::kMntp, "clock_step",
-                             {{"step_ms", rr.offset_s * 1e3}});
-    }
     qt.stage(round_id, now, "clock_step", obs::Reason::kNone,
              {{"step_ms", rr.offset_s * 1e3}});
   }

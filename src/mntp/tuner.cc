@@ -157,10 +157,9 @@ std::string SearchEntry::to_string() const {
 
 std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
                                 const SearchOptions& options) {
-  obs::Telemetry& telemetry = obs::Telemetry::global();
   obs::ProfileScope profile(obs::spans::kTunerSearch);
-  obs::ShardedCounter* scored =
-      telemetry.metrics().counter(obs::metric_names::kTunerConfigsScored);
+  obs::ShardedCounter* scored = obs::Telemetry::global().metrics().counter(
+      obs::metric_names::kTunerConfigsScored);
 
   // Flatten the 4-deep cartesian product into an enumerated config
   // vector — warmup_period outermost, reset_period innermost, matching
@@ -202,25 +201,6 @@ std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
   } else {
     core::ThreadPool pool(options.threads);
     pool.parallel_for(0, out.size(), score);
-  }
-
-  // Emit per-config events AFTER scoring, in enumeration order, from
-  // this thread — the event stream stays deterministic under any thread
-  // count instead of interleaving in scheduler order.
-  if (telemetry.tracing()) {
-    // Grid search is trace-driven and has no simulated clock of its own;
-    // stamp with the trace's end time.
-    const core::TimePoint t =
-        core::TimePoint::epoch() +
-        core::Duration::from_seconds(trace.empty() ? 0.0
-                                                   : trace.records.back().t_s);
-    for (const SearchEntry& entry : out) {
-      telemetry.event(
-          t, obs::categories::kTuner, "config_scored",
-          {{"config", entry.to_string()},
-           {"rmse_ms", entry.rmse_ms},
-           {"requests", static_cast<std::int64_t>(entry.requests)}});
-    }
   }
   return out;
 }

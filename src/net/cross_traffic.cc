@@ -53,12 +53,6 @@ void CrossTrafficGenerator::begin_download() {
   utilization_->record(utilization);
   const double dur_s = rng_.lognormal(
       std::log(params_.median_download.to_seconds()), params_.download_sigma);
-  if (sim_.telemetry().tracing()) {
-    sim_.telemetry().event(sim_.now(), obs::categories::kNet,
-                           "xtraffic_download",
-                           {{"utilization", utilization},
-                            {"duration_s", dur_s}});
-  }
   pending_ = sim_.after(core::Duration::from_seconds(dur_s), [this] {
     ++completed_;
     downloads_counter_->inc();

@@ -11,15 +11,15 @@ namespace mntp::net {
 WirelessChannel::WirelessChannel(WirelessChannelParams params, core::Rng rng)
     : params_(params),
       rng_(std::move(rng)),
-      tx_power_(params.default_tx_power),
-      telemetry_(&obs::Telemetry::global()) {
+      tx_power_(params.default_tx_power) {
   if (params_.max_retries < 0) {
     throw std::invalid_argument("WirelessChannel: max_retries must be >= 0");
   }
   if (params_.snr_slope_db <= 0.0) {
     throw std::invalid_argument("WirelessChannel: snr_slope_db must be > 0");
   }
-  obs::MetricsRegistry& m = telemetry_->metrics();
+  obs::Telemetry& telemetry = obs::Telemetry::global();
+  obs::MetricsRegistry& m = telemetry.metrics();
   for (int d = 0; d < 2; ++d) {
     const obs::Labels dir{{"dir", d == 0 ? "up" : "down"}};
     tx_counter_[d] = m.counter(obs::metric_names::kNetWifiTx, dir);
@@ -27,7 +27,7 @@ WirelessChannel::WirelessChannel(WirelessChannelParams params, core::Rng rng)
     delay_ms_[d] = m.histogram(obs::metric_names::kNetWifiDelayMs, {}, dir);
   }
   bad_transitions_ = m.counter(obs::metric_names::kNetWifiBadStateTransitions);
-  obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
+  obs::TimeSeriesRecorder& ts = telemetry.timeseries();
   for (int d = 0; d < 2; ++d) {
     const obs::Labels labels{{"transport", "wifi"},
                              {"dir", d == 0 ? "up" : "down"}};
@@ -183,13 +183,6 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
                      {"spike_ms", spike.to_millis()},
                      {"snr_db", snr.value()},
                      {"utilization", utilization_}});
-  }
-  if (telemetry_->tracing() && spike > core::Duration::zero()) {
-    // Heavy-tail stalls are the events MNTP exists to dodge; trace them.
-    telemetry_->event(now, obs::categories::kNet, "wifi_spike",
-                      {{"dir", std::string(is_uplink ? "up" : "down")},
-                       {"delay_ms", delay.to_millis()},
-                       {"spike_ms", spike.to_millis()}});
   }
   return {.delivered = true, .delay = delay};
 }

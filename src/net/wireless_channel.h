@@ -161,7 +161,6 @@ class WirelessChannel {
 
   // Telemetry handles (per direction: [0]=up, [1]=down), bound at
   // construction to the then-current global obs context.
-  obs::Telemetry* telemetry_;
   obs::ShardedCounter* tx_counter_[2];
   obs::ShardedCounter* drop_counter_[2];
   obs::ShardedHdrHistogram* delay_ms_[2];

@@ -90,10 +90,6 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
     if (!*ex->engine_alive) return;
     ++timeouts_;
     timeout_counter_->inc();
-    if (sim_.telemetry().tracing()) {
-      sim_.telemetry().event(sim_.now(), obs::categories::kNtp,
-                             "query_timeout", {});
-    }
     if (qid != 0) {
       sim_.telemetry().query_tracer().finish(qid, sim_.now(),
                                              obs::Reason::kTimeout);

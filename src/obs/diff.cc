@@ -1,7 +1,6 @@
 #include "obs/diff.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -54,7 +53,7 @@ struct Artifact {
   };
   std::map<std::string, SpanAgg> spans;
 
-  // report: "name{labels}" -> scalar; histograms; event counts
+  // report: "name{labels}" -> scalar; histograms
   struct Scalar {
     double value = 0.0;
     bool accounting = false;  // mntp.* / obs.* counter: exact class
@@ -64,7 +63,6 @@ struct Artifact {
   };
   std::map<std::string, Scalar> scalars;
   std::map<std::string, HistRow> histograms;
-  std::map<std::string, double> event_counts;  // "category/name"
 
   // query-trace: "kind/reason" verdict buckets
   std::map<std::string, double> verdicts;
@@ -161,9 +159,6 @@ Result<Artifact> load_report(const std::vector<std::string>& lines) {
         art.scalars[key] = {line["value"].as_double(),
                             kind == "counter" && is_accounting_counter(name)};
       }
-    } else if (type == "event") {
-      art.event_counts[line["category"].as_string() + "/" +
-                       line["name"].as_string()] += 1.0;
     }
   }
   return art;
@@ -259,11 +254,6 @@ Result<Artifact> load_artifact(const std::string& path) {
       return annotate(load_query_trace({content}));
     }
     if (kind == "mntp_timeline") return annotate(load_timeline({content}));
-    if (kind == "mntp_trace_events") {
-      return Error::invalid_argument(
-          path + ": trace-event streams are not diffable (diff the run "
-                 "report or query trace of the same run instead)");
-    }
     if (!kind.empty()) {
       return Error::invalid_argument(path + ": unsupported artifact kind '" +
                                      kind + "'");
@@ -285,11 +275,6 @@ Result<Artifact> load_artifact(const std::string& path) {
   const std::string& kind = first.value()["kind"].as_string();
   if (kind == "mntp_query_trace") return annotate(load_query_trace(lines));
   if (kind == "mntp_timeline") return annotate(load_timeline(lines));
-  if (kind == "mntp_trace_events") {
-    return Error::invalid_argument(
-        path + ": trace-event streams are not diffable (diff the run "
-               "report or query trace of the same run instead)");
-  }
   return annotate(load_report(lines));
 }
 
@@ -615,12 +600,6 @@ DiffResult diff_report(const Artifact& a, const Artifact& b,
     tally(result, hsec);
     result.sections.push_back(std::move(hsec));
   }
-  if (!a.event_counts.empty() || !b.event_counts.empty()) {
-    DiffSection esec =
-        diff_named_values("events", a.event_counts, b.event_counts, rel_rule);
-    tally(result, esec);
-    result.sections.push_back(std::move(esec));
-  }
   return result;
 }
 
@@ -755,19 +734,6 @@ std::string fmt_opt(bool present, double v) {
   return present ? core::fmt_double(v) : std::string("-");
 }
 
-/// Shortest round-trip rendering, so a delta record repeats the medians
-/// exactly as the perf-suite files spell them.
-void put_number(core::JsonWriter& w, std::string_view key, double v) {
-  w.key(key);
-  if (!std::isfinite(v)) {
-    w.null();
-    return;
-  }
-  char buf[32];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
-  w.raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
-}
-
 }  // namespace
 
 core::Result<BenchBudget> parse_bench_budget(std::string_view spec) {
@@ -878,7 +844,7 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
   w.key("environment").begin_object();
   for (const auto& [key, value] : cand.doc["environment"].as_object()) {
     if (value.is_number()) {
-      put_number(w, key, value.as_double());
+      w.kv(key, value.as_double());
     } else {
       w.kv(key, value.as_string());
     }
@@ -890,14 +856,14 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
     const std::string& name = workload["name"].as_string();
     const Artifact::Workload& after = cand.workloads.at(name);
     w.begin_object().kv("name", name);
-    put_number(w, "after_median_us", after.median_us);
-    put_number(w, "after_mad_us", after.mad_us);
+    w.kv("after_median_us", after.median_us);
+    w.kv("after_mad_us", after.mad_us);
     const auto it = base.workloads.find(name);
     if (it == base.workloads.end()) {
       w.key("before_median_us").null().kv("note", "new workload in this PR");
     } else {
-      put_number(w, "before_median_us", it->second.median_us);
-      put_number(w, "before_mad_us", it->second.mad_us);
+      w.kv("before_median_us", it->second.median_us);
+      w.kv("before_mad_us", it->second.mad_us);
       // Rounded to 3 decimals, as in the committed records.
       const double speedup =
           after.median_us > 0.0
@@ -906,7 +872,7 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
                                 .c_str(),
                             nullptr)
               : std::nan("");
-      put_number(w, "speedup", speedup);
+      w.kv("speedup", speedup);
     }
     w.end_object();
   }
@@ -916,8 +882,8 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
     const Artifact::Workload& before = base.workloads.at(name);
     w.begin_object().kv("name", name);
     w.key("after_median_us").null();
-    put_number(w, "before_median_us", before.median_us);
-    put_number(w, "before_mad_us", before.mad_us);
+    w.kv("before_median_us", before.median_us);
+    w.kv("before_mad_us", before.mad_us);
     w.kv("note", "workload removed in this PR").end_object();
   }
   w.end_array().end_object();

@@ -1,4 +1,4 @@
-// Canonical metric, event-category and profiler-span name constants.
+// Canonical metric and profiler-span name constants.
 //
 // A metric series is keyed by its name *string*: a typo at one call site
 // does not fail to compile, it silently creates a second series that
@@ -8,21 +8,11 @@
 //
 // Naming convention: `<layer>.<component>.<quantity>` for metrics
 // (layer prefixes sim./net./ntp./mntp./tuner. are what the CTest schema
-// check asserts per-layer coverage against); bare layer tokens for event
-// categories; `<layer>.<scope>` for profiler spans.
+// check asserts per-layer coverage against); `<layer>.<scope>` for
+// profiler spans.
 #pragma once
 
 namespace mntp::obs {
-
-/// Trace-event categories (TraceEvent::category).
-namespace categories {
-inline constexpr const char kSim[] = "sim";
-inline constexpr const char kNet[] = "net";
-inline constexpr const char kNtp[] = "ntp";
-inline constexpr const char kMntp[] = "mntp";
-inline constexpr const char kTuner[] = "tuner";
-inline constexpr const char kFleet[] = "fleet";
-}  // namespace categories
 
 /// Metric (counter/gauge/histogram) names.
 namespace metric_names {

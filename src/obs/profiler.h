@@ -19,7 +19,7 @@
 // The profiler hangs off the `Telemetry` context (obs/telemetry.h), so
 // `ScopedTelemetry` injection isolates profiles per run exactly like it
 // isolates metrics. Profiling is OFF by default; `ProfileScope` guards on
-// a cached atomic flag (the same discipline as `Telemetry::tracing()`),
+// a cached atomic flag (the same discipline as `QueryTracer::enabled()`),
 // so an instrumented hot path in a non-profiled run pays one function
 // call, one relaxed load and one branch — nothing else. Nothing ever
 // reads profiler state back into simulation logic, so enabling profiling

@@ -49,15 +49,24 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/time.h"
 #include "obs/reason_codes.h"
-#include "obs/trace_event.h"
 
 namespace mntp::obs {
 
 class MetricsRegistry;
+
+/// Stage payload values keep JSON's scalar types; int64 covers counts
+/// and ns.
+using FieldValue = std::variant<std::int64_t, double, std::string, bool>;
+
+struct Field {
+  std::string key;
+  FieldValue value;
+};
 
 /// Monotonic per-tracer query identifier; 0 is "no query" (disabled).
 using QueryId = std::uint64_t;

@@ -1,12 +1,12 @@
 // Per-run telemetry reports: a machine-readable JSONL dump of the metrics
-// snapshot plus the captured trace, written by every bench binary when
-// `--telemetry-out <path>` is passed (see bench/common.h).
+// snapshot, written by every bench binary when `--telemetry-out <path>`
+// is passed (see bench/common.h).
 //
 // Schema (version 1; validated by scripts/check_telemetry_schema.py and
 // documented in DESIGN.md §Observability). One JSON object per line:
 //
 //   line 1   {"type":"meta","schema_version":1,"run":"<name>",
-//             "sim_end_ns":<int>,"metric_count":<int>,"event_count":<int>}
+//             "sim_end_ns":<int>,"metric_count":<int>,"event_count":0}
 //   metrics  {"type":"metric","kind":"counter","name":"..","labels":{..},
 //             "value":<num>}
 //            {"type":"metric","kind":"gauge",...,"value":<num>}
@@ -14,8 +14,11 @@
 //             "count":<int>,"sum":<num>,"min":<num>,"max":<num>,
 //             "p50":<num>,"p90":<num>,"p99":<num>,
 //             "buckets":[{"le":<num-or-"inf">,"count":<int>},...]}
-//   events   {"type":"event","t_ns":<int>,"category":"..","name":"..",
-//             "fields":{..}}   (sim-time order, ascending t_ns)
+//
+// event_count is always 0; it stays in the meta line so schema-v1
+// readers keep validating. Per-query decisions are in the query trace
+// (obs/query_trace.h), offset/drift series in the timeline
+// (obs/timeseries.h).
 #pragma once
 
 #include <ostream>
@@ -37,15 +40,21 @@ struct ReportOptions {
 /// Serialize one metric snapshot as its JSONL line.
 [[nodiscard]] std::string to_jsonl_line(const MetricSnapshot& snapshot);
 
-/// Write the full report: meta line, metric lines (name-sorted), then
-/// event lines (sim-time order) from `trace` when provided.
+/// Write the full report: meta line, then metric lines (name-sorted).
 void write_run_report(std::ostream& out, const Telemetry& telemetry,
-                      const RingBufferSink* trace, const ReportOptions& options);
+                      const ReportOptions& options);
 
 /// File variant; fails on unwritable paths.
 core::Status write_run_report_file(const std::string& path,
                                    const Telemetry& telemetry,
-                                   const RingBufferSink* trace,
                                    const ReportOptions& options);
+
+/// Shim for e2e_bench/workloads.cc; see RingBufferSink in obs/telemetry.h.
+inline core::Status write_run_report_file(const std::string& path,
+                                          const Telemetry& telemetry,
+                                          const RingBufferSink*,
+                                          const ReportOptions& options) {
+  return write_run_report_file(path, telemetry, options);
+}
 
 }  // namespace mntp::obs

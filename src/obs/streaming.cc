@@ -204,34 +204,6 @@ std::uint64_t StreamingQueryTraceSink::flushes() const {
   return writer_.flushes();
 }
 
-// --- StreamingTraceEventSink ----------------------------------------------
-
-bool StreamingTraceEventSink::open(const std::string& path,
-                                   ChunkedJsonlWriter::Options options) {
-  events_ = 0;
-  return writer_.open(path, options);
-}
-
-void StreamingTraceEventSink::on_event(const TraceEvent& event) {
-  writer_.line(to_jsonl_line(event));
-  ++events_;
-}
-
-bool StreamingTraceEventSink::close(std::string_view run,
-                                    core::TimePoint sim_end) {
-  std::string meta;
-  core::JsonWriter w(meta);
-  w.begin_object()
-      .kv("type", "meta")
-      .kv("schema_version", std::int64_t{1})
-      .kv("kind", "mntp_trace_events")
-      .kv("run", run)
-      .kv("sim_end_ns", sim_end.ns())
-      .kv("event_count", events_)
-      .end_object();
-  return writer_.close_with_meta(meta);
-}
-
 // --- Timeline through the chunked writer ----------------------------------
 
 core::Status write_timeline_chunked(const std::string& path,

@@ -13,7 +13,7 @@
 // mechanics make that work:
 //
 //   * Meta patching. JSONL puts the meta line FIRST, but its totals
-//     (query_count, event_count) are only known at the end. The writer
+//     (query_count, dropped) are only known at the end. The writer
 //     reserves a fixed-width, space-padded meta slot at offset 0 and
 //     rewrites it at close. Trailing spaces before the newline are
 //     insignificant to every JSON parser we ship against (core::Json
@@ -45,7 +45,6 @@
 #include "core/result.h"
 #include "core/time.h"
 #include "obs/query_trace.h"
-#include "obs/trace_event.h"
 
 namespace mntp::obs {
 
@@ -164,35 +163,6 @@ class StreamingQueryTraceSink {
   std::map<QueryId, std::optional<std::string>> pending_;
   std::uint64_t emitted_ = 0;
   std::uint64_t reorder_dropped_ = 0;
-};
-
-/// Streaming TraceSink for trace events (kind "mntp_trace_events"): one
-/// {"type":"event",...} line per event in emission order, meta patched
-/// at close with the final event_count. Needs no internal locking —
-/// Telemetry::emit serializes sink fan-out (see obs/telemetry.h).
-class StreamingTraceEventSink final : public TraceSink {
- public:
-  StreamingTraceEventSink() = default;
-
-  [[nodiscard]] bool open(const std::string& path,
-                          ChunkedJsonlWriter::Options options = {});
-  [[nodiscard]] bool is_open() const { return writer_.is_open(); }
-
-  void on_event(const TraceEvent& event) override;
-  void flush() override { writer_.flush(); }
-
-  /// Patch the meta line and close the file.
-  bool close(std::string_view run, core::TimePoint sim_end);
-
-  [[nodiscard]] std::uint64_t events() const { return events_; }
-  [[nodiscard]] std::uint64_t bytes_written() const {
-    return writer_.bytes_written();
-  }
-  [[nodiscard]] std::uint64_t flushes() const { return writer_.flushes(); }
-
- private:
-  ChunkedJsonlWriter writer_;
-  std::uint64_t events_ = 0;
 };
 
 /// Timeline export through the chunked writer: byte-identical to

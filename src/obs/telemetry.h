@@ -1,5 +1,6 @@
-// Telemetry context: one object bundling the metrics registry and the
-// trace-event sinks, global by default but injectable per run.
+// Telemetry context: one object bundling the metrics registry, the span
+// profiler, the per-query tracer and the sim-time series recorder,
+// global by default but injectable per run.
 //
 // Instrumented components resolve their metric handles from the telemetry
 // that is *current at their construction time*. The process-wide default
@@ -9,45 +10,34 @@
 // wants to observe:
 //
 //     obs::Telemetry tel;
-//     obs::RingBufferSink ring;
-//     tel.add_sink(&ring);
+//     tel.query_tracer().set_enabled(true);
 //     obs::ScopedTelemetry scope(tel);   // global() now returns tel
 //     ntp::Testbed bed(config);          // components bind to tel
-//     ...run...                           // tel.metrics(), ring.events()
+//     ...run...                           // tel.metrics(), tel.query_tracer()
 //
-// Tracing discipline: event *construction* is the expensive part (field
-// vectors, strings), so emitters must guard with `tracing()` — with no
-// sinks attached (the default), an instrumented hot path pays only its
-// counter increments.
+// With every recorder off (the default), an instrumented hot path pays
+// only its counter increments.
 //
-// Thread safety: metric recording is thread-safe (see obs/metrics.h) and
-// event emission serializes on an internal mutex, so concurrent writers
-// (e.g. tuner-search workers on a core::ThreadPool) never interleave
-// *within* a sink and sinks themselves need no locking as long as all
-// emission flows through one Telemetry. Cross-thread event ORDER is
-// whatever the mutex hands out — deterministic event streams must be
-// emitted from a single thread (the parallel searcher scores on workers
-// but emits its per-config events afterwards, in enumeration order, from
-// the caller). Sink attach/detach is also serialized, but reconfiguring
-// sinks while another thread emits is still a logic error — configure
-// before fanning work out.
+// Thread safety: metric recording is thread-safe (see obs/metrics.h), and
+// the profiler, query tracer and series recorder each serialize their own
+// stores, so concurrent writers (e.g. tuner-search workers on a
+// core::ThreadPool) may share one Telemetry.
 #pragma once
 
-#include <atomic>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
-
-#include "core/time.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/query_trace.h"
 #include "obs/timeseries.h"
-#include "obs/trace_event.h"
 
 namespace mntp::obs {
+
+// Compatibility shim whose only user is e2e_bench/workloads.cc, which is
+// frozen with BENCHMARK.json and still spells the deleted trace-event
+// API: it declares a RingBufferSink, attaches it with
+// Telemetry::add_sink, and passes it to the four-argument
+// write_run_report_file (obs/report.h). All three are no-ops or
+// forwards. Delete them with the next change to the benchmark.
+struct RingBufferSink {};
 
 class Telemetry {
  public:
@@ -82,36 +72,13 @@ class Telemetry {
     return timeseries_;
   }
 
-  /// Attach a non-owning sink; the sink must outlive this context (or be
-  /// removed first).
-  void add_sink(TraceSink* sink);
-  void remove_sink(TraceSink* sink);
-  void clear_sinks();
+  /// Shim for e2e_bench/workloads.cc; see RingBufferSink above.
+  void add_sink(const RingBufferSink*) {}
 
-  /// True when at least one sink is attached — emitters use this to skip
-  /// event construction entirely on untraced runs. Lock-free (reads a
-  /// cached atomic), so hot paths on any thread can poll it freely.
-  [[nodiscard]] bool tracing() const {
-    return has_sinks_.load(std::memory_order_relaxed);
-  }
-
-  /// Fan an event out to every sink. Cheap no-op without sinks, but
-  /// callers should still guard construction with tracing().
-  void emit(const TraceEvent& event);
-
-  /// Convenience emitter.
-  void event(core::TimePoint t, std::string_view category,
-             std::string_view name, std::vector<Field> fields = {});
-
-  void flush();
-
-  /// Master switch: disables metric recording AND event emission. Metric
-  /// handles stay valid; every record degrades to one branch. Used to
-  /// quantify instrumentation overhead.
-  void set_enabled(bool enabled);
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  /// Master switch for metric recording. Metric handles stay valid;
+  /// every record degrades to one branch. Used to quantify
+  /// instrumentation overhead.
+  void set_enabled(bool enabled) { metrics_.set_enabled(enabled); }
 
   /// The current process-wide context (the installed scoped context, or
   /// the built-in default).
@@ -125,10 +92,6 @@ class Telemetry {
   Profiler profiler_;
   QueryTracer query_tracer_;
   TimeSeriesRecorder timeseries_;
-  std::mutex sink_mutex_;  // serializes emit/flush and sink attach/detach
-  std::vector<TraceSink*> sinks_;
-  std::atomic<bool> has_sinks_{false};
-  std::atomic<bool> enabled_{true};
 };
 
 /// Installs `telemetry` as the global context for this scope; restores

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/json_writer.h"
+
 namespace mntp::core {
 namespace {
 
@@ -95,6 +106,53 @@ TEST(Json, CopiesShareStorageCheaply) {
   const Json b = a;  // shallow copy
   EXPECT_EQ(b["k"].size(), 3u);
   EXPECT_EQ(&a["k"].as_array(), &b["k"].as_array());
+}
+
+TEST(JsonEscape, HandlesSpecials) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
+}
+
+std::string render_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+TEST(JsonNumber, ShortestFormRoundTripsBitExact) {
+  EXPECT_EQ(render_number(0.1), "0.1");
+  EXPECT_EQ(render_number(1.5), "1.5");
+  EXPECT_EQ(render_number(3.0), "3");
+
+  std::vector<double> values = {5e-324, -0.0, 0.0, 1e300, -1e300, 1 / 3.0,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::epsilon()};
+  std::mt19937_64 gen(20240517);
+  while (values.size() < 10'000) {
+    const std::uint64_t bits = gen();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    const std::string text = render_number(v);
+    const double back = std::strtod(text.c_str(), nullptr);
+    std::uint64_t want = 0, got = 0;
+    std::memcpy(&want, &v, sizeof(v));
+    std::memcpy(&got, &back, sizeof(back));
+    EXPECT_EQ(got, want) << text;
+    // And the text is valid JSON the repo's own reader accepts.
+    ASSERT_TRUE(Json::parse(text).ok()) << text;
+  }
+
+  // JSON has no inf/nan; the writer must not emit an invalid token.
+  EXPECT_EQ(render_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(render_number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(render_number(std::nan("")), "null");
 }
 
 }  // namespace

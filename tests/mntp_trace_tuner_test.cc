@@ -9,7 +9,6 @@
 #include "mntp/tuner.h"
 #include "ntp/testbed.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 
 namespace mntp::protocol {
 namespace {
@@ -178,38 +177,6 @@ TEST(Searcher, ParallelOutputBitIdenticalToSerial) {
           << "entry " << i << ", " << threads << " threads";
     }
   }
-}
-
-TEST(Searcher, ParallelTunerEventStreamIdenticalToSerial) {
-  // The searcher's own events ("tuner" category) are emitted after
-  // scoring, in enumeration order, from the calling thread — so that
-  // sub-stream is bit-identical for any thread count. (Engine-internal
-  // events emitted while replays score on workers are mutex-serialized
-  // but interleave in scheduler order; they carry no cross-config
-  // information.)
-  const Trace t = make_noisy_trace(720);
-  const auto space = golden_space();
-
-  auto capture = [&](std::size_t threads) {
-    obs::Telemetry tel;
-    obs::RingBufferSink ring(1 << 18);
-    tel.add_sink(&ring);
-    obs::ScopedTelemetry scope(tel);
-    (void)tuner::search(t, space, {.threads = threads});
-    std::vector<std::string> lines;
-    for (std::size_t i = 0; i < ring.events().size(); ++i) {
-      if (ring.events()[i].category == "tuner") {
-        lines.push_back(obs::to_jsonl_line(ring.events()[i]));
-      }
-    }
-    EXPECT_EQ(ring.evicted(), 0u);
-    return lines;
-  };
-
-  const auto serial = capture(1);
-  const auto parallel = capture(4);
-  EXPECT_EQ(serial.size(), 18u);
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(Searcher, CountsEveryConfigOnceUnderParallelScoring) {

@@ -436,7 +436,7 @@ TEST(DiffErrors, MixedKindsMalformedAndUnsupported) {
       "\"schema_version\":1}\n");
   auto undiffable = diff_files(trace, trace, {});
   ASSERT_FALSE(undiffable.ok());
-  EXPECT_NE(undiffable.error().message.find("not diffable"),
+  EXPECT_NE(undiffable.error().message.find("unsupported artifact kind"),
             std::string::npos);
 
   const std::string delta = write_file(

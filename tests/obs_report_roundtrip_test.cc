@@ -1,5 +1,5 @@
 // Round-trip check for the run-report JSONL writer (obs/report.h): build
-// a populated Telemetry + trace, serialize with write_run_report, parse
+// a populated Telemetry, serialize with write_run_report, parse
 // every line back with core::Json and verify the schema contract the
 // Python validator and mntp-inspect both rely on.
 #include "obs/report.h"
@@ -13,7 +13,6 @@
 #include "core/json.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
-#include "obs/trace_event.h"
 
 namespace mntp::obs {
 namespace {
@@ -33,25 +32,17 @@ std::vector<core::Json> parse_lines(const std::string& text) {
 
 struct ReportFixture {
   Telemetry telemetry;
-  RingBufferSink trace;
 
   ReportFixture() {
-    telemetry.add_sink(&trace);
     telemetry.metrics().counter("test.requests")->inc(7);
     telemetry.metrics().gauge("test.depth", {{"queue", "main"}})->set(3.5);
     ShardedHdrHistogram* h = telemetry.metrics().histogram("test.latency_ms");
     for (int i = 1; i <= 100; ++i) h->record(static_cast<double>(i));
-    telemetry.event(core::TimePoint::from_ns(2'000), "test", "second",
-                    {{"k", std::int64_t{42}}});
-    telemetry.event(core::TimePoint::from_ns(1'000), "test", "first",
-                    {{"label", std::string("hi \"there\"")},
-                     {"ratio", 0.25},
-                     {"flag", true}});
   }
 
   [[nodiscard]] std::vector<core::Json> write() const {
     std::ostringstream out;
-    write_run_report(out, telemetry, &trace,
+    write_run_report(out, telemetry,
                      ReportOptions{.run_name = "roundtrip",
                                    .sim_end = core::TimePoint::from_ns(9'000)});
     return parse_lines(out.str());
@@ -77,7 +68,7 @@ TEST(ReportRoundtrip, MetaLineLeadsAndCountsMatch) {
   EXPECT_EQ(meta["metric_count"].as_int(), metric_lines);
   EXPECT_EQ(meta["event_count"].as_int(), event_lines);
   EXPECT_EQ(metric_lines, 3);
-  EXPECT_EQ(event_lines, 2);
+  EXPECT_EQ(event_lines, 0);
 }
 
 TEST(ReportRoundtrip, ScalarMetricValuesSurvive) {
@@ -131,24 +122,6 @@ TEST(ReportRoundtrip, HistogramLineCarriesSummaryAndBuckets) {
   EXPECT_TRUE(saw);
 }
 
-TEST(ReportRoundtrip, EventsAscendBySimTimeAndFieldsRoundTrip) {
-  ReportFixture fx;
-  std::vector<core::Json> events;
-  for (const core::Json& line : fx.write()) {
-    if (line["type"].as_string() == "event") events.push_back(line);
-  }
-  ASSERT_EQ(events.size(), 2u);
-  // Emitted out of order (t=2000 then t=1000); the report sorts by t_ns.
-  EXPECT_EQ(events[0]["t_ns"].as_int(), 1'000);
-  EXPECT_EQ(events[1]["t_ns"].as_int(), 2'000);
-  EXPECT_EQ(events[0]["category"].as_string(), "test");
-  EXPECT_EQ(events[0]["name"].as_string(), "first");
-  EXPECT_EQ(events[0]["fields"]["label"].as_string(), "hi \"there\"");
-  EXPECT_EQ(events[0]["fields"]["ratio"].as_double(), 0.25);
-  EXPECT_TRUE(events[0]["fields"]["flag"].as_bool());
-  EXPECT_EQ(events[1]["fields"]["k"].as_int(), 42);
-}
-
 TEST(ReportRoundtrip, MetricLinesAreNameSorted) {
   ReportFixture fx;
   std::vector<std::string> names;
@@ -186,7 +159,7 @@ TEST(ReportRoundtrip, WithoutTraceSinkReportHasNoEventLines) {
   Telemetry telemetry;
   telemetry.metrics().counter("test.only")->inc();
   std::ostringstream out;
-  write_run_report(out, telemetry, nullptr, ReportOptions{});
+  write_run_report(out, telemetry, ReportOptions{});
   const auto lines = parse_lines(out.str());
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0]["event_count"].as_int(), 0);

@@ -1,19 +1,18 @@
 // mntp-inspect: terminal summarizer for the observability artifacts the
 // bench harness writes — JSONL run reports (--telemetry-out, schema in
-// src/obs/report.h), Chrome trace-event span profiles (--profile-out)
-// and perf-suite baselines (BENCH_results.json).
+// src/obs/report.h), Chrome trace-event span profiles (--profile-out),
+// query traces (--query-trace-out), timelines (--timeline-out) and
+// perf-suite baselines (BENCH_results.json).
 //
 //   mntp-inspect run.jsonl profile.json BENCH_results.json
 //
 // The file kind is detected from content, not extension. For run reports
-// the tool prints the metric registry as tables, per-category/per-name
-// event counts, the span-profile aggregates when present, and flags
-// offset anomalies: mntp `round` events whose offset falls more than
-// --sigma (default 4) standard deviations from the run's least-squares
-// offset trend — the quickest "did the filter see something wild" check
-// without replotting the whole series.
+// the tool prints the metric registry as tables and the span-profile
+// aggregates when present. For timelines it flags step changes: deltas
+// more than --sigma (default 4) standard deviations from the series' own
+// delta noise.
 //
-// Exit code: 0 on success (anomalies are informational), 1 when any
+// Exit code: 0 on success (step changes are informational), 1 when any
 // input cannot be read or parsed, 2 on usage errors.
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
@@ -35,7 +34,6 @@
 
 #include "core/format.h"
 #include "core/json.h"
-#include "core/linreg.h"
 #include "core/stats.h"
 #include "core/table.h"
 #include "obs/diff.h"
@@ -45,8 +43,8 @@ using mntp::core::Json;
 namespace {
 
 struct Options {
-  double sigma = 4.0;        // anomaly threshold, in trend-residual sigmas
-  std::size_t max_rows = 20; // cap for anomaly listings
+  double sigma = 4.0;        // step-change threshold, in delta sigmas
+  std::size_t max_rows = 20; // cap for step-change listings
   bool explain = false;      // print per-query timelines for query traces
   long long query_id = -1;   // explain a single query (-1: first --limit)
   std::size_t limit = 10;    // timelines shown in explain mode
@@ -101,10 +99,6 @@ std::string format_labels(const Json& labels) {
   return out;
 }
 
-double field_number(const Json& fields, const char* key) {
-  return fields[key].as_double();
-}
-
 /// Forward compatibility: an artifact stamped with a schema_version this
 /// tool does not know is rendered best-effort (unknown keys are ignored,
 /// absent keys read as neutral defaults) behind a warning, instead of
@@ -128,12 +122,9 @@ struct SpanRow {
 };
 
 int inspect_report(const std::string& path,
-                   const std::vector<std::string>& lines, const Options& opt) {
+                   const std::vector<std::string>& lines) {
   std::vector<Json> metrics;
-  std::map<std::string, std::size_t> category_counts;
-  std::map<std::string, std::size_t> event_counts;  // "category/name"
-  std::map<std::string, SpanRow> spans;             // from profile.span.*
-  std::vector<double> round_t_s, round_offset_ms;
+  std::map<std::string, SpanRow> spans;  // from profile.span.*
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
@@ -153,12 +144,10 @@ int inspect_report(const std::string& path,
     const Json line = parsed.value();
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
-      std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics, "
-                  "%lld events\n",
+      std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics\n",
                   path.c_str(), line["run"].as_string().c_str(),
                   static_cast<double>(line["sim_end_ns"].as_int()) / 1e9,
-                  static_cast<long long>(line["metric_count"].as_int()),
-                  static_cast<long long>(line["event_count"].as_int()));
+                  static_cast<long long>(line["metric_count"].as_int()));
     } else if (type == "metric") {
       const std::string& name = line["name"].as_string();
       if (name.rfind("profile.span.", 0) == 0) {
@@ -173,15 +162,6 @@ int inspect_report(const std::string& path,
         else if (field == "max_us") row.max_us = v;
       } else {
         metrics.push_back(line);
-      }
-    } else if (type == "event") {
-      const std::string& category = line["category"].as_string();
-      const std::string& name = line["name"].as_string();
-      ++category_counts[category];
-      ++event_counts[category + "/" + name];
-      if (category == "mntp" && name == "round") {
-        round_t_s.push_back(static_cast<double>(line["t_ns"].as_int()) / 1e9);
-        round_offset_ms.push_back(field_number(line["fields"], "offset_ms"));
       }
     }
   }
@@ -239,53 +219,6 @@ int inspect_report(const std::string& path,
                 table.render().c_str());
   }
 
-  if (!event_counts.empty()) {
-    mntp::core::TextTable table({"event", "count"});
-    for (const auto& [key, n] : event_counts) {
-      table.add_row({key, mntp::core::fmt_count(n)});
-    }
-    std::printf("events by category/name (%zu categories):\n%s\n",
-                category_counts.size(), table.render().c_str());
-  }
-
-  // Offset anomalies: residuals against the run's offset trend. The
-  // trend (not the raw mean) is the right null model because an
-  // uncorrected drifting clock makes offsets a line, not a constant.
-  if (round_t_s.size() >= 8) {
-    const auto fit = mntp::core::least_squares(round_t_s, round_offset_ms);
-    if (fit) {
-      std::vector<double> residuals(round_t_s.size());
-      for (std::size_t i = 0; i < round_t_s.size(); ++i) {
-        residuals[i] = fit->residual(round_t_s[i], round_offset_ms[i]);
-      }
-      const double sd = mntp::core::summarize(residuals).stddev;
-      std::size_t flagged = 0, shown = 0;
-      for (std::size_t i = 0; i < residuals.size(); ++i) {
-        if (sd <= 0.0 || std::fabs(residuals[i]) <= opt.sigma * sd) continue;
-        if (flagged == 0) {
-          std::printf("offset anomalies (|residual| > %.1f sigma, "
-                      "sigma=%.3f ms, trend %.4f ms/s):\n",
-                      opt.sigma, sd, fit->slope);
-        }
-        ++flagged;
-        if (shown < opt.max_rows) {
-          ++shown;
-          std::printf("  t=%9.1fs  offset %+9.2f ms  residual %+9.2f ms "
-                      "(%.1f sigma)\n",
-                      round_t_s[i], round_offset_ms[i], residuals[i],
-                      std::fabs(residuals[i]) / sd);
-        }
-      }
-      if (flagged > shown) {
-        std::printf("  ... %zu more\n", flagged - shown);
-      }
-      if (flagged == 0) {
-        std::printf("offset anomalies: none (%zu rounds within %.1f sigma "
-                    "of trend)\n",
-                    round_t_s.size(), opt.sigma);
-      }
-    }
-  }
   return 0;
 }
 
@@ -739,8 +672,8 @@ int inspect_timeline(const std::string& path,
                   s.t_s.back());
     }
     // Step changes: consecutive-point deltas that stand out against the
-    // series' own delta noise (same sigma rule as the offset anomaly
-    // check). Constant and smoothly-trending series flag nothing.
+    // series' own delta noise by more than --sigma. Constant and
+    // smoothly-trending series flag nothing.
     if (s.mean.size() >= 8) {
       std::vector<double> deltas(s.mean.size() - 1);
       for (std::size_t i = 1; i < s.mean.size(); ++i) {
@@ -829,7 +762,7 @@ int inspect_file(const std::string& path, const Options& opt) {
       if (kind == "mntp_query_trace") {
         return inspect_query_trace(path, lines, opt);
       }
-      return inspect_report(path, lines, opt);
+      return inspect_report(path, lines);
     }
     // A JSONL artifact whose FIRST line already fails to parse was cut
     // off mid-write (every writer emits the meta line atomically first).
