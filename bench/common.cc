@@ -1,20 +1,16 @@
 #include "common.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <string_view>
-#include <system_error>
 
 #include "core/format.h"
 #include "core/thread_pool.h"
-#include "obs/metric_names.h"
 
 namespace mntp::bench {
 
@@ -267,10 +263,21 @@ bool parse_bool_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+namespace {
+
+/// parse_size_flag for counts that must be at least 1: 0 exits 2.
+std::size_t parse_positive_flag(int argc, char** argv, const char* flag,
+                                std::size_t def) {
+  const std::size_t n = parse_size_flag(argc, argv, flag, def);
+  if (n == 0) reject_flag(flag, "0", "a positive integer");
+  return n;
+}
+
+}  // namespace
+
 ReplicateCli parse_replicate_cli(int argc, char** argv) {
   ReplicateCli cli;
-  cli.replicates =
-      std::max<std::size_t>(1, parse_size_flag(argc, argv, "--replicates", 1));
+  cli.replicates = parse_positive_flag(argc, argv, "--replicates", 1);
   cli.threads = parse_threads(argc, argv, 1);
   return cli;
 }
@@ -322,52 +329,27 @@ BenchTelemetry::BenchTelemetry(std::string run_name, int argc, char** argv)
       profile_path_(parse_flag(argc, argv, "--profile-out")),
       query_trace_path_(parse_flag(argc, argv, "--query-trace-out")),
       timeline_path_(parse_flag(argc, argv, "--timeline-out")),
-      obs_self_(parse_bool_flag(argc, argv, "--obs-self")),
       scope_(telemetry_) {
   // Every flag is parsed whether or not the flag it refines is present,
   // so reject_unknown_flags knows it and a malformed value always exits 2.
   obs::QueryTracer::Sampling sampling;
-  sampling.sample_one_in_n = std::max<std::size_t>(
-      1, parse_size_flag(argc, argv, "--query-trace-sample", 1));
+  sampling.sample_one_in_n =
+      parse_positive_flag(argc, argv, "--query-trace-sample", 1);
   sampling.seed = parse_size_flag(argc, argv, "--query-trace-seed", 0);
-  sampling.reservoir =
-      parse_size_flag(argc, argv, "--query-trace-reservoir", 0);
-  const bool query_stream =
-      parse_bool_flag(argc, argv, "--query-trace-stream");
   const std::size_t cadence_ms =
-      parse_size_flag(argc, argv, "--timeline-cadence-ms", 1000);
+      parse_positive_flag(argc, argv, "--timeline-cadence-ms", 1000);
 
   if (profiling()) telemetry_.profiler().set_enabled(true);
   if (query_tracing()) {
     obs::QueryTracer& qt = telemetry_.query_tracer();
     qt.set_enabled(true);
-    if (sampling.sample_one_in_n > 1 || sampling.reservoir > 0) {
-      qt.set_sampling(sampling);
-    }
-    if (query_stream) {
-      if (query_stream_.open(query_trace_path_)) {
-        qt.set_stream(&query_stream_);
-        query_streaming_ = true;
-      } else {
-        std::fprintf(stderr,
-                     "query trace stream failed to open %s; "
-                     "falling back to batch export\n",
-                     query_trace_path_.c_str());
-      }
-    }
+    if (sampling.sample_one_in_n > 1) qt.set_sampling(sampling);
   }
   if (timeline_enabled()) {
-    telemetry_.timeseries().set_cadence(
-        core::Duration::milliseconds(std::max<std::size_t>(1, cadence_ms)));
+    telemetry_.timeseries().set_cadence(core::Duration::milliseconds(
+        static_cast<std::int64_t>(cadence_ms)));
     telemetry_.timeseries().set_enabled(true);
   }
-}
-
-void BenchTelemetry::account_artifact(const std::string& path) {
-  if (!obs_self_) return;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec) artifact_bytes_ += size;
 }
 
 bool BenchTelemetry::write_report(core::TimePoint sim_end) {
@@ -397,20 +379,13 @@ bool BenchTelemetry::write_profile() {
   std::printf("profile trace: %s (%llu spans)\n", profile_path_.c_str(),
               static_cast<unsigned long long>(
                   telemetry_.profiler().total_spans()));
-  account_artifact(profile_path_);
   return true;
 }
 
 bool BenchTelemetry::write_query_trace(core::TimePoint sim_end) {
   if (!query_tracing()) return true;
-  obs::QueryTracer& qt = telemetry_.query_tracer();
-  if (query_streaming_) {
-    if (!qt.finish_stream(run_name_, sim_end)) {
-      std::fprintf(stderr, "query trace stream failed: %s\n",
-                   query_trace_path_.c_str());
-      return false;
-    }
-  } else if (!qt.write_jsonl_file(query_trace_path_, run_name_, sim_end)) {
+  const obs::QueryTracer& qt = telemetry_.query_tracer();
+  if (!qt.write_jsonl_file(query_trace_path_, run_name_, sim_end)) {
     std::fprintf(stderr, "query trace failed: %s\n",
                  query_trace_path_.c_str());
     return false;
@@ -419,19 +394,14 @@ bool BenchTelemetry::write_query_trace(core::TimePoint sim_end) {
               query_trace_path_.c_str(),
               static_cast<unsigned long long>(qt.minted()),
               static_cast<unsigned long long>(qt.dropped()));
-  account_artifact(query_trace_path_);
   return true;
 }
 
 bool BenchTelemetry::write_timeline(core::TimePoint sim_end) {
   if (!timeline_enabled()) return true;
   const obs::TimeSeriesRecorder& ts = telemetry_.timeseries();
-  // The chunked writer produces byte-identical output to
-  // write_timeline_file (shared line serializers) while flushing in
-  // bounded chunks and metering bytes/flushes for obs.self.*.
-  std::uint64_t bytes = 0;
-  const core::Status status = obs::write_timeline_chunked(
-      timeline_path_, ts, run_name_, sim_end, &bytes, &timeline_flushes_);
+  const core::Status status =
+      obs::write_timeline_file(timeline_path_, ts, run_name_, sim_end);
   if (!status.ok()) {
     std::fprintf(stderr, "timeline failed: %s\n",
                  status.error().message.c_str());
@@ -440,7 +410,6 @@ bool BenchTelemetry::write_timeline(core::TimePoint sim_end) {
   std::printf("timeline: %s (%zu series, %llu samples)\n",
               timeline_path_.c_str(), ts.series_count(),
               static_cast<unsigned long long>(ts.samples_taken()));
-  if (obs_self_) artifact_bytes_ += bytes;
   return true;
 }
 
@@ -456,52 +425,14 @@ bool BenchTelemetry::finalize(core::TimePoint sim_end) {
   // out on purpose" from "lost". Off the sampling path the metric set
   // (and so the report artifact) stays byte-identical to earlier
   // releases.
-  const obs::QueryTracer::Sampling sampling =
-      telemetry_.query_tracer().sampling();
-  const bool sampling_on =
-      sampling.sample_one_in_n > 1 || sampling.reservoir > 0;
-  if (!obs_self_ && query_tracing() && (sampling_on || query_streaming_)) {
+  if (query_tracing() &&
+      telemetry_.query_tracer().sampling().sample_one_in_n > 1) {
     telemetry_.query_tracer().export_counters(telemetry_.metrics());
   }
-  if (!obs_self_) {
-    // Historical order, byte-identical stdout.
-    ok = write_report(sim_end) && ok;
-    ok = write_profile() && ok;
-    ok = write_query_trace(sim_end) && ok;
-    ok = write_timeline(sim_end) && ok;
-    return ok;
-  }
-  // Self-metering: write every other artifact first so its cost is
-  // known, fold the obs.self.* family into the registry, and write the
-  // report LAST so it carries the measurements. (The report cannot
-  // account its own bytes; obs.self.bytes_written covers the profile,
-  // query-trace and timeline artifacts.)
+  ok = write_report(sim_end) && ok;
   ok = write_profile() && ok;
   ok = write_query_trace(sim_end) && ok;
   ok = write_timeline(sim_end) && ok;
-  obs::MetricsRegistry& metrics = telemetry_.metrics();
-  const auto merge_start = std::chrono::steady_clock::now();
-  const std::size_t merged_series = metrics.snapshot().size();
-  const double merge_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - merge_start)
-          .count();
-  if (query_tracing()) {
-    telemetry_.query_tracer().export_counters(metrics);
-  }
-  metrics.counter(obs::metric_names::kObsSelfBytesWritten)
-      ->inc(artifact_bytes_);
-  metrics.counter(obs::metric_names::kObsSelfStreamFlushes)
-      ->inc(query_stream_.flushes() + timeline_flushes_);
-  metrics.gauge(obs::metric_names::kObsSelfMergeWallUs)->set(merge_us);
-  std::printf(
-      "telemetry self: %llu artifact bytes, %llu stream flushes, "
-      "merge %zu series in %.1f us\n",
-      static_cast<unsigned long long>(artifact_bytes_),
-      static_cast<unsigned long long>(query_stream_.flushes() +
-                                      timeline_flushes_),
-      merged_series, merge_us);
-  ok = write_report(sim_end) && ok;
   return ok;
 }
 

@@ -22,7 +22,6 @@
 #include "ntp/sntp_client.h"
 #include "ntp/testbed.h"
 #include "obs/report.h"
-#include "obs/streaming.h"
 #include "obs/telemetry.h"
 #include "sim/replicate.h"
 
@@ -117,8 +116,8 @@ void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
 std::size_t parse_threads(int argc, char** argv, std::size_t def = 1);
 
 /// `--replicates K --threads N` for the multi-seed benches. replicates
-/// defaults to 1 (the original single-seed experiment, bit for bit);
-/// threads defaults to 1 (exact serial path).
+/// defaults to 1 (the original single-seed experiment, bit for bit) and
+/// exits 2 when 0; threads defaults to 1 (exact serial path).
 struct ReplicateCli {
   std::size_t replicates = 1;
   std::size_t threads = 1;
@@ -182,21 +181,13 @@ void reject_unknown_flags(int argc, char** argv);
 /// with `mntp-inspect timeline`). Without any flag the run pays only
 /// counter increments and finalize() is a no-op.
 ///
-/// Fleet-scale knobs (all opt-in; without them every artifact and stdout
-/// line is byte-identical to the plain flags above):
-///
-///   * `--query-trace-sample N` — deterministic 1-in-N trace sampling
-///     (hash-of-id gate; see QueryTracer::Sampling), with
-///     `--query-trace-seed S` (default 0) selecting the kept set and
-///     `--query-trace-reservoir M` capping it at M traces.
-///   * `--query-trace-stream` — stream finished traces straight to
-///     --query-trace-out through a bounded reorder buffer instead of
-///     retaining them (obs/streaming.h); memory stays O(open queries).
-///   * `--obs-self` — meter the telemetry itself: finalize() writes the
-///     run report LAST and folds an obs.self.* metric family (artifact
-///     bytes, stream flushes, registry merge wall time) plus the
-///     obs.query_trace.{kept,sampled_out,dropped} reconciliation
-///     counters into it.
+/// `--query-trace-sample N` (opt-in; without it every artifact and
+/// stdout line is byte-identical to the plain flags above) turns on
+/// deterministic 1-in-N trace sampling (hash-of-id gate; see
+/// QueryTracer::Sampling), with `--query-trace-seed S` (default 0)
+/// selecting the kept set; finalize() then also exports the
+/// obs.query_trace.{kept,sampled_out,dropped} reconciliation counters.
+/// A zero `--query-trace-sample` or `--timeline-cadence-ms` exits 2.
 class BenchTelemetry {
  public:
   BenchTelemetry(std::string run_name, int argc, char** argv);
@@ -228,13 +219,9 @@ class BenchTelemetry {
     return telemetry_.timeseries();
   }
 
-  /// True when --query-trace-stream was passed (and the sink opened).
-  [[nodiscard]] bool query_trace_streaming() const { return query_streaming_; }
-  /// True when --obs-self was passed (self-overhead metering).
-  [[nodiscard]] bool self_metering() const { return obs_self_; }
-
-  /// Write the report / Chrome trace / query trace (no-op without the
-  /// flags). Returns false and prints to stderr on I/O failure.
+  /// Write the report / Chrome trace / query trace / timeline (no-op
+  /// without the flags). Returns false and prints to stderr on I/O
+  /// failure.
   bool finalize(core::TimePoint sim_end);
 
  private:
@@ -242,20 +229,13 @@ class BenchTelemetry {
   bool write_profile();
   bool write_query_trace(core::TimePoint sim_end);
   bool write_timeline(core::TimePoint sim_end);
-  /// Adds the on-disk size of `path` to artifact_bytes_ (self-metering).
-  void account_artifact(const std::string& path);
 
   std::string run_name_;
   std::string out_path_;
   std::string profile_path_;
   std::string query_trace_path_;
   std::string timeline_path_;
-  bool query_streaming_ = false;
-  bool obs_self_ = false;
-  std::uint64_t artifact_bytes_ = 0;
-  std::uint64_t timeline_flushes_ = 0;
   obs::Telemetry telemetry_;
-  obs::StreamingQueryTraceSink query_stream_;
   obs::ScopedTelemetry scope_;
 };
 

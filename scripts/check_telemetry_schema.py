@@ -27,12 +27,9 @@ Seven artifact kinds, detected from content (or forced with --kind):
     from the closed enum of src/obs/reason_codes.h, and a flat fields
     object; at most one `verdict` stage exists per query and it must be
     the last; the meta query_count matches the query-line count. When
-    the meta carries a `sampling` block (deterministic sampling or a
-    reservoir was active, QueryTracer::Sampling) its accounting must
-    conserve ids: minted == kept + sampled_out + dropped and
-    query_count == kept - reorder_dropped. Streamed artifacts
-    (--query-trace-stream) additionally carry `streamed` and
-    `reorder_dropped` meta keys.
+    the meta carries a `sampling` block (deterministic sampling was
+    active, QueryTracer::Sampling) its accounting must conserve ids:
+    minted == kept + sampled_out + dropped and query_count == kept.
   * `diff` — cross-run triage record written by `mntp-inspect diff
     --json` (kind mntp_diff, src/obs/diff.h): schema_version 1, the
     diffed artifact kind, a/b provenance, the significance options,
@@ -352,23 +349,15 @@ def check_query_trace_meta(obj, lineno):
     for key in ("sim_end_ns", "query_count", "dropped", "dropped_stages"):
         if not isinstance(obj[key], int) or obj[key] < 0:
             fail(lineno, f"meta '{key}' must be a non-negative integer")
-    # Streaming keys (only present when the artifact was streamed through
-    # StreamingQueryTraceSink, src/obs/streaming.h).
-    if "streamed" in obj and not isinstance(obj["streamed"], bool):
-        fail(lineno, "meta 'streamed' must be a boolean")
-    if "reorder_dropped" in obj and (
-            not isinstance(obj["reorder_dropped"], int)
-            or obj["reorder_dropped"] < 0):
-        fail(lineno, "meta 'reorder_dropped' must be a non-negative integer")
-    # Sampling block (only present when deterministic sampling or a
-    # reservoir was active, QueryTracer::Sampling): every minted id must
-    # end exactly one way — kept, sampled out, or dropped.
+    # Sampling block (only present when deterministic sampling was
+    # active, QueryTracer::Sampling): every minted id must end exactly
+    # one way — kept, sampled out, or dropped.
     if "sampling" in obj:
         s = obj["sampling"]
         if not isinstance(s, dict):
             fail(lineno, "meta 'sampling' must be an object")
-        for key in ("sample_one_in_n", "seed", "reservoir", "minted",
-                    "kept", "sampled_out"):
+        for key in ("sample_one_in_n", "seed", "minted", "kept",
+                    "sampled_out"):
             if key not in s:
                 fail(lineno, f"sampling missing '{key}'")
             if not isinstance(s[key], int) or s[key] < 0:
@@ -380,10 +369,9 @@ def check_query_trace_meta(obj, lineno):
             fail(lineno, f"sampling accounting broken: minted {s['minted']}"
                          f" != kept {s['kept']} + sampled_out "
                          f"{s['sampled_out']} + dropped {obj['dropped']}")
-        reorder_dropped = obj.get("reorder_dropped", 0)
-        if obj["query_count"] != s["kept"] - reorder_dropped:
+        if obj["query_count"] != s["kept"]:
             fail(lineno, f"query_count {obj['query_count']} != kept "
-                         f"{s['kept']} - reorder_dropped {reorder_dropped}")
+                         f"{s['kept']}")
 
 
 def check_query_stage(stage, qid, i, lineno):
@@ -888,7 +876,7 @@ def main():
     parser.add_argument("--extra-args", default="",
                         help="space-separated extra flags appended to the "
                              "--generate command (e.g. "
-                             "'--query-trace-sample 4 --query-trace-stream')")
+                             "'--query-trace-sample 4')")
     parser.add_argument("--require-prefixes", default="",
                         help="comma-separated metric-name prefixes that must "
                              "each match at least one metric (report kind)")

@@ -219,11 +219,6 @@ class EngineCounters {
   /// Add every tally of `engine` at once.
   void add_totals(const MntpEngine& engine) const;
 
-  /// The deferral counter, for the mntp.deferrals timeline probe.
-  [[nodiscard]] const obs::ShardedCounter* deferrals() const {
-    return deferrals_;
-  }
-
  private:
   obs::ShardedCounter* rounds_;
   obs::ShardedCounter* deferrals_;

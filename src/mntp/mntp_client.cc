@@ -41,7 +41,8 @@ void MntpClient::start() {
   last_emission_ = sim_.now();
   engine_ = std::make_unique<MntpEngine>(params_, sim_.now());
   deferral_probe_ = sim_.telemetry().timeseries().counter_probe(
-      obs::metric_names::kTsMntpDeferrals, {}, engine_counters_.deferrals());
+      obs::metric_names::kTsMntpDeferrals, {},
+      [this] { return engine_->deferrals(); });
   pending_ = sim_.after(core::Duration::zero(), [this] { attempt(); });
 }
 

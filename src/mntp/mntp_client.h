@@ -87,9 +87,9 @@ class MntpClient {
   /// opportunity (0 = deferred, 1 = emitted favorably, 2 = forced by the
   /// max_deferral fallback). Inert unless the recorder captures.
   obs::ProbeHandle gate_probe_;
-  /// Timeline probe over the mntp.deferrals counter, registered with
-  /// each engine start() creates so the series order matches the
-  /// engine's own probes.
+  /// Timeline probe over this client's engine deferral tally,
+  /// registered with each engine start() creates so the series order
+  /// matches the engine's own probes.
   obs::ProbeHandle deferral_probe_;
 };
 

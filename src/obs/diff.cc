@@ -225,57 +225,24 @@ Result<Artifact> load_timeline(const std::vector<std::string>& lines) {
   return art;
 }
 
-/// Read a file and classify + parse it, mirroring the kind auto-detect
-/// of mntp-inspect / check_telemetry_schema.py: whole-file JSON first
-/// (profile / bench / zero-body JSONL metas), then JSONL by meta kind.
+/// Parse a classified artifact file into its kind's representation.
+Result<Artifact> parse_artifact(const ArtifactFile& file) {
+  switch (file.kind) {
+    case DiffKind::kBench: return load_bench(file.doc);
+    case DiffKind::kProfile: return load_profile(file.doc);
+    case DiffKind::kReport: return load_report(file.lines);
+    case DiffKind::kQueryTrace: return load_query_trace(file.lines);
+    case DiffKind::kTimeline: return load_timeline(file.lines);
+  }
+  return Error::invalid_argument("unknown artifact kind");
+}
+
 Result<Artifact> load_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error::io("cannot read " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    return Error::malformed(path + ": empty artifact file");
-  }
-
-  auto annotate = [&path](Result<Artifact> r) -> Result<Artifact> {
-    if (r.ok()) return r;
-    return Error{r.error().code, path + ": " + r.error().message};
-  };
-
-  if (auto doc = Json::parse(content); doc.ok()) {
-    const Json& json = doc.value();
-    if (json.has("traceEvents")) return annotate(load_profile(json));
-    const std::string& kind = json["kind"].as_string();
-    if (kind == "mntp_perf_suite") return annotate(load_bench(json));
-    // Zero-body JSONL artifacts are a single meta line, i.e. valid
-    // whole-file JSON; route them through the line-oriented loaders.
-    if (kind == "mntp_query_trace") {
-      return annotate(load_query_trace({content}));
-    }
-    if (kind == "mntp_timeline") return annotate(load_timeline({content}));
-    if (!kind.empty()) {
-      return Error::invalid_argument(path + ": unsupported artifact kind '" +
-                                     kind + "'");
-    }
-    return Error::malformed(path + ": unrecognized JSON document");
-  }
-
-  std::vector<std::string> lines;
-  std::string line;
-  std::istringstream stream(content);
-  while (std::getline(stream, line)) lines.push_back(line);
-  if (lines.empty()) return Error::malformed(path + ": empty artifact");
-  auto first = Json::parse(lines.front());
-  if (!first.ok() || first.value()["type"].as_string() != "meta") {
-    return Error::malformed(
-        path + ": not a bench, profile, report, query-trace or timeline "
-               "artifact");
-  }
-  const std::string& kind = first.value()["kind"].as_string();
-  if (kind == "mntp_query_trace") return annotate(load_query_trace(lines));
-  if (kind == "mntp_timeline") return annotate(load_timeline(lines));
-  return annotate(load_report(lines));
+  auto file = read_artifact(path);
+  if (!file.ok()) return file.error();
+  auto art = parse_artifact(file.value());
+  if (art.ok()) return art;
+  return Error{art.error().code, path + ": " + art.error().message};
 }
 
 // ------------------------------------------------------------- diffing
@@ -770,6 +737,67 @@ const char* diff_kind_name(DiffKind kind) {
     case DiffKind::kTimeline: return "timeline";
   }
   return "unknown";
+}
+
+core::Result<ArtifactFile> read_artifact(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Error::io("cannot read " + path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string content = buffer.str();
+  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
+    // The producer crashed before its first write, or the path was
+    // pre-created by a harness.
+    return Error::malformed(path + ": empty artifact file");
+  }
+
+  ArtifactFile file;
+  if (auto doc = Json::parse(content); doc.ok()) {
+    file.doc = doc.value();
+    const std::string& kind = file.doc["kind"].as_string();
+    if (file.doc.has("traceEvents")) {
+      file.kind = DiffKind::kProfile;
+      return file;
+    }
+    if (kind == "mntp_perf_suite") {
+      file.kind = DiffKind::kBench;
+      return file;
+    }
+    // A JSONL artifact with no body (no query, series or metric yet) is
+    // a single meta line, i.e. whole-file JSON too: classify it below.
+    const bool meta_only =
+        file.doc["type"].as_string() == "meta" &&
+        (kind.empty() || kind == "mntp_query_trace" ||
+         kind == "mntp_timeline");
+    if (!meta_only) {
+      return Error::invalid_argument(
+          kind.empty() ? path + ": unrecognized JSON document"
+                       : path + ": unsupported artifact kind '" + kind + "'");
+    }
+  }
+
+  std::string line;
+  std::istringstream stream(content);
+  while (std::getline(stream, line)) file.lines.push_back(line);
+  auto meta = Json::parse(file.lines.front());
+  if (!meta.ok()) {
+    // Every writer emits the meta line first and whole, so a first line
+    // that does not parse was cut off mid-write.
+    return Error::malformed(path +
+                            ": truncated artifact (first line is not valid "
+                            "JSON)");
+  }
+  file.doc = meta.value();
+  if (file.doc["type"].as_string() != "meta") {
+    return Error::invalid_argument(
+        path + ": not a bench, profile, report, query-trace or timeline "
+               "artifact");
+  }
+  const std::string& kind = file.doc["kind"].as_string();
+  file.kind = kind == "mntp_query_trace" ? DiffKind::kQueryTrace
+              : kind == "mntp_timeline"  ? DiffKind::kTimeline
+                                         : DiffKind::kReport;
+  return file;
 }
 
 core::Result<DiffResult> diff_files(const std::string& a_path,

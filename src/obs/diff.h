@@ -8,9 +8,9 @@
 // the question is never "what did this run do" but "what moved between
 // these two runs, and which span / counter / reason / series moved it".
 //
-// diff_files() loads two artifacts of the same kind (kind auto-detected
-// from content, exactly like tools/mntp_inspect and
-// check_telemetry_schema.py) and computes statistically-aware deltas:
+// diff_files() loads two artifacts of the same kind (kind detected from
+// content by read_artifact, which tools/mntp_inspect shares) and
+// computes statistically-aware deltas:
 //
 //   * bench       — the perf gate: per workload, candidate_median <=
 //                   baseline_median * (1+tolerance) + max(abs_floor,
@@ -59,6 +59,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/json.h"
 #include "core/result.h"
 
 namespace mntp::obs {
@@ -68,6 +69,27 @@ enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
 
 /// Stable lowercase name used in JSON output and error messages.
 [[nodiscard]] const char* diff_kind_name(DiffKind kind);
+
+/// One artifact file, classified by content: whole-file JSON first
+/// (profile, bench), then JSONL by the meta line's kind (query trace,
+/// timeline, anything else a run report). A meta-only JSONL file is
+/// also whole-file JSON; it classifies by its meta line when the kind
+/// is a query trace, a timeline or absent (a report).
+struct ArtifactFile {
+  DiffKind kind = DiffKind::kBench;
+  /// bench / profile: the whole document; JSONL kinds: the meta line.
+  core::Json doc;
+  /// JSONL kinds: every line, meta first; empty for bench / profile.
+  std::vector<std::string> lines;
+};
+
+/// Read and classify `path` — the one kind detector behind
+/// `mntp-inspect` and diff_files. Errors carry the path: kIo when the
+/// file cannot be read, kMalformedPacket for an empty file or a first
+/// line that is not JSON (a cut-off write), kInvalidArgument for a
+/// readable document of no known kind.
+[[nodiscard]] core::Result<ArtifactFile> read_artifact(
+    const std::string& path);
 
 /// A within-candidate bench budget (`--budget A:B:PCT`): in file B,
 /// workload `a`'s median must satisfy median(a) <= median(b) * (1 +

@@ -78,22 +78,15 @@ inline constexpr const char kFleetOwdInvalid[] = "fleet.owd.invalid";
 inline constexpr const char kFleetOwdMs[] = "fleet.owd_ms";
 inline constexpr const char kFleetCategoryOwdMs[] = "fleet.category_owd_ms";
 
-// obs: the observability layer metering itself. The query-trace family
-// reconciles the exported trace artifact against what was minted
-// (kept + sampled_out + dropped == minted); the self family answers
-// "what does telemetry cost" — artifact bytes on disk, streaming-sink
-// flush count, and the wall time of the registry merge at snapshot.
-// Exported by BenchTelemetry::finalize under --obs-self (opt-in so
-// default artifacts stay byte-stable across releases).
+// obs: the query-trace family reconciles the exported trace artifact
+// against what was minted (kept + sampled_out + dropped == minted).
+// Exported by BenchTelemetry::finalize only when trace sampling is on,
+// so default reports stay byte-stable across releases.
 inline constexpr const char kObsQueryTraceKept[] = "obs.query_trace.kept";
 inline constexpr const char kObsQueryTraceSampledOut[] =
     "obs.query_trace.sampled_out";
 inline constexpr const char kObsQueryTraceDropped[] =
     "obs.query_trace.dropped";
-inline constexpr const char kObsSelfBytesWritten[] = "obs.self.bytes_written";
-inline constexpr const char kObsSelfStreamFlushes[] =
-    "obs.self.stream_flushes";
-inline constexpr const char kObsSelfMergeWallUs[] = "obs.self.merge_wall_us";
 
 // timeline-only series (obs/timeseries.h probes; these appear in the
 // --timeline-out artifact, not the run report)

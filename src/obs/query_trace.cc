@@ -1,7 +1,6 @@
 #include "obs/query_trace.h"
 
 #include <algorithm>
-
 #include <fstream>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "core/rng.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/streaming.h"
 
 namespace mntp::obs {
 
@@ -22,8 +20,7 @@ void write_field(core::JsonWriter& w, const Field& f) {
   std::visit([&](const auto& v) { w.value(v); }, f.value);
 }
 
-}  // namespace
-
+/// One {"type":"query",...} JSONL line body (no trailing newline).
 void append_query_trace_json(std::string& out, const QueryTrace& trace) {
   core::JsonWriter w(out);
   w.begin_object()
@@ -47,6 +44,8 @@ void append_query_trace_json(std::string& out, const QueryTrace& trace) {
   w.end_array().end_object();
 }
 
+}  // namespace
+
 bool QueryTracer::gate_keeps(QueryId id) const {
   if (sampling_.sample_one_in_n <= 1) return true;
   return core::splitmix64(gate_seed_ + id) % sampling_.sample_one_in_n == 0;
@@ -57,63 +56,11 @@ void QueryTracer::set_sampling(const Sampling& sampling) {
   sampling_ = sampling;
   if (sampling_.sample_one_in_n == 0) sampling_.sample_one_in_n = 1;
   gate_seed_ = core::derive_stream_seed(sampling_.seed, 0);
-  rank_seed_ = core::derive_stream_seed(sampling_.seed, 1);
 }
 
 QueryTracer::Sampling QueryTracer::sampling() const {
   std::lock_guard lock(mutex_);
   return sampling_;
-}
-
-void QueryTracer::set_stream(StreamingQueryTraceSink* sink) {
-  std::lock_guard lock(mutex_);
-  stream_ = sink;
-}
-
-void QueryTracer::store_locked(QueryTrace trace) {
-  const QueryId id = trace.id;
-  // Reservoir needs retention to evict; it is inert while streaming.
-  const std::size_t reservoir =
-      stream_ != nullptr ? 0 : sampling_.reservoir;
-  if (reservoir > 0 && index_.size() >= reservoir) {
-    // Bottom-k rank sketch: keep the k smallest (hash, id) ranks seen.
-    // Order-independent — the final kept set is the k smallest ranks of
-    // the whole candidate stream, whatever the arrival interleaving.
-    const std::pair<std::uint64_t, QueryId> rank{
-        core::splitmix64(rank_seed_ + id), id};
-    if (rank >= reservoir_heap_.front()) {
-      ++sampled_out_;  // newcomer ranks worse than everything stored
-      return;
-    }
-    std::pop_heap(reservoir_heap_.begin(), reservoir_heap_.end());
-    const QueryId evicted = reservoir_heap_.back().second;
-    reservoir_heap_.pop_back();
-    const auto it = index_.find(evicted);
-    traces_[it->second] = QueryTrace{};  // release stage memory
-    free_slots_.push_back(it->second);
-    index_.erase(it);
-    --kept_;
-    ++sampled_out_;  // the evictee was provisional; it ends sampled out
-  } else if (reservoir == 0 && index_.size() >= limits_.max_queries) {
-    ++dropped_queries_;
-    if (stream_ != nullptr) stream_->account(id);
-    return;
-  }
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    traces_[slot] = std::move(trace);
-  } else {
-    slot = traces_.size();
-    traces_.push_back(std::move(trace));
-  }
-  index_.emplace(id, slot);
-  ++kept_;
-  if (reservoir > 0) {
-    reservoir_heap_.emplace_back(core::splitmix64(rank_seed_ + id), id);
-    std::push_heap(reservoir_heap_.begin(), reservoir_heap_.end());
-  }
 }
 
 QueryId QueryTracer::begin(core::TimePoint t, std::string_view kind,
@@ -124,15 +71,18 @@ QueryId QueryTracer::begin(core::TimePoint t, std::string_view kind,
   if (!gate_keeps(id)) {
     // Sampled away; id stays monotonic and stages for it will no-op.
     ++sampled_out_;
-    if (stream_ != nullptr) stream_->account(id);
     return id;
   }
-  QueryTrace trace;
+  if (traces_.size() >= limits_.max_queries) {
+    ++dropped_queries_;
+    return id;
+  }
+  index_.emplace(id, traces_.size());
+  QueryTrace& trace = traces_.emplace_back();
   trace.id = id;
   trace.parent = parent;
   trace.kind = std::string(kind);
   trace.started = t;
-  store_locked(std::move(trace));
   return id;
 }
 
@@ -166,21 +116,11 @@ void QueryTracer::finish(QueryId id, core::TimePoint t, Reason reason,
   trace.stages.push_back(
       QueryStage{t, "verdict", reason, std::move(fields)});
   trace.finished = true;
-  if (stream_ != nullptr) {
-    // Hand the complete trace to the sink and recycle the slot: the
-    // store only ever holds OPEN queries while streaming.
-    stream_->emit(trace);
-    traces_[it->second] = QueryTrace{};
-    free_slots_.push_back(it->second);
-    index_.erase(it);
-  }
 }
 
 std::vector<QueryTrace> QueryTracer::snapshot() const {
   std::lock_guard lock(mutex_);
-  std::vector<QueryTrace> out;
-  out.reserve(index_.size());
-  for (const auto& [id, slot] : index_) out.push_back(traces_[slot]);
+  std::vector<QueryTrace> out = traces_;
   std::sort(out.begin(), out.end(),
             [](const QueryTrace& a, const QueryTrace& b) {
               return a.id < b.id;
@@ -199,7 +139,7 @@ std::uint64_t QueryTracer::dropped() const {
 
 std::uint64_t QueryTracer::kept() const {
   std::lock_guard lock(mutex_);
-  return kept_;
+  return traces_.size();
 }
 
 std::uint64_t QueryTracer::sampled_out() const {
@@ -211,9 +151,6 @@ void QueryTracer::clear() {
   std::lock_guard lock(mutex_);
   traces_.clear();
   index_.clear();
-  free_slots_.clear();
-  reservoir_heap_.clear();
-  kept_ = 0;
   sampled_out_ = 0;
   dropped_queries_ = 0;
   dropped_stages_ = 0;
@@ -223,7 +160,7 @@ void QueryTracer::export_counters(MetricsRegistry& registry) const {
   std::uint64_t kept, sampled_out, dropped;
   {
     std::lock_guard lock(mutex_);
-    kept = kept_;
+    kept = traces_.size();
     sampled_out = sampled_out_;
     dropped = dropped_queries_;
   }
@@ -236,7 +173,7 @@ std::string QueryTracer::to_jsonl(std::string_view run,
                                   core::TimePoint sim_end) const {
   std::lock_guard lock(mutex_);
   std::string out;
-  out.reserve(256 + index_.size() * 256);
+  out.reserve(256 + traces_.size() * 256);
   {
     core::JsonWriter w(out);
     w.begin_object()
@@ -245,21 +182,20 @@ std::string QueryTracer::to_jsonl(std::string_view run,
         .kv("kind", "mntp_query_trace")
         .kv("run", run)
         .kv("sim_end_ns", sim_end.ns())
-        .kv("query_count", static_cast<std::int64_t>(index_.size()))
+        .kv("query_count", static_cast<std::int64_t>(traces_.size()))
         .kv("dropped", static_cast<std::int64_t>(dropped_queries_))
         .kv("dropped_stages", static_cast<std::int64_t>(dropped_stages_));
     if (sampling_active()) {
-      // Only present when a gate/reservoir is configured: unsampled
-      // artifacts stay byte-identical to the pre-sampling schema.
+      // Only present when a gate is configured: unsampled artifacts
+      // stay byte-identical to the pre-sampling schema.
       w.key("sampling")
           .begin_object()
           .kv("sample_one_in_n",
               static_cast<std::int64_t>(sampling_.sample_one_in_n))
           .kv("seed", sampling_.seed)
-          .kv("reservoir", static_cast<std::int64_t>(sampling_.reservoir))
           .kv("minted",
               next_id_.load(std::memory_order_relaxed) - 1)
-          .kv("kept", kept_)
+          .kv("kept", static_cast<std::uint64_t>(traces_.size()))
           .kv("sampled_out", sampled_out_)
           .end_object();
     }
@@ -271,8 +207,8 @@ std::string QueryTracer::to_jsonl(std::string_view run,
   // in a different order than they minted — the artifact contract is
   // strictly increasing ids regardless of producer interleaving.
   std::vector<const QueryTrace*> ordered;
-  ordered.reserve(index_.size());
-  for (const auto& [id, slot] : index_) ordered.push_back(&traces_[slot]);
+  ordered.reserve(traces_.size());
+  for (const QueryTrace& trace : traces_) ordered.push_back(&trace);
   std::sort(ordered.begin(), ordered.end(),
             [](const QueryTrace* a, const QueryTrace* b) {
               return a->id < b->id;
@@ -291,28 +227,6 @@ bool QueryTracer::write_jsonl_file(const std::string& path,
   if (!out) return false;
   out << to_jsonl(run, sim_end);
   return static_cast<bool>(out);
-}
-
-bool QueryTracer::finish_stream(std::string_view run,
-                                core::TimePoint sim_end) {
-  std::lock_guard lock(mutex_);
-  if (stream_ == nullptr) return true;
-  // Queries still open at end of run are exported unfinished, matching
-  // the batch exporter's behaviour.
-  std::vector<const QueryTrace*> open;
-  open.reserve(index_.size());
-  for (const auto& [id, slot] : index_) open.push_back(&traces_[slot]);
-  std::sort(open.begin(), open.end(),
-            [](const QueryTrace* a, const QueryTrace* b) {
-              return a->id < b->id;
-            });
-  for (const QueryTrace* trace : open) stream_->emit(*trace);
-  traces_.clear();
-  index_.clear();
-  free_slots_.clear();
-  return stream_->close(run, sim_end, sampling_,
-                        next_id_.load(std::memory_order_relaxed) - 1, kept_,
-                        sampled_out_, dropped_queries_, dropped_stages_);
 }
 
 AmbientQuery ambient_query() { return t_ambient; }

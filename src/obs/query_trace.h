@@ -48,7 +48,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -94,13 +93,6 @@ struct QueryTrace {
   }
 };
 
-class StreamingQueryTraceSink;
-
-/// Append one {"type":"query",...} JSONL line body (no trailing newline)
-/// for `trace` — the per-trace serialization shared by the batch
-/// exporter (to_jsonl) and the streaming sink (obs/streaming.h).
-void append_query_trace_json(std::string& out, const QueryTrace& trace);
-
 class QueryTracer {
  public:
   struct Limits {
@@ -119,20 +111,14 @@ class QueryTracer {
   /// with gate_seed = core::derive_stream_seed(seed, 0). The kept id set
   /// is a pure function of (seed, n, ids minted) — bit-identical across
   /// thread counts, schedulings and re-runs, which is what the
-  /// determinism tests pin. `reservoir` additionally caps the kept set
-  /// at a fixed size using a bottom-k rank sketch: every candidate gets
-  /// rank (splitmix64(rank_seed + id), id) and the reservoir keeps the k
-  /// smallest ranks — also order-independent, unlike classic Algorithm R
-  /// whose result depends on arrival order. Evicted candidates count as
-  /// sampled_out, so kept + sampled_out + dropped == minted always.
+  /// determinism tests pin. Gated-away ids count as sampled_out, so
+  /// kept + sampled_out + dropped == minted always.
   struct Sampling {
     /// Keep one in n by id hash; 1 keeps everything (the default —
     /// artifacts are byte-identical to a tracer without sampling).
     std::uint64_t sample_one_in_n = 1;
-    /// Base seed for the gate/rank streams (core::derive_stream_seed).
+    /// Base seed for the gate stream (core::derive_stream_seed).
     std::uint64_t seed = 0;
-    /// Fixed-size bottom-k reservoir over gate survivors; 0 = off.
-    std::size_t reservoir = 0;
   };
 
   QueryTracer() = default;
@@ -157,7 +143,7 @@ class QueryTracer {
                 QueryId parent = 0);
 
   /// Append a stage to a live query. No-ops for id 0, unknown ids
-  /// (evicted/overflowed), or already-finished queries.
+  /// (sampled out or overflowed), or already-finished queries.
   void stage(QueryId id, core::TimePoint t, std::string_view stage,
              Reason reason, std::vector<Field> fields = {});
 
@@ -172,24 +158,15 @@ class QueryTracer {
   void set_sampling(const Sampling& sampling);
   [[nodiscard]] Sampling sampling() const;
 
-  /// Attach a streaming sink: finished traces are serialized and handed
-  /// to `sink` immediately (then freed — memory stays bounded by the
-  /// open-query count, not the run length), and to_jsonl()'s store stays
-  /// empty. Incompatible with reservoir mode (a reservoir must retain
-  /// candidates to evict them; it is already bounded by construction):
-  /// reservoir is ignored while a stream is attached. Configure before
-  /// fanning out; pass nullptr to detach.
-  void set_stream(StreamingQueryTraceSink* sink);
-
   /// Snapshot of all stored traces, in mint order.
   [[nodiscard]] std::vector<QueryTrace> snapshot() const;
   /// Queries minted while enabled (including dropped ones).
   [[nodiscard]] std::uint64_t minted() const;
   /// Traces dropped because the store was full.
   [[nodiscard]] std::uint64_t dropped() const;
-  /// Traces kept (stored, or already streamed out).
+  /// Traces kept in the store.
   [[nodiscard]] std::uint64_t kept() const;
-  /// Traces the sampling gate or the reservoir rejected.
+  /// Traces the sampling gate rejected.
   [[nodiscard]] std::uint64_t sampled_out() const;
   /// Forget all stored traces (keeps the id counter monotonic).
   void clear();
@@ -198,11 +175,6 @@ class QueryTracer {
   /// .sampled_out / .dropped counters, so `mntp-inspect` reconciliation
   /// can tell "sampled away on purpose" from "lost". Call at finalize.
   void export_counters(MetricsRegistry& registry) const;
-
-  /// Streaming finalize: push every still-stored trace (finished or not)
-  /// to the attached sink in id order and drain it. No-op without a
-  /// stream. Returns false on sink I/O failure.
-  bool finish_stream(std::string_view run, core::TimePoint sim_end);
 
   /// Serialize the store as query-trace JSONL (schema v1): a meta line
   /// {"type":"meta","kind":"mntp_query_trace",...} then one
@@ -217,13 +189,8 @@ class QueryTracer {
  private:
   /// True when the gate keeps this id (pure function of sampling_ and id).
   [[nodiscard]] bool gate_keeps(QueryId id) const;
-  /// Store a freshly minted trace, honouring the reservoir / capacity
-  /// rules. Caller holds mutex_.
-  void store_locked(QueryTrace trace);
-  /// Append the sampling meta block to a JsonWriter-owned string; caller
-  /// holds mutex_.
   [[nodiscard]] bool sampling_active() const {
-    return sampling_.sample_one_in_n > 1 || sampling_.reservoir > 0;
+    return sampling_.sample_one_in_n > 1;
   }
 
   Limits limits_;
@@ -232,15 +199,9 @@ class QueryTracer {
   std::atomic<std::uint64_t> next_id_{1};
   Sampling sampling_;
   std::uint64_t gate_seed_ = 0;  // derive_stream_seed(sampling_.seed, 0)
-  std::uint64_t rank_seed_ = 0;  // derive_stream_seed(sampling_.seed, 1)
-  StreamingQueryTraceSink* stream_ = nullptr;
+  /// Append-only store in insertion order; index_ maps id -> slot.
   std::vector<QueryTrace> traces_;
-  std::vector<std::size_t> free_slots_;  // recycled by stream/reservoir
   std::unordered_map<QueryId, std::size_t> index_;
-  /// Bottom-k reservoir: max-heap of (rank hash, id) over stored
-  /// candidates; the top is the first to evict.
-  std::vector<std::pair<std::uint64_t, QueryId>> reservoir_heap_;
-  std::uint64_t kept_ = 0;
   std::uint64_t sampled_out_ = 0;
   std::uint64_t dropped_queries_ = 0;
   std::uint64_t dropped_stages_ = 0;

@@ -159,20 +159,20 @@ ProbeHandle TimeSeriesRecorder::probe(std::string_view name, Labels labels,
                         0);
 }
 
-ProbeHandle TimeSeriesRecorder::counter_probe(std::string_view name,
-                                              Labels labels,
-                                              const ShardedCounter* counter) {
-  // Read the merged total only for a probe that will exist: a worker
-  // binding an inert probe must not read cells other threads write. The
-  // closure returns the RAW total; sample() differences it against the
-  // previous reading kept in the registration.
+ProbeHandle TimeSeriesRecorder::counter_probe(
+    std::string_view name, Labels labels,
+    std::function<std::uint64_t()> total) {
+  // Read the total only for a probe that will exist. The closure returns
+  // the RAW total; sample() differences it against the previous reading
+  // kept in the registration.
   if (!capturing()) return {};
+  const std::uint64_t initial = total();
   return register_probe(
       name, std::move(labels), "counter",
-      [counter](core::TimePoint) -> std::optional<double> {
-        return static_cast<double>(counter->value());
+      [total = std::move(total)](core::TimePoint) -> std::optional<double> {
+        return static_cast<double>(total());
       },
-      counter->value());
+      initial);
 }
 
 void TimeSeriesRecorder::unregister(std::uint64_t id) {
@@ -218,64 +218,50 @@ std::vector<const TimeSeries*> TimeSeriesRecorder::series() const {
 
 // --- Timeline JSONL -------------------------------------------------------
 
-void append_timeline_meta_json(std::string& out, std::string_view run_name,
-                               core::TimePoint sim_end,
-                               core::Duration cadence,
-                               std::size_t series_count) {
-  core::JsonWriter w(out);
-  w.begin_object()
+void write_timeline(std::ostream& out, const TimeSeriesRecorder& recorder,
+                    std::string_view run_name, core::TimePoint sim_end) {
+  // Probes registered but never sampled (e.g. tuner-emulator engines that
+  // never ran inside a simulation) would export as empty series; skip
+  // them and keep series_count honest.
+  std::vector<const TimeSeries*> series = recorder.series();
+  std::erase_if(series,
+                [](const TimeSeries* s) { return s->points().empty(); });
+  std::string line;
+  core::JsonWriter(line)
+      .begin_object()
       .kv("type", "meta")
       .kv("schema_version", 1)
       .kv("kind", "mntp_timeline")
       .kv("run", run_name)
       .kv("sim_end_ns", sim_end.ns())
-      .kv("cadence_ns", cadence.ns())
-      .kv("series_count", static_cast<std::uint64_t>(series_count))
+      .kv("cadence_ns", recorder.cadence().ns())
+      .kv("series_count", static_cast<std::uint64_t>(series.size()))
       .end_object();
-}
-
-void append_timeline_series_json(std::string& out, const TimeSeries& s) {
-  core::JsonWriter w(out);
-  w.begin_object()
-      .kv("type", "series")
-      .kv("name", s.name())
-      .kv("probe", s.probe_kind());
-  w.key("labels").begin_object();
-  for (const auto& [k, v] : s.labels()) w.kv(k, v);
-  w.end_object();
-  w.kv("samples", s.samples());
-  w.kv("stride", s.stride());
-  w.key("points").begin_array();
-  for (const TimeSeriesPoint& p : s.points()) {
-    w.begin_array()
-        .value(p.t_ns)
-        .value(p.min)
-        .value(p.mean())
-        .value(p.max)
-        .value(p.last)
-        .value(p.count)
-        .end_array();
-  }
-  w.end_array().end_object();
-}
-
-void write_timeline(std::ostream& out, const TimeSeriesRecorder& recorder,
-                    std::string_view run_name, core::TimePoint sim_end) {
-  std::vector<const TimeSeries*> all = recorder.series();
-  // Probes registered but never sampled (e.g. tuner-emulator engines that
-  // never ran inside a simulation) would export as empty series; skip
-  // them and keep series_count honest.
-  std::vector<const TimeSeries*> series;
-  for (const TimeSeries* s : all) {
-    if (!s->points().empty()) series.push_back(s);
-  }
-  std::string line;
-  append_timeline_meta_json(line, run_name, sim_end, recorder.cadence(),
-                            series.size());
   out << line << '\n';
   for (const TimeSeries* s : series) {
     line.clear();
-    append_timeline_series_json(line, *s);
+    core::JsonWriter w(line);
+    w.begin_object()
+        .kv("type", "series")
+        .kv("name", s->name())
+        .kv("probe", s->probe_kind());
+    w.key("labels").begin_object();
+    for (const auto& [k, v] : s->labels()) w.kv(k, v);
+    w.end_object();
+    w.kv("samples", s->samples());
+    w.kv("stride", s->stride());
+    w.key("points").begin_array();
+    for (const TimeSeriesPoint& p : s->points()) {
+      w.begin_array()
+          .value(p.t_ns)
+          .value(p.min)
+          .value(p.mean())
+          .value(p.max)
+          .value(p.last)
+          .value(p.count)
+          .end_array();
+    }
+    w.end_array().end_object();
     out << line << '\n';
   }
 }

@@ -183,12 +183,12 @@ class TimeSeriesRecorder {
   /// Always creates a new series (name collisions get a "#2", "#3", ...
   /// suffix).
   ProbeHandle probe(std::string_view name, Labels labels, Probe fn);
-  /// Samples the counter's per-interval DELTA (0 on the first sample).
-  /// Reads the merged total; the sampler runs on the simulation thread,
-  /// which owns all writes in a single-threaded sim, so the delta is
-  /// exact there.
+  /// Samples the per-interval DELTA of a monotonic running total (0 on
+  /// the first sample). `total` is read on the simulation thread, so it
+  /// should be a tally that simulation owns (a component's own count),
+  /// not a process-wide counter other threads also bump.
   ProbeHandle counter_probe(std::string_view name, Labels labels,
-                            const ShardedCounter* counter);
+                            std::function<std::uint64_t()> total);
 
   /// Evaluate every live probe at sim time `now` and fold the values into
   /// their series. Called by sim::Simulation's sampler event.
@@ -223,15 +223,6 @@ class TimeSeriesRecorder {
   std::vector<Registration> probes_;
   std::vector<std::unique_ptr<TimeSeries>> series_;
 };
-
-/// Per-line serializers shared by write_timeline and the chunked
-/// streaming export (obs/streaming.h) — one implementation, so both
-/// writers produce byte-identical lines.
-void append_timeline_meta_json(std::string& out, std::string_view run_name,
-                               core::TimePoint sim_end,
-                               core::Duration cadence,
-                               std::size_t series_count);
-void append_timeline_series_json(std::string& out, const TimeSeries& series);
 
 /// Serialize as timeline JSONL (schema_version 1, kind "mntp_timeline"):
 /// a meta line, then one line per non-empty series with points as

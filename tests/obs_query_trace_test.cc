@@ -328,42 +328,6 @@ TEST(QueryTracerSampling, KeptIdSetIsThreadCountInvariant) {
   EXPECT_EQ(serial, sixteen);
 }
 
-TEST(QueryTracerSampling, ReservoirCapsStoreAndConservesIds) {
-  QueryTracer tracer;
-  tracer.set_enabled(true);
-  tracer.set_sampling({.reservoir = 16});
-  for (int i = 0; i < 200; ++i) {
-    const QueryId id = tracer.begin(at(i), "round");
-    tracer.finish(id, at(i + 1), Reason::kOk);
-  }
-  EXPECT_EQ(tracer.minted(), 200u);
-  EXPECT_EQ(tracer.snapshot().size(), 16u);
-  EXPECT_EQ(tracer.kept(), 16u);
-  EXPECT_EQ(tracer.sampled_out(), 184u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(QueryTracerSampling, ReservoirKeptSetIsArrivalOrderIndependent) {
-  // Bottom-k ranks, not Algorithm R: the survivors are the k smallest
-  // hash ranks of the WHOLE stream, so any arrival interleaving of the
-  // same id set converges on the same kept set. Serial re-runs pin the
-  // determinism half; the tuner-driven test below covers interleaving.
-  auto kept = [] {
-    QueryTracer tracer;
-    tracer.set_enabled(true);
-    tracer.set_sampling({.seed = 3, .reservoir = 8});
-    for (int i = 0; i < 100; ++i) {
-      const QueryId id = tracer.begin(at(i), "round");
-      tracer.finish(id, at(i + 1), Reason::kOk);
-    }
-    std::vector<QueryId> ids;
-    for (const auto& t : tracer.snapshot()) ids.push_back(t.id);
-    return ids;
-  };
-  EXPECT_EQ(kept(), kept());
-  EXPECT_EQ(kept().size(), 8u);
-}
-
 TEST(QueryTracerSampling, MetaCarriesSamplingBlockOnlyWhenActive) {
   // Byte-identity guarantee: an unsampled artifact has NO sampling key
   // (old consumers see the exact old schema); a sampled one reconciles.

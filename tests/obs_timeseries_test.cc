@@ -77,7 +77,7 @@ TEST(TimeSeriesRecorder, CounterProbeRecordsDeltas) {
   ShardedCounter* c = reg.counter("n");
   TimeSeriesRecorder rec;
   rec.set_enabled(true);
-  ProbeHandle h = rec.counter_probe("n", {}, c);
+  ProbeHandle h = rec.counter_probe("n", {}, [c] { return c->value(); });
   rec.sample(at_s(1));  // first sample: delta from 0
   c->inc(5);
   rec.sample(at_s(2));

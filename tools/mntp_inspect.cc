@@ -28,7 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -167,9 +166,9 @@ int inspect_report(const std::string& path,
   }
 
   // Metric tables: scalar metrics (counters/gauges) then histograms. The
-  // obs.* family (telemetry metering itself — see src/obs/metric_names.h)
-  // gets its own table so self-overhead reads at a glance instead of
-  // interleaving with the run's real metrics.
+  // obs.* family (the query-trace accounting — see
+  // src/obs/metric_names.h) gets its own table instead of interleaving
+  // with the run's real metrics.
   mntp::core::TextTable scalars({"metric", "labels", "kind", "value"});
   mntp::core::TextTable obs_table({"metric", "kind", "value"});
   mntp::core::TextTable histograms(
@@ -290,10 +289,8 @@ int inspect_query_trace(const std::string& path,
   double sim_end_s = 0.0;
   long long dropped = 0;
   bool sampled = false;       // meta carried a "sampling" block
-  long long sample_n = 1, sample_seed = 0, reservoir = 0;
+  long long sample_n = 1, sample_seed = 0;
   long long minted = 0, kept = 0, sampled_out = 0;
-  bool streamed = false;
-  long long reorder_dropped = 0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
     auto parsed = Json::parse(lines[i]);
@@ -315,14 +312,11 @@ int inspect_query_trace(const std::string& path,
       run = line["run"].as_string();
       sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
       dropped = line["dropped"].as_int();
-      streamed = line["streamed"].as_bool();
-      reorder_dropped = line["reorder_dropped"].as_int();
       if (line.has("sampling")) {
         const Json& s = line["sampling"];
         sampled = true;
         sample_n = s["sample_one_in_n"].as_int();
         sample_seed = s["seed"].as_int();
-        reservoir = s["reservoir"].as_int();
         minted = s["minted"].as_int();
         kept = s["kept"].as_int();
         sampled_out = s["sampled_out"].as_int();
@@ -340,34 +334,22 @@ int inspect_query_trace(const std::string& path,
   std::printf("query trace: %s\n  run=%s  sim_end=%.1fs  %zu queries stored"
               " (%lld dropped)\n",
               path.c_str(), run.c_str(), sim_end_s, queries.size(), dropped);
-  if (streamed || reorder_dropped > 0) {
-    std::printf("  streamed artifact (%lld lost to reorder-window "
-                "force-advance)\n",
-                reorder_dropped);
-  }
   if (sampled) {
-    std::printf("  sampling: 1-in-%lld (seed %lld%s)  minted=%lld kept=%lld "
+    std::printf("  sampling: 1-in-%lld (seed %lld)  minted=%lld kept=%lld "
                 "sampled_out=%lld\n",
-                sample_n, sample_seed,
-                reservoir > 0
-                    ? mntp::core::strformat(", reservoir %lld", reservoir)
-                          .c_str()
-                    : "",
-                minted, kept, sampled_out);
-    // Conservation: every minted id ends exactly one way (reorder drops
-    // are a subset of "kept" that the streaming sink lost at the file
-    // layer). A mismatch means the producer lost track of ids — worth
-    // shouting about, but the stored traces still render fine, so it
-    // stays informational.
+                sample_n, sample_seed, minted, kept, sampled_out);
+    // Conservation: every minted id ends exactly one way. A mismatch
+    // means the producer lost track of ids — worth shouting about, but
+    // the stored traces still render fine, so it stays informational.
     if (minted != kept + sampled_out + dropped) {
       std::printf("  WARNING: accounting mismatch: minted %lld != kept %lld "
                   "+ sampled_out %lld + dropped %lld\n",
                   minted, kept, sampled_out, dropped);
     }
-    if (static_cast<long long>(queries.size()) != kept - reorder_dropped) {
+    if (static_cast<long long>(queries.size()) != kept) {
       std::printf("  WARNING: %zu query lines stored but meta claims %lld "
                   "kept\n",
-                  queries.size(), kept - reorder_dropped);
+                  queries.size(), kept);
     }
   }
 
@@ -707,77 +689,30 @@ int inspect_timeline(const std::string& path,
 // -------------------------------------------------------------- dispatch
 
 int inspect_file(const std::string& path, const Options& opt) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "mntp-inspect: cannot read %s\n", path.c_str());
-    return 1;
+  using mntp::obs::DiffKind;
+  auto read = mntp::obs::read_artifact(path);
+  if (!read.ok()) {
+    // An empty or cut-off file (a crashed producer) is exit 2, distinct
+    // from an unreadable or unrecognized one (exit 1).
+    std::fprintf(stderr, "mntp-inspect: %s\n", read.error().message.c_str());
+    return read.error().code == mntp::core::Error::Code::kMalformedPacket ? 2
+                                                                         : 1;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    // A zero-byte (or whitespace-only) file is a distinct failure from an
-    // unrecognized one: the producing bench crashed before its first
-    // write, or the path was pre-created by the harness.
-    std::fprintf(stderr, "mntp-inspect: %s: empty artifact file\n",
-                 path.c_str());
-    return 2;
-  }
-
-  // Whole-file JSON first (profile / bench results); on failure fall back
-  // to JSONL (run report), whose second line makes whole-file parse fail.
-  if (auto doc = Json::parse(content); doc.ok()) {
-    const Json& json = doc.value();
-    if (opt.timeline) {
-      std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
-                   path.c_str());
-      return 1;
-    }
-    if (json.has("traceEvents")) return inspect_profile(path, json);
-    if (json["kind"].as_string() == "mntp_perf_suite") {
-      warn_unknown_schema(path, json);
-      return inspect_bench(path, json);
-    }
-    std::fprintf(stderr, "mntp-inspect: %s: unrecognized JSON document\n",
+  const mntp::obs::ArtifactFile& file = read.value();
+  if (opt.timeline && file.kind != DiffKind::kTimeline) {
+    std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
                  path.c_str());
     return 1;
   }
-  std::vector<std::string> lines;
-  std::string line;
-  std::istringstream stream(content);
-  while (std::getline(stream, line)) lines.push_back(line);
-  if (!lines.empty()) {
-    if (auto first = Json::parse(lines.front());
-        first.ok() && first.value()["type"].as_string() == "meta") {
-      warn_unknown_schema(path, first.value());
-      const std::string& kind = first.value()["kind"].as_string();
-      if (kind == "mntp_timeline") {
-        return inspect_timeline(path, lines, opt);
-      }
-      if (opt.timeline) {
-        std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
-                     path.c_str());
-        return 1;
-      }
-      if (kind == "mntp_query_trace") {
-        return inspect_query_trace(path, lines, opt);
-      }
-      return inspect_report(path, lines);
-    }
-    // A JSONL artifact whose FIRST line already fails to parse was cut
-    // off mid-write (every writer emits the meta line atomically first).
-    if (auto first = Json::parse(lines.front()); !first.ok()) {
-      std::fprintf(stderr,
-                   "mntp-inspect: %s: truncated artifact (first line is "
-                   "not valid JSON)\n",
-                   path.c_str());
-      return 2;
-    }
+  if (file.kind != DiffKind::kProfile) warn_unknown_schema(path, file.doc);
+  switch (file.kind) {
+    case DiffKind::kProfile: return inspect_profile(path, file.doc);
+    case DiffKind::kBench: return inspect_bench(path, file.doc);
+    case DiffKind::kReport: return inspect_report(path, file.lines);
+    case DiffKind::kQueryTrace:
+      return inspect_query_trace(path, file.lines, opt);
+    case DiffKind::kTimeline: return inspect_timeline(path, file.lines, opt);
   }
-  std::fprintf(stderr,
-               "mntp-inspect: %s: not a run report, span profile, "
-               "perf-suite result, query trace or timeline\n",
-               path.c_str());
   return 1;
 }
 
