@@ -18,28 +18,41 @@ namespace {
 
 double minutes_at(core::TimePoint t) { return t.to_seconds() / 60.0; }
 
-}  // namespace
-
-SntpRun run_sntp_experiment(const ntp::TestbedConfig& config,
-                            core::Duration span, core::Duration poll) {
-  ntp::Testbed bed(config);
-  ntp::SntpClientPolicy policy;
-  policy.poll_interval = poll;
-  ntp::SntpClient client(bed.sim(), bed.target_clock(), bed.pool(),
-                         bed.last_hop_up(), bed.last_hop_down(), policy);
-  SntpRun run;
-  client.set_on_sample([&](const ntp::SntpSample& s) {
-    run.series.emplace_back(minutes_at(s.completed_at), s.offset.to_millis());
+/// Append each of `client`'s samples to `run->series` (minutes, ms).
+void record_series(ntp::SntpClient& client, SntpRun* run) {
+  client.set_on_sample([run](const ntp::SntpSample& s) {
+    run->series.emplace_back(minutes_at(s.completed_at), s.offset.to_millis());
   });
-  bed.start();
-  client.start();
-  bed.sim().run_until(core::TimePoint::epoch() + span);
-  run.offsets_ms = client.offsets_ms();
-  run.polls = client.polls();
-  run.failures = client.failures();
-  run.final_clock_offset_ms = bed.true_clock_offset_ms();
-  return run;
 }
+
+/// Copy a finished SNTP client's results into `run`.
+void collect(const ntp::SntpClient& client, ntp::Testbed& bed, SntpRun* run) {
+  run->offsets_ms = client.offsets_ms();
+  run->polls = client.polls();
+  run->failures = client.failures();
+  run->final_clock_offset_ms = bed.true_clock_offset_ms();
+}
+
+/// Copy a finished MNTP client's results into `run`.
+void collect(const protocol::MntpClient& client, ntp::Testbed& bed,
+             MntpRun* run) {
+  const protocol::MntpEngine& engine = client.engine();
+  split_engine_records(engine, &run->accepted, &run->rejected,
+                       &run->corrected);
+  run->accepted_ms = engine.accepted_offsets_ms();
+  run->rejected_ms = engine.rejected_offsets_ms();
+  run->corrected_ms = engine.corrected_offsets_ms();
+  run->deferrals = engine.deferrals();
+  run->requests = client.requests_sent();
+  if (const auto d = engine.drift_s_per_s()) {
+    run->drift_ppm = *d * 1e6;
+    run->has_drift = true;
+  }
+  run->final_clock_offset_ms = bed.true_clock_offset_ms();
+  run->hints = client.hint_log();
+}
+
+}  // namespace
 
 void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
                           Series* rejected, Series* corrected) {
@@ -56,6 +69,21 @@ void split_engine_records(const protocol::MntpEngine& engine, Series* accepted,
   }
 }
 
+SntpRun run_sntp_experiment(const ntp::TestbedConfig& config,
+                            core::Duration span, core::Duration poll) {
+  ntp::Testbed bed(config);
+  ntp::SntpClient client(bed.sim(), bed.target_clock(), bed.pool(),
+                         bed.last_hop_up(), bed.last_hop_down(),
+                         {.poll_interval = poll});
+  SntpRun run;
+  record_series(client, &run);
+  bed.start();
+  client.start();
+  bed.sim().run_until(core::TimePoint::epoch() + span);
+  collect(client, bed, &run);
+  return run;
+}
+
 MntpRun run_mntp_experiment(const ntp::TestbedConfig& config,
                             const protocol::MntpParams& params,
                             core::Duration span) {
@@ -65,21 +93,8 @@ MntpRun run_mntp_experiment(const ntp::TestbedConfig& config,
   bed.start();
   client.start();
   bed.sim().run_until(core::TimePoint::epoch() + span);
-
   MntpRun run;
-  split_engine_records(client.engine(), &run.accepted, &run.rejected,
-                       &run.corrected);
-  run.accepted_ms = client.engine().accepted_offsets_ms();
-  run.rejected_ms = client.engine().rejected_offsets_ms();
-  run.corrected_ms = client.engine().corrected_offsets_ms();
-  run.deferrals = client.engine().deferrals();
-  run.requests = client.requests_sent();
-  if (const auto d = client.engine().drift_s_per_s()) {
-    run.drift_ppm = *d * 1e6;
-    run.has_drift = true;
-  }
-  run.final_clock_offset_ms = bed.true_clock_offset_ms();
-  run.hints = client.hint_log();
+  collect(client, bed, &run);
   return run;
 }
 
@@ -87,41 +102,19 @@ HeadToHead run_head_to_head(const ntp::TestbedConfig& config,
                             const protocol::MntpParams& params,
                             core::Duration span, core::Duration sntp_poll) {
   ntp::Testbed bed(config);
-  ntp::SntpClientPolicy policy;
-  policy.poll_interval = sntp_poll;
   ntp::SntpClient sntp(bed.sim(), bed.target_clock(), bed.pool(),
-                       bed.last_hop_up(), bed.last_hop_down(), policy);
+                       bed.last_hop_up(), bed.last_hop_down(),
+                       {.poll_interval = sntp_poll});
   protocol::MntpClient mntp_client(bed.sim(), bed.target_clock(), bed.pool(),
                                    bed.channel(), params, bed.fork_rng());
-
   HeadToHead result;
-  sntp.set_on_sample([&](const ntp::SntpSample& s) {
-    result.sntp.series.emplace_back(minutes_at(s.completed_at),
-                                    s.offset.to_millis());
-  });
+  record_series(sntp, &result.sntp);
   bed.start();
   sntp.start();
   mntp_client.start();
   bed.sim().run_until(core::TimePoint::epoch() + span);
-
-  result.sntp.offsets_ms = sntp.offsets_ms();
-  result.sntp.polls = sntp.polls();
-  result.sntp.failures = sntp.failures();
-  result.sntp.final_clock_offset_ms = bed.true_clock_offset_ms();
-
-  split_engine_records(mntp_client.engine(), &result.mntp.accepted,
-                       &result.mntp.rejected, &result.mntp.corrected);
-  result.mntp.accepted_ms = mntp_client.engine().accepted_offsets_ms();
-  result.mntp.rejected_ms = mntp_client.engine().rejected_offsets_ms();
-  result.mntp.corrected_ms = mntp_client.engine().corrected_offsets_ms();
-  result.mntp.deferrals = mntp_client.engine().deferrals();
-  result.mntp.requests = mntp_client.requests_sent();
-  if (const auto d = mntp_client.engine().drift_s_per_s()) {
-    result.mntp.drift_ppm = *d * 1e6;
-    result.mntp.has_drift = true;
-  }
-  result.mntp.final_clock_offset_ms = bed.true_clock_offset_ms();
-  result.mntp.hints = mntp_client.hint_log();
+  collect(sntp, bed, &result.sntp);
+  collect(mntp_client, bed, &result.mntp);
   return result;
 }
 

@@ -118,13 +118,6 @@ class Rng {
     return static_cast<double>(engine_() >> 11) * 0x1p-53;
   }
 
-  /// Exponential with the given mean by inverse transform; exactly one
-  /// engine draw per call. log1p(-u) keeps precision for small u and is
-  /// finite for all u in [0,1).
-  [[nodiscard]] double exponential_fast(double mean) {
-    return -mean * std::log1p(-canonical());
-  }
-
   /// Gaussian via the Marsaglia polar method with the spare deviate
   /// cached: amortized ~1.27 engine-draw pairs per two results, no
   /// transcendental calls beyond one log+sqrt per pair.
@@ -170,9 +163,10 @@ class Rng {
 /// wrong tool there (2.5 KB of state and a ~312-word init per query);
 /// splitmix64 passes BigCrush and costs nothing to seed.
 ///
-/// The distribution helpers mirror Rng's `_fast` family (same math, same
-/// draw-count documentation); they are NOT stream-compatible with Rng —
-/// different engine, different realizations, same distributions.
+/// canonical() and normal() mirror Rng::canonical and Rng::normal_fast
+/// (same math, same draw-count documentation); they are NOT
+/// stream-compatible with Rng — different engine, different
+/// realizations, same distributions.
 class SmallRng {
  public:
   explicit constexpr SmallRng(std::uint64_t seed) : seed_(seed) {}
@@ -195,7 +189,9 @@ class SmallRng {
     return lo + (hi - lo) * canonical();
   }
 
-  /// Exponential with the given mean; one draw (cf. Rng::exponential_fast).
+  /// Exponential with the given mean by inverse transform; one draw.
+  /// log1p(-u) keeps precision for small u and is finite for all u in
+  /// [0,1).
   [[nodiscard]] double exponential(double mean) {
     return -mean * std::log1p(-canonical());
   }

@@ -132,17 +132,10 @@ Result<Artifact> load_profile(const Json& doc) {
   return art;
 }
 
-Result<Artifact> load_report(const std::vector<std::string>& lines) {
+Artifact load_report(const std::vector<Json>& lines) {
   Artifact art;
   art.kind = DiffKind::kReport;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       art.run = line["run"].as_string();
@@ -164,17 +157,10 @@ Result<Artifact> load_report(const std::vector<std::string>& lines) {
   return art;
 }
 
-Result<Artifact> load_query_trace(const std::vector<std::string>& lines) {
+Artifact load_query_trace(const std::vector<Json>& lines) {
   Artifact art;
   art.kind = DiffKind::kQueryTrace;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       art.run = line["run"].as_string();
@@ -198,17 +184,10 @@ Result<Artifact> load_query_trace(const std::vector<std::string>& lines) {
   return art;
 }
 
-Result<Artifact> load_timeline(const std::vector<std::string>& lines) {
+Artifact load_timeline(const std::vector<Json>& lines) {
   Artifact art;
   art.kind = DiffKind::kTimeline;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return Error::malformed(core::strformat(
-          "line %zu: %s", i + 1, parsed.error().message.c_str()));
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       art.run = line["run"].as_string();
@@ -776,18 +755,32 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
     }
   }
 
-  std::string line;
-  std::istringstream stream(content);
-  while (std::getline(stream, line)) file.lines.push_back(line);
-  auto meta = Json::parse(file.lines.front());
-  if (!meta.ok()) {
-    // Every writer emits the meta line first and whole, so a first line
-    // that does not parse was cut off mid-write.
-    return Error::malformed(path +
-                            ": truncated artifact (first line is not valid "
-                            "JSON)");
+  // Parse every JSONL line here, once, under one policy. Writers emit
+  // whole lines, so only the last line can be a cut-off write (a crashed
+  // producer, an interrupted copy); a bad line anywhere else is a
+  // corrupt artifact.
+  const std::size_t tail = content.find_last_not_of(" \t\r\n");
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos <= tail;) {
+    const std::size_t end = std::min(content.find('\n', pos), content.size());
+    const std::string_view text(content.data() + pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (text.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    auto parsed = Json::parse(text);
+    if (parsed.ok()) {
+      file.lines.push_back(std::move(parsed).take());
+    } else if (end > tail) {
+      return Error::malformed(core::strformat(
+          "%s: truncated artifact (last line %zu is not valid JSON)",
+          path.c_str(), line_no));
+    } else {
+      return Error::invalid_argument(
+          core::strformat("%s:%zu: %s", path.c_str(), line_no,
+                          parsed.error().message.c_str()));
+    }
   }
-  file.doc = meta.value();
+  file.doc = file.lines.front();
   if (file.doc["type"].as_string() != "meta") {
     return Error::invalid_argument(
         path + ": not a bench, profile, report, query-trace or timeline "

@@ -79,15 +79,17 @@ struct ArtifactFile {
   DiffKind kind = DiffKind::kBench;
   /// bench / profile: the whole document; JSONL kinds: the meta line.
   core::Json doc;
-  /// JSONL kinds: every line, meta first; empty for bench / profile.
-  std::vector<std::string> lines;
+  /// JSONL kinds: every non-blank line, parsed, meta first; empty for
+  /// bench / profile.
+  std::vector<core::Json> lines;
 };
 
-/// Read and classify `path` — the one kind detector behind
-/// `mntp-inspect` and diff_files. Errors carry the path: kIo when the
-/// file cannot be read, kMalformedPacket for an empty file or a first
-/// line that is not JSON (a cut-off write), kInvalidArgument for a
-/// readable document of no known kind.
+/// Read, parse and classify `path` — the one kind detector and JSONL
+/// parser behind `mntp-inspect` and diff_files. Errors carry the path:
+/// kIo when the file cannot be read, kMalformedPacket for an empty file
+/// or a last line that is not JSON (a cut-off write), kInvalidArgument
+/// for a bad line anywhere else (as `path:line: ...`) or a readable
+/// document of no known kind.
 [[nodiscard]] core::Result<ArtifactFile> read_artifact(
     const std::string& path);
 

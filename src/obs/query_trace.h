@@ -34,7 +34,8 @@
 // RNG draws, never schedules events, and is off by default behind the
 // same cached-atomic guard discipline as the profiler, so untraced runs
 // are bit-identical to a build without the instrumentation (pinned by
-// mntp_engine_test and BM_QueryTraceDisabled). The store is bounded
+// mntp_engine_test; perf_suite's telemetry_overhead_off prices the off
+// path). The store is bounded
 // (max_queries / max_stages_per_query); overflow increments dropped
 // counters instead of growing without bound. All mutation serializes on
 // one mutex — safe under the parallel tuner, where each worker's rounds

@@ -151,23 +151,6 @@ TEST(Rng, CanonicalIsOneDrawInUnitInterval) {
   }
 }
 
-TEST(Rng, ExponentialFastMomentsAndDrawCount) {
-  Rng rng(17);
-  double sum = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    const double x = rng.exponential_fast(3.0);
-    ASSERT_GE(x, 0.0);
-    ASSERT_TRUE(std::isfinite(x));
-    sum += x;
-  }
-  EXPECT_NEAR(sum / 100000.0, 3.0, 0.05);
-  // Draw-count contract: exactly one engine draw per variate.
-  Rng a(18), b(18);
-  (void)a.exponential_fast(1.0);
-  (void)b.next_u64();
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
 TEST(Rng, NormalFastMoments) {
   Rng rng(19);
   std::vector<double> xs;

@@ -13,7 +13,8 @@
 // delta noise.
 //
 // Exit code: 0 on success (step changes are informational), 1 when any
-// input cannot be read or parsed, 2 on usage errors.
+// input cannot be read or parsed, 2 on usage errors and on an empty or
+// cut-off artifact (a last line that is not JSON: a crashed producer).
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
 // same kind and has its own exit contract: 0 identical within
@@ -120,27 +121,11 @@ struct SpanRow {
          max_us = 0;
 };
 
-int inspect_report(const std::string& path,
-                   const std::vector<std::string>& lines) {
+int inspect_report(const std::string& path, const std::vector<Json>& lines) {
   std::vector<Json> metrics;
   std::map<std::string, SpanRow> spans;  // from profile.span.*
 
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      if (i + 1 == lines.size()) {
-        std::fprintf(stderr,
-                     "mntp-inspect: %s: truncated artifact (last line is "
-                     "not valid JSON)\n",
-                     path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), i + 1,
-                   parsed.error().message.c_str());
-      return 1;
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics\n",
@@ -282,7 +267,7 @@ void print_timeline(const TraceRow& q,
 }
 
 int inspect_query_trace(const std::string& path,
-                        const std::vector<std::string>& lines,
+                        const std::vector<Json>& lines,
                         const Options& opt) {
   std::vector<TraceRow> queries;
   std::string run;
@@ -291,22 +276,7 @@ int inspect_query_trace(const std::string& path,
   bool sampled = false;       // meta carried a "sampling" block
   long long sample_n = 1, sample_seed = 0;
   long long minted = 0, kept = 0, sampled_out = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      if (i + 1 == lines.size()) {
-        std::fprintf(stderr,
-                     "mntp-inspect: %s: truncated artifact (last line is "
-                     "not valid JSON)\n",
-                     path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), i + 1,
-                   parsed.error().message.c_str());
-      return 1;
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       run = line["run"].as_string();
@@ -574,25 +544,13 @@ std::string sparkline(const SeriesRow& s, std::size_t width) {
 }
 
 int inspect_timeline(const std::string& path,
-                     const std::vector<std::string>& lines,
+                     const std::vector<Json>& lines,
                      const Options& opt) {
   std::string run;
   double sim_end_s = 0.0, cadence_s = 0.0;
   long long declared_series = 0;
   std::vector<SeriesRow> series;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      // A cleanly-written timeline parses line by line; a line that does
-      // not is a partial write (crashed bench, interrupted copy).
-      std::fprintf(stderr,
-                   "mntp-inspect: %s: truncated artifact (line %zu is not "
-                   "valid JSON)\n",
-                   path.c_str(), i + 1);
-      return 2;
-    }
-    const Json line = parsed.value();
+  for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
       run = line["run"].as_string();
@@ -693,7 +651,7 @@ int inspect_file(const std::string& path, const Options& opt) {
   auto read = mntp::obs::read_artifact(path);
   if (!read.ok()) {
     // An empty or cut-off file (a crashed producer) is exit 2, distinct
-    // from an unreadable or unrecognized one (exit 1).
+    // from an unreadable, corrupt or unrecognized one (exit 1).
     std::fprintf(stderr, "mntp-inspect: %s\n", read.error().message.c_str());
     return read.error().code == mntp::core::Error::Code::kMalformedPacket ? 2
                                                                          : 1;
