@@ -30,58 +30,6 @@ constexpr const char* kShifted = "shifted";
 constexpr const char* kAdded = "added";
 constexpr const char* kRemoved = "removed";
 
-/// A loaded artifact: the kind plus whichever representation that kind
-/// parses into. Only one of the per-kind members is populated.
-struct Artifact {
-  DiffKind kind = DiffKind::kBench;
-  std::string run;
-
-  // bench: workload name -> (median, mad), plus the whole document
-  // (workload order and environment for the delta record and warnings)
-  struct Workload {
-    double median_us = 0.0;
-    double mad_us = 0.0;
-  };
-  std::map<std::string, Workload> workloads;
-  Json doc;
-
-  // profile: span name -> aggregate
-  struct SpanAgg {
-    double count = 0.0;
-    double total_us = 0.0;
-    double self_us = 0.0;
-  };
-  std::map<std::string, SpanAgg> spans;
-
-  // report: "name{labels}" -> scalar; histograms
-  struct Scalar {
-    double value = 0.0;
-    bool accounting = false;  // mntp.* / obs.* counter: exact class
-  };
-  struct HistRow {
-    double count = 0.0, p50 = 0.0, p90 = 0.0, p99 = 0.0;
-  };
-  std::map<std::string, Scalar> scalars;
-  std::map<std::string, HistRow> histograms;
-
-  // query-trace: "kind/reason" verdict buckets
-  std::map<std::string, double> verdicts;
-  double query_total = 0.0;
-
-  // timeline: series name{labels} -> mean points
-  std::map<std::string, std::vector<double>> series;
-};
-
-std::string labels_suffix(const Json& labels) {
-  if (!labels.is_object() || labels.as_object().empty()) return "";
-  std::string out = "{";
-  for (const auto& [key, value] : labels.as_object()) {
-    if (out.size() > 1) out += ",";
-    out += key + "=" + value.as_string();
-  }
-  return out + "}";
-}
-
 /// The accounting families whose counters must reconcile exactly
 /// between runs of the same scenario (ids conserved by construction:
 /// minted == kept + sampled_out + dropped and friends).
@@ -89,139 +37,126 @@ bool is_accounting_counter(const std::string& name) {
   return name.rfind("mntp.", 0) == 0 || name.rfind("obs.", 0) == 0;
 }
 
-// ------------------------------------------------------------- loading
+// ------------------------------------------------------------ decoding
 
-Result<Artifact> load_bench(const Json& doc) {
-  Artifact art;
-  art.kind = DiffKind::kBench;
-  if (!doc["workloads"].is_array()) {
-    return Error::malformed("bench artifact has no workloads array");
+ArtifactLabels decode_labels(const Json& labels) {
+  ArtifactLabels out;
+  for (const auto& [key, value] : labels.as_object()) {
+    out[key] = value.as_string();
   }
-  for (const Json& w : doc["workloads"].as_array()) {
-    const std::string& name = w["name"].as_string();
-    if (name.empty()) return Error::malformed("bench workload without name");
-    art.workloads[name] = {w["median_us"].as_double(),
-                           w["mad_us"].as_double()};
-  }
-  art.doc = doc;
-  return art;
+  return out;
 }
 
-Result<Artifact> load_profile(const Json& doc) {
-  Artifact art;
-  art.kind = DiffKind::kProfile;
+/// An error message, or nullptr when the document decoded.
+const char* decode_bench(const Json& doc, BenchArtifact& out) {
+  if (!doc["workloads"].is_array()) {
+    return "bench artifact has no workloads array";
+  }
+  out.reps = doc["reps"].as_int();
+  out.warmup = doc["warmup"].as_int();
+  out.environment = doc["environment"];
+  for (const Json& w : doc["workloads"].as_array()) {
+    if (w["name"].as_string().empty()) return "bench workload without name";
+    out.workloads.push_back(
+        {w["name"].as_string(), w["median_us"].as_double(),
+         w["mad_us"].as_double(), w["p95_us"].as_double(),
+         w["min_us"].as_double(), w["max_us"].as_double()});
+  }
+  return nullptr;
+}
+
+const char* decode_profile(const Json& doc, ArtifactFile& file) {
   if (!doc["traceEvents"].is_array()) {
-    return Error::malformed("profile artifact has no traceEvents array");
+    return "profile artifact has no traceEvents array";
   }
   for (const Json& e : doc["traceEvents"].as_array()) {
     const std::string& ph = e["ph"].as_string();
-    if (ph == "M") {
-      if (e["name"].as_string() == "process_name") {
-        art.run = e["args"]["name"].as_string();
-      }
-      continue;
+    if (ph == "M" && e["name"].as_string() == "process_name") {
+      file.run = e["args"]["name"].as_string();
     }
     if (ph != "X") continue;
-    // An aggregate event (--profile-out) stands for agg_count spans.
     const Json& args = e["args"];
-    Artifact::SpanAgg& agg = art.spans[e["name"].as_string()];
-    agg.count += args.has("agg_count") ? args["agg_count"].as_double() : 1.0;
-    agg.total_us += e["dur"].as_double();
+    const double dur = e["dur"].as_double();
+    const bool aggregate = args.has("agg_count");
+    const double lo = aggregate ? args["min_us"].as_double() : dur;
+    const double hi = aggregate ? args["max_us"].as_double() : dur;
+    SpanAggregate& agg = file.profile.spans[e["name"].as_string()];
+    agg.min_us = agg.count == 0.0 ? lo : std::min(agg.min_us, lo);
+    agg.max_us = agg.count == 0.0 ? hi : std::max(agg.max_us, hi);
+    agg.has_range = agg.has_range && (!aggregate || args.has("min_us"));
+    agg.count += aggregate ? args["agg_count"].as_double() : 1.0;
+    agg.total_us += dur;
     agg.self_us += args["self_us"].as_double();
   }
-  return art;
+  return nullptr;
 }
 
-Artifact load_report(const std::vector<Json>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kReport;
+TraceQuery decode_query(const Json& line) {
+  TraceQuery q;
+  q.id = line["id"].as_int();
+  q.parent = line["parent"].as_int();
+  q.kind = line["kind"].as_string();
+  q.start_ns = line["start_ns"].as_int();
+  for (const Json& s : line["stages"].as_array()) {
+    q.stages.push_back({s["stage"].as_string(), s["reason"].as_string(),
+                        s["t_ns"].as_int(), s["fields"]});
+  }
+  const TraceStage* verdict = q.verdict_stage();
+  q.verdict = verdict ? verdict->reason : "unfinished";
+  return q;
+}
+
+TimelineSeries decode_series(const Json& line) {
+  TimelineSeries s;
+  s.name = line["name"].as_string();
+  s.labels = decode_labels(line["labels"]);
+  s.probe = line["probe"].as_string();
+  s.samples = line["samples"].as_int();
+  s.stride = line["stride"].as_int();
+  for (const Json& p : line["points"].as_array()) {
+    s.t_ns.push_back(p.at(0).as_int());
+    s.min.push_back(p.at(1).as_double());
+    s.mean.push_back(p.at(2).as_double());
+    s.max.push_back(p.at(3).as_double());
+    s.last = p.at(4).as_double();
+  }
+  return s;
+}
+
+/// Decode the lines of a classified JSONL artifact (meta first).
+void decode_jsonl(const std::vector<Json>& lines, ArtifactFile& file) {
   for (const Json& line : lines) {
     const std::string& type = line["type"].as_string();
     if (type == "meta") {
-      art.run = line["run"].as_string();
-    } else if (type == "metric") {
-      const std::string& name = line["name"].as_string();
-      const std::string key = name + labels_suffix(line["labels"]);
-      const std::string& kind = line["kind"].as_string();
-      if (kind == "histogram") {
-        art.histograms[key] = {static_cast<double>(line["count"].as_int()),
-                               line["p50"].as_double(),
-                               line["p90"].as_double(),
-                               line["p99"].as_double()};
-      } else {
-        art.scalars[key] = {line["value"].as_double(),
-                            kind == "counter" && is_accounting_counter(name)};
+      file.run = line["run"].as_string();
+      file.schema_version = line["schema_version"].as_int();
+      file.sim_end_ns = line["sim_end_ns"].as_int();
+      file.report.metric_count = line["metric_count"].as_int();
+      file.trace.dropped = line["dropped"].as_int();
+      file.timeline.cadence_ns = line["cadence_ns"].as_int();
+      file.timeline.series_count = line["series_count"].as_int();
+      if (line.has("sampling")) {
+        const Json& s = line["sampling"];
+        file.trace.sampled = true;
+        file.trace.sample_one_in_n = s["sample_one_in_n"].as_int();
+        file.trace.seed = s["seed"].as_int();
+        file.trace.minted = s["minted"].as_int();
+        file.trace.kept = s["kept"].as_int();
+        file.trace.sampled_out = s["sampled_out"].as_int();
       }
+    } else if (type == "metric" && file.kind == DiffKind::kReport) {
+      file.report.metrics.push_back(
+          {line["name"].as_string(), decode_labels(line["labels"]),
+           line["kind"].as_string(), line["value"].as_double(),
+           line["count"].as_int(), line["p50"].as_double(),
+           line["p90"].as_double(), line["p99"].as_double(),
+           line["max"].as_double()});
+    } else if (type == "query" && file.kind == DiffKind::kQueryTrace) {
+      file.trace.queries.push_back(decode_query(line));
+    } else if (type == "series" && file.kind == DiffKind::kTimeline) {
+      file.timeline.series.push_back(decode_series(line));
     }
   }
-  return art;
-}
-
-Artifact load_query_trace(const std::vector<Json>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kQueryTrace;
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      art.run = line["run"].as_string();
-      continue;
-    }
-    if (type != "query") continue;
-    // The verdict is the last stage named "verdict" (the tracer
-    // guarantees at most one, and last); queries that never finished
-    // bucket as "unfinished" exactly like the inspector's table.
-    std::string reason = "unfinished";
-    const auto& stages = line["stages"].as_array();
-    for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
-      if ((*it)["stage"].as_string() == "verdict") {
-        reason = (*it)["reason"].as_string();
-        break;
-      }
-    }
-    art.verdicts[line["kind"].as_string() + "/" + reason] += 1.0;
-    art.query_total += 1.0;
-  }
-  return art;
-}
-
-Artifact load_timeline(const std::vector<Json>& lines) {
-  Artifact art;
-  art.kind = DiffKind::kTimeline;
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      art.run = line["run"].as_string();
-      continue;
-    }
-    if (type != "series") continue;
-    std::vector<double> means;
-    for (const Json& p : line["points"].as_array()) {
-      means.push_back(p.at(2).as_double());  // [t_ns,min,mean,max,last,count]
-    }
-    art.series[line["name"].as_string() + labels_suffix(line["labels"])] =
-        std::move(means);
-  }
-  return art;
-}
-
-/// Parse a classified artifact file into its kind's representation.
-Result<Artifact> parse_artifact(const ArtifactFile& file) {
-  switch (file.kind) {
-    case DiffKind::kBench: return load_bench(file.doc);
-    case DiffKind::kProfile: return load_profile(file.doc);
-    case DiffKind::kReport: return load_report(file.lines);
-    case DiffKind::kQueryTrace: return load_query_trace(file.lines);
-    case DiffKind::kTimeline: return load_timeline(file.lines);
-  }
-  return Error::invalid_argument("unknown artifact kind");
-}
-
-Result<Artifact> load_artifact(const std::string& path) {
-  auto file = read_artifact(path);
-  if (!file.ok()) return file.error();
-  auto art = parse_artifact(file.value());
-  if (art.ok()) return art;
-  return Error{art.error().code, path + ": " + art.error().message};
 }
 
 // ------------------------------------------------------------- diffing
@@ -242,49 +177,107 @@ void rank(DiffSection& section) {
                    });
 }
 
-void tally(DiffResult& result, const DiffSection& section) {
+/// Append a ranked section and count its flagged entries.
+void add_section(DiffResult& result, DiffSection section) {
   for (const DiffEntry& e : section.entries) {
     if (e.significant) ++result.significant;
     if (e.regression) ++result.regressions;
   }
+  result.sections.push_back(std::move(section));
 }
 
-/// The bench gate: candidate passes iff
-///   cand <= base * (1 + tolerance) + max(abs_floor, 4 * base_mad).
-double bench_allowance(double base_median, double base_mad,
-                       const DiffOptions& opt) {
-  return base_median * opt.tolerance +
-         std::max(opt.abs_floor_us, 4.0 * base_mad);
+/// The outer join every section is built by: keys only in A become
+/// `removed` entries, keys in both are compared, keys only in B become
+/// `added` entries. The join sets the name, the presence flags and the
+/// one-sided classes; the kind's `compare(e, a, b)` and its policy for
+/// `removed(e, a)` and `added(e, b)` fill values, score, significance,
+/// the both-sides class and the note. The section comes back ranked.
+template <typename V, typename Compare, typename Removed, typename Added>
+DiffSection join(std::string title, const std::map<std::string, V>& a,
+                 const std::map<std::string, V>& b, Compare compare,
+                 Removed removed, Added added) {
+  DiffSection section{std::move(title), {}};
+  for (const auto& [name, before] : a) {
+    DiffEntry e;
+    e.name = name;
+    e.has_before = true;
+    if (const auto it = b.find(name); it != b.end()) {
+      e.has_after = true;
+      compare(e, before, it->second);
+    } else {
+      e.cls = kRemoved;
+      removed(e, before);
+    }
+    section.entries.push_back(std::move(e));
+  }
+  for (const auto& [name, after] : b) {
+    if (a.count(name)) continue;
+    DiffEntry e;
+    e.name = name;
+    e.has_after = true;
+    e.cls = kAdded;
+    added(e, after);
+    section.entries.push_back(std::move(e));
+  }
+  rank(section);
+  return section;
+}
+
+/// Set both sides of a compared entry.
+void set_values(DiffEntry& e, double before, double after) {
+  e.before = before;
+  e.after = after;
+  e.delta = after - before;
+}
+
+/// |delta / before|, or 1 for any move away from a zero baseline.
+double relative_change(const DiffEntry& e) {
+  return e.before != 0.0 ? std::fabs(e.delta / e.before)
+                         : (e.delta != 0.0 ? 1.0 : 0.0);
+}
+
+/// Delta in allowance units: > 1 means the gate trips.
+double allowance_score(double delta, double allowance) {
+  return allowance > 0.0 ? delta / allowance : (delta > 0.0 ? 2.0 : 0.0);
+}
+
+/// `name{k=v,...}`, or the bare name without labels: the key a metric
+/// or series diffs under.
+std::string keyed_name(const std::string& name, const ArtifactLabels& labels) {
+  return labels.empty() ? name : name + "{" + format_labels(labels) + "}";
+}
+
+std::map<std::string, const BenchWorkload*> by_name(const BenchArtifact& art) {
+  std::map<std::string, const BenchWorkload*> out;
+  for (const BenchWorkload& w : art.workloads) out[w.name] = &w;
+  return out;
 }
 
 /// Within-candidate budgets: both medians come from `cand`, so a
 /// budget gates the candidate's own overhead claim, not its speed
 /// against the baseline. `before` is the reference workload's median.
-DiffSection diff_budgets(const Artifact& cand,
+DiffSection diff_budgets(const BenchArtifact& cand,
                          const std::vector<BenchBudget>& budgets) {
+  const auto workloads = by_name(cand);
   DiffSection section{"budgets", {}};
   for (const BenchBudget& budget : budgets) {
     DiffEntry e;
     e.name = budget.spec;
-    const auto a_it = cand.workloads.find(budget.a);
-    const auto b_it = cand.workloads.find(budget.b);
-    if (a_it == cand.workloads.end() || b_it == cand.workloads.end()) {
+    const auto a_it = workloads.find(budget.a);
+    const auto b_it = workloads.find(budget.b);
+    if (a_it == workloads.end() || b_it == workloads.end()) {
       e.cls = kRemoved;
       e.significant = e.regression = true;
       e.note = "workload '" +
-               (a_it == cand.workloads.end() ? budget.a : budget.b) +
+               (a_it == workloads.end() ? budget.a : budget.b) +
                "' missing from candidate";
       section.entries.push_back(std::move(e));
       continue;
     }
     e.has_before = e.has_after = true;
-    e.before = b_it->second.median_us;
-    e.after = a_it->second.median_us;
-    e.delta = e.after - e.before;
+    set_values(e, b_it->second->median_us, a_it->second->median_us);
     const double limit = e.before * (1.0 + budget.pct / 100.0);
-    const double allowance = limit - e.before;
-    e.score = allowance > 0.0 ? e.delta / allowance
-                              : (e.delta > 0.0 ? 2.0 : 0.0);
+    e.score = allowance_score(e.delta, limit - e.before);
     e.significant = e.regression = e.after > limit;
     e.cls = e.regression ? kChanged : kEqual;
     e.note = core::strformat(
@@ -297,60 +290,40 @@ DiffSection diff_budgets(const Artifact& cand,
   return section;
 }
 
-DiffResult diff_bench(const Artifact& a, const Artifact& b,
+/// The bench gate: candidate passes iff
+///   cand <= base * (1 + tolerance) + max(abs_floor, 4 * base_mad).
+/// A baseline workload missing from the candidate regresses; a
+/// candidate-only one is noted.
+DiffResult diff_bench(const BenchArtifact& a, const BenchArtifact& b,
                       const DiffOptions& opt) {
   DiffResult result;
-  result.kind = DiffKind::kBench;
-  DiffSection section{"workloads", {}};
-  for (const auto& [name, base] : a.workloads) {
-    DiffEntry e;
-    e.name = name;
-    e.has_before = true;
-    e.before = base.median_us;
-    auto it = b.workloads.find(name);
-    if (it == b.workloads.end()) {
-      e.cls = kRemoved;
-      e.significant = e.regression = true;
-      e.note = "missing from candidate";
-      section.entries.push_back(std::move(e));
-      continue;
-    }
-    e.has_after = true;
-    e.after = it->second.median_us;
-    e.delta = e.after - e.before;
-    const double allowance = bench_allowance(base.median_us, base.mad_us, opt);
-    // Score: how far past (or inside) the allowance the delta landed,
-    // in allowance units — >1 means the gate trips.
-    e.score = allowance > 0.0 ? e.delta / allowance
-                              : (e.delta > 0.0 ? 2.0 : 0.0);
-    e.regression = e.after > e.before + allowance;
-    e.significant = e.regression || e.before - e.after > allowance;
-    e.cls = e.significant ? kChanged : kEqual;
-    if (e.significant && !e.regression) e.note = "improvement";
-    section.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, cand] : b.workloads) {
-    if (a.workloads.count(name)) continue;
-    DiffEntry e;
-    e.name = name;
-    e.has_after = true;
-    e.after = cand.median_us;
-    e.cls = kAdded;
-    e.note = "new workload, no baseline";
-    section.entries.push_back(std::move(e));
-  }
-  rank(section);
-  tally(result, section);
-  result.sections.push_back(std::move(section));
-
-  if (!opt.budgets.empty()) {
-    DiffSection budgets = diff_budgets(b, opt.budgets);
-    tally(result, budgets);
-    result.sections.push_back(std::move(budgets));
-  }
+  add_section(result, join(
+      "workloads", by_name(a), by_name(b),
+      [&opt](DiffEntry& e, const BenchWorkload* base,
+             const BenchWorkload* cand) {
+        set_values(e, base->median_us, cand->median_us);
+        const double allowance =
+            base->median_us * opt.tolerance +
+            std::max(opt.abs_floor_us, 4.0 * base->mad_us);
+        e.score = allowance_score(e.delta, allowance);
+        e.regression = e.after > e.before + allowance;
+        e.significant = e.regression || e.before - e.after > allowance;
+        e.cls = e.significant ? kChanged : kEqual;
+        if (e.significant && !e.regression) e.note = "improvement";
+      },
+      [](DiffEntry& e, const BenchWorkload* base) {
+        e.before = base->median_us;
+        e.significant = e.regression = true;
+        e.note = "missing from candidate";
+      },
+      [](DiffEntry& e, const BenchWorkload* cand) {
+        e.after = cand->median_us;
+        e.note = "new workload, no baseline";
+      }));
+  if (!opt.budgets.empty()) add_section(result, diff_budgets(b, opt.budgets));
   for (const char* key : {"compiler", "build_type"}) {
-    const std::string& before = a.doc["environment"][key].as_string();
-    const std::string& after = b.doc["environment"][key].as_string();
+    const std::string& before = a.environment[key].as_string();
+    const std::string& after = b.environment[key].as_string();
     if (before != after) {
       result.warnings.push_back(core::strformat(
           "environment.%s differs: baseline '%s' vs candidate '%s'", key,
@@ -360,11 +333,11 @@ DiffResult diff_bench(const Artifact& a, const Artifact& b,
   return result;
 }
 
-DiffResult diff_profile(const Artifact& a, const Artifact& b,
+/// Spans compare on self time, ranked by contribution; only increases
+/// beyond the allowance regress. A vanished span is noted; a new one
+/// regresses when it burns more than the absolute floor.
+DiffResult diff_profile(const ProfileArtifact& a, const ProfileArtifact& b,
                         const DiffOptions& opt) {
-  DiffResult result;
-  result.kind = DiffKind::kProfile;
-  DiffSection section{"spans", {}};
   // Contribution denominator: total self-time movement across every
   // span present on both sides (self sums to wall, so self deltas are
   // the additive attribution of the end-to-end change).
@@ -375,304 +348,193 @@ DiffResult diff_profile(const Artifact& a, const Artifact& b,
       abs_self_delta_sum += std::fabs(it->second.self_us - base.self_us);
     }
   }
-  for (const auto& [name, base] : a.spans) {
-    DiffEntry e;
-    e.name = name;
-    e.has_before = true;
-    e.before = base.self_us;
-    auto it = b.spans.find(name);
-    if (it == b.spans.end()) {
-      e.cls = kRemoved;
-      e.note = core::strformat("span gone (was total %.1f us)",
-                               base.total_us);
-      section.entries.push_back(std::move(e));
-      continue;
-    }
-    e.has_after = true;
-    e.after = it->second.self_us;
-    e.delta = e.after - e.before;
-    e.score = abs_self_delta_sum > 0.0
-                  ? std::fabs(e.delta) / abs_self_delta_sum
-                  : 0.0;
-    const double allowance =
-        std::max(opt.abs_floor_us, e.before * opt.tolerance);
-    e.significant = std::fabs(e.delta) > allowance;
-    e.regression = e.significant && e.delta > 0.0;
-    e.cls = e.significant ? kChanged : kEqual;
-    e.note = core::strformat(
-        "total %.1f -> %.1f us, count %.0f -> %.0f%s", base.total_us,
-        it->second.total_us, base.count, it->second.count,
-        e.significant && !e.regression ? ", improvement" : "");
-    section.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, cand] : b.spans) {
-    if (a.spans.count(name)) continue;
-    DiffEntry e;
-    e.name = name;
-    e.has_after = true;
-    e.after = cand.self_us;
-    e.cls = kAdded;
-    const double allowance = opt.abs_floor_us;
-    e.significant = cand.self_us > allowance;
-    e.regression = e.significant;  // new span burning real time
-    e.note = core::strformat("new span (total %.1f us)", cand.total_us);
-    section.entries.push_back(std::move(e));
-  }
-  rank(section);
-  tally(result, section);
-  result.sections.push_back(std::move(section));
+  DiffResult result;
+  add_section(result, join(
+      "spans", a.spans, b.spans,
+      [&](DiffEntry& e, const SpanAggregate& base, const SpanAggregate& cand) {
+        set_values(e, base.self_us, cand.self_us);
+        e.score = abs_self_delta_sum > 0.0
+                      ? std::fabs(e.delta) / abs_self_delta_sum
+                      : 0.0;
+        e.significant = std::fabs(e.delta) >
+                        std::max(opt.abs_floor_us, e.before * opt.tolerance);
+        e.regression = e.significant && e.delta > 0.0;
+        e.cls = e.significant ? kChanged : kEqual;
+        e.note = core::strformat(
+            "total %.1f -> %.1f us, count %.0f -> %.0f%s", base.total_us,
+            cand.total_us, base.count, cand.count,
+            e.significant && !e.regression ? ", improvement" : "");
+      },
+      [](DiffEntry& e, const SpanAggregate& base) {
+        e.before = base.self_us;
+        e.note = core::strformat("span gone (was total %.1f us)",
+                                 base.total_us);
+      },
+      [&opt](DiffEntry& e, const SpanAggregate& cand) {
+        e.after = cand.self_us;
+        e.significant = e.regression = cand.self_us > opt.abs_floor_us;
+        e.note = core::strformat("new span (total %.1f us)", cand.total_us);
+      }));
   return result;
 }
 
-/// Generic map diff over named doubles with a relative-tolerance rule;
-/// used for report scalars, histogram fields and event counts.
-template <typename Significance>
-DiffSection diff_named_values(const std::string& title,
-                              const std::map<std::string, double>& a,
-                              const std::map<std::string, double>& b,
-                              Significance significant_fn) {
-  DiffSection section{title, {}};
-  for (const auto& [name, before] : a) {
-    DiffEntry e;
-    e.name = name;
-    e.has_before = true;
-    e.before = before;
-    auto it = b.find(name);
-    if (it == b.end()) {
-      e.cls = kRemoved;
-      e.significant = true;
-      e.regression = true;
-      section.entries.push_back(std::move(e));
-      continue;
-    }
-    e.has_after = true;
-    e.after = it->second;
-    e.delta = e.after - e.before;
-    e.score = e.before != 0.0 ? std::fabs(e.delta / e.before)
-                              : (e.delta != 0.0 ? 1.0 : 0.0);
-    e.significant = significant_fn(name, e);
-    e.regression = e.significant;
-    e.cls = e.significant ? kChanged : kEqual;
-    section.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, after] : b) {
-    if (a.count(name)) continue;
-    DiffEntry e;
-    e.name = name;
-    e.has_after = true;
-    e.after = after;
-    e.cls = kAdded;
-    e.significant = true;
-    e.regression = true;
-    section.entries.push_back(std::move(e));
-  }
-  rank(section);
-  return section;
-}
-
-DiffResult diff_report(const Artifact& a, const Artifact& b,
+/// Scalars keyed by name{labels}: accounting counters reconcile exactly
+/// (class exact / shifted), everything else and the flattened histogram
+/// fields use the relative tolerance.
+DiffResult diff_report(const ReportArtifact& a, const ReportArtifact& b,
                        const DiffOptions& opt) {
-  DiffResult result;
-  result.kind = DiffKind::kReport;
-
-  // Scalars: accounting counters reconcile exactly (class exact /
-  // shifted); everything else uses the relative tolerance.
-  DiffSection scalars{"metrics", {}};
-  for (const auto& [name, base] : a.scalars) {
-    DiffEntry e;
-    e.name = name;
-    e.has_before = true;
-    e.before = base.value;
-    auto it = b.scalars.find(name);
-    if (it == b.scalars.end()) {
-      e.cls = kRemoved;
-      e.significant = e.regression = true;
-      scalars.entries.push_back(std::move(e));
-      continue;
+  // Per side: scalars, histograms flattened to key.{count,p50,p90,p99},
+  // and whether the scalar is an accounting counter (A's flag decides).
+  std::map<std::string, double> scalars[2], histograms[2];
+  std::map<std::string, bool> accounting;
+  for (int side = 0; side < 2; ++side) {
+    for (const ReportMetric& m : (side == 0 ? a : b).metrics) {
+      const std::string key = keyed_name(m.name, m.labels);
+      if (m.kind != "histogram") {
+        scalars[side][key] = m.value;
+        if (side == 0) {
+          accounting[key] = m.kind == "counter" && is_accounting_counter(m.name);
+        }
+        continue;
+      }
+      std::map<std::string, double>& h = histograms[side];
+      h[key + ".count"] = static_cast<double>(m.count);
+      h[key + ".p50"] = m.p50;
+      h[key + ".p90"] = m.p90;
+      h[key + ".p99"] = m.p99;
     }
-    e.has_after = true;
-    e.after = it->second.value;
-    e.delta = e.after - e.before;
-    if (base.accounting) {
-      const bool exact = e.before == e.after;
-      e.cls = exact ? kExact : kShifted;
-      e.significant = e.regression = !exact;
-      e.score = e.before != 0.0 ? std::fabs(e.delta / e.before)
-                                : (exact ? 0.0 : 1.0);
-      if (!exact) e.note = "accounting counter shifted";
-    } else {
-      e.score = e.before != 0.0 ? std::fabs(e.delta / e.before)
-                                : (e.delta != 0.0 ? 1.0 : 0.0);
-      e.significant = e.score > opt.tolerance;
-      e.regression = e.significant;
-      e.cls = e.significant ? kChanged : kEqual;
-    }
-    scalars.entries.push_back(std::move(e));
   }
-  for (const auto& [name, cand] : b.scalars) {
-    if (a.scalars.count(name)) continue;
-    DiffEntry e;
-    e.name = name;
-    e.has_after = true;
-    e.after = cand.value;
-    e.cls = kAdded;
-    e.significant = e.regression = true;
-    scalars.entries.push_back(std::move(e));
-  }
-  rank(scalars);
-  tally(result, scalars);
-  result.sections.push_back(std::move(scalars));
-
-  // Histograms: count plus the quantile triple, flattened to named
-  // values so they rank alongside each other.
-  std::map<std::string, double> ha, hb;
-  for (const auto& [key, h] : a.histograms) {
-    ha[key + ".count"] = h.count;
-    ha[key + ".p50"] = h.p50;
-    ha[key + ".p90"] = h.p90;
-    ha[key + ".p99"] = h.p99;
-  }
-  for (const auto& [key, h] : b.histograms) {
-    hb[key + ".count"] = h.count;
-    hb[key + ".p50"] = h.p50;
-    hb[key + ".p90"] = h.p90;
-    hb[key + ".p99"] = h.p99;
-  }
-  auto rel_rule = [&opt](const std::string&, const DiffEntry& e) {
-    return e.score > opt.tolerance;
+  const auto relative = [&opt](DiffEntry& e, double before, double after) {
+    set_values(e, before, after);
+    e.score = relative_change(e);
+    e.significant = e.regression = e.score > opt.tolerance;
+    e.cls = e.significant ? kChanged : kEqual;
   };
-  if (!ha.empty() || !hb.empty()) {
-    DiffSection hsec = diff_named_values("histograms", ha, hb, rel_rule);
-    tally(result, hsec);
-    result.sections.push_back(std::move(hsec));
+  const auto removed = [](DiffEntry& e, double before) {
+    e.before = before;
+    e.significant = e.regression = true;
+  };
+  const auto added = [](DiffEntry& e, double after) {
+    e.after = after;
+    e.significant = e.regression = true;
+  };
+  DiffResult result;
+  add_section(result, join(
+      "metrics", scalars[0], scalars[1],
+      [&](DiffEntry& e, double before, double after) {
+        relative(e, before, after);
+        if (!accounting.at(e.name)) return;
+        e.cls = e.before == e.after ? kExact : kShifted;
+        e.significant = e.regression = e.before != e.after;
+        if (e.regression) e.note = "accounting counter shifted";
+      },
+      removed, added));
+  if (!histograms[0].empty() || !histograms[1].empty()) {
+    add_section(result, join("histograms", histograms[0], histograms[1],
+                             relative, removed, added));
   }
   return result;
 }
 
-DiffResult diff_query_trace(const Artifact& a, const Artifact& b,
+/// Verdict buckets ("kind/reason") compared as shares of all queries
+/// with a two-proportion z score; a bucket on one side only is scored
+/// against a zero count on the other.
+DiffResult diff_query_trace(const QueryTraceArtifact& a,
+                            const QueryTraceArtifact& b,
                             const DiffOptions& opt) {
-  DiffResult result;
-  result.kind = DiffKind::kQueryTrace;
-  DiffSection section{"verdicts", {}};
-  const double na = a.query_total, nb = b.query_total;
-  std::map<std::string, std::pair<double, double>> buckets;
-  for (const auto& [key, n] : a.verdicts) buckets[key].first = n;
-  for (const auto& [key, n] : b.verdicts) buckets[key].second = n;
-  for (const auto& [key, counts] : buckets) {
-    DiffEntry e;
-    e.name = key;
-    e.has_before = counts.first > 0.0 || a.verdicts.count(key) > 0;
-    e.has_after = counts.second > 0.0 || b.verdicts.count(key) > 0;
-    e.before = counts.first;
-    e.after = counts.second;
-    e.delta = e.after - e.before;
+  const auto buckets = [](const QueryTraceArtifact& art) {
+    std::map<std::string, double> out;
+    for (const TraceQuery& q : art.queries) out[q.kind + "/" + q.verdict] += 1;
+    return out;
+  };
+  const double na = static_cast<double>(a.queries.size());
+  const double nb = static_cast<double>(b.queries.size());
+  const auto shift = [&](DiffEntry& e, double before, double after) {
+    set_values(e, before, after);
     // Two-proportion z on the bucket's share of all queries: the
     // magnitude-aware "did this reason's share really move" test.
-    const double pa = na > 0.0 ? counts.first / na : 0.0;
-    const double pb = nb > 0.0 ? counts.second / nb : 0.0;
+    const double pa = na > 0.0 ? before / na : 0.0;
+    const double pb = nb > 0.0 ? after / nb : 0.0;
     if (na > 0.0 && nb > 0.0) {
-      const double pooled = (counts.first + counts.second) / (na + nb);
+      const double pooled = (before + after) / (na + nb);
       const double var = pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb);
       e.score = var > 0.0 ? std::fabs(pb - pa) / std::sqrt(var) : 0.0;
     } else {
       e.score = pa != pb ? opt.sigma + 1.0 : 0.0;
     }
-    e.significant = e.score > opt.sigma;
-    e.regression = e.significant;
-    if (!a.verdicts.count(key)) {
-      e.cls = kAdded;
-    } else if (!b.verdicts.count(key)) {
-      e.cls = kRemoved;
-    } else {
-      e.cls = e.significant ? kShifted : kEqual;
-    }
+    e.significant = e.regression = e.score > opt.sigma;
     e.note = core::strformat("share %.2f%% -> %.2f%%", pa * 100.0,
                              pb * 100.0);
-    section.entries.push_back(std::move(e));
-  }
-  rank(section);
-  tally(result, section);
-  result.sections.push_back(std::move(section));
+  };
+  DiffResult result;
+  add_section(result, join(
+      "verdicts", buckets(a), buckets(b),
+      [&shift](DiffEntry& e, double before, double after) {
+        shift(e, before, after);
+        e.cls = e.significant ? kShifted : kEqual;
+      },
+      [&shift](DiffEntry& e, double before) { shift(e, before, 0.0); },
+      [&shift](DiffEntry& e, double after) { shift(e, 0.0, after); }));
   return result;
 }
 
-DiffResult diff_timeline(const Artifact& a, const Artifact& b,
+/// Per-series divergence of the mean series; a series on one side only
+/// is a regression.
+DiffResult diff_timeline(const TimelineArtifact& a, const TimelineArtifact& b,
                          const DiffOptions& opt) {
+  const auto keyed = [](const TimelineArtifact& art) {
+    std::map<std::string, const std::vector<double>*> out;
+    for (const TimelineSeries& s : art.series) {
+      out[keyed_name(s.name, s.labels)] = &s.mean;
+    }
+    return out;
+  };
   DiffResult result;
-  result.kind = DiffKind::kTimeline;
-  DiffSection section{"series", {}};
-  for (const auto& [name, base] : a.series) {
-    DiffEntry e;
-    e.name = name;
-    e.has_before = true;
-    auto it = b.series.find(name);
-    if (it == b.series.end()) {
-      e.cls = kRemoved;
-      e.significant = e.regression = true;
-      e.note = "series gone";
-      section.entries.push_back(std::move(e));
-      continue;
-    }
-    e.has_after = true;
-    const std::vector<double>& va = base;
-    const std::vector<double>& vb = it->second;
-    // Resample both mean-series onto a common grid (the shorter
-    // length) by bucket-averaging, then score the pointwise residual
-    // RMS against A's own spread — a unitless divergence that reads
-    // the same for offsets in ms and queue depths in events.
-    const std::size_t grid = std::min(va.size(), vb.size());
-    auto resample = [grid](const std::vector<double>& v, std::size_t i) {
-      const std::size_t begin = i * v.size() / grid;
-      const std::size_t end = std::max(begin + 1, (i + 1) * v.size() / grid);
-      double acc = 0.0;
-      for (std::size_t k = begin; k < end; ++k) acc += v[k];
-      return acc / static_cast<double>(end - begin);
-    };
-    double rss = 0.0;
-    core::RunningStats spread_a;
-    double mean_a = 0.0, mean_b = 0.0;
-    for (std::size_t i = 0; i < grid; ++i) {
-      const double xa = resample(va, i);
-      const double xb = resample(vb, i);
-      rss += (xb - xa) * (xb - xa);
-      spread_a.add(xa);
-      mean_a += xa;
-      mean_b += xb;
-    }
-    if (grid > 0) {
-      mean_a /= static_cast<double>(grid);
-      mean_b /= static_cast<double>(grid);
-      const double rms = std::sqrt(rss / static_cast<double>(grid));
-      // Normalizer: A's stddev when it varies, |mean| as the fallback
-      // for (near-)constant series, 1.0 for all-zero series.
-      double norm = spread_a.stddev();
-      if (norm <= 0.0) norm = std::fabs(mean_a);
-      if (norm <= 0.0) norm = 1.0;
-      e.score = rms / norm;
-    }
-    e.before = mean_a;
-    e.after = mean_b;
-    e.delta = mean_b - mean_a;
-    e.significant = e.score > opt.divergence;
-    e.regression = e.significant;
-    e.cls = e.significant ? kChanged : kEqual;
-    e.note = core::strformat("%zu/%zu points on a %zu-point grid",
-                             va.size(), vb.size(), grid);
-    section.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, cand] : b.series) {
-    if (a.series.count(name)) continue;
-    DiffEntry e;
-    e.name = name;
-    e.has_after = true;
-    e.cls = kAdded;
-    e.significant = e.regression = true;
-    e.note = "new series";
-    section.entries.push_back(std::move(e));
-  }
-  rank(section);
-  tally(result, section);
-  result.sections.push_back(std::move(section));
+  add_section(result, join(
+      "series", keyed(a), keyed(b),
+      [&opt](DiffEntry& e, const std::vector<double>* va,
+             const std::vector<double>* vb) {
+        // Resample both mean-series onto a common grid (the shorter
+        // length) by bucket-averaging, then score the pointwise residual
+        // RMS against A's own spread — a unitless divergence that reads
+        // the same for offsets in ms and queue depths in events.
+        const std::size_t grid = std::min(va->size(), vb->size());
+        double rss = 0.0;
+        core::RunningStats spread_a;
+        double mean_a = 0.0, mean_b = 0.0;
+        for (std::size_t i = 0; i < grid; ++i) {
+          const double xa = bucket_mean(*va, i, grid);
+          const double xb = bucket_mean(*vb, i, grid);
+          rss += (xb - xa) * (xb - xa);
+          spread_a.add(xa);
+          mean_a += xa;
+          mean_b += xb;
+        }
+        if (grid > 0) {
+          mean_a /= static_cast<double>(grid);
+          mean_b /= static_cast<double>(grid);
+          const double rms = std::sqrt(rss / static_cast<double>(grid));
+          // Normalizer: A's stddev when it varies, |mean| as the fallback
+          // for (near-)constant series, 1.0 for all-zero series.
+          double norm = spread_a.stddev();
+          if (norm <= 0.0) norm = std::fabs(mean_a);
+          if (norm <= 0.0) norm = 1.0;
+          e.score = rms / norm;
+        }
+        set_values(e, mean_a, mean_b);
+        e.significant = e.regression = e.score > opt.divergence;
+        e.cls = e.significant ? kChanged : kEqual;
+        e.note = core::strformat("%zu/%zu points on a %zu-point grid",
+                                 va->size(), vb->size(), grid);
+      },
+      [](DiffEntry& e, const std::vector<double>*) {
+        e.significant = e.regression = true;
+        e.note = "series gone";
+      },
+      [](DiffEntry& e, const std::vector<double>*) {
+        e.significant = e.regression = true;
+        e.note = "new series";
+      }));
   return result;
 }
 
@@ -718,6 +580,31 @@ const char* diff_kind_name(DiffKind kind) {
   return "unknown";
 }
 
+std::string format_labels(const ArtifactLabels& labels) {
+  std::string out;
+  for (const auto& [key, value] : labels) {
+    if (!out.empty()) out += ",";
+    out += key + "=" + value;
+  }
+  return out;
+}
+
+double bucket_mean(const std::vector<double>& v, std::size_t i,
+                   std::size_t buckets) {
+  const std::size_t begin = i * v.size() / buckets;
+  const std::size_t end = std::max(begin + 1, (i + 1) * v.size() / buckets);
+  double acc = 0.0;
+  for (std::size_t k = begin; k < end; ++k) acc += v[k];
+  return acc / static_cast<double>(end - begin);
+}
+
+const TraceStage* TraceQuery::verdict_stage() const {
+  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
+    if (it->stage == "verdict") return &*it;
+  }
+  return nullptr;
+}
+
 core::Result<ArtifactFile> read_artifact(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Error::io("cannot read " + path);
@@ -731,21 +618,29 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
   }
 
   ArtifactFile file;
-  if (auto doc = Json::parse(content); doc.ok()) {
-    file.doc = doc.value();
-    const std::string& kind = file.doc["kind"].as_string();
-    if (file.doc.has("traceEvents")) {
+  const auto failed = [&path](const char* message) {
+    return Error::invalid_argument(path + ": " + message);
+  };
+  if (auto parsed = Json::parse(content); parsed.ok()) {
+    const Json& doc = parsed.value();
+    const std::string& kind = doc["kind"].as_string();
+    if (doc.has("traceEvents")) {
       file.kind = DiffKind::kProfile;
+      if (const char* error = decode_profile(doc, file)) return failed(error);
       return file;
     }
     if (kind == "mntp_perf_suite") {
       file.kind = DiffKind::kBench;
+      file.schema_version = doc["schema_version"].as_int();
+      if (const char* error = decode_bench(doc, file.bench)) {
+        return failed(error);
+      }
       return file;
     }
     // A JSONL artifact with no body (no query, series or metric yet) is
     // a single meta line, i.e. whole-file JSON too: classify it below.
     const bool meta_only =
-        file.doc["type"].as_string() == "meta" &&
+        doc["type"].as_string() == "meta" &&
         (kind.empty() || kind == "mntp_query_trace" ||
          kind == "mntp_timeline");
     if (!meta_only) {
@@ -759,6 +654,7 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
   // whole lines, so only the last line can be a cut-off write (a crashed
   // producer, an interrupted copy); a bad line anywhere else is a
   // corrupt artifact.
+  std::vector<Json> lines;
   const std::size_t tail = content.find_last_not_of(" \t\r\n");
   std::size_t line_no = 0;
   for (std::size_t pos = 0; pos <= tail;) {
@@ -769,7 +665,7 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
     if (text.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     auto parsed = Json::parse(text);
     if (parsed.ok()) {
-      file.lines.push_back(std::move(parsed).take());
+      lines.push_back(std::move(parsed).take());
     } else if (end > tail) {
       return Error::malformed(core::strformat(
           "%s: truncated artifact (last line %zu is not valid JSON)",
@@ -780,76 +676,81 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
                           parsed.error().message.c_str()));
     }
   }
-  file.doc = file.lines.front();
-  if (file.doc["type"].as_string() != "meta") {
-    return Error::invalid_argument(
-        path + ": not a bench, profile, report, query-trace or timeline "
-               "artifact");
+  const Json& meta = lines.front();
+  if (meta["type"].as_string() != "meta") {
+    return failed("not a bench, profile, report, query-trace or timeline "
+                  "artifact");
   }
-  const std::string& kind = file.doc["kind"].as_string();
+  const std::string& kind = meta["kind"].as_string();
   file.kind = kind == "mntp_query_trace" ? DiffKind::kQueryTrace
               : kind == "mntp_timeline"  ? DiffKind::kTimeline
                                          : DiffKind::kReport;
+  decode_jsonl(lines, file);
   return file;
 }
 
 core::Result<DiffResult> diff_files(const std::string& a_path,
                                     const std::string& b_path,
                                     const DiffOptions& options) {
-  auto a = load_artifact(a_path);
-  if (!a.ok()) return a.error();
-  auto b = load_artifact(b_path);
-  if (!b.ok()) return b.error();
-  if (a.value().kind != b.value().kind) {
+  auto read_a = read_artifact(a_path);
+  if (!read_a.ok()) return read_a.error();
+  auto read_b = read_artifact(b_path);
+  if (!read_b.ok()) return read_b.error();
+  const ArtifactFile& a = read_a.value();
+  const ArtifactFile& b = read_b.value();
+  if (a.kind != b.kind) {
     return Error::invalid_argument(core::strformat(
         "artifact kinds differ: %s is %s, %s is %s", a_path.c_str(),
-        diff_kind_name(a.value().kind), b_path.c_str(),
-        diff_kind_name(b.value().kind)));
+        diff_kind_name(a.kind), b_path.c_str(), diff_kind_name(b.kind)));
   }
-  if (!options.budgets.empty() && a.value().kind != DiffKind::kBench) {
+  if (!options.budgets.empty() && a.kind != DiffKind::kBench) {
     return Error::invalid_argument(
         core::strformat("budgets apply to bench artifacts only, not %s",
-                        diff_kind_name(a.value().kind)));
+                        diff_kind_name(a.kind)));
   }
   DiffResult result;
-  switch (a.value().kind) {
+  switch (a.kind) {
     case DiffKind::kBench:
-      result = diff_bench(a.value(), b.value(), options);
+      result = diff_bench(a.bench, b.bench, options);
       break;
     case DiffKind::kProfile:
-      result = diff_profile(a.value(), b.value(), options);
+      result = diff_profile(a.profile, b.profile, options);
       break;
     case DiffKind::kReport:
-      result = diff_report(a.value(), b.value(), options);
+      result = diff_report(a.report, b.report, options);
       break;
     case DiffKind::kQueryTrace:
-      result = diff_query_trace(a.value(), b.value(), options);
+      result = diff_query_trace(a.trace, b.trace, options);
       break;
     case DiffKind::kTimeline:
-      result = diff_timeline(a.value(), b.value(), options);
+      result = diff_timeline(a.timeline, b.timeline, options);
       break;
   }
+  result.kind = a.kind;
   result.a_path = a_path;
   result.b_path = b_path;
-  result.a_run = a.value().run;
-  result.b_run = b.value().run;
+  result.a_run = a.run;
+  result.b_run = b.run;
   return result;
 }
 
 core::Result<std::string> render_perf_delta(const std::string& a_path,
                                             const std::string& b_path) {
-  auto a = load_artifact(a_path);
-  if (!a.ok()) return a.error();
-  auto b = load_artifact(b_path);
-  if (!b.ok()) return b.error();
-  if (a.value().kind != DiffKind::kBench ||
-      b.value().kind != DiffKind::kBench) {
+  auto read_a = read_artifact(a_path);
+  if (!read_a.ok()) return read_a.error();
+  auto read_b = read_artifact(b_path);
+  if (!read_b.ok()) return read_b.error();
+  if (read_a.value().kind != DiffKind::kBench ||
+      read_b.value().kind != DiffKind::kBench) {
     return Error::invalid_argument(core::strformat(
         "a perf delta needs two bench artifacts, got %s and %s",
-        diff_kind_name(a.value().kind), diff_kind_name(b.value().kind)));
+        diff_kind_name(read_a.value().kind),
+        diff_kind_name(read_b.value().kind)));
   }
-  const Artifact& base = a.value();
-  const Artifact& cand = b.value();
+  const BenchArtifact& base = read_a.value().bench;
+  const BenchArtifact& cand = read_b.value().bench;
+  const auto before = by_name(base);
+  const auto after = by_name(cand);
   std::string out;
   core::JsonWriter w(out, 2);
   w.begin_object()
@@ -859,11 +760,11 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
           core::strformat("perf_suite medians: candidate vs baseline (reps "
                           "%lld, warmup %lld), generated by mntp-inspect "
                           "diff --write-delta",
-                          static_cast<long long>(cand.doc["reps"].as_int()),
-                          static_cast<long long>(cand.doc["warmup"].as_int())));
+                          static_cast<long long>(cand.reps),
+                          static_cast<long long>(cand.warmup)));
   // The candidate's flat environment block (strings and numbers).
   w.key("environment").begin_object();
-  for (const auto& [key, value] : cand.doc["environment"].as_object()) {
+  for (const auto& [key, value] : cand.environment.as_object()) {
     if (value.is_number()) {
       w.kv(key, value.as_double());
     } else {
@@ -873,23 +774,22 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
   w.end_object();
   w.key("workloads").begin_array();
   // Candidate order: the record documents what the candidate measures.
-  for (const Json& workload : cand.doc["workloads"].as_array()) {
-    const std::string& name = workload["name"].as_string();
-    const Artifact::Workload& after = cand.workloads.at(name);
-    w.begin_object().kv("name", name);
-    w.kv("after_median_us", after.median_us);
-    w.kv("after_mad_us", after.mad_us);
-    const auto it = base.workloads.find(name);
-    if (it == base.workloads.end()) {
+  for (const BenchWorkload& workload : cand.workloads) {
+    const BenchWorkload& now = *after.at(workload.name);
+    w.begin_object().kv("name", now.name);
+    w.kv("after_median_us", now.median_us);
+    w.kv("after_mad_us", now.mad_us);
+    const auto it = before.find(now.name);
+    if (it == before.end()) {
       w.key("before_median_us").null().kv("note", "new workload in this PR");
     } else {
-      w.kv("before_median_us", it->second.median_us);
-      w.kv("before_mad_us", it->second.mad_us);
+      w.kv("before_median_us", it->second->median_us);
+      w.kv("before_mad_us", it->second->mad_us);
       // Rounded to 3 decimals, as in the committed records.
       const double speedup =
-          after.median_us > 0.0
-              ? std::strtod(core::strformat("%.3f", it->second.median_us /
-                                                        after.median_us)
+          now.median_us > 0.0
+              ? std::strtod(core::strformat("%.3f", it->second->median_us /
+                                                        now.median_us)
                                 .c_str(),
                             nullptr)
               : std::nan("");
@@ -897,14 +797,13 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
     }
     w.end_object();
   }
-  for (const Json& workload : base.doc["workloads"].as_array()) {
-    const std::string& name = workload["name"].as_string();
-    if (cand.workloads.count(name)) continue;
-    const Artifact::Workload& before = base.workloads.at(name);
-    w.begin_object().kv("name", name);
+  for (const BenchWorkload& workload : base.workloads) {
+    if (after.count(workload.name)) continue;
+    const BenchWorkload& was = *before.at(workload.name);
+    w.begin_object().kv("name", was.name);
     w.key("after_median_us").null();
-    w.kv("before_median_us", before.median_us);
-    w.kv("before_mad_us", before.mad_us);
+    w.kv("before_median_us", was.median_us);
+    w.kv("before_mad_us", was.mad_us);
     w.kv("note", "workload removed in this PR").end_object();
   }
   w.end_array().end_object();

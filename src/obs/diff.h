@@ -1,50 +1,40 @@
-// Cross-run diff & regression-triage engine.
+// Cross-run diff & regression-triage engine, and the one decoder of the
+// observability artifacts.
 //
 // Every artifact the observability stack writes — perf-suite baselines
 // (BENCH_*.json), Chrome span profiles (--profile-out), JSONL run
 // reports (--telemetry-out), causal query traces (--query-trace-out)
 // and sim-time timelines (--timeline-out) — describes ONE run. The
 // paper's whole evaluation is comparative, and so is every perf PR:
-// the question is never "what did this run do" but "what moved between
-// these two runs, and which span / counter / reason / series moved it".
+// the question is "what moved between these two runs, and which span /
+// counter / reason / series moved it".
 //
-// diff_files() loads two artifacts of the same kind (kind detected from
-// content by read_artifact, which tools/mntp_inspect shares) and
-// computes statistically-aware deltas:
+// read_artifact() detects an artifact's kind from content and decodes
+// it into one typed struct per kind; tools/mntp_inspect renders those
+// structs and diff_files() compares two of the same kind. Every diff
+// section is one outer join of two keyed maps under a per-kind rule:
 //
-//   * bench       — the perf gate: per workload, candidate_median <=
-//                   baseline_median * (1+tolerance) + max(abs_floor,
-//                   4 * baseline_mad); missing workloads fail, new
-//                   ones are noted. Optional within-candidate budgets
-//                   (DiffOptions::budgets) add a "budgets" section, and
-//                   render_perf_delta() writes the before/after record
-//                   committed as BENCH_pr*.json.
-//   * profile     — spans aggregated by name (count / total_us /
-//                   self_us summed over complete events; an aggregate
-//                   event stands for args.agg_count spans), deltas
-//                   attributed per span and ranked by self-time
-//                   contribution: |delta_self| / sum |delta_self|.
-//                   Only *increases* beyond the allowance gate; a
-//                   speedup is significant but not a regression.
-//   * report      — scalar metric deltas keyed by name{labels}. The
-//                   mntp.* / obs.* accounting counters (integer-valued
-//                   by construction) get exact-reconciliation classes:
-//                   `exact` when bit-equal, `shifted` otherwise —
-//                   these counters are the ledgers the causation
-//                   tables reconcile against, so any shift is
-//                   significant regardless of magnitude. Other scalars
-//                   use the relative-tolerance rule; histograms diff
-//                   on count and p50/p90/p99; event counts by
-//                   category/name diff like counters.
-//   * query-trace — verdict/reason distribution shift: queries
-//                   bucketed by kind/reason (the causation table of
-//                   `mntp-inspect`), compared as proportions with a
-//                   two-proportion z score; |z| > sigma is
-//                   significant.
-//   * timeline    — per-series divergence: both mean-series resampled
-//                   onto a common grid, score = RMS(B - A) normalized
-//                   by A's own spread; score > divergence threshold is
-//                   significant.
+//   * bench       — the perf gate: candidate_median <= baseline_median *
+//                   (1 + tolerance) + max(abs_floor, 4 * baseline_mad);
+//                   missing workloads fail, new ones are noted.
+//                   DiffOptions::budgets add a "budgets" section, and
+//                   render_perf_delta() writes the BENCH_pr*.json record.
+//   * profile     — spans by self time, ranked by contribution
+//                   |delta_self| / sum |delta_self|. Only increases
+//                   beyond the allowance regress (a speedup is
+//                   significant, not a regression), and so does a new
+//                   span above abs_floor.
+//   * report      — scalars keyed by name{labels}. The mntp.* / obs.*
+//                   accounting counters reconcile exactly (`exact` when
+//                   bit-equal, `shifted` — always significant —
+//                   otherwise); other scalars and the histograms'
+//                   count/p50/p90/p99 use the relative tolerance.
+//   * query-trace — verdict shares by kind/reason (the causation table
+//                   of `mntp-inspect`), two-proportion z score against
+//                   sigma.
+//   * timeline    — per series, RMS(B - A) of the mean series on a
+//                   common grid, normalized by A's own spread, against
+//                   the divergence threshold.
 //
 // Direction ("regression") is kind-specific: bench/profile regress on
 // slowdowns only; report / query-trace / timeline are behavioural
@@ -55,6 +45,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,26 +62,122 @@ enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
 /// Stable lowercase name used in JSON output and error messages.
 [[nodiscard]] const char* diff_kind_name(DiffKind kind);
 
-/// One artifact file, classified by content: whole-file JSON first
-/// (profile, bench), then JSONL by the meta line's kind (query trace,
-/// timeline, anything else a run report). A meta-only JSONL file is
-/// also whole-file JSON; it classifies by its meta line when the kind
-/// is a query trace, a timeline or absent (a report).
-struct ArtifactFile {
-  DiffKind kind = DiffKind::kBench;
-  /// bench / profile: the whole document; JSONL kinds: the meta line.
-  core::Json doc;
-  /// JSONL kinds: every non-blank line, parsed, meta first; empty for
-  /// bench / profile.
-  std::vector<core::Json> lines;
+/// Labels as the artifacts write them: a {"key":"value"} object.
+using ArtifactLabels = std::map<std::string, std::string>;
+
+/// "k=v,k=v" (empty for no labels) — the one label formatter, behind
+/// the inspector's label columns and the diff's `name{labels}` keys.
+[[nodiscard]] std::string format_labels(const ArtifactLabels& labels);
+
+/// Mean of bucket `i` of `buckets` equal runs of `v` (each run at least
+/// one value) — the one resample behind the diff's common timeline grid
+/// and the inspector's sparklines.
+[[nodiscard]] double bucket_mean(const std::vector<double>& v, std::size_t i,
+                                 std::size_t buckets);
+
+/// bench: a perf_suite result (BENCH_*.json).
+struct BenchWorkload {
+  std::string name;
+  double median_us = 0.0, mad_us = 0.0, p95_us = 0.0, min_us = 0.0,
+         max_us = 0.0;
+};
+struct BenchArtifact {
+  long long reps = 0, warmup = 0;
+  core::Json environment;                // flat object: strings, numbers
+  std::vector<BenchWorkload> workloads;  // file order
 };
 
-/// Read, parse and classify `path` — the one kind detector and JSONL
-/// parser behind `mntp-inspect` and diff_files. Errors carry the path:
-/// kIo when the file cannot be read, kMalformedPacket for an empty file
-/// or a last line that is not JSON (a cut-off write), kInvalidArgument
-/// for a bad line anywhere else (as `path:line: ...`) or a readable
-/// document of no known kind.
+/// profile: Chrome trace events aggregated by span name. A plain event
+/// is one span; an aggregate event (--profile-out) stands for
+/// args.agg_count spans and carries their range in args.min_us/max_us
+/// when the producer wrote it.
+struct SpanAggregate {
+  double count = 0.0, total_us = 0.0, self_us = 0.0, min_us = 0.0,
+         max_us = 0.0;
+  bool has_range = true;  // false once an aggregate event lacks min/max
+};
+struct ProfileArtifact {
+  std::map<std::string, SpanAggregate> spans;
+};
+
+/// report: one metric line (histogram fields are 0 on scalars).
+struct ReportMetric {
+  std::string name;
+  ArtifactLabels labels;
+  std::string kind;  // counter, gauge or histogram
+  double value = 0.0;
+  long long count = 0;
+  double p50 = 0.0, p90 = 0.0, p99 = 0.0, max = 0.0;
+};
+struct ReportArtifact {
+  long long metric_count = 0;         // as the meta line declares
+  std::vector<ReportMetric> metrics;  // file order
+};
+
+/// query trace: one query line and its stages.
+struct TraceStage {
+  std::string stage, reason;
+  long long t_ns = 0;
+  core::Json fields;  // free-form object
+};
+struct TraceQuery {
+  long long id = 0, parent = 0;  // parent 0: a root
+  std::string kind;
+  long long start_ns = 0;
+  std::vector<TraceStage> stages;
+  std::string verdict;  // the verdict stage's reason, or "unfinished"
+  /// The terminal stage (the last named "verdict"), or nullptr for a
+  /// query that never finished.
+  [[nodiscard]] const TraceStage* verdict_stage() const;
+};
+struct QueryTraceArtifact {
+  long long dropped = 0;
+  bool sampled = false;  // the meta line carried a "sampling" block
+  long long sample_one_in_n = 1, seed = 0, minted = 0, kept = 0,
+            sampled_out = 0;
+  std::vector<TraceQuery> queries;  // file order
+};
+
+/// timeline: one series line; per point ([t_ns,min,mean,max,last,count])
+/// the time of its last folded sample and min/mean/max of its samples.
+struct TimelineSeries {
+  std::string name;
+  ArtifactLabels labels;
+  std::string probe;
+  long long samples = 0, stride = 0;
+  std::vector<long long> t_ns;
+  std::vector<double> min, mean, max;
+  double last = 0.0;  // the last point's last sample
+};
+struct TimelineArtifact {
+  long long cadence_ns = 0, series_count = 0;  // as the meta line declares
+  std::vector<TimelineSeries> series;          // file order
+};
+
+/// One artifact file, classified by content — whole-file JSON first
+/// (profile, bench), then JSONL by the meta line's kind (query trace,
+/// timeline, anything else a run report); a meta-only JSONL file
+/// classifies by its meta line — and decoded into the member `kind`
+/// names.
+struct ArtifactFile {
+  DiffKind kind = DiffKind::kBench;
+  std::string run;  // the meta line's run, or the profile's process_name
+  long long schema_version = 0;  // bench document / meta line
+  long long sim_end_ns = 0;      // meta line
+  BenchArtifact bench;
+  ProfileArtifact profile;
+  ReportArtifact report;
+  QueryTraceArtifact trace;
+  TimelineArtifact timeline;
+};
+
+/// Read, parse, classify and decode `path` — the one place that knows
+/// the artifact formats, behind `mntp-inspect` and diff_files alike.
+/// Errors carry the path: kIo when the file cannot be read,
+/// kMalformedPacket for an empty file or a last line that is not JSON
+/// (a cut-off write), kInvalidArgument for a bad line anywhere else (as
+/// `path:line: ...`), a readable document of no known kind, or a bench
+/// or profile document without its workloads / traceEvents array.
 [[nodiscard]] core::Result<ArtifactFile> read_artifact(
     const std::string& path);
 

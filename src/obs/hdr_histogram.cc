@@ -210,32 +210,12 @@ bool HdrHistogram::operator==(const HdrHistogram& other) const {
 ShardedHdrHistogram::ShardedHdrHistogram(HdrHistogramOptions options,
                                          const std::atomic<bool>* enabled)
     : options_(options), enabled_(enabled) {
-  static std::atomic<std::uint64_t> next_id{1};
-  instance_id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   // Validate eagerly so a bad layout fails at registration, not first use.
   (void)HdrHistogram(options_);
 }
 
 HdrHistogram* ShardedHdrHistogram::shard_for_this_thread() {
-  struct CacheEntry {
-    const ShardedHdrHistogram* owner;
-    std::uint64_t instance_id;
-    HdrHistogram* shard;
-  };
-  // Per-thread map from histogram instance to its shard. A linear scan:
-  // a process has a handful of HDR metrics, not thousands.
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.owner == this && e.instance_id == instance_id_) return e.shard;
-  }
-  // Miss — drop any entry for a destroyed instance that shared this
-  // address, then create this thread's shard under the lock.
-  std::erase_if(cache, [this](const CacheEntry& e) { return e.owner == this; });
-  std::lock_guard<std::mutex> lock(mutex_);
-  shards_.push_back(std::make_unique<HdrHistogram>(options_));
-  HdrHistogram* shard = shards_.back().get();
-  cache.push_back({this, instance_id_, shard});
-  return shard;
+  return &shards_.local([this] { return HdrHistogram(options_); });
 }
 
 void ShardedHdrHistogram::record(double v) {
@@ -244,9 +224,8 @@ void ShardedHdrHistogram::record(double v) {
 }
 
 HdrHistogram ShardedHdrHistogram::merged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   HdrHistogram out(options_);
-  for (const auto& shard : shards_) out.merge(*shard);
+  shards_.for_each([&out](const HdrHistogram& shard) { out.merge(shard); });
   return out;
 }
 

@@ -118,6 +118,69 @@ class HdrHistogram {
   double max_ = 0.0;
 };
 
+/// One T per recording thread, resolved through a thread-local cache —
+/// the per-thread shard idiom behind ShardedHdrHistogram and the
+/// registry's counter slabs (MetricShardSlabs, obs/metrics.h). A lookup
+/// is one linear scan of this thread's cache — a thread touches one
+/// registry's slabs and a handful of histograms, so the common case hits
+/// on the first compare — keyed by {instance address, instance id}: the
+/// id tells this instance apart from a destroyed one that reused its
+/// address, so a stale entry never resolves. A thread's first lookup
+/// creates its shard under the lock.
+template <typename T>
+class PerThreadShards {
+ public:
+  PerThreadShards() {
+    static std::atomic<std::uint64_t> next_id{1};
+    instance_id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// This thread's shard; on this thread's first call `make()` builds it
+  /// under mutex().
+  template <typename Make>
+  T& local(Make&& make) {
+    std::vector<CacheEntry>& cache = this_thread_cache();
+    for (const CacheEntry& e : cache) {
+      if (e.owner == this && e.instance_id == instance_id_) return *e.shard;
+    }
+    // Miss — drop any entry for a destroyed instance that shared this
+    // address, then create this thread's shard under the lock.
+    std::erase_if(cache,
+                  [this](const CacheEntry& e) { return e.owner == this; });
+    std::lock_guard<std::mutex> lock(mutex_);
+    shards_.push_back(std::make_unique<T>(make()));
+    cache.push_back({this, instance_id_, shards_.back().get()});
+    return *shards_.back();
+  }
+
+  /// Visit every thread's shard under mutex() (merged reads).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& shard : shards_) fn(*shard);
+  }
+
+  /// Guards shard creation and for_each; owners guard the state their
+  /// `make` reads with it too.
+  [[nodiscard]] std::mutex& mutex() const { return mutex_; }
+
+ private:
+  struct CacheEntry {
+    const PerThreadShards* owner;
+    std::uint64_t instance_id;
+    T* shard;
+  };
+  // One cache per T, whichever `Make` local() is instantiated with.
+  static std::vector<CacheEntry>& this_thread_cache() {
+    thread_local std::vector<CacheEntry> cache;
+    return cache;
+  }
+
+  std::uint64_t instance_id_;
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<T>> shards_;
+};
+
 /// Registry-facing wrapper: per-thread HdrHistogram shards so the record
 /// hot path takes no lock (after the first record on each thread), merged
 /// on demand. Handles are created by MetricsRegistry::histogram() and
@@ -147,11 +210,7 @@ class ShardedHdrHistogram {
 
   HdrHistogramOptions options_;
   const std::atomic<bool>* enabled_;
-  /// Distinguishes this instance from a destroyed one reusing the same
-  /// address, so stale thread-local cache entries never resolve.
-  std::uint64_t instance_id_;
-  mutable std::mutex mutex_;  // guards shards_ growth and merged()
-  std::vector<std::unique_ptr<HdrHistogram>> shards_;
+  PerThreadShards<HdrHistogram> shards_;
 };
 
 }  // namespace mntp::obs

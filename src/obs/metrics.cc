@@ -7,50 +7,25 @@ namespace mntp::obs {
 
 // --- MetricShardSlabs -----------------------------------------------------
 
-MetricShardSlabs::MetricShardSlabs() {
-  static std::atomic<std::uint64_t> next_id{1};
-  instance_id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-}
-
 MetricShardSlabs::Slab& MetricShardSlabs::slab_for_this_thread() {
-  struct CacheEntry {
-    const MetricShardSlabs* owner;
-    std::uint64_t instance_id;
-    Slab* slab;
-  };
-  // Per-thread map from slab set to this thread's slab. A linear scan:
-  // one registry (one Telemetry) is live per run, so the common case is
-  // a single entry hit on the first compare.
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.owner == this && e.instance_id == instance_id_) return *e.slab;
-  }
-  // Miss — drop any entry for a destroyed instance that shared this
-  // address, then create this thread's slab under the lock.
-  std::erase_if(cache, [this](const CacheEntry& e) { return e.owner == this; });
-  std::lock_guard<std::mutex> lock(mutex_);
-  slabs_.push_back(std::make_unique<Slab>(counter_count_, 0));
-  Slab* raw = slabs_.back().get();
-  cache.push_back({this, instance_id_, raw});
-  return *raw;
+  return shards_.local([this] { return Slab(counter_count_, 0); });
 }
 
 void MetricShardSlabs::grow(Slab& slab) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(shards_.mutex());
   slab.resize(counter_count_, 0);
 }
 
 std::uint64_t MetricShardSlabs::merged_counter(std::size_t index) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& slab : slabs_) {
-    if (index < slab->size()) total += (*slab)[index];
-  }
+  shards_.for_each([&](const Slab& slab) {
+    if (index < slab.size()) total += slab[index];
+  });
   return total;
 }
 
 std::size_t MetricShardSlabs::allocate_counter() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(shards_.mutex());
   return counter_count_++;
 }
 

@@ -92,16 +92,16 @@ class ShardedCounter {
 /// The per-thread slab backing every ShardedCounter of one registry. Each
 /// thread that records gets ONE slab (a dense array of uint64 cells)
 /// shared by all that registry's counters; a handle is just {slab set,
-/// cell index}. The hot path resolves this thread's slab through a
-/// thread-local cache (one owner/instance compare — the
-/// ShardedHdrHistogram idiom, amortized O(1)), bounds-checks the cell and
-/// does a plain `+=`: no atomics, no locks, no false sharing between
+/// cell index}. The hot path resolves this thread's slab through
+/// PerThreadShards (obs/hdr_histogram.h, shared with ShardedHdrHistogram:
+/// one owner/instance compare, amortized O(1)), bounds-checks the cell
+/// and does a plain `+=`: no atomics, no locks, no false sharing between
 /// threads. Slab creation and growth (a handle registered after this
-/// thread's slab was built) take the mutex; merged reads take it too and
-/// sum cells.
+/// thread's slab was built) take the shards' mutex; merged reads take it
+/// too and sum cells.
 class MetricShardSlabs {
  public:
-  MetricShardSlabs();
+  MetricShardSlabs() = default;
   MetricShardSlabs(const MetricShardSlabs&) = delete;
   MetricShardSlabs& operator=(const MetricShardSlabs&) = delete;
 
@@ -122,15 +122,11 @@ class MetricShardSlabs {
   Slab& slab_for_this_thread();
   /// Resize the calling thread's slab to the registered cell count.
   /// Only the owning thread touches its cells, so the realloc cannot
-  /// race the hot path; merged reads serialize on mutex_.
+  /// race the hot path; merged reads serialize on shards_.mutex().
   void grow(Slab& slab);
 
-  /// Distinguishes this instance from a destroyed one reusing the same
-  /// address, so stale thread-local cache entries never resolve.
-  std::uint64_t instance_id_;
-  mutable std::mutex mutex_;
-  std::size_t counter_count_ = 0;  // guarded by mutex_
-  std::vector<std::unique_ptr<Slab>> slabs_;
+  PerThreadShards<Slab> shards_;
+  std::size_t counter_count_ = 0;  // guarded by shards_.mutex()
 };
 
 inline void ShardedCounter::inc(std::uint64_t n) {

@@ -6,7 +6,9 @@
 //
 //   mntp-inspect run.jsonl profile.json BENCH_results.json
 //
-// The file kind is detected from content, not extension. For run reports
+// The file kind is detected from content, not extension, and the file is
+// decoded by obs::read_artifact (src/obs/diff.h), the same decoder the
+// diff uses; this file only renders. For run reports
 // the tool prints the metric registry as tables and the span-profile
 // aggregates when present. For timelines it flags step changes: deltas
 // more than --sigma (default 4) standard deviations from the series' own
@@ -21,6 +23,8 @@
 // tolerance, 1 significant regression, 2 error. On a bench pair it is
 // the perf gate: `--budget A:B:PCT` (repeatable) adds within-candidate
 // budgets, and `--write-delta PATH` writes the BENCH_pr*.json record.
+// Each flag belongs to the modes that read it (see --help); anywhere else
+// it exits 2.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -29,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -39,6 +44,9 @@
 #include "obs/diff.h"
 
 using mntp::core::Json;
+using mntp::obs::ArtifactFile;
+using mntp::obs::format_labels;
+using mntp::obs::TraceQuery;
 
 namespace {
 
@@ -56,6 +64,11 @@ struct Options {
   std::string write_delta;   // diff: BENCH_pr*.json record path (bench)
   mntp::obs::DiffOptions diff_opt;  // tolerance/floor/divergence/budgets
 };
+
+/// The modes that read a flag, as a bitmask; a flag given in any other
+/// mode is a usage error (exit 2), never silently ignored.
+enum Mode : unsigned { kSummary = 1, kExplain = 2, kTimeline = 4, kDiff = 8 };
+constexpr unsigned kNotDiff = kSummary | kExplain | kTimeline;
 
 /// Checked numeric flag parsing: the whole argument must be a number
 /// (strtod/strtoll consume it completely), otherwise the caller prints
@@ -90,22 +103,12 @@ bool parse_size_arg(const char* s, std::size_t& out) {
   return true;
 }
 
-std::string format_labels(const Json& labels) {
-  std::string out;
-  for (const auto& [key, value] : labels.as_object()) {
-    if (!out.empty()) out += ",";
-    out += key + "=" + value.as_string();
-  }
-  return out;
-}
-
 /// Forward compatibility: an artifact stamped with a schema_version this
 /// tool does not know is rendered best-effort (unknown keys are ignored,
 /// absent keys read as neutral defaults) behind a warning, instead of
 /// hard-failing — a newer producer should not brick an older inspector.
 /// Absent / zero versions (pre-versioning artifacts) stay silent.
-void warn_unknown_schema(const std::string& path, const Json& meta) {
-  const long long version = meta["schema_version"].as_int();
+void warn_unknown_schema(const std::string& path, long long version) {
   if (version != 0 && version != 1) {
     std::fprintf(stderr,
                  "mntp-inspect: %s: unknown schema_version %lld (this build "
@@ -114,68 +117,43 @@ void warn_unknown_schema(const std::string& path, const Json& meta) {
   }
 }
 
+double seconds(long long ns) { return static_cast<double>(ns) / 1e9; }
+
 // ---------------------------------------------------------------- report
 
-struct SpanRow {
-  double count = 0, total_us = 0, self_us = 0, p50_us = 0, min_us = 0,
-         max_us = 0;
-};
-
-int inspect_report(const std::string& path, const std::vector<Json>& lines) {
-  std::vector<Json> metrics;
-  std::map<std::string, SpanRow> spans;  // from profile.span.*
-
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics\n",
-                  path.c_str(), line["run"].as_string().c_str(),
-                  static_cast<double>(line["sim_end_ns"].as_int()) / 1e9,
-                  static_cast<long long>(line["metric_count"].as_int()));
-    } else if (type == "metric") {
-      const std::string& name = line["name"].as_string();
-      if (name.rfind("profile.span.", 0) == 0) {
-        SpanRow& row = spans[line["labels"]["span"].as_string()];
-        const double v = line["value"].as_double();
-        const std::string field = name.substr(std::strlen("profile.span."));
-        if (field == "count") row.count = v;
-        else if (field == "total_wall_us") row.total_us = v;
-        else if (field == "self_wall_us") row.self_us = v;
-        else if (field == "p50_us") row.p50_us = v;
-        else if (field == "min_us") row.min_us = v;
-        else if (field == "max_us") row.max_us = v;
-      } else {
-        metrics.push_back(line);
-      }
-    }
-  }
+int inspect_report(const std::string& path, const ArtifactFile& file) {
+  std::printf("run report: %s\n  run=%s  sim_end=%.1fs  %lld metrics\n",
+              path.c_str(), file.run.c_str(), seconds(file.sim_end_ns),
+              file.report.metric_count);
 
   // Metric tables: scalar metrics (counters/gauges) then histograms. The
   // obs.* family (the query-trace accounting — see
   // src/obs/metric_names.h) gets its own table instead of interleaving
-  // with the run's real metrics.
+  // with the run's real metrics; profile.span.* gauges become the span
+  // table.
   mntp::core::TextTable scalars({"metric", "labels", "kind", "value"});
   mntp::core::TextTable obs_table({"metric", "kind", "value"});
   mntp::core::TextTable histograms(
       {"histogram", "labels", "count", "p50", "p90", "p99", "max"});
-  for (const Json& m : metrics) {
-    const std::string& kind = m["kind"].as_string();
-    if (kind != "histogram" && m["name"].as_string().rfind("obs.", 0) == 0) {
-      obs_table.add_row({m["name"].as_string(), kind,
-                         mntp::core::fmt_double(m["value"].as_double())});
-      continue;
-    }
-    if (kind == "histogram") {
-      histograms.add_row({m["name"].as_string(), format_labels(m["labels"]),
-                          mntp::core::strformat("%lld", static_cast<long long>(
-                                                            m["count"].as_int())),
-                          mntp::core::fmt_double(m["p50"].as_double()),
-                          mntp::core::fmt_double(m["p90"].as_double()),
-                          mntp::core::fmt_double(m["p99"].as_double()),
-                          mntp::core::fmt_double(m["max"].as_double())});
+  // span label -> profile.span.<field> -> value
+  std::map<std::string, std::map<std::string, double>> spans;
+  for (const mntp::obs::ReportMetric& m : file.report.metrics) {
+    if (m.name.rfind("profile.span.", 0) == 0) {
+      const auto span = m.labels.find("span");
+      spans[span == m.labels.end() ? "" : span->second]
+           [m.name.substr(std::strlen("profile.span."))] = m.value;
+    } else if (m.kind == "histogram") {
+      histograms.add_row({m.name, format_labels(m.labels),
+                          mntp::core::strformat("%lld", m.count),
+                          mntp::core::fmt_double(m.p50),
+                          mntp::core::fmt_double(m.p90),
+                          mntp::core::fmt_double(m.p99),
+                          mntp::core::fmt_double(m.max)});
+    } else if (m.name.rfind("obs.", 0) == 0) {
+      obs_table.add_row({m.name, m.kind, mntp::core::fmt_double(m.value)});
     } else {
-      scalars.add_row({m["name"].as_string(), format_labels(m["labels"]), kind,
-                       mntp::core::fmt_double(m["value"].as_double())});
+      scalars.add_row({m.name, format_labels(m.labels), m.kind,
+                       mntp::core::fmt_double(m.value)});
     }
   }
   if (scalars.rows() > 0) {
@@ -192,12 +170,12 @@ int inspect_report(const std::string& path, const std::vector<Json>& lines) {
   if (!spans.empty()) {
     mntp::core::TextTable table({"span", "count", "total_ms", "self_ms",
                                  "p50_us", "max_us"});
-    for (const auto& [name, row] : spans) {
-      table.add_row({name, mntp::core::strformat("%.0f", row.count),
-                     mntp::core::fmt_double(row.total_us / 1e3),
-                     mntp::core::fmt_double(row.self_us / 1e3),
-                     mntp::core::fmt_double(row.p50_us),
-                     mntp::core::fmt_double(row.max_us)});
+    for (auto& [name, row] : spans) {  // an absent field reads as 0
+      table.add_row({name, mntp::core::strformat("%.0f", row["count"]),
+                     mntp::core::fmt_double(row["total_wall_us"] / 1e3),
+                     mntp::core::fmt_double(row["self_wall_us"] / 1e3),
+                     mntp::core::fmt_double(row["p50_us"]),
+                     mntp::core::fmt_double(row["max_us"])});
     }
     std::printf("span profile (from profile.span.* gauges):\n%s\n",
                 table.render().c_str());
@@ -207,15 +185,6 @@ int inspect_report(const std::string& path, const std::vector<Json>& lines) {
 }
 
 // ----------------------------------------------------------- query trace
-
-/// One decoded {"type":"query"} line.
-struct TraceRow {
-  long long id = 0;
-  long long parent = 0;
-  std::string kind;
-  double start_s = 0.0;
-  Json stages;  // array
-};
 
 std::string format_stage_fields(const Json& fields) {
   std::string out;
@@ -236,90 +205,50 @@ std::string format_stage_fields(const Json& fields) {
   return out;
 }
 
-/// The terminal ("verdict") stage of a query, or a null Json.
-const Json* verdict_stage(const TraceRow& q) {
-  const auto& stages = q.stages.as_array();
-  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
-    if ((*it)["stage"].as_string() == "verdict") return &*it;
-  }
-  return nullptr;
-}
-
-void print_timeline(const TraceRow& q,
-                    const std::vector<const TraceRow*>& children,
+void print_timeline(const TraceQuery& q,
+                    const std::vector<const TraceQuery*>& children,
                     int indent) {
-  const Json* verdict = verdict_stage(q);
+  const double start_s = seconds(q.start_ns);
+  const mntp::obs::TraceStage* verdict = q.verdict_stage();
   std::printf("%*squery #%lld (%s) start t=%.3fs  verdict=%s\n", indent, "",
-              q.id, q.kind.c_str(), q.start_s,
-              verdict ? (*verdict)["reason"].as_string().c_str() : "none");
-  for (const Json& s : q.stages.as_array()) {
-    const double dt =
-        static_cast<double>(s["t_ns"].as_int()) / 1e9 - q.start_s;
-    const std::string& reason = s["reason"].as_string();
-    std::printf("%*s  +%8.3fs  %-16s %-18s %s\n", indent, "", dt,
-                s["stage"].as_string().c_str(),
-                reason == "none" ? "" : reason.c_str(),
-                format_stage_fields(s["fields"]).c_str());
+              q.id, q.kind.c_str(), start_s,
+              verdict ? verdict->reason.c_str() : "none");
+  for (const mntp::obs::TraceStage& s : q.stages) {
+    std::printf("%*s  +%8.3fs  %-16s %-18s %s\n", indent, "",
+                seconds(s.t_ns) - start_s, s.stage.c_str(),
+                s.reason == "none" ? "" : s.reason.c_str(),
+                format_stage_fields(s.fields).c_str());
   }
-  for (const TraceRow* child : children) {
+  for (const TraceQuery* child : children) {
     print_timeline(*child, {}, indent + 4);
   }
 }
 
-int inspect_query_trace(const std::string& path,
-                        const std::vector<Json>& lines,
+int inspect_query_trace(const std::string& path, const ArtifactFile& file,
                         const Options& opt) {
-  std::vector<TraceRow> queries;
-  std::string run;
-  double sim_end_s = 0.0;
-  long long dropped = 0;
-  bool sampled = false;       // meta carried a "sampling" block
-  long long sample_n = 1, sample_seed = 0;
-  long long minted = 0, kept = 0, sampled_out = 0;
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      run = line["run"].as_string();
-      sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
-      dropped = line["dropped"].as_int();
-      if (line.has("sampling")) {
-        const Json& s = line["sampling"];
-        sampled = true;
-        sample_n = s["sample_one_in_n"].as_int();
-        sample_seed = s["seed"].as_int();
-        minted = s["minted"].as_int();
-        kept = s["kept"].as_int();
-        sampled_out = s["sampled_out"].as_int();
-      }
-    } else if (type == "query") {
-      TraceRow q;
-      q.id = line["id"].as_int();
-      q.parent = line["parent"].as_int();
-      q.kind = line["kind"].as_string();
-      q.start_s = static_cast<double>(line["start_ns"].as_int()) / 1e9;
-      q.stages = line["stages"];
-      queries.push_back(std::move(q));
-    }
-  }
+  const mntp::obs::QueryTraceArtifact& trace = file.trace;
+  const std::vector<TraceQuery>& queries = trace.queries;
   std::printf("query trace: %s\n  run=%s  sim_end=%.1fs  %zu queries stored"
               " (%lld dropped)\n",
-              path.c_str(), run.c_str(), sim_end_s, queries.size(), dropped);
-  if (sampled) {
+              path.c_str(), file.run.c_str(), seconds(file.sim_end_ns),
+              queries.size(), trace.dropped);
+  if (trace.sampled) {
     std::printf("  sampling: 1-in-%lld (seed %lld)  minted=%lld kept=%lld "
                 "sampled_out=%lld\n",
-                sample_n, sample_seed, minted, kept, sampled_out);
+                trace.sample_one_in_n, trace.seed, trace.minted, trace.kept,
+                trace.sampled_out);
     // Conservation: every minted id ends exactly one way. A mismatch
     // means the producer lost track of ids — worth shouting about, but
     // the stored traces still render fine, so it stays informational.
-    if (minted != kept + sampled_out + dropped) {
+    if (trace.minted != trace.kept + trace.sampled_out + trace.dropped) {
       std::printf("  WARNING: accounting mismatch: minted %lld != kept %lld "
                   "+ sampled_out %lld + dropped %lld\n",
-                  minted, kept, sampled_out, dropped);
+                  trace.minted, trace.kept, trace.sampled_out, trace.dropped);
     }
-    if (static_cast<long long>(queries.size()) != kept) {
+    if (static_cast<long long>(queries.size()) != trace.kept) {
       std::printf("  WARNING: %zu query lines stored but meta claims %lld "
                   "kept\n",
-                  queries.size(), kept);
+                  queries.size(), trace.kept);
     }
   }
 
@@ -329,19 +258,17 @@ int inspect_query_trace(const std::string& path,
   std::map<std::string, std::size_t> verdicts;       // "kind/reason"
   std::map<std::string, std::size_t> round_phases;   // "phase/reason"
   std::map<std::string, std::size_t> loss_by_hop;    // hop name
-  for (const TraceRow& q : queries) {
-    const Json* verdict = verdict_stage(q);
-    const std::string reason =
-        verdict ? (*verdict)["reason"].as_string() : "unfinished";
-    ++verdicts[q.kind + "/" + reason];
-    if (q.kind == "round" && verdict && (*verdict)["fields"].has("phase")) {
-      ++round_phases[(*verdict)["fields"]["phase"].as_string() + "/" + reason];
+  for (const TraceQuery& q : queries) {
+    ++verdicts[q.kind + "/" + q.verdict];
+    const mntp::obs::TraceStage* verdict = q.verdict_stage();
+    if (q.kind == "round" && verdict && verdict->fields.has("phase")) {
+      ++round_phases[verdict->fields["phase"].as_string() + "/" + q.verdict];
     }
-    for (const Json& s : q.stages.as_array()) {
-      if (s["stage"].as_string() == "loss") {
+    for (const mntp::obs::TraceStage& s : q.stages) {
+      if (s.stage == "loss") {
         // The link walker records the hop index as an integer; channel
         // models may name hops with a string instead.
-        const Json& hop = s["fields"]["hop"];
+        const Json& hop = s.fields["hop"];
         ++loss_by_hop[hop.is_string()
                           ? hop.as_string()
                           : std::to_string(static_cast<long long>(hop.as_int()))];
@@ -380,13 +307,13 @@ int inspect_query_trace(const std::string& path,
 
   // Per-query timelines: roots (rounds and orphan exchanges) with their
   // child exchanges nested underneath.
-  std::map<long long, std::vector<const TraceRow*>> children;
-  for (const TraceRow& q : queries) {
+  std::map<long long, std::vector<const TraceQuery*>> children;
+  for (const TraceQuery& q : queries) {
     if (q.parent != 0) children[q.parent].push_back(&q);
   }
   std::size_t shown = 0;
   bool found = false;
-  for (const TraceRow& q : queries) {
+  for (const TraceQuery& q : queries) {
     if (opt.query_id >= 0) {
       if (q.id != opt.query_id) continue;
       found = true;
@@ -400,7 +327,7 @@ int inspect_query_trace(const std::string& path,
     }
     std::printf("\n");
     auto it = children.find(q.id);
-    print_timeline(q, it == children.end() ? std::vector<const TraceRow*>{}
+    print_timeline(q, it == children.end() ? std::vector<const TraceQuery*>{}
                                            : it->second,
                    2);
     ++shown;
@@ -416,57 +343,24 @@ int inspect_query_trace(const std::string& path,
 
 // --------------------------------------------------------------- profile
 
-int inspect_profile(const std::string& path, const Json& doc) {
-  const Json& events = doc["traceEvents"];
-  std::string run_name;
-  struct Agg {
-    std::size_t count = 0;
-    double total_us = 0, self_us = 0, min_us = 0, max_us = 0;
-    bool has_range = true;  // false once an event lacks min/max
-  };
-  std::map<std::string, Agg> by_name;
-  for (const Json& e : events.as_array()) {
-    const std::string& ph = e["ph"].as_string();
-    if (ph == "M") {
-      if (e["name"].as_string() == "process_name") {
-        run_name = e["args"]["name"].as_string();
-      }
-      continue;
-    }
-    if (ph != "X") continue;
-    // An aggregate event (--profile-out) stands for agg_count spans and
-    // carries their range in args; a plain event is one span.
-    const Json& args = e["args"];
-    const double dur = e["dur"].as_double();
-    const bool aggregate = args.has("agg_count");
-    const bool has_range = !aggregate || args.has("min_us");
-    const double lo = aggregate ? args["min_us"].as_double() : dur;
-    const double hi = aggregate ? args["max_us"].as_double() : dur;
-    Agg& agg = by_name[e["name"].as_string()];
-    agg.min_us = agg.count == 0 ? lo : std::min(agg.min_us, lo);
-    agg.max_us = agg.count == 0 ? hi : std::max(agg.max_us, hi);
-    agg.has_range = agg.has_range && has_range;
-    agg.count +=
-        aggregate ? static_cast<std::size_t>(args["agg_count"].as_int()) : 1;
-    agg.total_us += dur;
-    agg.self_us += args["self_us"].as_double();
-  }
+int inspect_profile(const std::string& path, const ArtifactFile& file) {
+  const auto& spans = file.profile.spans;
   std::printf("span profile: %s\n  run=%s  %zu span names\n", path.c_str(),
-              run_name.c_str(), by_name.size());
+              file.run.c_str(), spans.size());
   // Hottest first — total wall time is the question a profile answers.
-  std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
-                                                by_name.end());
+  std::vector<std::pair<std::string, mntp::obs::SpanAggregate>> rows(
+      spans.begin(), spans.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second.total_us > b.second.total_us;
   });
   mntp::core::TextTable table({"span", "count", "total_ms", "self_ms",
                                "mean_us", "min_us", "max_us"});
   for (const auto& [name, agg] : rows) {
-    table.add_row({name, mntp::core::fmt_count(agg.count),
+    table.add_row({name,
+                   mntp::core::fmt_count(static_cast<std::size_t>(agg.count)),
                    mntp::core::fmt_double(agg.total_us / 1e3),
                    mntp::core::fmt_double(agg.self_us / 1e3),
-                   mntp::core::fmt_double(agg.total_us /
-                                          static_cast<double>(agg.count)),
+                   mntp::core::fmt_double(agg.total_us / agg.count),
                    agg.has_range ? mntp::core::fmt_double(agg.min_us) : "-",
                    agg.has_range ? mntp::core::fmt_double(agg.max_us) : "-"});
   }
@@ -476,24 +370,23 @@ int inspect_profile(const std::string& path, const Json& doc) {
 
 // ----------------------------------------------------------------- bench
 
-int inspect_bench(const std::string& path, const Json& doc) {
-  const Json& env = doc["environment"];
+int inspect_bench(const std::string& path, const ArtifactFile& file) {
+  const mntp::obs::BenchArtifact& bench = file.bench;
+  const Json& env = bench.environment;
   std::printf("perf-suite results: %s\n  reps=%lld warmup=%lld  compiler=%s "
               "build=%s threads=%lld\n",
-              path.c_str(), static_cast<long long>(doc["reps"].as_int()),
-              static_cast<long long>(doc["warmup"].as_int()),
+              path.c_str(), bench.reps, bench.warmup,
               env["compiler"].as_string().c_str(),
               env["build_type"].as_string().c_str(),
               static_cast<long long>(env["hardware_threads"].as_int()));
   mntp::core::TextTable table(
       {"workload", "median_us", "mad_us", "p95_us", "min_us", "max_us"});
-  for (const Json& w : doc["workloads"].as_array()) {
-    table.add_row({w["name"].as_string(),
-                   mntp::core::fmt_double(w["median_us"].as_double(), 1),
-                   mntp::core::fmt_double(w["mad_us"].as_double(), 1),
-                   mntp::core::fmt_double(w["p95_us"].as_double(), 1),
-                   mntp::core::fmt_double(w["min_us"].as_double(), 1),
-                   mntp::core::fmt_double(w["max_us"].as_double(), 1)});
+  for (const mntp::obs::BenchWorkload& w : bench.workloads) {
+    table.add_row({w.name, mntp::core::fmt_double(w.median_us, 1),
+                   mntp::core::fmt_double(w.mad_us, 1),
+                   mntp::core::fmt_double(w.p95_us, 1),
+                   mntp::core::fmt_double(w.min_us, 1),
+                   mntp::core::fmt_double(w.max_us, 1)});
   }
   std::printf("%s\n", table.render().c_str());
   return 0;
@@ -501,106 +394,51 @@ int inspect_bench(const std::string& path, const Json& doc) {
 
 // -------------------------------------------------------------- timeline
 
-/// One decoded {"type":"series"} line of a timeline artifact.
-struct SeriesRow {
-  std::string name;
-  std::string labels;
-  std::string probe;
-  long long samples = 0;
-  long long stride = 1;
-  std::vector<double> t_s;     // per point: time of last folded sample
-  std::vector<double> mean;
-  std::vector<double> min;
-  std::vector<double> max;
-  double last = 0.0;
-};
-
 /// Resample `mean` into `width` buckets and render one sparkline cell per
 /// bucket, scaled to the series' own min..max.
-std::string sparkline(const SeriesRow& s, std::size_t width) {
+std::string sparkline(const std::vector<double>& mean, std::size_t width) {
   static const char* kLevels[] = {"▁", "▂", "▃", "▄",
                                   "▅", "▆", "▇", "█"};
-  if (s.mean.empty()) return "";
-  double lo = s.mean.front(), hi = s.mean.front();
-  for (double v : s.mean) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  const std::size_t cols = std::min(width, s.mean.size());
+  if (mean.empty()) return "";
+  const auto [lo, hi] = std::minmax_element(mean.begin(), mean.end());
+  const std::size_t cols = std::min(width, mean.size());
   std::string out;
   for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t begin = c * s.mean.size() / cols;
-    const std::size_t end =
-        std::max(begin + 1, (c + 1) * s.mean.size() / cols);
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += s.mean[i];
-    const double v = acc / static_cast<double>(end - begin);
-    const double norm = hi > lo ? (v - lo) / (hi - lo) : 0.5;
-    const int level =
-        std::clamp(static_cast<int>(norm * 8.0), 0, 7);
-    out += kLevels[level];
+    const double v = mntp::obs::bucket_mean(mean, c, cols);
+    const double norm = *hi > *lo ? (v - *lo) / (*hi - *lo) : 0.5;
+    out += kLevels[std::clamp(static_cast<int>(norm * 8.0), 0, 7)];
   }
   return out;
 }
 
-int inspect_timeline(const std::string& path,
-                     const std::vector<Json>& lines,
+int inspect_timeline(const std::string& path, const ArtifactFile& file,
                      const Options& opt) {
-  std::string run;
-  double sim_end_s = 0.0, cadence_s = 0.0;
-  long long declared_series = 0;
-  std::vector<SeriesRow> series;
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      run = line["run"].as_string();
-      sim_end_s = static_cast<double>(line["sim_end_ns"].as_int()) / 1e9;
-      cadence_s = static_cast<double>(line["cadence_ns"].as_int()) / 1e9;
-      declared_series = line["series_count"].as_int();
-    } else if (type == "series") {
-      SeriesRow s;
-      s.name = line["name"].as_string();
-      s.labels = format_labels(line["labels"]);
-      s.probe = line["probe"].as_string();
-      s.samples = line["samples"].as_int();
-      s.stride = line["stride"].as_int();
-      for (const Json& p : line["points"].as_array()) {
-        const auto& a = p.as_array();
-        s.t_s.push_back(static_cast<double>(a[0].as_int()) / 1e9);
-        s.min.push_back(a[1].as_double());
-        s.mean.push_back(a[2].as_double());
-        s.max.push_back(a[3].as_double());
-        s.last = a[4].as_double();
-      }
-      series.push_back(std::move(s));
-    }
-  }
+  const mntp::obs::TimelineArtifact& timeline = file.timeline;
   std::printf("timeline: %s\n  run=%s  sim_end=%.1fs  cadence=%.3fs  "
               "%zu series (%lld declared)\n",
-              path.c_str(), run.c_str(), sim_end_s, cadence_s, series.size(),
-              declared_series);
+              path.c_str(), file.run.c_str(), seconds(file.sim_end_ns),
+              seconds(timeline.cadence_ns), timeline.series.size(),
+              timeline.series_count);
 
   std::size_t shown = 0;
-  for (const SeriesRow& s : series) {
+  for (const mntp::obs::TimelineSeries& s : timeline.series) {
     if (!opt.series.empty() &&
         s.name.find(opt.series) == std::string::npos) {
       continue;
     }
     ++shown;
-    double lo = s.min.empty() ? 0.0 : s.min.front();
-    double hi = s.max.empty() ? 0.0 : s.max.front();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s.mean.size(); ++i) {
-      lo = std::min(lo, s.min[i]);
-      hi = std::max(hi, s.max[i]);
-      acc += s.mean[i];
-    }
+    const double lo =
+        s.min.empty() ? 0.0 : *std::min_element(s.min.begin(), s.min.end());
+    const double hi =
+        s.max.empty() ? 0.0 : *std::max_element(s.max.begin(), s.max.end());
     const double grand_mean =
-        s.mean.empty() ? 0.0 : acc / static_cast<double>(s.mean.size());
+        s.mean.empty() ? 0.0
+                       : std::accumulate(s.mean.begin(), s.mean.end(), 0.0) /
+                             static_cast<double>(s.mean.size());
+    const std::string labels = format_labels(s.labels);
     std::printf("\n%s%s%s  (%s, %lld samples, stride %lld, %zu points)\n",
-                s.name.c_str(), s.labels.empty() ? "" : "  ",
-                s.labels.c_str(), s.probe.c_str(), s.samples, s.stride,
-                s.t_s.size());
+                s.name.c_str(), labels.empty() ? "" : "  ", labels.c_str(),
+                s.probe.c_str(), s.samples, s.stride, s.t_ns.size());
     std::printf("  min %s  mean %s  max %s  last %s\n",
                 mntp::core::fmt_double(lo).c_str(),
                 mntp::core::fmt_double(grand_mean).c_str(),
@@ -608,8 +446,8 @@ int inspect_timeline(const std::string& path,
                 mntp::core::fmt_double(s.last).c_str());
     if (!s.mean.empty()) {
       std::printf("  %s  [%.0fs .. %.0fs]\n",
-                  sparkline(s, opt.width).c_str(), s.t_s.front(),
-                  s.t_s.back());
+                  sparkline(s.mean, opt.width).c_str(),
+                  seconds(s.t_ns.front()), seconds(s.t_ns.back()));
     }
     // Step changes: consecutive-point deltas that stand out against the
     // series' own delta noise by more than --sigma. Constant and
@@ -629,8 +467,8 @@ int inspect_timeline(const std::string& path,
           ++listed;
           std::printf("    t=%9.1fs  %+10.3f -> %+10.3f  (delta %+.3f, "
                       "%.1f sigma)\n",
-                      s.t_s[i + 1], s.mean[i], s.mean[i + 1], deltas[i],
-                      std::fabs(deltas[i]) / sd);
+                      seconds(s.t_ns[i + 1]), s.mean[i], s.mean[i + 1],
+                      deltas[i], std::fabs(deltas[i]) / sd);
         }
       }
       if (flagged > listed) std::printf("    ... %zu more\n", flagged - listed);
@@ -656,20 +494,21 @@ int inspect_file(const std::string& path, const Options& opt) {
     return read.error().code == mntp::core::Error::Code::kMalformedPacket ? 2
                                                                          : 1;
   }
-  const mntp::obs::ArtifactFile& file = read.value();
+  const ArtifactFile& file = read.value();
   if (opt.timeline && file.kind != DiffKind::kTimeline) {
     std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
                  path.c_str());
     return 1;
   }
-  if (file.kind != DiffKind::kProfile) warn_unknown_schema(path, file.doc);
+  if (file.kind != DiffKind::kProfile) {
+    warn_unknown_schema(path, file.schema_version);
+  }
   switch (file.kind) {
-    case DiffKind::kProfile: return inspect_profile(path, file.doc);
-    case DiffKind::kBench: return inspect_bench(path, file.doc);
-    case DiffKind::kReport: return inspect_report(path, file.lines);
-    case DiffKind::kQueryTrace:
-      return inspect_query_trace(path, file.lines, opt);
-    case DiffKind::kTimeline: return inspect_timeline(path, file.lines, opt);
+    case DiffKind::kProfile: return inspect_profile(path, file);
+    case DiffKind::kBench: return inspect_bench(path, file);
+    case DiffKind::kReport: return inspect_report(path, file);
+    case DiffKind::kQueryTrace: return inspect_query_trace(path, file, opt);
+    case DiffKind::kTimeline: return inspect_timeline(path, file, opt);
   }
   return 1;
 }
@@ -679,6 +518,9 @@ int inspect_file(const std::string& path, const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   std::vector<std::string> paths;
+  // Each mode-scoped flag as given, with the modes that read it; checked
+  // once the mode is known (a subcommand may follow flags).
+  std::vector<std::pair<std::string, unsigned>> scoped;
   // Every numeric flag goes through checked parsing: a value that is
   // not entirely a number ("foo", "12x", "") is a usage error (exit 2),
   // never a silent zero.
@@ -712,6 +554,18 @@ int main(int argc, char** argv) {
       return false;
     };
     const char* value = nullptr;
+    // A diff threshold: a number >= 0 (a negative one flags a file
+    // against itself or turns its gate off).
+    const auto threshold = [&](double& out) {
+      scoped.emplace_back(flag, kDiff);
+      if (!take_value(value) || !parse_double_arg(value, out)) {
+        return bad_value(flag, value);
+      }
+      if (out >= 0.0) return 0;
+      std::fprintf(stderr, "mntp-inspect: %s must be >= 0, got '%s'\n",
+                   flag.c_str(), value);
+      return 2;
+    };
     if (arg == "explain" && paths.empty() && !opt.explain && !opt.timeline &&
         !opt.diff) {
       // Subcommand: per-query timelines on top of the causation tables.
@@ -728,11 +582,14 @@ int main(int argc, char** argv) {
       // (src/obs/diff.h) with its own 0/1/2 exit-code contract.
       opt.diff = true;
     } else if (flag == "--json") {
+      scoped.emplace_back(flag, kDiff);
       opt.json = true;
     } else if (flag == "--series") {
+      scoped.emplace_back(flag, kNotDiff);
       if (!take_value(value)) return bad_value(flag, value);
       opt.series = value;
     } else if (flag == "--width") {
+      scoped.emplace_back(flag, kNotDiff);
       if (!take_value(value) || !parse_size_arg(value, opt.width)) {
         return bad_value(flag, value);
       }
@@ -742,33 +599,28 @@ int main(int argc, char** argv) {
       }
       opt.diff_opt.sigma = opt.sigma;
     } else if (flag == "--query") {
+      scoped.emplace_back(flag, kExplain);
       if (!take_value(value) || !parse_ll_arg(value, opt.query_id)) {
         return bad_value(flag, value);
       }
     } else if (flag == "--limit") {
+      scoped.emplace_back(flag, kExplain);
       if (!take_value(value) || !parse_size_arg(value, opt.limit)) {
         return bad_value(flag, value);
       }
     } else if (flag == "--tolerance") {
-      if (!take_value(value) ||
-          !parse_double_arg(value, opt.diff_opt.tolerance)) {
-        return bad_value(flag, value);
-      }
+      if (const int rc = threshold(opt.diff_opt.tolerance)) return rc;
     } else if (flag == "--abs-floor-us") {
-      if (!take_value(value) ||
-          !parse_double_arg(value, opt.diff_opt.abs_floor_us)) {
-        return bad_value(flag, value);
-      }
+      if (const int rc = threshold(opt.diff_opt.abs_floor_us)) return rc;
     } else if (flag == "--divergence") {
-      if (!take_value(value) ||
-          !parse_double_arg(value, opt.diff_opt.divergence)) {
-        return bad_value(flag, value);
-      }
+      if (const int rc = threshold(opt.diff_opt.divergence)) return rc;
     } else if (flag == "--top") {
+      scoped.emplace_back(flag, kDiff);
       if (!take_value(value) || !parse_size_arg(value, opt.diff_opt.top)) {
         return bad_value(flag, value);
       }
     } else if (flag == "--budget") {
+      scoped.emplace_back(flag, kDiff);
       if (!take_value(value)) return bad_value(flag, value);
       auto budget = mntp::obs::parse_bench_budget(value);
       if (!budget.ok()) {
@@ -778,6 +630,7 @@ int main(int argc, char** argv) {
       }
       opt.diff_opt.budgets.push_back(budget.value());
     } else if (flag == "--write-delta") {
+      scoped.emplace_back(flag, kDiff);
       if (!take_value(value) || *value == '\0') {
         std::fprintf(stderr, "mntp-inspect: --write-delta needs a path\n");
         return 2;
@@ -810,6 +663,9 @@ int main(int argc, char** argv) {
           "  taken from the candidate (second) file;\n"
           "  --write-delta PATH writes the before/after record (kind\n"
           "  mntp_perf_delta), even when the gate fails.\n"
+          "  a flag outside the modes listed for it exits 2 (--series and\n"
+          "  --width also apply to timelines given without `timeline`);\n"
+          "  --tolerance, --abs-floor-us and --divergence must be >= 0.\n"
           "  artifacts with an unknown schema_version render best-effort\n"
           "  behind a stderr warning (exit stays 0).\n"
           "  exit codes: 0 ok, 1 unreadable/unrecognized artifact,\n"
@@ -822,6 +678,18 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(arg);
     }
+  }
+  const unsigned mode = opt.diff      ? kDiff
+                        : opt.explain ? kExplain
+                        : opt.timeline ? kTimeline
+                                       : kSummary;
+  for (const auto& [flag, modes] : scoped) {
+    if ((modes & mode) != 0) continue;
+    std::fprintf(stderr, "mntp-inspect: %s %s\n", flag.c_str(),
+                 modes == kDiff      ? "requires the diff mode"
+                 : modes == kExplain ? "requires the explain mode"
+                                     : "does not apply to the diff mode");
+    return 2;
   }
   if (opt.sigma <= 0.0) {
     std::fprintf(stderr, "mntp-inspect: --sigma must be > 0\n");
@@ -865,20 +733,10 @@ int main(int argc, char** argv) {
     std::fputs(rendered.c_str(), stdout);
     return result.value().exit_code();
   }
-  if (opt.json || !opt.diff_opt.budgets.empty() || !opt.write_delta.empty()) {
-    std::fprintf(stderr,
-                 "mntp-inspect: --json, --budget and --write-delta require "
-                 "the diff mode\n");
-    return 2;
-  }
   if (paths.empty()) {
     std::fprintf(stderr,
                  "usage: mntp-inspect [explain] [--sigma N] [--query ID] "
                  "[--limit N] <file>...\n");
-    return 2;
-  }
-  if (opt.query_id >= 0 && !opt.explain) {
-    std::fprintf(stderr, "mntp-inspect: --query requires the explain mode\n");
     return 2;
   }
   int status = 0;
