@@ -276,6 +276,7 @@ ReplicateCli parse_replicate_cli(int argc, char** argv) {
 }
 
 void print_replicate_report(const sim::ReplicateReport& report) {
+  if (report.replicates <= 1) return;
   std::printf("\n== replication: %zu seeds from base %llu ==\n",
               report.replicates,
               static_cast<unsigned long long>(report.base_seed));
@@ -289,25 +290,24 @@ void print_replicate_report(const sim::ReplicateReport& report) {
                    core::strformat("%.3f", m.summary.max)});
   }
   std::printf("%s", table.render().c_str());
-}
 
-void print_replicate_distributions(const sim::ReplicateReport& report) {
   if (report.distributions.empty()) return;
   std::printf("\n== merged distributions (exact counts across %zu seeds) ==\n",
               report.replicates);
-  core::TextTable table({"distribution", "count", "p50", "p90", "p99", "min",
-                         "max"});
+  core::TextTable distributions({"distribution", "count", "p50", "p90", "p99",
+                                 "min", "max"});
   for (const sim::MergedDistribution& d : report.distributions) {
-    table.add_row({d.name,
-                   core::strformat("%llu", static_cast<unsigned long long>(
-                                               d.merged.count())),
-                   core::strformat("%.3f", d.merged.quantile(0.50)),
-                   core::strformat("%.3f", d.merged.quantile(0.90)),
-                   core::strformat("%.3f", d.merged.quantile(0.99)),
-                   core::strformat("%.3f", d.merged.min()),
-                   core::strformat("%.3f", d.merged.max())});
+    distributions.add_row(
+        {d.name,
+         core::strformat("%llu",
+                         static_cast<unsigned long long>(d.merged.count())),
+         core::strformat("%.3f", d.merged.quantile(0.50)),
+         core::strformat("%.3f", d.merged.quantile(0.90)),
+         core::strformat("%.3f", d.merged.quantile(0.99)),
+         core::strformat("%.3f", d.merged.min()),
+         core::strformat("%.3f", d.merged.max())});
   }
-  std::printf("%s", table.render().c_str());
+  std::printf("%s", distributions.render().c_str());
 }
 
 std::size_t parse_threads(int argc, char** argv, std::size_t def) {

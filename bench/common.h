@@ -125,13 +125,11 @@ struct ReplicateCli {
 ReplicateCli parse_replicate_cli(int argc, char** argv);
 
 /// Print a replicate report as an aggregate table (one row per metric:
-/// median / mean / stddev / min / max across replicates).
+/// median / mean / stddev / min / max across replicates), then its
+/// cross-replicate merged distributions, if any (one row each: count /
+/// p50 / p90 / p99 / min / max). No-op for a one-replicate report, whose
+/// figure the bench has already printed.
 void print_replicate_report(const sim::ReplicateReport& report);
-
-/// Print the report's cross-replicate merged distributions (one row per
-/// distribution: count / p50 / p90 / p99 / min / max). No-op when the
-/// report carries none.
-void print_replicate_distributions(const sim::ReplicateReport& report);
 
 /// Parse `--<flag> value` / `--<flag>=value` from argv (last occurrence
 /// wins); empty string when absent. `flag` includes the leading dashes.
@@ -183,7 +181,7 @@ void reject_unknown_flags(int argc, char** argv);
 ///
 /// `--query-trace-sample N` (opt-in; without it every artifact and
 /// stdout line is byte-identical to the plain flags above) turns on
-/// deterministic 1-in-N trace sampling (hash-of-id gate; see
+/// deterministic 1-in-N trace sampling (hash gate; see
 /// QueryTracer::Sampling), with `--query-trace-seed S` (default 0)
 /// selecting the kept set; finalize() then also exports the
 /// obs.query_trace.{kept,sampled_out,dropped} reconciliation counters.

@@ -14,6 +14,7 @@ namespace mntp::obs {
 namespace {
 
 thread_local AmbientQuery t_ambient;
+thread_local QueryTracer::ReplicateScope* t_replicate = nullptr;
 
 void write_field(core::JsonWriter& w, const Field& f) {
   w.key(f.key);
@@ -46,9 +47,17 @@ void append_query_trace_json(std::string& out, const QueryTrace& trace) {
 
 }  // namespace
 
-bool QueryTracer::gate_keeps(QueryId id) const {
+QueryTracer::ReplicateScope::ReplicateScope(std::size_t index)
+    : next_key_((static_cast<std::uint64_t>(index) << 40) + 1),
+      previous_(t_replicate) {
+  t_replicate = this;
+}
+
+QueryTracer::ReplicateScope::~ReplicateScope() { t_replicate = previous_; }
+
+bool QueryTracer::gate_keeps(std::uint64_t key) const {
   if (sampling_.sample_one_in_n <= 1) return true;
-  return core::splitmix64(gate_seed_ + id) % sampling_.sample_one_in_n == 0;
+  return core::splitmix64(gate_seed_ + key) % sampling_.sample_one_in_n == 0;
 }
 
 void QueryTracer::set_sampling(const Sampling& sampling) {
@@ -67,8 +76,10 @@ QueryId QueryTracer::begin(core::TimePoint t, std::string_view kind,
                            QueryId parent) {
   if (!enabled()) return 0;
   const QueryId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t key =
+      t_replicate != nullptr ? t_replicate->next_key_++ : id;
   std::lock_guard lock(mutex_);
-  if (!gate_keeps(id)) {
+  if (!gate_keeps(key)) {
     // Sampled away; id stays monotonic and stages for it will no-op.
     ++sampled_out_;
     return id;

@@ -104,22 +104,46 @@ class QueryTracer {
   /// Deterministic trace sampling. First-N-wins (the pre-sampling
   /// behaviour, and still the backstop via Limits) keeps whatever
   /// happened to be minted early — at fleet scale that is the warm-up
-  /// transient, not a representative sample. The gate instead hashes the
-  /// query id: a trace is a KEEP candidate iff
+  /// transient, not a representative sample. The gate instead hashes a
+  /// per-query key: a trace is a KEEP candidate iff
   ///
-  ///   splitmix64(gate_seed + id) % sample_one_in_n == 0,
+  ///   splitmix64(gate_seed + key) % sample_one_in_n == 0,
   ///
-  /// with gate_seed = core::derive_stream_seed(seed, 0). The kept id set
-  /// is a pure function of (seed, n, ids minted) — bit-identical across
-  /// thread counts, schedulings and re-runs, which is what the
-  /// determinism tests pin. Gated-away ids count as sampled_out, so
-  /// kept + sampled_out + dropped == minted always.
+  /// with gate_seed = core::derive_stream_seed(seed, 0). The key is the
+  /// query id, or inside a ReplicateScope that replicate's own key (see
+  /// there). The kept set is a pure function of (seed, n, queries minted
+  /// per replicate) — the same across thread counts, schedulings and
+  /// re-runs, which is what the determinism tests pin. Gated-away ids
+  /// count as sampled_out, so kept + sampled_out + dropped == minted
+  /// always.
   struct Sampling {
-    /// Keep one in n by id hash; 1 keeps everything (the default —
+    /// Keep one in n by key hash; 1 keeps everything (the default —
     /// artifacts are byte-identical to a tracer without sampling).
     std::uint64_t sample_one_in_n = 1;
     /// Base seed for the gate stream (core::derive_stream_seed).
     std::uint64_t seed = 0;
+  };
+
+  /// Marks the calling thread as running replicate `index` of a
+  /// replicated run (sim::ReplicationRunner installs one per replicate).
+  /// Inside it the sampling gate hashes the key (index << 40) + n, where
+  /// n = 1, 2, ... counts the queries this scope has minted, instead of
+  /// the process-wide id. Which queries a replicate keeps then depends on
+  /// that replicate alone, not on how replicates interleave across
+  /// threads; replicate 0's keys are the ids a single run mints, so it
+  /// keeps what the single run keeps. Ids themselves are still minted
+  /// process-wide. Nestable: restores the enclosing scope on exit.
+  class ReplicateScope {
+   public:
+    explicit ReplicateScope(std::size_t index);
+    ~ReplicateScope();
+    ReplicateScope(const ReplicateScope&) = delete;
+    ReplicateScope& operator=(const ReplicateScope&) = delete;
+
+   private:
+    friend class QueryTracer;
+    std::uint64_t next_key_;
+    ReplicateScope* previous_;
   };
 
   QueryTracer() = default;
@@ -188,8 +212,9 @@ class QueryTracer {
                         core::TimePoint sim_end) const;
 
  private:
-  /// True when the gate keeps this id (pure function of sampling_ and id).
-  [[nodiscard]] bool gate_keeps(QueryId id) const;
+  /// True when the gate keeps this key (pure function of sampling_ and
+  /// key).
+  [[nodiscard]] bool gate_keeps(std::uint64_t key) const;
   [[nodiscard]] bool sampling_active() const {
     return sampling_.sample_one_in_n > 1;
   }

@@ -32,11 +32,11 @@
 // name collision) — two components constructed in sequence never
 // interleave their samples into one series.
 //
-// Replicated runs: exactly one replicate should capture the timeline
-// (replicate 0, whose seed IS the single-run experiment). Workers running
-// other replicates install a thread-local SuppressScope; components they
-// construct get inert probe handles and their simulations never arm the
-// sampler.
+// Replicated runs: exactly one replicate captures the timeline
+// (replicate 0, whose seed IS the single-run experiment).
+// sim::ReplicationRunner runs every other replicate under a thread-local
+// SuppressScope; components it constructs get inert probe handles and
+// its simulations never arm the sampler.
 #pragma once
 
 #include <atomic>

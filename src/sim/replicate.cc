@@ -4,6 +4,8 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "obs/query_trace.h"
+#include "obs/timeseries.h"
 
 namespace mntp::sim {
 
@@ -55,6 +57,9 @@ ReplicateReport ReplicationRunner::run(std::uint64_t base_seed,
   // matter which worker ran which replicate.
   std::vector<ReplicateResult> per_replicate(k);
   const auto run_one = [&](std::size_t r) {
+    // The per-replicate obs rules (see replicate.h).
+    obs::TimeSeriesRecorder::SuppressScope suppress(r != 0);
+    obs::QueryTracer::ReplicateScope trace_keys(r);
     per_replicate[r] = scenario(replicate_seed(base_seed, r), r);
   };
   if (options_.threads <= 1 || k == 1) {

@@ -22,6 +22,11 @@
 // Scenarios run full simulations, so the only shared state they may
 // touch is the thread-safe obs layer (sharded metrics, mutexed sinks) —
 // the same rule core::ThreadPool documents for all offline parallelism.
+// The runner owns the per-replicate obs rules, so scenarios carry none:
+// only replicate 0 records the sim-time timeline (every other replicate
+// runs under a TimeSeriesRecorder::SuppressScope), and each replicate
+// runs under a QueryTracer::ReplicateScope, so the trace-sampling gate
+// keeps the same queries at every thread count.
 #pragma once
 
 #include <cstddef>

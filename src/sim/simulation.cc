@@ -10,35 +10,18 @@ Simulation::Simulation()
       dispatched_counter_(telemetry_->metrics().counter(
           obs::metric_names::kSimEventsDispatched)),
       queue_depth_(telemetry_->metrics().histogram(
-          obs::metric_names::kSimQueueDepth)) {
-  bind_timeline();
-}
-
-void Simulation::set_telemetry(obs::Telemetry& telemetry) {
-  telemetry_ = &telemetry;
-  dispatched_counter_ =
-      telemetry_->metrics().counter(obs::metric_names::kSimEventsDispatched);
-  queue_depth_ =
-      telemetry_->metrics().histogram(obs::metric_names::kSimQueueDepth);
-  sampler_event_.cancel();
-  bind_timeline();
-}
-
-void Simulation::bind_timeline() {
-  timeline_ = &telemetry_->timeseries();
-  // The capture decision is taken here, on the constructing thread: a
-  // replicate worker under a SuppressScope binds an inert sampler even
-  // though the recorder itself is enabled.
-  timeline_capturing_ = timeline_->capturing();
-  next_sample_ = now_;
+          obs::metric_names::kSimQueueDepth)),
+      timeline_(&telemetry_->timeseries()),
+      // The capture decision is taken here, on the constructing thread: a
+      // replicate worker under a SuppressScope binds an inert sampler even
+      // though the recorder itself is enabled.
+      timeline_capturing_(timeline_->capturing()) {
   if (timeline_capturing_) {
     queue_depth_probe_ = timeline_->probe(
         obs::metric_names::kTsSimQueueDepth, {},
         [this](core::TimePoint) -> std::optional<double> {
           return static_cast<double>(queue_.size());
         });
-  } else {
-    queue_depth_probe_.reset();
   }
 }
 

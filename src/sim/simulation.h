@@ -59,19 +59,16 @@ class Simulation {
   /// construction to the then-current obs::Telemetry::global(); the sink
   /// for event-queue stats (sim.events_dispatched, sim.queue_depth).
   [[nodiscard]] obs::Telemetry& telemetry() const { return *telemetry_; }
-  /// Rebind (e.g. a long-lived simulation crossing telemetry scopes).
-  void set_telemetry(obs::Telemetry& telemetry);
 
  private:
   void dispatch_next();
   /// Timeline sampling (obs/timeseries.h): when the bound telemetry's
-  /// TimeSeriesRecorder is capturing on this thread at construction /
-  /// rebinding, run_until() arms a self-rescheduling sampler event that
+  /// TimeSeriesRecorder is capturing on this thread at construction,
+  /// run_until() arms a self-rescheduling sampler event that
   /// calls recorder.sample(now) on the recorder's cadence, bounded by the
   /// run_until deadline (never by run(), which must drain the queue).
   /// With the recorder off — the default — nothing is ever scheduled, so
   /// event interleaving is untouched.
-  void bind_timeline();
   void arm_sampler(core::TimePoint deadline);
   void schedule_next_sample();
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "core/json.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "mntp/engine.h"
 #include "mntp/params.h"
 #include "mntp/trace.h"
@@ -326,6 +328,58 @@ TEST(QueryTracerSampling, KeptIdSetIsThreadCountInvariant) {
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, four);
   EXPECT_EQ(serial, sixteen);
+}
+
+TEST(QueryTracerSampling, ReplicateKeysAreThreadCountInvariant) {
+  // Replicates running on pool workers interleave their mints, so the
+  // process-wide ids each replicate receives depend on the schedule.
+  // Inside a ReplicateScope the gate hashes (replicate, the replicate's
+  // own mint ordinal) instead: the kept queries are the same on 1 or 4
+  // workers, and replicate 0 keeps exactly what an unscoped single run
+  // keeps. A query is named by its start time: replicate r's i-th query
+  // starts at r * kStride + i.
+  constexpr std::size_t kReplicates = 8;
+  constexpr std::int64_t kQueries = 200;
+  constexpr std::int64_t kStride = 1'000'000;
+  const auto mint = [](QueryTracer& tracer, std::size_t replicate) {
+    for (std::int64_t i = 0; i < kQueries; ++i) {
+      const std::int64_t t = static_cast<std::int64_t>(replicate) * kStride + i;
+      const QueryId id = tracer.begin(at(t), "round");
+      tracer.finish(id, at(t), Reason::kOk);
+    }
+  };
+  const auto kept_starts = [](const QueryTracer& tracer) {
+    std::vector<std::int64_t> starts;
+    for (const auto& t : tracer.snapshot()) starts.push_back(t.started.ns());
+    std::sort(starts.begin(), starts.end());
+    return starts;
+  };
+  const auto sampled_tracer = [](QueryTracer& tracer) {
+    tracer.set_enabled(true);
+    tracer.set_sampling({.sample_one_in_n = 5, .seed = 42});
+  };
+  const auto run = [&](std::size_t threads) {
+    QueryTracer tracer;
+    sampled_tracer(tracer);
+    core::ThreadPool pool(threads);
+    pool.parallel_for(0, kReplicates, [&](std::size_t r) {
+      const QueryTracer::ReplicateScope scope(r);
+      mint(tracer, r);
+    });
+    EXPECT_EQ(tracer.minted(), kReplicates * kQueries);
+    return kept_starts(tracer);
+  };
+  const auto serial = run(1);
+  const auto four = run(4);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, four);
+
+  QueryTracer single;
+  sampled_tracer(single);
+  mint(single, 0);
+  const std::vector<std::int64_t> replicate0(
+      serial.begin(), std::lower_bound(serial.begin(), serial.end(), kStride));
+  EXPECT_EQ(kept_starts(single), replicate0);
 }
 
 TEST(QueryTracerSampling, MetaCarriesSamplingBlockOnlyWhenActive) {

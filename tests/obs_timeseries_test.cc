@@ -213,8 +213,8 @@ TEST(SimulationSampler, RunUntilSamplesOnCadence) {
   Telemetry telemetry;
   telemetry.timeseries().set_enabled(true);
   telemetry.timeseries().set_cadence(Duration::seconds(1));
+  ScopedTelemetry scope(telemetry);
   sim::Simulation sim;
-  sim.set_telemetry(telemetry);
   // The queue-depth probe is registered by the simulation itself; park a
   // few events so the depth is nonzero.
   sim.after(Duration::seconds(10), [] {});
@@ -231,8 +231,8 @@ TEST(SimulationSampler, RunUntilSamplesOnCadence) {
 
 TEST(SimulationSampler, DisabledRecorderSchedulesNothing) {
   Telemetry telemetry;  // timeseries disabled
+  ScopedTelemetry scope(telemetry);
   sim::Simulation sim;
-  sim.set_telemetry(telemetry);
   sim.after(Duration::seconds(1), [] {});
   sim.run_until(TimePoint::epoch() + Duration::seconds(5));
   // Only the user event ran: the sampler added zero events, so runs

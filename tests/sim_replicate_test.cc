@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "obs/timeseries.h"
 
 namespace mntp::sim {
 namespace {
@@ -198,6 +199,29 @@ TEST(ReplicationRunner, RichScenarioMismatchedDistributionNamesThrow) {
                    return r;
                  })),
       std::runtime_error);
+}
+
+TEST(ReplicationRunner, OnlyReplicateZeroRecordsTheTimeline) {
+  // The runner owns the per-replicate timeline rule: replicate 0 (the
+  // single-run experiment) records, every other replicate runs under a
+  // TimeSeriesRecorder::SuppressScope, whichever worker runs it.
+  for (const std::size_t threads : {1u, 4u}) {
+    ReplicationRunner runner({.replicates = 8, .threads = threads});
+    const ReplicateReport report =
+        runner.run(5, [](std::uint64_t, std::size_t) {
+          return std::vector<MetricValue>{
+              {"suppressed",
+               obs::TimeSeriesRecorder::suppressed() ? 1.0 : 0.0}};
+        });
+    const std::vector<double>& suppressed = report.metrics[0].per_replicate;
+    ASSERT_EQ(suppressed.size(), 8u);
+    EXPECT_EQ(suppressed[0], 0.0) << "threads " << threads;
+    for (std::size_t r = 1; r < suppressed.size(); ++r) {
+      EXPECT_EQ(suppressed[r], 1.0) << "threads " << threads << " replicate "
+                                    << r;
+    }
+    EXPECT_FALSE(obs::TimeSeriesRecorder::suppressed());
+  }
 }
 
 TEST(ReplicationRunner, ParallelRunInvokesEveryReplicateOnce) {
