@@ -216,7 +216,7 @@ std::vector<Workload> build_workloads() {
                                   core::Duration::minutes(15),
                                   core::Duration::minutes(30)};
       space.reset_periods = {core::Duration::hours(4)};
-      protocol::tuner::search(*trace, space, {.threads = 1});
+      (void)protocol::tuner::search(*trace, space, {.threads = 1});
     }});
   }
 
@@ -228,7 +228,7 @@ std::vector<Workload> build_workloads() {
     const logs::ServerStats stats = logs::LogAnalyzer::server_stats(log);
     const auto providers = logs::LogAnalyzer::provider_owd_stats(log, 1);
     // Keep the results observable so the passes cannot be elided.
-    static volatile std::size_t sink;
+    [[maybe_unused]] static volatile std::size_t sink;
     sink = stats.unique_clients + providers.size();
   }});
 
@@ -259,7 +259,7 @@ std::vector<Workload> build_workloads() {
     core::Rng rng(13);
     std::vector<sim::EventHandle> handles;
     handles.reserve(50'000);
-    static volatile std::size_t sink;
+    [[maybe_unused]] static volatile std::size_t sink;
     std::size_t fired = 0;
     for (int i = 0; i < 50'000; ++i) {
       handles.push_back(
@@ -285,7 +285,7 @@ std::vector<Workload> build_workloads() {
   workloads.push_back({"channel_transmit", [] {
     net::WirelessChannel channel({}, core::Rng(14));
     channel.set_utilization(0.35);
-    static volatile std::size_t sink;
+    [[maybe_unused]] static volatile std::size_t sink;
     std::size_t delivered = 0;
     std::int64_t t = 0;
     for (int i = 0; i < 20'000; ++i) {
@@ -320,7 +320,7 @@ std::vector<Workload> build_workloads() {
               {"accepted", static_cast<double>(
                                engine.accepted_offsets_ms().size())}};
         });
-    static volatile std::size_t sink;
+    [[maybe_unused]] static volatile std::size_t sink;
     sink = static_cast<std::size_t>(report.median("accepted"));
   }});
 
@@ -340,7 +340,7 @@ std::vector<Workload> build_workloads() {
     workloads.push_back({"fleet_qps", [fleet_pop, params] {
       fleet::Simulator sim(fleet_pop, params);
       const fleet::FleetResult result = sim.run(1);
-      static volatile std::size_t sink;
+      [[maybe_unused]] static volatile std::size_t sink;
       sink = static_cast<std::size_t>(result.queries);
     }});
   }

@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <memory>
+#include <utility>
 
 #include "sim/simulation.h"
 
@@ -8,65 +9,65 @@ namespace mntp::net {
 
 namespace {
 
-struct Walker : std::enable_shared_from_this<Walker> {
+/// One datagram in flight. Exactly one owner at a time: send_datagram's
+/// frame, then the pending event of the hop the packet is crossing. The
+/// walker dies with that owner — after the end-to-end callback, after a
+/// drop, or when the simulation is destroyed with the event still queued.
+struct Walker {
   sim::Simulation& sim;
   LinkPath path;
   std::size_t bytes;
-  std::function<void(core::TimePoint)> on_arrival;
-  std::function<void()> on_drop;
+  ArrivalFn on_arrival;
+  DropFn on_drop;
   /// Non-null only when this datagram belongs to a traced query.
   obs::QueryTracer* tracer = nullptr;
   obs::QueryId query = 0;
-
-  Walker(sim::Simulation& s, LinkPath p, std::size_t b,
-         std::function<void(core::TimePoint)> arr, std::function<void()> drop)
-      : sim(s),
-        path(std::move(p)),
-        bytes(b),
-        on_arrival(std::move(arr)),
-        on_drop(std::move(drop)) {}
-
-  void step(std::size_t hop_index, core::TimePoint t) {
-    if (hop_index == path.hop_count()) {
-      if (on_arrival) on_arrival(t);
-      return;
-    }
-    TransmitResult r;
-    if (tracer) {
-      // Channel models under this transmit() see the packet's query as
-      // ambient and can record airtime detail (retries, queueing, ...).
-      obs::ActiveQueryScope scope(*tracer, query);
-      r = path.hop(hop_index).transmit(t, bytes);
-    } else {
-      r = path.hop(hop_index).transmit(t, bytes);
-    }
-    if (!r.delivered) {
-      if (tracer) {
-        tracer->stage(query, t, "loss", obs::Reason::kLoss,
-                      {{"hop", static_cast<std::int64_t>(hop_index)}});
-      }
-      if (on_drop) on_drop();
-      return;
-    }
-    if (tracer) {
-      tracer->stage(query, t, "hop", obs::Reason::kNone,
-                    {{"hop", static_cast<std::int64_t>(hop_index)},
-                     {"delay_ms", r.delay.to_millis()}});
-    }
-    auto self = shared_from_this();
-    sim.at(t + r.delay, [self, hop_index, next = t + r.delay] {
-      self->step(hop_index + 1, next);
-    });
-  }
 };
+
+/// Evaluate hop `hop_index` at time `t`, then hand the walker to the event
+/// at the packet's arrival on the next hop.
+void step(std::unique_ptr<Walker> w, std::size_t hop_index,
+          core::TimePoint t) {
+  if (hop_index == w->path.hop_count()) {
+    if (w->on_arrival) w->on_arrival(t);
+    return;
+  }
+  TransmitResult r;
+  if (w->tracer) {
+    // Channel models under this transmit() see the packet's query as
+    // ambient and can record airtime detail (retries, queueing, ...).
+    obs::ActiveQueryScope scope(*w->tracer, w->query);
+    r = w->path.hop(hop_index).transmit(t, w->bytes);
+  } else {
+    r = w->path.hop(hop_index).transmit(t, w->bytes);
+  }
+  if (!r.delivered) {
+    if (w->tracer) {
+      w->tracer->stage(w->query, t, "loss", obs::Reason::kLoss,
+                       {{"hop", static_cast<std::int64_t>(hop_index)}});
+    }
+    if (w->on_drop) w->on_drop();
+    return;
+  }
+  if (w->tracer) {
+    w->tracer->stage(w->query, t, "hop", obs::Reason::kNone,
+                     {{"hop", static_cast<std::int64_t>(hop_index)},
+                      {"delay_ms", r.delay.to_millis()}});
+  }
+  const core::TimePoint next = t + r.delay;
+  sim::Simulation& sim = w->sim;
+  sim.at(next, [w = std::move(w), hop_index, next]() mutable {
+    step(std::move(w), hop_index + 1, next);
+  });
+}
 
 }  // namespace
 
-void send_datagram(sim::Simulation& sim, LinkPath path, std::size_t bytes,
-                   std::function<void(core::TimePoint)> on_arrival,
-                   std::function<void()> on_drop, obs::QueryId query) {
-  auto w = std::make_shared<Walker>(sim, std::move(path), bytes,
-                                    std::move(on_arrival), std::move(on_drop));
+void send_datagram(sim::Simulation& sim, const LinkPath& path,
+                   std::size_t bytes, ArrivalFn on_arrival, DropFn on_drop,
+                   obs::QueryId query) {
+  auto w = std::make_unique<Walker>(sim, path, bytes, std::move(on_arrival),
+                                    std::move(on_drop));
   if (query != 0) {
     obs::QueryTracer& tracer = sim.telemetry().query_tracer();
     if (tracer.enabled()) {
@@ -74,7 +75,7 @@ void send_datagram(sim::Simulation& sim, LinkPath path, std::size_t bytes,
       w->query = query;
     }
   }
-  w->step(0, sim.now());
+  step(std::move(w), 0, sim.now());
 }
 
 }  // namespace mntp::net

@@ -1,5 +1,7 @@
 #include "ntp/transport.h"
 
+#include <array>
+#include <cstdint>
 #include <utility>
 
 #include "obs/metric_names.h"
@@ -9,13 +11,26 @@ namespace mntp::ntp {
 namespace {
 
 /// Per-exchange state kept alive by shared_ptr across the event chain.
-/// `engine_alive` is the engine's liveness flag: every event of the
-/// chain checks it before touching the engine.
+/// Every lambda of the chain captures only `[this, ex]`, so each capture
+/// fits its FixedFunction's inline buffer. `engine_alive` is the
+/// engine's liveness flag: every event of the chain checks it before
+/// touching the engine.
 struct Exchange {
   QueryEngine::Callback callback;
   std::shared_ptr<const bool> engine_alive;
   sim::EventHandle timeout_event;
   bool settled = false;
+
+  NtpServer* server = nullptr;
+  net::LinkPath down;
+  std::size_t wire_bytes = 0;
+  obs::QueryId qid = 0;
+  core::NtpTimestamp t1;
+  /// True send time of the request and departure time of the reply.
+  core::TimePoint send_true;
+  core::TimePoint departs;
+  std::array<std::uint8_t, NtpPacket::kWireSize> request_bytes{};
+  std::array<std::uint8_t, NtpPacket::kWireSize> reply_bytes{};
 
   void settle(core::Result<SntpSample> result) {
     if (settled) return;
@@ -62,107 +77,102 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
   auto ex = std::make_shared<Exchange>();
   ex->callback = std::move(callback);
   ex->engine_alive = alive_;
+  ex->server = endpoint.server;
+  ex->down = endpoint.down;
+  ex->wire_bytes = options.wire_bytes;
 
-  const core::TimePoint send_true = sim_.now();
-  const core::NtpTimestamp t1 =
-      core::NtpTimestamp::from_time_point(clock_.local_time(send_true));
+  ex->send_true = sim_.now();
+  ex->t1 =
+      core::NtpTimestamp::from_time_point(clock_.local_time(ex->send_true));
   const NtpPacket request =
       options.sntp_style
-          ? NtpPacket::make_sntp_request(t1)
-          : NtpPacket::make_ntp_request(t1, /*poll_exponent=*/4,
+          ? NtpPacket::make_sntp_request(ex->t1)
+          : NtpPacket::make_ntp_request(ex->t1, /*poll_exponent=*/4,
                                         core::NtpTimestamp::unset());
-  const auto request_bytes = request.to_bytes();
+  ex->request_bytes = request.to_bytes();
 
   // Mint a per-exchange query trace, parented to the round that issued
   // it (the client installs its round as ambient around this call).
   obs::QueryTracer& qt = sim_.telemetry().query_tracer();
-  obs::QueryId qid = 0;
   if (qt.enabled()) {
-    qid = qt.begin(send_true, "exchange", obs::ambient_query().id);
-    qt.stage(qid, send_true, "request", obs::Reason::kOk,
+    ex->qid = qt.begin(ex->send_true, "exchange", obs::ambient_query().id);
+    qt.stage(ex->qid, ex->send_true, "request", obs::Reason::kOk,
              {{"wire_bytes", static_cast<std::int64_t>(options.wire_bytes)},
               {"mode", std::string(options.sntp_style ? "sntp" : "ntp")},
               {"timeout_ms", options.timeout.to_millis()}});
   }
 
   sent_counter_->inc();
-  ex->timeout_event = sim_.after(options.timeout, [this, ex, qid] {
+  ex->timeout_event = sim_.after(options.timeout, [this, ex] {
     if (!*ex->engine_alive) return;
     ++timeouts_;
     timeout_counter_->inc();
-    if (qid != 0) {
-      sim_.telemetry().query_tracer().finish(qid, sim_.now(),
+    if (ex->qid != 0) {
+      sim_.telemetry().query_tracer().finish(ex->qid, sim_.now(),
                                              obs::Reason::kTimeout);
     }
     ex->settle(core::Error::timeout("no NTP reply within timeout"));
   });
 
-  NtpServer* server = endpoint.server;
-  const net::LinkPath down = endpoint.down;
-  const std::size_t wire_bytes = options.wire_bytes;
-
   // Packet loss in either direction is not observable by a real client;
   // the timeout event fires in that case (no on_drop handler needed —
   // the traced loss stage is recorded by the link walker itself).
   net::send_datagram(
-      sim_, endpoint.up, wire_bytes,
-      [this, ex, server, down, request_bytes, t1, wire_bytes, send_true,
-       qid](core::TimePoint arrival) {
+      sim_, endpoint.up, ex->wire_bytes,
+      [this, ex](core::TimePoint arrival) {
         if (!*ex->engine_alive) return;
         // Uplink one-way delay on the true timeline (simulator's-eye
         // view; a real client cannot separate the directions).
-        last_owd_up_ms_ = (arrival - send_true).to_millis();
+        last_owd_up_ms_ = (arrival - ex->send_true).to_millis();
         has_owd_up_ = true;
         owd_up_ms_->record(last_owd_up_ms_);
-        auto reply = server->handle(request_bytes, arrival);
+        auto reply = ex->server->handle(ex->request_bytes, arrival);
         if (!reply.ok()) {
           error_counter_->inc();
-          if (qid != 0) {
+          if (ex->qid != 0) {
             sim_.telemetry().query_tracer().finish(
-                qid, arrival, obs::Reason::kServerError);
+                ex->qid, arrival, obs::Reason::kServerError);
           }
           ex->settle(reply.error());
           return;
         }
-        const NtpPacket reply_packet = reply.value().packet;
-        const auto reply_bytes = reply_packet.to_bytes();
-        if (qid != 0) {
+        const NtpPacket& reply_packet = reply.value().packet;
+        ex->reply_bytes = reply_packet.to_bytes();
+        if (ex->qid != 0) {
           sim_.telemetry().query_tracer().stage(
-              qid, arrival, "server", obs::Reason::kOk,
+              ex->qid, arrival, "server", obs::Reason::kOk,
               {{"stratum", static_cast<std::int64_t>(reply_packet.stratum)},
                {"processing_ms",
                 (reply.value().departs - arrival).to_millis()}});
         }
         // The reply leaves after the server's processing delay.
-        sim_.at(reply.value().departs, [this, ex, down, reply_bytes, t1,
-                                        wire_bytes, qid] {
+        sim_.at(reply.value().departs, [this, ex] {
           if (!*ex->engine_alive) return;
-          const core::TimePoint departs = sim_.now();
+          ex->departs = sim_.now();
           net::send_datagram(
-              sim_, down, wire_bytes,
-              [this, ex, reply_bytes, t1, departs,
-               qid](core::TimePoint t4_true) {
+              sim_, ex->down, ex->wire_bytes,
+              [this, ex](core::TimePoint t4_true) {
                 if (!*ex->engine_alive) return;
-                last_owd_down_ms_ = (t4_true - departs).to_millis();
+                last_owd_down_ms_ = (t4_true - ex->departs).to_millis();
                 has_owd_down_ = true;
                 owd_down_ms_->record(last_owd_down_ms_);
-                auto parsed = NtpPacket::parse(reply_bytes);
+                auto parsed = NtpPacket::parse(ex->reply_bytes);
                 if (!parsed.ok()) {
                   error_counter_->inc();
-                  if (qid != 0) {
+                  if (ex->qid != 0) {
                     sim_.telemetry().query_tracer().finish(
-                        qid, t4_true, obs::Reason::kValidationError);
+                        ex->qid, t4_true, obs::Reason::kValidationError);
                   }
                   ex->settle(parsed.error());
                   return;
                 }
                 const NtpPacket& p = parsed.value();
-                if (const core::Status s = validate_sntp_response(p, t1);
+                if (const core::Status s = validate_sntp_response(p, ex->t1);
                     !s.ok()) {
                   error_counter_->inc();
-                  if (qid != 0) {
+                  if (ex->qid != 0) {
                     sim_.telemetry().query_tracer().finish(
-                        qid, t4_true, obs::Reason::kValidationError);
+                        ex->qid, t4_true, obs::Reason::kValidationError);
                   }
                   ex->settle(s.error());
                   return;
@@ -171,12 +181,14 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
                 ok_counter_->inc();
                 const core::NtpTimestamp t4 = core::NtpTimestamp::from_time_point(
                     clock_.local_time(t4_true));
-                const SntpExchange xchg{
-                    .t1 = t1, .t2 = p.receive_ts, .t3 = p.transmit_ts, .t4 = t4};
+                const SntpExchange xchg{.t1 = ex->t1,
+                                        .t2 = p.receive_ts,
+                                        .t3 = p.transmit_ts,
+                                        .t4 = t4};
                 rtt_ms_->record(xchg.delay().to_millis());
-                if (qid != 0) {
+                if (ex->qid != 0) {
                   sim_.telemetry().query_tracer().finish(
-                      qid, t4_true, obs::Reason::kOk,
+                      ex->qid, t4_true, obs::Reason::kOk,
                       {{"offset_ms", xchg.offset().to_millis()},
                        {"rtt_ms", xchg.delay().to_millis()},
                        {"stratum", static_cast<std::int64_t>(p.stratum)}});
@@ -189,10 +201,10 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
                     .completed_at = t4_true,
                 });
               },
-              /*on_drop=*/{}, qid);
+              /*on_drop=*/{}, ex->qid);
         });
       },
-      /*on_drop=*/{}, qid);
+      /*on_drop=*/{}, ex->qid);
 }
 
 }  // namespace mntp::ntp

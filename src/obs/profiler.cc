@@ -38,7 +38,7 @@ void Profiler::record(std::string_view name, std::int64_t dur_ns,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = aggregates_.find(name);
   if (it == aggregates_.end()) {
-    it = aggregates_.emplace(std::string(name), Aggregate{}).first;
+    it = aggregates_.try_emplace(std::string(name)).first;
   }
   Aggregate& agg = it->second;
   if (agg.count == 0) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/stats.h"
@@ -42,6 +45,50 @@ TEST(LinkPath, HopAccessors) {
   EXPECT_EQ(path.hop_count(), 2u);
   EXPECT_EQ(&path.hop(0), &a);
   EXPECT_EQ(&path.hop(1), &b);
+}
+
+TEST(LinkPath, AppendPastCapacityThrows) {
+  FakeLink a(Duration::milliseconds(1));
+  LinkPath path;
+  for (std::size_t i = 0; i < LinkPath::kMaxHops; ++i) path.append(a);
+  EXPECT_THROW(path.append(a), std::length_error);
+  EXPECT_EQ(path.hop_count(), LinkPath::kMaxHops);
+}
+
+TEST(LinkPath, HopPastCountThrows) {
+  FakeLink a(Duration::milliseconds(1));
+  LinkPath path({&a});
+  EXPECT_THROW((void)path.hop(path.hop_count()), std::out_of_range);
+  EXPECT_THROW((void)LinkPath{}.hop(0), std::out_of_range);
+}
+
+TEST(SendDatagram, SimulationDestroyedInFlightFreesWalkers) {
+  // A datagram's walker is owned by its pending hop event: destroying
+  // the simulation with the packet mid-path frees the walker and the
+  // callbacks it holds, without firing either of them.
+  FakeLink a(Duration::milliseconds(10));
+  FakeLink b(Duration::milliseconds(25));
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  int fired = 0;
+  {
+    std::optional<sim::Simulation> sim;
+    sim.emplace();
+    for (int i = 0; i < 3; ++i) {
+      send_datagram(
+          *sim, LinkPath({&a, &b}), 1,
+          [token, &fired](TimePoint) { ++fired; },
+          [token, &fired] { ++fired; });
+    }
+    token.reset();
+    sim->run_until(TimePoint::epoch() + Duration::milliseconds(20));
+    EXPECT_EQ(a.queries.size(), 3u);
+    EXPECT_EQ(b.queries.size(), 3u);  // all three still on their way out
+    EXPECT_FALSE(watch.expired());
+    sim.reset();
+  }
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(fired, 0);
 }
 
 TEST(SendDatagram, DelaysAccumulateAndArrivalFires) {

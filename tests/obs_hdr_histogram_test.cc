@@ -145,7 +145,9 @@ TEST(HdrHistogram, BucketsAscendAndSumToCount) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     total += buckets[i].second;
-    if (i > 0) EXPECT_GT(buckets[i].first, buckets[i - 1].first);
+    if (i > 0) {
+      EXPECT_GT(buckets[i].first, buckets[i - 1].first);
+    }
   }
   EXPECT_EQ(total, h.count());
 }
