@@ -1,17 +1,16 @@
-// Deterministic random number generation facade.
+// Deterministic random number generation: the library's one engine.
 //
 // Every stochastic component in the library (channel fading, cross-traffic
-// arrivals, oscillator wander, server jitter, log synthesis) draws from an
-// explicitly seeded `Rng`. There is no global RNG and no entropy source:
-// given the same seeds, every experiment reproduces bit-identically.
+// arrivals, oscillator wander, server jitter, log synthesis, the fleet's
+// per-query draws) draws from an explicitly seeded `Rng`. There is no
+// global RNG and no entropy source: given the same seeds, every
+// experiment reproduces bit-identically.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
-#include <span>
 
 namespace mntp::core {
 
@@ -37,48 +36,93 @@ namespace mntp::core {
   return splitmix64(base + stream * 0x9E3779B97F4A7C15ull);
 }
 
+/// Counter-based generator: the stream-derivation rule turned into a
+/// sequence. Draw k of `Rng(seed)` is exactly `derive_stream_seed(seed,
+/// k)` — two 64-bit multiplies and a mix per draw, 32 bytes of state, no
+/// warm-up — so one can be built per (entity, event) pair: the fleet
+/// gives every simulated query its own `Rng(derive_stream_seed(
+/// client_seed, query_key))`, which makes each query's randomness a pure
+/// function of seeds. splitmix64 passes BigCrush.
+///
+/// Draw discipline (what each call consumes from the stream):
+///   canonical, uniform, bernoulli, exponential, pareto — one draw;
+///   uniform_int, index — one draw, plus a redraw on Lemire's rejection
+///     (probability < range / 2^64);
+///   normal, lognormal — Marsaglia polar: a pair of draws per attempt
+///     (~1.27 attempts per accepted pair), and each accepted pair yields
+///     two deviates: the second is cached and returned, with no draw, by
+///     the next normal() or lognormal() call.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit constexpr Rng(std::uint64_t seed) : seed_(seed) {}
+
+  /// Draw k of the stream: derive_stream_seed(seed, k), k = 0, 1, ...
+  [[nodiscard]] constexpr std::uint64_t next_u64() {
+    return derive_stream_seed(seed_, counter_++);
+  }
 
   /// Derive an independent child generator; used to give each subsystem
   /// its own stream so adding draws in one subsystem does not perturb
   /// another (important for experiment comparability across variants).
-  [[nodiscard]] Rng fork() { return Rng{engine_()}; }
+  /// The child seed is salted: an unsalted `Rng{next_u64()}` would make
+  /// child k's seed equal `sim::replicate_seed(seed, k + 1)`, so a
+  /// replicate's sub-stream would be the next replicate's root stream.
+  [[nodiscard]] Rng fork() { return Rng{splitmix64(next_u64() ^ kForkSalt)}; }
+
+  /// Canonical uniform in [0,1): top 53 bits of one draw.
+  [[nodiscard]] double canonical() {
+    return static_cast<double>(next_u64() >> 11) * 0x1p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>{lo, hi}(engine_);
+    return lo + (hi - lo) * canonical();
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+    const std::uint64_t range =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    const std::uint64_t offset = range == 0 ? next_u64() : bounded(range);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
   }
 
   /// Index uniform in [0, n). Requires n > 0.
   [[nodiscard]] std::size_t index(std::size_t n) {
-    return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    return static_cast<std::size_t>(bounded(n));
   }
 
   /// Gaussian with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(engine_);
+    if (have_spare_) {
+      have_spare_ = false;
+      return mean + stddev * spare_;
+    }
+    double u, v, s;
+    do {
+      u = 2.0 * canonical() - 1.0;
+      v = 2.0 * canonical() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double m = std::sqrt(-2.0 * std::log(s) / s);
+    spare_ = v * m;
+    have_spare_ = true;
+    return mean + stddev * u * m;
   }
 
-  /// Exponential with the given mean (not rate).
+  /// Exponential with the given mean (not rate), by inverse transform.
+  /// log1p(-u) keeps precision for small u and is finite for all u in
+  /// [0,1).
   [[nodiscard]] double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(engine_);
+    return -mean * std::log1p(-canonical());
   }
 
   /// Bernoulli trial.
-  [[nodiscard]] bool bernoulli(double p) {
-    return std::bernoulli_distribution{p}(engine_);
-  }
+  [[nodiscard]] bool bernoulli(double p) { return canonical() < p; }
 
   /// Log-normal parameterized by the mean/stddev of the underlying normal.
   [[nodiscard]] double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>{mu, sigma}(engine_);
+    return std::exp(normal(mu, sigma));
   }
 
   /// Smallest uniform variate `pareto` will raise to a negative power.
@@ -94,138 +138,31 @@ class Rng {
   /// underlying uniform is clamped to [kParetoMinU, 1.0), so the heavy
   /// tail is hard-capped independent of any downstream min().
   [[nodiscard]] double pareto(double xm, double alpha) {
-    const double u = std::max(uniform(0.0, 1.0), kParetoMinU);
-    return xm / std::pow(u, 1.0 / alpha);
-  }
-
-  /// Raw 64-bit draw (for deriving sub-seeds).
-  [[nodiscard]] std::uint64_t next_u64() { return engine_(); }
-
-  // --- Fast inline paths -------------------------------------------------
-  //
-  // The std::*_distribution wrappers above construct a distribution
-  // object per call and their draw sequences are libstdc++
-  // implementation details. The `_fast` variants below are
-  // self-contained, draw-count documented, and cheap to inline — but
-  // they consume the engine differently, so they are NOT drop-in
-  // replacements on an existing stream: switching a call site changes
-  // every downstream result. Use them for new code and for opt-in
-  // model variants.
-
-  /// Canonical uniform in [0,1): top 53 bits of exactly one engine
-  /// draw.
-  [[nodiscard]] double canonical() {
-    return static_cast<double>(engine_() >> 11) * 0x1p-53;
-  }
-
-  /// Gaussian via the Marsaglia polar method with the spare deviate
-  /// cached: amortized ~1.27 engine-draw pairs per two results, no
-  /// transcendental calls beyond one log+sqrt per pair.
-  [[nodiscard]] double normal_fast(double mean, double stddev) {
-    if (have_spare_) {
-      have_spare_ = false;
-      return mean + stddev * spare_;
-    }
-    double u, v, s;
-    do {
-      u = 2.0 * canonical() - 1.0;
-      v = 2.0 * canonical() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * m;
-    have_spare_ = true;
-    return mean + stddev * u * m;
-  }
-
-  /// Batch-fill `out` with independent normal_fast draws — hot loops
-  /// that consume deviates in blocks amortize the call overhead and the
-  /// polar method's pair structure.
-  void fill_normal(std::span<double> out, double mean, double stddev) {
-    for (double& x : out) x = normal_fast(mean, stddev);
-  }
-
- private:
-  std::mt19937_64 engine_;
-  double spare_ = 0.0;       // cached second polar deviate
-  bool have_spare_ = false;  // normal_fast spare validity
-};
-
-/// Counter-based mini generator: the stream-derivation rule turned into
-/// a sequence. Draw k is exactly `derive_stream_seed(seed, k)`, so a
-/// SmallRng is pure state-free arithmetic — two 64-bit multiplies and a
-/// mix per draw, no warm-up, trivially constructible per (entity, event)
-/// pair. That is the property the fleet layer is built on: every
-/// simulated query owns the stream `SmallRng(derive_stream_seed(
-/// client_seed, query_key))`, which makes each query's randomness a pure
-/// function of seeds — independent of shard partitioning, thread
-/// scheduling, and every other client's activity. An mt19937_64 is the
-/// wrong tool there (2.5 KB of state and a ~312-word init per query);
-/// splitmix64 passes BigCrush and costs nothing to seed.
-///
-/// canonical() and normal() mirror Rng::canonical and Rng::normal_fast
-/// (same math, same draw-count documentation); they are NOT
-/// stream-compatible with Rng — different engine, different
-/// realizations, same distributions.
-class SmallRng {
- public:
-  explicit constexpr SmallRng(std::uint64_t seed) : seed_(seed) {}
-
-  /// Draw k of the stream: derive_stream_seed(seed, k), k = 0, 1, ...
-  [[nodiscard]] constexpr std::uint64_t next_u64() {
-    return derive_stream_seed(seed_, counter_++);
-  }
-
-  /// Canonical uniform in [0,1): top 53 bits of one draw.
-  [[nodiscard]] double canonical() {
-    return static_cast<double>(next_u64() >> 11) * 0x1p-53;
-  }
-
-  /// Bernoulli trial via one canonical draw.
-  [[nodiscard]] bool bernoulli(double p) { return canonical() < p; }
-
-  /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) {
-    return lo + (hi - lo) * canonical();
-  }
-
-  /// Exponential with the given mean by inverse transform; one draw.
-  /// log1p(-u) keeps precision for small u and is finite for all u in
-  /// [0,1).
-  [[nodiscard]] double exponential(double mean) {
-    return -mean * std::log1p(-canonical());
-  }
-
-  /// Gaussian via the Marsaglia polar method with the spare cached
-  /// (cf. Rng::normal_fast).
-  [[nodiscard]] double normal(double mean, double stddev) {
-    if (have_spare_) {
-      have_spare_ = false;
-      return mean + stddev * spare_;
-    }
-    double u, v, s;
-    do {
-      u = 2.0 * canonical() - 1.0;
-      v = 2.0 * canonical() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * m;
-    have_spare_ = true;
-    return mean + stddev * u * m;
-  }
-
-  /// Pareto with the same tail clamp as Rng::pareto (kParetoMinU floor).
-  [[nodiscard]] double pareto(double xm, double alpha) {
-    const double u = std::max(canonical(), Rng::kParetoMinU);
+    const double u = std::max(canonical(), kParetoMinU);
     return xm / std::pow(u, 1.0 / alpha);
   }
 
  private:
+  static constexpr std::uint64_t kForkSalt = 0xD1B54A32D192ED03ull;
+
+  /// Exactly uniform in [0, range), range > 0: Lemire's multiply-shift
+  /// with the rejection step that removes its bias.
+  [[nodiscard]] std::uint64_t bounded(std::uint64_t range) {
+    unsigned __int128 m =
+        static_cast<unsigned __int128>(next_u64()) * range;
+    if (static_cast<std::uint64_t>(m) < range) {
+      const std::uint64_t threshold = (0 - range) % range;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<unsigned __int128>(next_u64()) * range;
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
-  double spare_ = 0.0;
-  bool have_spare_ = false;
+  double spare_ = 0.0;       // cached second polar deviate
+  bool have_spare_ = false;  // spare_ validity
 };
 
 }  // namespace mntp::core

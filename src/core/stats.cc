@@ -139,7 +139,9 @@ std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const {
   const double step = points > 1 ? (hi - lo) / static_cast<double>(points - 1) : 0.0;
   out.reserve(points);
   for (std::size_t i = 0; i < points; ++i) {
-    const double x = lo + step * static_cast<double>(i);
+    // The last point is the maximum itself: lo + step * (points - 1) can
+    // round below hi, and the curve would then end below 1.
+    const double x = i + 1 == points ? hi : lo + step * static_cast<double>(i);
     out.emplace_back(x, at(x));
   }
   return out;

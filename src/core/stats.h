@@ -95,7 +95,8 @@ class Cdf {
   [[nodiscard]] double quantile(double q) const;
 
   /// Evaluate the CDF at `points` evenly spaced x values covering the
-  /// sample range; returns (x, F(x)) pairs for plotting/printing.
+  /// sample range; returns (x, F(x)) pairs for plotting/printing. The
+  /// last pair is exactly (max, 1).
   [[nodiscard]] std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
   [[nodiscard]] const std::vector<double>& sorted_samples() const { return sorted_; }

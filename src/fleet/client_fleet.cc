@@ -76,21 +76,20 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
 
   core::Rng rng(core::derive_stream_seed(params.seed, kBuildStream));
 
-  // Gaussian columns first, batch-filled (Rng::fill_normal amortizes the
-  // polar method's pair structure); the serial pass below overwrites the
-  // entries that are not plain Gaussians (unsynchronized clock errors).
-  std::vector<double> scratch(n);
-  rng.fill_normal(scratch, 0.0, params.clock_offset_sigma_ms);
+  // Gaussian columns first, one column at a time; the serial pass below
+  // overwrites the entries that are not plain Gaussians (unsynchronized
+  // clock errors).
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.clock_err_ms_[i] = static_cast<float>(scratch[i]);
+    fleet.clock_err_ms_[i] =
+        static_cast<float>(rng.normal(0.0, params.clock_offset_sigma_ms));
   }
-  rng.fill_normal(scratch, 0.0, params.skew_sigma_ppm);
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.skew_ppm_[i] = static_cast<float>(scratch[i]);
+    fleet.skew_ppm_[i] =
+        static_cast<float>(rng.normal(0.0, params.skew_sigma_ppm));
   }
-  rng.fill_normal(scratch, params.snr_mean_db, params.snr_sigma_db);
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.snr_mean_db_[i] = static_cast<float>(scratch[i]);
+    fleet.snr_mean_db_[i] =
+        static_cast<float>(rng.normal(params.snr_mean_db, params.snr_sigma_db));
   }
 
   const auto server_cum = server_cumulative();

@@ -37,8 +37,8 @@ struct ClientTraits {
 class ClientFleet {
  public:
   /// Deterministic single-pass build from `params.seed`. Gaussian
-  /// columns (clock error, skew, SNR margin) are batch-filled through
-  /// Rng::fill_normal; the categorical picks run in one serial loop.
+  /// columns (clock error, skew, SNR margin) are drawn one column at a
+  /// time; the categorical picks run in one serial loop.
   [[nodiscard]] static ClientFleet build(const FleetParams& params);
 
   [[nodiscard]] std::uint64_t size() const { return size_; }

@@ -13,7 +13,7 @@
 // Determinism contract (the same one sim::ReplicationRunner and the
 // sharded obs metrics obey): every random decision is a pure function of
 // seeds, never of shard partitioning or thread scheduling. Client i's
-// per-query stream is core::SmallRng(derive_stream_seed(client_seed,
+// per-query stream is core::Rng(derive_stream_seed(client_seed,
 // next_poll_ns)) — poll times strictly increase, so each query owns a
 // unique stream — and server-side randomness is a pure function of
 // (server seed, time bucket). Results are bit-identical for any

@@ -79,7 +79,7 @@ void ServerFleet::process_slice(std::size_t server,
     const std::uint64_t bucket = a.arrive_ns / cache_bucket_ns_;
     if (bucket != st.cached_bucket) {
       st.cached_bucket = bucket;
-      core::SmallRng rng(core::derive_stream_seed(server_seed, bucket));
+      core::Rng rng(core::derive_stream_seed(server_seed, bucket));
       st.cached_err_ms = rng.normal(0.0, server_err_sigma_ms_);
       ++st.totals.cache_misses;
       cache_miss_counter_->inc();

@@ -127,7 +127,7 @@ FleetResult Simulator::run(std::size_t threads) {
       std::uint64_t d_count = 0;
       for (const std::uint32_t id : scratch) {
         const std::uint64_t poll_ns = next_poll[id];
-        core::SmallRng q(core::derive_stream_seed(
+        core::Rng q(core::derive_stream_seed(
             core::derive_stream_seed(client_root, id), poll_ns));
         ++q_count;
         queries_counter_->inc();

@@ -16,7 +16,7 @@
 //     batching / response-cache / KoD pipeline (fleet/server_fleet.h).
 //
 // Determinism: every random draw is a pure function of seeds (per-query
-// core::SmallRng streams keyed by (client seed, poll time); per-bucket
+// core::Rng streams keyed by (client seed, poll time); per-bucket
 // server streams), aggregation is order-insensitive (integer counters,
 // HdrHistogram merges), and cross-phase writes are disjoint (a client
 // belongs to one shard and one home server). Results are bit-identical

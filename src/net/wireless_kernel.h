@@ -1,8 +1,8 @@
 // Stateless per-link wireless kernel: the physics one 802.11 last hop
 // applies to one frame, shared by the testbed channel
 // (net::WirelessChannel, one core::Rng per channel) and the fleet
-// simulator (fleet::Simulator, one counter-based core::SmallRng per
-// query). There is one copy of it, so the two cannot drift apart.
+// simulator (fleet::Simulator, one core::Rng per query). There is one
+// copy of it, so the two cannot drift apart.
 //
 //   * ou_advance — the exact Ornstein–Uhlenbeck transition of a slow
 //     process (shadowing, noise-floor wander) across an idle gap:
@@ -17,12 +17,13 @@
 //     costs an exponential backoff scaled by the attempt number.
 //
 // The templates take any generator G with `normal(mean, sd)`,
-// `bernoulli(p)` and `exponential(mean)`; core::Rng and core::SmallRng
-// both qualify. Draw discipline, pinned by net_wireless_kernel_test:
-// ou_advance takes one normal per call with gap > 0 and none at gap 0;
-// mac_transmit takes one bernoulli per attempt and one exponential per
-// failed attempt that is retried — none for the final attempt, so a drop
-// never shifts the stream of later draws.
+// `bernoulli(p)` and `exponential(mean)`: core::Rng, or a counting stub
+// in tests. Draw discipline, pinned by net_wireless_kernel_test:
+// ou_advance takes one normal per call with gap > 0 and none at gap 0
+// (with core::Rng, every second normal is the cached polar spare and
+// consumes no engine draw); mac_transmit takes one bernoulli per attempt
+// and one exponential per failed attempt that is retried — none for the
+// final attempt, so a drop never shifts the stream of later draws.
 #pragma once
 
 #include <algorithm>

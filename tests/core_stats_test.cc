@@ -149,6 +149,16 @@ TEST(Cdf, CurveSpansRangeAndIsMonotone) {
   }
 }
 
+TEST(Cdf, CurveEndsAtTheMaximum) {
+  // Regression: the last x was lo + step * (points - 1), which rounds to
+  // 0.8999999999999999 here, so the curve ended at F = 0.5.
+  const std::vector<double> xs{0.2, 0.9};
+  const auto curve = Cdf(xs).curve(3);
+  ASSERT_EQ(curve.size(), 3u);
+  EXPECT_EQ(curve.back().first, 0.9);
+  EXPECT_EQ(curve.back().second, 1.0);
+}
+
 TEST(Cdf, EmptyBehaviour) {
   const Cdf cdf;
   EXPECT_TRUE(cdf.empty());

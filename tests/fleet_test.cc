@@ -1,14 +1,12 @@
-// Fleet layer unit tests: SmallRng stream contract, population build
-// calibration, and the simulator's conservation / mechanism invariants.
+// Fleet layer unit tests: population build calibration and the
+// simulator's conservation / mechanism invariants.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/rng.h"
 #include "fleet/client_fleet.h"
 #include "fleet/params.h"
 #include "fleet/report.h"
@@ -18,47 +16,6 @@
 
 namespace mntp {
 namespace {
-
-TEST(SmallRng, DrawKIsDeriveStreamSeedOfK) {
-  core::SmallRng rng(0xDEADBEEFULL);
-  for (std::uint64_t k = 0; k < 64; ++k) {
-    EXPECT_EQ(rng.next_u64(), core::derive_stream_seed(0xDEADBEEFULL, k));
-  }
-}
-
-TEST(SmallRng, CanonicalIsInUnitInterval) {
-  core::SmallRng rng(7);
-  for (int i = 0; i < 10'000; ++i) {
-    const double u = rng.canonical();
-    EXPECT_GE(u, 0.0);
-    EXPECT_LT(u, 1.0);
-  }
-}
-
-TEST(SmallRng, NormalMomentsMatch) {
-  core::SmallRng rng(11);
-  constexpr int kN = 200'000;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    sum += x;
-    sum_sq += x * x;
-  }
-  const double mean = sum / kN;
-  const double var = sum_sq / kN - mean * mean;
-  EXPECT_NEAR(mean, 3.0, 0.05);
-  EXPECT_NEAR(var, 4.0, 0.1);
-}
-
-TEST(SmallRng, ParetoRespectsScaleAndTailClamp) {
-  core::SmallRng rng(13);
-  for (int i = 0; i < 10'000; ++i) {
-    const double x = rng.pareto(1.0, 4.0);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, std::pow(2.0, 53.0 / 4.0));
-  }
-}
 
 fleet::FleetParams small_params() {
   fleet::FleetParams p;

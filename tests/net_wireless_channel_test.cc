@@ -42,6 +42,9 @@ TEST(WirelessChannel, DropConsumesNoBackoffDraw) {
   WirelessChannelParams p;
   p.max_retries = 0;
   p.collision_at_full_load = 1.0;
+  // The delivering channel must be in the good state at t = 1 s; its
+  // first good->bad transition is Exp(mean_good_duration), so pin it.
+  p.mean_good_duration = Duration::seconds(1'000'000'000);
   WirelessChannel drop_ch(p, Rng(21));
   WirelessChannel deliver_ch(p, Rng(21));
   drop_ch.set_utilization(1.0);  // p_fail clamps to 1: certain drop
@@ -115,6 +118,10 @@ TEST(WirelessChannel, TxPowerMovesRssi) {
 TEST(WirelessChannel, UtilizationRaisesNoiseAndDelay) {
   WirelessChannelParams p;
   p.noise_sigma_db = 0.0;
+  // Both noise readings must come from the good state (a bad state adds
+  // bad_noise_rise); its first good->bad transition is
+  // Exp(mean_good_duration), so pin it.
+  p.mean_good_duration = Duration::seconds(1'000'000'000);
   WirelessChannel c(p, Rng(10));
   c.set_utilization(0.0);
   const double noise_idle = c.true_noise(at_s(1)).value();

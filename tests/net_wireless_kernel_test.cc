@@ -1,13 +1,12 @@
 // The stateless per-link kernel behind net::WirelessChannel and
 // fleet::Simulator: the exact OU transition's law at any query spacing,
 // the failure curve, and the MAC loop's draw discipline — checked with
-// both generators the two callers use.
+// core::Rng, the one generator both callers use.
 #include "net/wireless_kernel.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 
 #include "core/rng.h"
 
@@ -44,9 +43,8 @@ struct OuMoments {
 
 /// Samples one OU path at a fixed spacing, started from the stationary
 /// law, and returns its mean, stddev and lag-1 autocorrelation.
-template <class G>
 OuMoments sample_ou(double spacing_s, double sigma, double tau_s, int n,
-                    G gen) {
+                    core::Rng gen) {
   double x = gen.normal(0.0, sigma);
   double sum = 0.0, sum_sq = 0.0, sum_lag = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -74,15 +72,10 @@ TEST(WirelessKernel, OuStationaryLawAtAnyQuerySpacing) {
   const int n = 1'000'000;
   for (const double spacing_s : {0.05, 1.0, 30.0}) {
     const double lag1 = std::exp(-spacing_s / tau_s);
-    const OuMoments testbed =
-        sample_ou(spacing_s, sigma, tau_s, n, core::Rng(32));
-    const OuMoments fleet =
-        sample_ou(spacing_s, sigma, tau_s, n, core::SmallRng(32));
-    for (const OuMoments& m : {testbed, fleet}) {
-      EXPECT_NEAR(m.mean, 0.0, 0.3) << "spacing " << spacing_s;
-      EXPECT_NEAR(m.sd, sigma, 0.15) << "spacing " << spacing_s;
-      EXPECT_NEAR(m.lag1, lag1, 0.01) << "spacing " << spacing_s;
-    }
+    const OuMoments m = sample_ou(spacing_s, sigma, tau_s, n, core::Rng(32));
+    EXPECT_NEAR(m.mean, 0.0, 0.3) << "spacing " << spacing_s;
+    EXPECT_NEAR(m.sd, sigma, 0.15) << "spacing " << spacing_s;
+    EXPECT_NEAR(m.lag1, lag1, 0.01) << "spacing " << spacing_s;
   }
 }
 
@@ -123,17 +116,6 @@ TEST(WirelessKernel, MacBackoffGrowsWithTheAttemptNumber) {
   EXPECT_DOUBLE_EQ(ok.backoff, 0.0);
 }
 
-template <class G>
-void expect_drop_stays_in_lockstep(std::uint64_t seed) {
-  G dropped(seed);
-  G delivered(seed);
-  ASSERT_FALSE(kernel::mac_transmit(1.0, 0, 5.0, dropped).delivered);
-  ASSERT_TRUE(kernel::mac_transmit(0.0, 0, 5.0, delivered).delivered);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_DOUBLE_EQ(dropped.exponential(1.0), delivered.exponential(1.0));
-  }
-}
-
 TEST(WirelessKernel, DropConsumesNoBackoffDraw) {
   // Regression: the final failed attempt used to draw an exponential
   // backoff for a retry that never happens, silently shifting the RNG
@@ -146,10 +128,14 @@ TEST(WirelessKernel, DropConsumesNoBackoffDraw) {
     EXPECT_EQ(gen.exponentials, max_retries);
   }
   // So with no retries a drop consumes exactly what a clean delivery
-  // does, and two generators sharing a seed stay in lockstep — for the
-  // testbed's and the fleet's generator alike.
-  expect_drop_stays_in_lockstep<core::Rng>(21);
-  expect_drop_stays_in_lockstep<core::SmallRng>(21);
+  // does, and two generators sharing a seed stay in lockstep.
+  core::Rng dropped(21);
+  core::Rng delivered(21);
+  ASSERT_FALSE(kernel::mac_transmit(1.0, 0, 5.0, dropped).delivered);
+  ASSERT_TRUE(kernel::mac_transmit(0.0, 0, 5.0, delivered).delivered);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_DOUBLE_EQ(dropped.exponential(1.0), delivered.exponential(1.0));
+  }
 }
 
 }  // namespace
