@@ -33,11 +33,16 @@ int main() {
               logger.trace().span_s() / 60.0);
 
   // 2. Persist and reload the trace (the CSV is the interchange format
-  //    between the on-device logger and the offline tuner).
-  const std::string path = "/tmp/mntp_tuner_trace.csv";
+  //    between the on-device logger and the offline tuner). The file goes
+  //    to the working directory.
+  const std::string path = "mntp_tuner_trace.csv";
   {
     std::ofstream out(path);
     out << logger.trace().to_csv();
+    if (!out) {
+      std::printf("cannot write %s\n", path.c_str());
+      return 1;
+    }
   }
   std::stringstream buffer;
   {

@@ -31,7 +31,8 @@ DriftFilter::DriftFilter(DriftFilterConfig config) : config_(config) {
 }
 
 void DriftFilter::reset() {
-  samples_.clear();
+  // Drop the buffer too: the next cycle grows its own.
+  samples_ = {};
   acc_.reset();
   fit_.reset();
   pruned_t_s_.clear();
@@ -178,7 +179,10 @@ void DriftFilter::prune_and_refit() {
   for (const double sq : scratch_sq_) {
     if (sq <= gate) ++keep_n;
   }
-  if (keep_n < 2) return;
+  if (keep_n < 2) {
+    scratch_sq_.clear();
+    return;
+  }
   // Compact the survivors in place (order preserved), then rebuild the
   // re-centered fit over them.
   std::size_t out = 0;
@@ -190,6 +194,7 @@ void DriftFilter::prune_and_refit() {
     }
   }
   samples_.resize(keep_n);
+  scratch_sq_.clear();
   rebuild_fit();
 }
 

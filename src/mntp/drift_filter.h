@@ -141,7 +141,7 @@ class DriftFilter {
   core::IncrementalLinReg acc_;
   std::optional<core::LinearFit> fit_;
   /// Scratch for squared residuals in prune_and_refit, reused across
-  /// calls.
+  /// calls; empty between them, so a copy of the filter does not copy it.
   std::vector<double> scratch_sq_;
   std::vector<double> pruned_t_s_;
   std::size_t rejected_ = 0;

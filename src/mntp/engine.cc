@@ -52,26 +52,12 @@ obs::Reason to_reason(SampleOutcome outcome) {
 MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
     : telemetry_(&obs::Telemetry::global()),
       params_(params),
+      // Head-to-head mode (no warm-up period) starts in the regular
+      // phase; the filter still bootstraps its first min_warmup_samples
+      // unconditionally.
+      phase_(start_phase(params.warmup_period)),
       cycle_start_(start),
-      filter_(filter_config(params)) {
-  obs::TimeSeriesRecorder& ts = telemetry_->timeseries();
-  offset_probe_ = ts.probe(obs::metric_names::kTsMntpOffsetMs, {},
-                           [this](core::TimePoint) -> std::optional<double> {
-                             if (!last_accepted_offset_s_) return std::nullopt;
-                             return *last_accepted_offset_s_ * 1e3;
-                           });
-  drift_probe_ = ts.probe(obs::metric_names::kTsMntpDriftPpm, {},
-                          [this](core::TimePoint) -> std::optional<double> {
-                            const std::optional<double> d = drift_s_per_s();
-                            if (!d) return std::nullopt;
-                            return *d * 1e6;
-                          });
-  if (params_.warmup_period == core::Duration::zero()) {
-    // Head-to-head mode: no distinct warm-up; the filter still
-    // bootstraps its first min_warmup_samples unconditionally.
-    phase_ = Phase::kRegular;
-  }
-}
+      filter_(filter_config(params)) {}
 
 void MntpEngine::note_deferral(core::TimePoint t) {
   ++deferrals_;
@@ -90,26 +76,6 @@ void MntpEngine::note_deferral(core::TimePoint t) {
 
 std::size_t MntpEngine::sources_to_query() const {
   return phase_ == Phase::kWarmup ? params_.warmup_sources : 1;
-}
-
-core::Duration MntpEngine::next_wait() const {
-  return phase_ == Phase::kWarmup ? params_.warmup_wait_time
-                                  : params_.regular_wait_time;
-}
-
-void MntpEngine::restart(core::TimePoint t) {
-  ++resets_;
-  cycle_start_ = t;
-  filter_.reset();
-  accepted_in_cycle_ = 0;
-  phase_ = params_.warmup_period == core::Duration::zero() ? Phase::kRegular
-                                                           : Phase::kWarmup;
-}
-
-void MntpEngine::enter_regular() {
-  filter_.prune_and_refit();
-  withdraw_pruned();
-  phase_ = Phase::kRegular;
 }
 
 void MntpEngine::withdraw_pruned() {
@@ -153,32 +119,49 @@ std::optional<double> MntpEngine::predict_offset_s(core::TimePoint t) const {
 
 MntpEngine::RoundResult MntpEngine::on_round(
     core::TimePoint t, const std::vector<double>& offsets_s) {
+  // Query-trace ownership: a driver that minted a round trace (the
+  // MntpClient) installs it as ambient and emits the verdict itself;
+  // with no ambient and tracing on (direct engine drivers) mint our own
+  // round here so the vote/filter decision stages still attach to a
+  // query and every round gets a verdict.
+  obs::QueryTracer& qt = telemetry_->query_tracer();
+  const bool owned = obs::ambient_query().id == 0 && qt.enabled();
+  const obs::QueryId round_id = owned ? qt.begin(t, "round") : 0;
+  std::optional<obs::ActiveQueryScope> trace_scope;
+  if (owned) trace_scope.emplace(qt, round_id);
+
+  RoundResult rr = judge(
+      t, offsets_s,
+      reset_due(t, params_.reset_period)
+          ? std::optional<Phase>(start_phase(params_.warmup_period))
+          : std::nullopt);
+  if (warmup_complete(t, params_.warmup_period)) {
+    end_warmup(t);
+    rr.warmup_completed = true;
+  }
+  if (owned) finish_round_trace(qt, round_id, t, rr, offsets_s.size());
+  return rr;
+}
+
+MntpEngine::RoundResult MntpEngine::judge(core::TimePoint t,
+                                          std::span<const double> offsets_s,
+                                          std::optional<Phase> restart) {
   obs::ProfileScope profile(obs::spans::kEngineRound);
   ++rounds_;
   RoundResult rr;
 
-  // Query-trace ownership: a driver that minted a round trace (the
-  // MntpClient) installs it as ambient and emits the verdict itself;
-  // with no ambient and tracing on (tuner emulate, direct engine
-  // drivers) mint our own round here so the vote/filter decision stages
-  // still attach to a query and every round gets a verdict.
-  obs::QueryTracer& qt = telemetry_->query_tracer();
-  obs::QueryId round_id = obs::ambient_query().id;
-  const bool owned = round_id == 0 && qt.enabled();
-  if (owned) round_id = qt.begin(t, "round");
-  std::optional<obs::ActiveQueryScope> trace_scope;
-  if (owned) trace_scope.emplace(qt, round_id);
-
-  // Reset period elapsed: goto Step 1 (Algorithm 1 steps 23-24).
-  if (t - cycle_start_ >= params_.reset_period) {
-    restart(t);
+  if (restart) {
+    ++resets_;
+    cycle_start_ = t;
+    filter_.reset();
+    phase_ = *restart;
     rr.reset_occurred = true;
-    if (round_id != 0) qt.stage(round_id, t, "reset", obs::Reason::kNone);
+    if (const obs::AmbientQuery q = obs::ambient_query(); q.tracer) {
+      q.tracer->stage(q.id, t, "reset", obs::Reason::kNone);
+    }
   }
 
-  // The phase the sample is judged under; the warm-up completion check
-  // below can advance phase_ before the verdict is emitted.
-  const Phase decision_phase = phase_;
+  rr.phase = phase_;
   if (!offsets_s.empty()) {
     // Multi-source false-ticker vote (warm-up; a single source passes
     // through untouched). The survivor buffer is reused round to round.
@@ -201,8 +184,6 @@ MntpEngine::RoundResult MntpEngine::on_round(
                          : measured;
     if (fd.accepted) {
       rr.accepted = true;
-      ++accepted_in_cycle_;
-      last_accepted_offset_s_ = measured;
       rr.outcome = phase_ == Phase::kWarmup ? SampleOutcome::kAcceptedWarmup
                                             : SampleOutcome::kAcceptedRegular;
     } else {
@@ -223,28 +204,16 @@ MntpEngine::RoundResult MntpEngine::on_round(
     withdraw_pruned();
     ++outcome_counts_[static_cast<std::size_t>(rr.outcome)];
   }
-
-  // Warm-up completion check (Algorithm 1 steps 11-13): period elapsed
-  // and enough recorded offsets for a trend.
-  if (phase_ == Phase::kWarmup &&
-      t - cycle_start_ >= params_.warmup_period &&
-      filter_.accepted_count() >= params_.min_warmup_samples) {
-    enter_regular();
-    rr.warmup_completed = true;
-    if (round_id != 0) {
-      qt.stage(round_id, t, "phase_transition", obs::Reason::kNone);
-    }
-  }
-  if (owned) {
-    qt.finish(round_id, t,
-              offsets_s.empty() ? obs::Reason::kNoSamples
-                                : to_reason(rr.outcome),
-              {{"phase", std::string(to_string(decision_phase))},
-               {"offset_ms", rr.offset_s * 1e3},
-               {"residual_ms", rr.corrected_s * 1e3},
-               {"sources", static_cast<std::int64_t>(offsets_s.size())}});
-  }
   return rr;
+}
+
+void MntpEngine::end_warmup(core::TimePoint t) {
+  filter_.prune_and_refit();
+  withdraw_pruned();
+  phase_ = Phase::kRegular;
+  if (const obs::AmbientQuery q = obs::ambient_query(); q.tracer) {
+    q.tracer->stage(q.id, t, "phase_transition", obs::Reason::kNone);
+  }
 }
 
 std::vector<double> MntpEngine::accepted_offsets_ms() const {
@@ -270,6 +239,17 @@ std::vector<double> MntpEngine::rejected_offsets_ms() const {
     if (!r.reported()) out.push_back(r.offset_s * 1e3);
   }
   return out;
+}
+
+void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
+                        core::TimePoint t, const MntpEngine::RoundResult& rr,
+                        std::size_t sources) {
+  qt.finish(id, t,
+            sources == 0 ? obs::Reason::kNoSamples : to_reason(rr.outcome),
+            {{"phase", std::string(to_string(rr.phase))},
+             {"offset_ms", rr.offset_s * 1e3},
+             {"residual_ms", rr.corrected_s * 1e3},
+             {"sources", static_cast<std::int64_t>(sources)}});
 }
 
 EngineCounters::EngineCounters(obs::MetricsRegistry& metrics)

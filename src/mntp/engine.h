@@ -13,6 +13,13 @@
 // replayable over traces; factoring the engine this way is what makes
 // that possible without code duplication.
 //
+// The engine is a copyable value: the timeline probes and the registry
+// counters live in the drivers, and the four swept Algorithm 1
+// parameters are read only by the checks reset_due(), warmup_complete(),
+// start_phase() and next_wait(). The tuner's shared-prefix replay
+// (tuner.cc) decides those checks per configuration and copies the
+// engine only where configurations disagree.
+//
 // The engine only tallies what it did (rounds(), deferrals(), resets(),
 // outcome_count()). The registry counters those tallies feed
 // (mntp.rounds, mntp.deferrals, mntp.resets, mntp.sample{outcome}) live
@@ -22,7 +29,9 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/time.h"
@@ -34,10 +43,10 @@
 
 namespace mntp::protocol {
 
-enum class Phase { kWarmup, kRegular };
+enum class Phase : std::uint8_t { kWarmup, kRegular };
 
 /// What happened to one acquisition opportunity, for telemetry/plots.
-enum class SampleOutcome {
+enum class SampleOutcome : std::uint8_t {
   kAcceptedWarmup,
   kAcceptedRegular,
   kRejectedFalseTicker,  // entire round discarded by the warm-up vote
@@ -93,14 +102,45 @@ class MntpEngine {
   /// in warm-up, one in the regular phase.
   [[nodiscard]] std::size_t sources_to_query() const;
 
+  // --- The checks that read a swept Algorithm 1 parameter ---
+  // on_round() and next_wait() pass params(); the tuner's replay passes
+  // each configuration's own value.
+
+  /// The reset period has elapsed at t: goto Step 1 (steps 23-24).
+  [[nodiscard]] bool reset_due(core::TimePoint t,
+                               core::Duration reset_period) const {
+    return t - cycle_start_ >= reset_period;
+  }
+  /// The phase a cycle starts in: warm-up, or the regular phase when
+  /// there is no warm-up period (head-to-head mode).
+  [[nodiscard]] static Phase start_phase(core::Duration warmup_period) {
+    return warmup_period == core::Duration::zero() ? Phase::kRegular
+                                                   : Phase::kWarmup;
+  }
+  /// Warm-up ends at t (steps 11-13): the period has elapsed and the
+  /// filter holds enough accepted offsets for a trend.
+  [[nodiscard]] bool warmup_complete(core::TimePoint t,
+                                     core::Duration warmup_period) const {
+    return phase_ == Phase::kWarmup && t - cycle_start_ >= warmup_period &&
+           filter_.accepted_count() >= params_.min_warmup_samples;
+  }
   /// Wait before the next acquisition opportunity in the current phase.
-  [[nodiscard]] core::Duration next_wait() const;
+  [[nodiscard]] core::Duration next_wait(core::Duration warmup_wait,
+                                         core::Duration regular_wait) const {
+    return phase_ == Phase::kWarmup ? warmup_wait : regular_wait;
+  }
+  [[nodiscard]] core::Duration next_wait() const {
+    return next_wait(params_.warmup_wait_time, params_.regular_wait_time);
+  }
 
   struct RoundResult {
     bool accepted = false;
     double offset_s = 0.0;
     double corrected_s = 0.0;
     SampleOutcome outcome = SampleOutcome::kRejectedFilter;
+    /// The phase the sample was judged under (after a reset, before a
+    /// warm-up completion).
+    Phase phase = Phase::kWarmup;
     /// Set when this round completed the warm-up phase.
     bool warmup_completed = false;
     /// Set when the reset period elapsed and the engine restarted.
@@ -112,6 +152,39 @@ class MntpEngine {
   /// (failed queries simply do not contribute). Handles phase
   /// transitions and the reset period.
   RoundResult on_round(core::TimePoint t, const std::vector<double>& offsets_s);
+
+  /// on_round() in two halves, for a driver that decides the checks
+  /// itself. judge() counts the round, restarts the cycle in `restart`
+  /// when the reset period has elapsed (nullopt: it has not), and judges
+  /// the offsets: the false-ticker vote, then the trend filter.
+  RoundResult judge(core::TimePoint t, std::span<const double> offsets_s,
+                    std::optional<Phase> restart);
+  /// Ends the warm-up phase, on a round where warmup_complete() holds.
+  void end_warmup(core::TimePoint t);
+
+  /// Hands `fold` every record no later round can change, in record
+  /// order, and drops them. Pruning reaches back only into the current
+  /// cycle, and only until the filter has bootstrapped and warm-up has
+  /// ended, so what stays is at most the current cycle. A replay that
+  /// copies the engine calls this to keep the copies small; records()
+  /// and the *_offsets_ms() views then cover only what stays.
+  template <class Fold>
+  void retire_final_records(Fold&& fold) {
+    auto end = records_.begin();
+    if (phase_ == Phase::kRegular && !filter_.bootstrapping()) {
+      end = records_.end();
+    } else {
+      while (end != records_.end() && end->t < cycle_start_) ++end;
+    }
+    for (auto it = records_.begin(); it != end; ++it) fold(*it);
+    records_.erase(records_.begin(), end);
+    // A buffer sized for a retired warm-up or cycle would stay with the
+    // engine; drop it once it is mostly empty.
+    if (records_.capacity() > kRetainedRecords &&
+        records_.size() < records_.capacity() / 4) {
+      records_.shrink_to_fit();
+    }
+  }
 
   /// Driver notification that it stepped the system clock by `step_s`
   /// (positive = clock advanced). The engine keeps fitting the trend in
@@ -165,8 +238,6 @@ class MntpEngine {
   [[nodiscard]] std::vector<double> rejected_offsets_ms() const;
 
  private:
-  void restart(core::TimePoint t);
-  void enter_regular();
   /// Mark this cycle's records the filter has pruned since the last call.
   void withdraw_pruned();
 
@@ -174,12 +245,6 @@ class MntpEngine {
   // query-trace stages. The engine stays simulation-free:
   // obs depends only on core.
   obs::Telemetry* telemetry_ = nullptr;
-  // Timeline probes (obs/timeseries.h): inert unless the recorder is
-  // capturing at construction. Unregister with the engine, so a bench
-  // running several experiments in sequence gets one series per engine.
-  obs::ProbeHandle offset_probe_;
-  obs::ProbeHandle drift_probe_;
-  std::optional<double> last_accepted_offset_s_;
 
   MntpParams params_;
   Phase phase_ = Phase::kWarmup;
@@ -194,6 +259,9 @@ class MntpEngine {
   core::TimePoint comp_since_;     // last integration point
   bool comp_active_ = false;
 
+  /// Record capacity retire_final_records() never gives back.
+  static constexpr std::size_t kRetainedRecords = 16;
+
   /// Total applied correction (steps + integrated compensation) at t.
   [[nodiscard]] double applied_correction_s(core::TimePoint t) const;
   std::vector<OffsetRecord> records_;
@@ -201,8 +269,14 @@ class MntpEngine {
   std::size_t resets_ = 0;
   std::size_t rounds_ = 0;
   std::array<std::size_t, kSampleOutcomes> outcome_counts_{};
-  std::size_t accepted_in_cycle_ = 0;
 };
+
+/// Closes the traced round `id` with its verdict: the outcome's reason
+/// (no_samples when `sources` is 0) and the phase the sample was judged
+/// under. Every driver that mints a round closes it here.
+void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
+                        core::TimePoint t, const MntpEngine::RoundResult& rr,
+                        std::size_t sources);
 
 /// The registry counters of the engine's tallies: mntp.rounds,
 /// mntp.deferrals, mntp.resets and mntp.sample{outcome}. Drivers own

@@ -40,7 +40,23 @@ void MntpClient::start() {
   running_ = true;
   last_emission_ = sim_.now();
   engine_ = std::make_unique<MntpEngine>(params_, sim_.now());
-  deferral_probe_ = sim_.telemetry().timeseries().counter_probe(
+  last_accepted_offset_s_.reset();
+  // Registered in this order with each engine, so a bench running several
+  // experiments in sequence gets one series of each per engine.
+  obs::TimeSeriesRecorder& ts = sim_.telemetry().timeseries();
+  offset_probe_ = ts.probe(obs::metric_names::kTsMntpOffsetMs, {},
+                           [this](core::TimePoint) -> std::optional<double> {
+                             if (!last_accepted_offset_s_) return std::nullopt;
+                             return *last_accepted_offset_s_ * 1e3;
+                           });
+  drift_probe_ = ts.probe(obs::metric_names::kTsMntpDriftPpm, {},
+                          [this](core::TimePoint) -> std::optional<double> {
+                            const std::optional<double> d =
+                                engine_->drift_s_per_s();
+                            if (!d) return std::nullopt;
+                            return *d * 1e6;
+                          });
+  deferral_probe_ = ts.counter_probe(
       obs::metric_names::kTsMntpDeferrals, {},
       [this] { return engine_->deferrals(); });
   pending_ = sim_.after(core::Duration::zero(), [this] { attempt(); });
@@ -147,9 +163,6 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
   obs::QueryTracer& qt = sim_.telemetry().query_tracer();
   const obs::QueryId round_id = round_trace_;
   round_trace_ = 0;
-  // The decision phase for the verdict: on_round may advance the phase
-  // (warm-up completion) before returning, so read it afterwards via
-  // rr.warmup_completed.
   MntpEngine::RoundResult rr;
   {
     // Install the round so the engine's vote/filter stages attach to it
@@ -158,6 +171,7 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
     rr = engine_->on_round(now, offsets_s);
   }
   engine_counters_.count_round(rr, !offsets_s.empty());
+  if (rr.accepted) last_accepted_offset_s_ = rr.offset_s;
 
   if (rr.accepted && params_.apply_corrections_to_clock &&
       engine_->phase() == Phase::kRegular) {
@@ -169,15 +183,7 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
              {{"step_ms", rr.offset_s * 1e3}});
   }
   if (round_id != 0) {
-    const Phase decision_phase =
-        rr.warmup_completed ? Phase::kWarmup : engine_->phase();
-    qt.finish(round_id, now,
-              offsets_s.empty() ? obs::Reason::kNoSamples
-                                : to_reason(rr.outcome),
-              {{"phase", std::string(to_string(decision_phase))},
-               {"offset_ms", rr.offset_s * 1e3},
-               {"residual_ms", rr.corrected_s * 1e3},
-               {"sources", static_cast<std::int64_t>(offsets_s.size())}});
+    finish_round_trace(qt, round_id, now, rr, offsets_s.size());
   }
   if (rr.warmup_completed && params_.correct_drift &&
       params_.apply_corrections_to_clock) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -87,10 +88,13 @@ class MntpClient {
   /// opportunity (0 = deferred, 1 = emitted favorably, 2 = forced by the
   /// max_deferral fallback). Inert unless the recorder captures.
   obs::ProbeHandle gate_probe_;
-  /// Timeline probe over this client's engine deferral tally,
-  /// registered with each engine start() creates so the series order
-  /// matches the engine's own probes.
+  /// Timeline probes registered with each engine start() creates: the
+  /// latest accepted offset, the engine's drift estimate, and its
+  /// deferral tally.
+  obs::ProbeHandle offset_probe_;
+  obs::ProbeHandle drift_probe_;
   obs::ProbeHandle deferral_probe_;
+  std::optional<double> last_accepted_offset_s_;
 };
 
 }  // namespace mntp::protocol

@@ -8,11 +8,11 @@
 //   * the Emulator replays Algorithm 1 (the same MntpEngine the live
 //     client uses) over a Trace under a given parameter setting;
 //   * the Searcher enumerates the cartesian product of candidate
-//     parameter values, invokes the Emulator on each combination, and
-//     scores it by the RMSE of the reported offsets against a perfectly
-//     synchronized clock (offset 0), together with the number of
-//     requests the configuration generates — reproducing Table 2 and
-//     Figure 11.
+//     parameter values, replays them with the Emulator (configurations
+//     that agree share the replay), and scores each by the RMSE of the
+//     reported offsets against a perfectly synchronized clock (offset
+//     0), together with the number of requests the configuration
+//     generates — reproducing Table 2 and Figure 11.
 #pragma once
 
 #include <array>
@@ -103,16 +103,21 @@ struct EmulationResult {
   std::size_t deferrals = 0;
   std::size_t rejections = 0;
   std::size_t resets = 0;
+  /// Emissions forced by the max_deferral fallback (as
+  /// MntpClient::forced_emissions).
+  std::size_t forced_emissions = 0;
   /// The engine's tallies (MntpEngine::rounds / outcome_count), which
   /// emulate() also adds to the mntp.rounds and mntp.sample counters.
   std::size_t rounds = 0;
   std::array<std::size_t, kSampleOutcomes> outcomes{};
 };
 
-/// Replay Algorithm 1 over `trace` under `params`. The result is a pure
-/// function of the inputs — no network, no randomness. Before returning
-/// it adds the replay's totals to the ambient registry's engine counters
-/// (see EngineCounters); an empty trace publishes nothing.
+/// Replay Algorithm 1 over `trace` under `params`, as MntpClient drives
+/// it live (the same gate, max_deferral fallback, billing and engine
+/// steps). The result is a pure function of the inputs — no network, no
+/// randomness. Before returning it adds the replay's totals to the
+/// ambient registry's engine counters (see EngineCounters); an empty
+/// trace publishes nothing.
 [[nodiscard]] EmulationResult emulate(const Trace& trace, const MntpParams& params);
 
 /// One searcher configuration and its score (a Table 2 row).
@@ -145,14 +150,14 @@ struct SearchOptions {
 /// innermost — the order of the SearchSpace fields); callers sort as
 /// needed.
 ///
-/// Determinism guarantee: emulate() is a pure function of (trace,
-/// params), each worker writes only its own entry's slot, and per-config
-/// trace events are emitted after scoring completes, in enumeration
-/// order, from the calling thread — so the returned entries AND the
-/// "tuner"-category event stream are bit-identical for any `threads`
-/// value. (Engine-internal events emitted by the replays themselves are
-/// mutex-serialized but land in scheduler order when threads > 1;
-/// metric totals stay exact either way.)
+/// The configurations that share both waits form a family, and each
+/// family is one task: it replays the trace on one engine and copies the
+/// engine only on a round where its configurations' warm-up or reset
+/// periods decide a check differently. Every configuration's result is
+/// bit-identical to emulate() under its parameters, and is written to its
+/// own slot, so the entries are bit-identical for any `threads` value.
+/// With the query tracer on, a round that several configurations share
+/// is one traced query.
 [[nodiscard]] std::vector<SearchEntry> search(const Trace& trace,
                                               const SearchSpace& space,
                                               const SearchOptions& options);

@@ -109,7 +109,7 @@ inline constexpr const char kSimRun[] = "sim.run";
 inline constexpr const char kSimRunUntil[] = "sim.run_until";
 inline constexpr const char kEngineRound[] = "mntp.engine.round";
 inline constexpr const char kTunerSearch[] = "tuner.search";
-inline constexpr const char kTunerScoreConfig[] = "tuner.score_config";
+inline constexpr const char kTunerScoreFamily[] = "tuner.score_family";
 inline constexpr const char kLogsGenerate[] = "logs.generate";
 inline constexpr const char kLogsClassify[] = "logs.classify";
 }  // namespace spans

@@ -1,10 +1,14 @@
 // Trace round-trip and tuner (logger/emulator/searcher) tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/rng.h"
+#include "core/stats.h"
 #include "mntp/trace.h"
 #include "mntp/tuner.h"
 #include "ntp/testbed.h"
@@ -240,6 +244,166 @@ TEST(Searcher, EngineCountersEqualReplayTalliesAtAnyThreadCount) {
           << to_string(outcome) << ", " << threads << " threads";
     }
   }
+}
+
+// The per-configuration replay loop emulate() ran before the search
+// shared replays: one engine per configuration, driven through on_round()
+// as MntpClient drives it live, including the max_deferral fallback of
+// MntpClient::attempt. The shared replay must match it bit for bit.
+tuner::EmulationResult reference_emulate(const Trace& trace,
+                                         const MntpParams& params) {
+  tuner::EmulationResult result;
+  if (trace.empty()) return result;
+  MntpEngine engine(params, TimePoint::epoch());
+  double next_action_s = 0.0;
+  TimePoint last_emission = TimePoint::epoch();
+  std::vector<double> offsets;
+  for (const TraceRecord& rec : trace.records) {
+    if (rec.t_s < next_action_s) continue;
+    const TimePoint t = TimePoint::epoch() + Duration::from_seconds(rec.t_s);
+    const net::WirelessHints hints{.when = t,
+                                   .rssi = core::Dbm{rec.rssi_dbm},
+                                   .noise = core::Dbm{rec.noise_dbm}};
+    const bool favorable = engine.gate(hints);
+    const bool forced = !favorable &&
+                        params.max_deferral > Duration::zero() &&
+                        t - last_emission > params.max_deferral;
+    if (!favorable && !forced) {
+      engine.note_deferral(t);
+      next_action_s = rec.t_s + params.hint_recheck_interval.to_seconds();
+      continue;
+    }
+    if (forced) ++result.forced_emissions;
+    last_emission = t;
+    const std::size_t want = engine.sources_to_query();
+    offsets.assign(rec.offsets_s.begin(),
+                   rec.offsets_s.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           std::min(want, rec.offsets_s.size())));
+    result.requests += want;
+    const MntpEngine::RoundResult rr = engine.on_round(t, offsets);
+    if (rr.reset_occurred) ++result.resets;
+    next_action_s = rec.t_s + engine.next_wait().to_seconds();
+  }
+  result.reported_offsets_ms = engine.accepted_offsets_ms();
+  result.rmse_ms = core::rmse(result.reported_offsets_ms, 0.0);
+  result.deferrals = engine.deferrals();
+  result.rejections = engine.rejected_offsets_ms().size();
+  result.rounds = engine.rounds();
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    result.outcomes[i] = engine.outcome_count(static_cast<SampleOutcome>(i));
+  }
+  return result;
+}
+
+void expect_same_replay(const tuner::EmulationResult& got,
+                        const tuner::EmulationResult& want,
+                        const std::string& what) {
+  // Bit-identical, not "close".
+  EXPECT_EQ(got.rmse_ms, want.rmse_ms) << what;
+  EXPECT_EQ(got.reported_offsets_ms, want.reported_offsets_ms) << what;
+  EXPECT_EQ(got.requests, want.requests) << what;
+  EXPECT_EQ(got.deferrals, want.deferrals) << what;
+  EXPECT_EQ(got.rejections, want.rejections) << what;
+  EXPECT_EQ(got.resets, want.resets) << what;
+  EXPECT_EQ(got.forced_emissions, want.forced_emissions) << what;
+  EXPECT_EQ(got.rounds, want.rounds) << what;
+  EXPECT_EQ(got.outcomes, want.outcomes) << what;
+}
+
+TEST(Searcher, SharedReplayMatchesPerConfigReference) {
+  // Grids that split families every way: reset periods shorter than the
+  // warm-up, no warm-up at all, equal warm-up and regular waits, the
+  // head-to-head base (escape hatch on), and the max_deferral fallback.
+  const Trace t = make_noisy_trace(1440);  // 2 h at 5 s
+  tuner::SearchSpace space;
+  space.warmup_periods = {Duration::zero(), Duration::minutes(2),
+                          Duration::minutes(10), Duration::minutes(30)};
+  space.warmup_wait_times = {Duration::seconds(5), Duration::seconds(15)};
+  space.regular_wait_times = {Duration::seconds(5), Duration::seconds(15),
+                              Duration::minutes(1), Duration::minutes(15)};
+  space.reset_periods = {Duration::minutes(1), Duration::minutes(5),
+                         Duration::minutes(20), Duration::hours(4)};
+  MntpParams fallback;
+  fallback.max_deferral = Duration::seconds(20);
+  for (const MntpParams& base :
+       {MntpParams{}, head_to_head_params(), fallback}) {
+    space.base = base;
+    std::vector<tuner::EmulationResult> want;
+    for (const Duration wp : space.warmup_periods) {
+      for (const Duration wwt : space.warmup_wait_times) {
+        for (const Duration rwt : space.regular_wait_times) {
+          for (const Duration rp : space.reset_periods) {
+            MntpParams p = base;
+            p.warmup_period = wp;
+            p.warmup_wait_time = wwt;
+            p.regular_wait_time = rwt;
+            p.reset_period = rp;
+            want.push_back(reference_emulate(t, p));
+            expect_same_replay(tuner::emulate(t, p), want.back(),
+                               "emulate " + std::to_string(want.size() - 1));
+          }
+        }
+      }
+    }
+    for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
+      const auto entries = tuner::search(t, space, {.threads = threads});
+      ASSERT_EQ(entries.size(), want.size());
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_EQ(entries[i].rmse_ms, want[i].rmse_ms)
+            << "entry " << i << ", " << threads << " threads";
+        EXPECT_EQ(entries[i].requests, want[i].requests)
+            << "entry " << i << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(Emulator, ResetRoundIsBilledInThePhaseItWasEmittedIn) {
+  // MntpClient::attempt picks the round's sources before on_round() runs
+  // the reset check, so the round on which a reset fires is billed and
+  // fed sources_to_query() of the phase before the reset: here one
+  // regular-phase source, although the round is judged in the new
+  // cycle's warm-up.
+  Trace t = make_trace(25);  // 0..120 s, three offsets each
+  for (auto& r : t.records) r.offsets_s = {0.001, 0.001, 0.001};
+  // The reset round, 120 s in: its first source is a 50 ms false ticker
+  // that the three-way vote would outvote.
+  t.records.back().offsets_s = {0.050, 0.001, 0.001};
+  MntpParams p;
+  p.warmup_period = Duration::minutes(1);
+  p.warmup_wait_time = Duration::seconds(5);
+  p.regular_wait_time = Duration::seconds(5);
+  p.reset_period = Duration::minutes(2);
+  const tuner::EmulationResult r = tuner::emulate(t, p);
+  EXPECT_EQ(r.resets, 1u);
+  // 13 warm-up rounds (0..60 s) of three requests, 11 regular rounds
+  // (65..115 s) of one, and the reset round of one.
+  EXPECT_EQ(r.requests, 13u * 3 + 11 + 1);
+  // The reset round was fed one offset, the false ticker, and the new
+  // cycle's filter took it while bootstrapping.
+  ASSERT_FALSE(r.reported_offsets_ms.empty());
+  EXPECT_DOUBLE_EQ(r.reported_offsets_ms.back(), 50.0);
+  expect_same_replay(r, reference_emulate(t, p), "reset round");
+}
+
+TEST(Emulator, MaxDeferralForcesEmissionsThroughALongUnfavorableStretch) {
+  // 100 records at 5 s; records 10..69 (50..345 s) are unfavourable.
+  Trace t = make_trace(100);
+  for (std::size_t i = 10; i < 70; ++i) t.records[i].rssi_dbm = -85.0;
+  MntpParams waits = head_to_head_params();
+  MntpParams fallback = waits;
+  fallback.max_deferral = Duration::seconds(60);
+  const tuner::EmulationResult closed = tuner::emulate(t, waits);
+  const tuner::EmulationResult forced = tuner::emulate(t, fallback);
+  EXPECT_EQ(closed.forced_emissions, 0u);
+  // The last emission is at 45 s; the gate then stays closed until the
+  // fallback emits at 110, 175, 240 and 305 s (each more than 60 s
+  // after the one before).
+  EXPECT_EQ(forced.forced_emissions, 4u);
+  EXPECT_EQ(forced.requests, closed.requests + 4);
+  EXPECT_EQ(forced.deferrals, closed.deferrals - 4);
+  expect_same_replay(forced, reference_emulate(t, fallback), "fallback");
 }
 
 TEST(Emulator, FailedRoundBillsRequestsButReportsNoOffset) {
