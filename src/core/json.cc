@@ -1,9 +1,11 @@
 #include "core/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace mntp::core {
@@ -102,7 +104,13 @@ class Parser {
       if (errno == 0 && end == token.c_str() + token.size()) {
         return Json::make_int(v);
       }
-      // Out of int64 range: fall through to double.
+      errno = 0;
+      const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+      if (token[0] != '-' && errno == 0 &&
+          end == token.c_str() + token.size()) {
+        return Json::make_uint(u);
+      }
+      // Out of both integer ranges: fall through to double.
     }
     errno = 0;
     char* end = nullptr;
@@ -224,13 +232,22 @@ class Parser {
 
 std::int64_t Json::as_int() const {
   if (type_ == Type::kInt) return int_;
-  if (type_ == Type::kDouble) return static_cast<std::int64_t>(double_);
-  return 0;
+  if (type_ != Type::kDouble || std::isnan(double_)) return 0;
+  // The cast is undefined outside int64: clamp instead.
+  if (double_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+  if (double_ < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(double_);
+}
+
+std::uint64_t Json::as_uint() const {
+  return type_ == Type::kInt ? uint_ : 0;
 }
 
 double Json::as_double() const {
   if (type_ == Type::kDouble) return double_;
-  if (type_ == Type::kInt) return static_cast<double>(int_);
+  if (type_ == Type::kInt) {
+    return int_ >= 0 ? static_cast<double>(uint_) : static_cast<double>(int_);
+  }
   return 0.0;
 }
 
@@ -281,6 +298,16 @@ Json Json::make_int(std::int64_t v) {
   Json j;
   j.type_ = Type::kInt;
   j.int_ = v;
+  j.uint_ = v < 0 ? 0 : static_cast<std::uint64_t>(v);
+  return j;
+}
+
+Json Json::make_uint(std::uint64_t v) {
+  Json j;
+  j.type_ = Type::kInt;
+  j.int_ = static_cast<std::int64_t>(
+      std::min<std::uint64_t>(v, std::numeric_limits<std::int64_t>::max()));
+  j.uint_ = v;
   return j;
 }
 

@@ -41,9 +41,13 @@ class Json {
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
 
   /// Accessors return a neutral default on type mismatch (0, "", empty);
-  /// callers validating schemas check type() / has() first.
+  /// callers validating schemas check type() / has() first. Integers
+  /// parse exactly over the int64 and uint64 ranges (the writers emit
+  /// both): as_int() clamps a value outside int64 to its range, and
+  /// as_uint() is the exact value of a non-negative integer, else 0.
   [[nodiscard]] bool as_bool() const { return type_ == Type::kBool && bool_; }
   [[nodiscard]] std::int64_t as_int() const;
+  [[nodiscard]] std::uint64_t as_uint() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<Json>& as_array() const;
@@ -64,6 +68,7 @@ class Json {
   static Json make_null() { return Json(); }
   static Json make_bool(bool b);
   static Json make_int(std::int64_t v);
+  static Json make_uint(std::uint64_t v);
   static Json make_double(double v);
   static Json make_string(std::string s);
   static Json make_array(std::vector<Json> items);
@@ -73,6 +78,7 @@ class Json {
   Type type_ = Type::kNull;
   bool bool_ = false;
   std::int64_t int_ = 0;
+  std::uint64_t uint_ = 0;  // kInt >= 0: the exact value (int_ clamps)
   double double_ = 0.0;
   std::shared_ptr<const std::string> string_;
   std::shared_ptr<const std::vector<Json>> array_;

@@ -22,13 +22,7 @@ using core::Error;
 using core::Json;
 using core::Result;
 
-// Class vocabulary (see diff.h).
-constexpr const char* kEqual = "equal";
-constexpr const char* kChanged = "changed";
-constexpr const char* kExact = "exact";
-constexpr const char* kShifted = "shifted";
-constexpr const char* kAdded = "added";
-constexpr const char* kRemoved = "removed";
+using namespace diff_class;
 
 /// The accounting families whose counters must reconcile exactly
 /// between runs of the same scenario (ids conserved by construction:
@@ -139,21 +133,21 @@ void decode_jsonl(const std::vector<Json>& lines, ArtifactFile& file) {
         const Json& s = line["sampling"];
         file.trace.sampled = true;
         file.trace.sample_one_in_n = s["sample_one_in_n"].as_int();
-        file.trace.seed = s["seed"].as_int();
+        file.trace.seed = s["seed"].as_uint();
         file.trace.minted = s["minted"].as_int();
         file.trace.kept = s["kept"].as_int();
         file.trace.sampled_out = s["sampled_out"].as_int();
       }
-    } else if (type == "metric" && file.kind == DiffKind::kReport) {
+    } else if (type == "metric" && file.kind == ArtifactKind::kReport) {
       file.report.metrics.push_back(
           {line["name"].as_string(), decode_labels(line["labels"]),
            line["kind"].as_string(), line["value"].as_double(),
            line["count"].as_int(), line["p50"].as_double(),
            line["p90"].as_double(), line["p99"].as_double(),
            line["max"].as_double()});
-    } else if (type == "query" && file.kind == DiffKind::kQueryTrace) {
+    } else if (type == "query" && file.kind == ArtifactKind::kQueryTrace) {
       file.trace.queries.push_back(decode_query(line));
-    } else if (type == "series" && file.kind == DiffKind::kTimeline) {
+    } else if (type == "series" && file.kind == ArtifactKind::kTimeline) {
       file.timeline.series.push_back(decode_series(line));
     }
   }
@@ -569,13 +563,15 @@ core::Result<BenchBudget> parse_bench_budget(std::string_view spec) {
   return budget;
 }
 
-const char* diff_kind_name(DiffKind kind) {
+const char* artifact_kind_name(ArtifactKind kind) {
   switch (kind) {
-    case DiffKind::kBench: return "bench";
-    case DiffKind::kProfile: return "profile";
-    case DiffKind::kReport: return "report";
-    case DiffKind::kQueryTrace: return "query-trace";
-    case DiffKind::kTimeline: return "timeline";
+    case ArtifactKind::kBench: return "bench";
+    case ArtifactKind::kProfile: return "profile";
+    case ArtifactKind::kReport: return "report";
+    case ArtifactKind::kQueryTrace: return "query-trace";
+    case ArtifactKind::kTimeline: return "timeline";
+    case ArtifactKind::kDiff: return "diff";
+    case ArtifactKind::kFleet: return "fleet";
   }
   return "unknown";
 }
@@ -605,7 +601,7 @@ const TraceStage* TraceQuery::verdict_stage() const {
   return nullptr;
 }
 
-core::Result<ArtifactFile> read_artifact(const std::string& path) {
+core::Result<LoadedArtifact> load_artifact(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Error::io("cannot read " + path);
   std::stringstream buffer;
@@ -617,36 +613,33 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
     return Error::malformed(path + ": empty artifact file");
   }
 
-  ArtifactFile file;
-  const auto failed = [&path](const char* message) {
-    return Error::invalid_argument(path + ": " + message);
-  };
+  LoadedArtifact loaded;
   if (auto parsed = Json::parse(content); parsed.ok()) {
     const Json& doc = parsed.value();
     const std::string& kind = doc["kind"].as_string();
-    if (doc.has("traceEvents")) {
-      file.kind = DiffKind::kProfile;
-      if (const char* error = decode_profile(doc, file)) return failed(error);
-      return file;
-    }
-    if (kind == "mntp_perf_suite") {
-      file.kind = DiffKind::kBench;
-      file.schema_version = doc["schema_version"].as_int();
-      if (const char* error = decode_bench(doc, file.bench)) {
-        return failed(error);
-      }
-      return file;
-    }
     // A JSONL artifact with no body (no query, series or metric yet) is
-    // a single meta line, i.e. whole-file JSON too: classify it below.
+    // a single meta line, i.e. whole-file JSON too: it is split below.
     const bool meta_only =
         doc["type"].as_string() == "meta" &&
         (kind.empty() || kind == "mntp_query_trace" ||
          kind == "mntp_timeline");
     if (!meta_only) {
-      return Error::invalid_argument(
-          kind.empty() ? path + ": unrecognized JSON document"
-                       : path + ": unsupported artifact kind '" + kind + "'");
+      if (doc.has("traceEvents")) {
+        loaded.kind = ArtifactKind::kProfile;
+      } else if (kind == "mntp_perf_suite") {
+        loaded.kind = ArtifactKind::kBench;
+      } else if (kind == "mntp_diff") {
+        loaded.kind = ArtifactKind::kDiff;
+      } else if (kind == "mntp_fleet_report") {
+        loaded.kind = ArtifactKind::kFleet;
+      } else {
+        return Error::invalid_argument(
+            kind.empty()
+                ? path + ": unrecognized JSON document"
+                : path + ": unsupported artifact kind '" + kind + "'");
+      }
+      loaded.docs.push_back(std::move(parsed).take());
+      return loaded;
     }
   }
 
@@ -654,7 +647,6 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
   // whole lines, so only the last line can be a cut-off write (a crashed
   // producer, an interrupted copy); a bad line anywhere else is a
   // corrupt artifact.
-  std::vector<Json> lines;
   const std::size_t tail = content.find_last_not_of(" \t\r\n");
   std::size_t line_no = 0;
   for (std::size_t pos = 0; pos <= tail;) {
@@ -665,7 +657,8 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
     if (text.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     auto parsed = Json::parse(text);
     if (parsed.ok()) {
-      lines.push_back(std::move(parsed).take());
+      loaded.docs.push_back(std::move(parsed).take());
+      loaded.line_numbers.push_back(line_no);
     } else if (end > tail) {
       return Error::malformed(core::strformat(
           "%s: truncated artifact (last line %zu is not valid JSON)",
@@ -676,16 +669,45 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
                           parsed.error().message.c_str()));
     }
   }
-  const Json& meta = lines.front();
+  const Json& meta = loaded.docs.front();
   if (meta["type"].as_string() != "meta") {
-    return failed("not a bench, profile, report, query-trace or timeline "
-                  "artifact");
+    return Error::invalid_argument(
+        path + ": first line is not a meta object (no known artifact kind)");
   }
   const std::string& kind = meta["kind"].as_string();
-  file.kind = kind == "mntp_query_trace" ? DiffKind::kQueryTrace
-              : kind == "mntp_timeline"  ? DiffKind::kTimeline
-                                         : DiffKind::kReport;
-  decode_jsonl(lines, file);
+  loaded.kind = kind == "mntp_query_trace" ? ArtifactKind::kQueryTrace
+                : kind == "mntp_timeline"  ? ArtifactKind::kTimeline
+                                           : ArtifactKind::kReport;
+  return loaded;
+}
+
+core::Result<ArtifactFile> read_artifact(const std::string& path) {
+  auto loaded = load_artifact(path);
+  if (!loaded.ok()) return loaded.error();
+  const std::vector<Json>& docs = loaded.value().docs;
+  ArtifactFile file;
+  file.kind = loaded.value().kind;
+  const char* error = nullptr;
+  switch (file.kind) {
+    case ArtifactKind::kProfile:
+      error = decode_profile(docs.front(), file);
+      break;
+    case ArtifactKind::kBench:
+      file.schema_version = docs.front()["schema_version"].as_int();
+      error = decode_bench(docs.front(), file.bench);
+      break;
+    case ArtifactKind::kDiff:
+    case ArtifactKind::kFleet:
+      return Error::invalid_argument(
+          path + ": unsupported artifact kind '" +
+          docs.front()["kind"].as_string() + "' (validate only)");
+    case ArtifactKind::kReport:
+    case ArtifactKind::kQueryTrace:
+    case ArtifactKind::kTimeline:
+      decode_jsonl(docs, file);
+      break;
+  }
+  if (error != nullptr) return Error::invalid_argument(path + ": " + error);
   return file;
 }
 
@@ -701,30 +723,34 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
   if (a.kind != b.kind) {
     return Error::invalid_argument(core::strformat(
         "artifact kinds differ: %s is %s, %s is %s", a_path.c_str(),
-        diff_kind_name(a.kind), b_path.c_str(), diff_kind_name(b.kind)));
+        artifact_kind_name(a.kind), b_path.c_str(),
+        artifact_kind_name(b.kind)));
   }
-  if (!options.budgets.empty() && a.kind != DiffKind::kBench) {
+  if (!options.budgets.empty() && a.kind != ArtifactKind::kBench) {
     return Error::invalid_argument(
         core::strformat("budgets apply to bench artifacts only, not %s",
-                        diff_kind_name(a.kind)));
+                        artifact_kind_name(a.kind)));
   }
   DiffResult result;
   switch (a.kind) {
-    case DiffKind::kBench:
+    case ArtifactKind::kBench:
       result = diff_bench(a.bench, b.bench, options);
       break;
-    case DiffKind::kProfile:
+    case ArtifactKind::kProfile:
       result = diff_profile(a.profile, b.profile, options);
       break;
-    case DiffKind::kReport:
+    case ArtifactKind::kReport:
       result = diff_report(a.report, b.report, options);
       break;
-    case DiffKind::kQueryTrace:
+    case ArtifactKind::kQueryTrace:
       result = diff_query_trace(a.trace, b.trace, options);
       break;
-    case DiffKind::kTimeline:
+    case ArtifactKind::kTimeline:
       result = diff_timeline(a.timeline, b.timeline, options);
       break;
+    case ArtifactKind::kDiff:
+    case ArtifactKind::kFleet:
+      break;  // read_artifact decodes neither
   }
   result.kind = a.kind;
   result.a_path = a_path;
@@ -740,12 +766,12 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
   if (!read_a.ok()) return read_a.error();
   auto read_b = read_artifact(b_path);
   if (!read_b.ok()) return read_b.error();
-  if (read_a.value().kind != DiffKind::kBench ||
-      read_b.value().kind != DiffKind::kBench) {
+  if (read_a.value().kind != ArtifactKind::kBench ||
+      read_b.value().kind != ArtifactKind::kBench) {
     return Error::invalid_argument(core::strformat(
         "a perf delta needs two bench artifacts, got %s and %s",
-        diff_kind_name(read_a.value().kind),
-        diff_kind_name(read_b.value().kind)));
+        artifact_kind_name(read_a.value().kind),
+        artifact_kind_name(read_b.value().kind)));
   }
   const BenchArtifact& base = read_a.value().bench;
   const BenchArtifact& cand = read_b.value().bench;
@@ -814,7 +840,7 @@ core::Result<std::string> render_perf_delta(const std::string& a_path,
 std::string render_diff_text(const DiffResult& result,
                              const DiffOptions& options) {
   std::string out = core::strformat(
-      "diff (%s): %s -> %s\n", diff_kind_name(result.kind),
+      "diff (%s): %s -> %s\n", artifact_kind_name(result.kind),
       result.a_path.c_str(), result.b_path.c_str());
   if (!result.a_run.empty() || !result.b_run.empty()) {
     out += core::strformat("  runs: %s -> %s\n", result.a_run.c_str(),
@@ -853,7 +879,7 @@ std::string render_diff_json(const DiffResult& result,
   w.begin_object()
       .kv("schema_version", 1)
       .kv("kind", "mntp_diff")
-      .kv("artifact_kind", diff_kind_name(result.kind));
+      .kv("artifact_kind", artifact_kind_name(result.kind));
   w.key("a").begin_object().kv("path", result.a_path)
       .kv("run", result.a_run).end_object();
   w.key("b").begin_object().kv("path", result.b_path)

@@ -1,5 +1,5 @@
-// Cross-run diff & regression-triage engine, and the one decoder of the
-// observability artifacts.
+// Cross-run diff & regression-triage engine, and the one loader,
+// decoder and validator of the observability artifacts.
 //
 // Every artifact the observability stack writes — perf-suite baselines
 // (BENCH_*.json), Chrome span profiles (--profile-out), JSONL run
@@ -9,10 +9,14 @@
 // the question is "what moved between these two runs, and which span /
 // counter / reason / series moved it".
 //
-// read_artifact() detects an artifact's kind from content and decodes
-// it into one typed struct per kind; tools/mntp_inspect renders those
-// structs and diff_files() compares two of the same kind. Every diff
-// section is one outer join of two keyed maps under a per-kind rule:
+// load_artifact() reads, parses and classifies any artifact by content.
+// read_artifact() decodes what it loads into one typed struct per kind;
+// tools/mntp_inspect renders those structs best-effort and diff_files()
+// compares two of the same kind. validate_artifact() runs every schema
+// rule of the seven kinds (the five above plus `mntp-inspect diff
+// --json` records and fleet reports) over the same loaded documents.
+// Every diff section is one outer join of two keyed maps under a
+// per-kind rule:
 //
 //   * bench       — the perf gate: candidate_median <= baseline_median *
 //                   (1 + tolerance) + max(abs_floor, 4 * baseline_mad);
@@ -56,11 +60,15 @@
 
 namespace mntp::obs {
 
-/// Artifact kinds the diff engine understands.
-enum class DiffKind { kBench, kProfile, kReport, kQueryTrace, kTimeline };
+/// Artifact kinds, classified by content. The first five decode and
+/// diff; a diff record (kind mntp_diff) and a fleet report (kind
+/// mntp_fleet_report) are only validated.
+enum class ArtifactKind {
+  kBench, kProfile, kReport, kQueryTrace, kTimeline, kDiff, kFleet
+};
 
 /// Stable lowercase name used in JSON output and error messages.
-[[nodiscard]] const char* diff_kind_name(DiffKind kind);
+[[nodiscard]] const char* artifact_kind_name(ArtifactKind kind);
 
 /// Labels as the artifacts write them: a {"key":"value"} object.
 using ArtifactLabels = std::map<std::string, std::string>;
@@ -133,8 +141,8 @@ struct TraceQuery {
 struct QueryTraceArtifact {
   long long dropped = 0;
   bool sampled = false;  // the meta line carried a "sampling" block
-  long long sample_one_in_n = 1, seed = 0, minted = 0, kept = 0,
-            sampled_out = 0;
+  long long sample_one_in_n = 1, minted = 0, kept = 0, sampled_out = 0;
+  std::uint64_t seed = 0;
   std::vector<TraceQuery> queries;  // file order
 };
 
@@ -154,13 +162,29 @@ struct TimelineArtifact {
   std::vector<TimelineSeries> series;          // file order
 };
 
-/// One artifact file, classified by content — whole-file JSON first
-/// (profile, bench), then JSONL by the meta line's kind (query trace,
-/// timeline, anything else a run report); a meta-only JSONL file
-/// classifies by its meta line — and decoded into the member `kind`
-/// names.
+/// One artifact file, read, parsed and classified by content but not
+/// decoded. Whole-file JSON (profile, bench, diff, fleet) is one
+/// document. JSONL (run report, query trace, timeline) is one document
+/// per non-blank line, meta first, classified by the meta line's kind
+/// (none: a run report); a meta-only JSONL file is JSONL too.
+struct LoadedArtifact {
+  ArtifactKind kind = ArtifactKind::kBench;
+  std::vector<core::Json> docs;
+  std::vector<std::size_t> line_numbers;  // JSONL: each doc's file line
+};
+
+/// Read, parse and classify `path` — the one loader behind read_artifact
+/// and validate_artifact. Errors carry the path: kIo when the file
+/// cannot be read, kMalformedPacket for an empty file or a last line
+/// that is not JSON (a cut-off write), kInvalidArgument for a bad line
+/// anywhere else (as `path:line: ...`) or a readable document of no
+/// known kind.
+[[nodiscard]] core::Result<LoadedArtifact> load_artifact(
+    const std::string& path);
+
+/// One artifact decoded into the member `kind` names.
 struct ArtifactFile {
-  DiffKind kind = DiffKind::kBench;
+  ArtifactKind kind = ArtifactKind::kBench;
   std::string run;  // the meta line's run, or the profile's process_name
   long long schema_version = 0;  // bench document / meta line
   long long sim_end_ns = 0;      // meta line
@@ -171,14 +195,22 @@ struct ArtifactFile {
   TimelineArtifact timeline;
 };
 
-/// Read, parse, classify and decode `path` — the one place that knows
-/// the artifact formats, behind `mntp-inspect` and diff_files alike.
-/// Errors carry the path: kIo when the file cannot be read,
-/// kMalformedPacket for an empty file or a last line that is not JSON
-/// (a cut-off write), kInvalidArgument for a bad line anywhere else (as
-/// `path:line: ...`), a readable document of no known kind, or a bench
-/// or profile document without its workloads / traceEvents array.
+/// load_artifact, then decode best-effort (absent keys read as neutral
+/// defaults) — behind `mntp-inspect` and diff_files alike. Errors are
+/// load_artifact's, plus kInvalidArgument for a diff record or fleet
+/// report (nothing decodes them) and for a bench or profile document
+/// without its workloads / traceEvents array.
 [[nodiscard]] core::Result<ArtifactFile> read_artifact(
+    const std::string& path);
+
+/// load_artifact, then every schema rule of the loaded kind: shapes,
+/// integer-vs-number types, the closed vocabularies (reasons, diff
+/// classes, metric and probe kinds, fleet speakers, populations and
+/// categories), ordering, and the conservation ledgers. Returns a
+/// one-line summary of a valid artifact. Errors are load_artifact's,
+/// plus kInvalidArgument naming the first broken rule and where it
+/// broke (`path: line 3: stages[1]: unknown reason 'x'`).
+[[nodiscard]] core::Result<std::string> validate_artifact(
     const std::string& path);
 
 /// A within-candidate bench budget (`--budget A:B:PCT`): in file B,
@@ -214,15 +246,27 @@ struct DiffOptions {
   std::vector<BenchBudget> budgets;
 };
 
-/// Delta classes. `exact` / `shifted` are the exact-reconciliation
-/// classes reserved for integer accounting counters (mntp.*, obs.*);
-/// everything else compares within tolerance.
+/// Delta classes, the closed vocabulary of DiffEntry::cls. `exact` /
+/// `shifted` are the exact-reconciliation classes reserved for integer
+/// accounting counters (mntp.*, obs.*); everything else compares within
+/// tolerance.
 ///   equal    — within tolerance (or bit-equal for non-accounting rows)
 ///   changed  — beyond tolerance
 ///   exact    — accounting counter, bit-equal
 ///   shifted  — accounting counter, differs (always significant)
 ///   added    — present only in B
 ///   removed  — present only in A
+namespace diff_class {
+inline constexpr const char* kEqual = "equal";
+inline constexpr const char* kChanged = "changed";
+inline constexpr const char* kExact = "exact";
+inline constexpr const char* kShifted = "shifted";
+inline constexpr const char* kAdded = "added";
+inline constexpr const char* kRemoved = "removed";
+inline constexpr const char* kAll[] = {kEqual,   kChanged, kExact,
+                                       kShifted, kAdded,   kRemoved};
+}  // namespace diff_class
+
 struct DiffEntry {
   std::string name;
   bool has_before = false;
@@ -237,7 +281,7 @@ struct DiffEntry {
   double score = 0.0;
   bool significant = false;
   bool regression = false;  // counts toward the exit-1 verdict
-  std::string cls;          // see class vocabulary above
+  std::string cls;          // one of diff_class::kAll
   std::string note;         // free-form context ("new workload", ...)
 };
 
@@ -247,7 +291,7 @@ struct DiffSection {
 };
 
 struct DiffResult {
-  DiffKind kind = DiffKind::kBench;
+  ArtifactKind kind = ArtifactKind::kBench;
   std::string a_path, b_path;
   std::string a_run, b_run;        // run names when the artifact has one
   std::size_t significant = 0;     // entries flagged significant
@@ -285,9 +329,9 @@ struct DiffResult {
                                            const DiffOptions& options);
 
 /// Machine rendering: single JSON document, kind "mntp_diff",
-/// schema_version 1, validated by check_telemetry_schema.py --kind
-/// diff. Carries every entry (no top cap) so downstream triage never
-/// loses attribution.
+/// schema_version 1, validated by `mntp-inspect validate`. Carries
+/// every entry (no top cap) so downstream triage never loses
+/// attribution.
 [[nodiscard]] std::string render_diff_json(const DiffResult& result,
                                            const DiffOptions& options);
 

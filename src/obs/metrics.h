@@ -161,6 +161,16 @@ struct MetricSnapshot {
   std::vector<std::pair<double, std::uint64_t>> buckets;
 };
 
+/// The kind as run reports write it: "counter", "gauge" or "histogram".
+[[nodiscard]] constexpr std::string_view kind_name(MetricSnapshot::Kind k) {
+  switch (k) {
+    case MetricSnapshot::Kind::kCounter: return "counter";
+    case MetricSnapshot::Kind::kGauge: return "gauge";
+    case MetricSnapshot::Kind::kHistogram: return "histogram";
+  }
+  return "counter";
+}
+
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -22,18 +22,7 @@ std::string to_jsonl_line(const MetricSnapshot& s) {
   std::string out;
   out.reserve(128);
   core::JsonWriter w(out);
-  w.begin_object().kv("type", "metric").key("kind");
-  switch (s.kind) {
-    case MetricSnapshot::Kind::kCounter:
-      w.value("counter");
-      break;
-    case MetricSnapshot::Kind::kGauge:
-      w.value("gauge");
-      break;
-    case MetricSnapshot::Kind::kHistogram:
-      w.value("histogram");
-      break;
-  }
+  w.begin_object().kv("type", "metric").kv("kind", kind_name(s.kind));
   w.kv("name", s.name);
   append_labels(w, s.labels);
   if (s.kind != MetricSnapshot::Kind::kHistogram) {

@@ -2,8 +2,8 @@
 // snapshot, written by every bench binary when `--telemetry-out <path>`
 // is passed (see bench/common.h).
 //
-// Schema (version 1; validated by scripts/check_telemetry_schema.py and
-// documented in DESIGN.md §Observability). One JSON object per line:
+// Schema (version 1; validated by `mntp-inspect validate` and documented
+// in DESIGN.md §Observability). One JSON object per line:
 //
 //   line 1   {"type":"meta","schema_version":1,"run":"<name>",
 //             "sim_end_ns":<int>,"metric_count":<int>,"event_count":0}

@@ -155,8 +155,8 @@ ProbeHandle TimeSeriesRecorder::register_probe(std::string_view name,
 
 ProbeHandle TimeSeriesRecorder::probe(std::string_view name, Labels labels,
                                       Probe fn) {
-  return register_probe(name, std::move(labels), "callback", std::move(fn),
-                        0);
+  return register_probe(name, std::move(labels), kCallbackProbe,
+                        std::move(fn), 0);
 }
 
 ProbeHandle TimeSeriesRecorder::counter_probe(
@@ -168,7 +168,7 @@ ProbeHandle TimeSeriesRecorder::counter_probe(
   if (!capturing()) return {};
   const std::uint64_t initial = total();
   return register_probe(
-      name, std::move(labels), "counter",
+      name, std::move(labels), kCounterProbe,
       [total = std::move(total)](core::TimePoint) -> std::optional<double> {
         return static_cast<double>(total());
       },
@@ -187,7 +187,7 @@ void TimeSeriesRecorder::sample(core::TimePoint now) {
     const std::optional<double> v = reg.fn(now);
     if (!v.has_value()) continue;
     double value = *v;
-    if (reg.series->probe_kind() == "counter") {
+    if (reg.series->probe_kind() == kCounterProbe) {
       // Per-interval delta; counters are monotonic so this is >= 0.
       const auto raw = static_cast<std::uint64_t>(value);
       value = static_cast<double>(raw - reg.last_counter);

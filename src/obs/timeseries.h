@@ -72,6 +72,10 @@ struct TimeSeriesPoint {
   }
 };
 
+/// Probe kinds as timelines write them: how a series' value was obtained.
+inline constexpr const char* kCallbackProbe = "callback";
+inline constexpr const char* kCounterProbe = "counter";
+
 /// One named series: metadata plus the (possibly downsampled) points.
 class TimeSeries {
  public:
@@ -83,7 +87,7 @@ class TimeSeries {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const Labels& labels() const { return labels_; }
-  /// "callback" or "counter" — how the value was obtained.
+  /// kCallbackProbe or kCounterProbe.
   [[nodiscard]] const std::string& probe_kind() const { return probe_kind_; }
   [[nodiscard]] const std::vector<TimeSeriesPoint>& points() const {
     return points_;
@@ -227,8 +231,7 @@ class TimeSeriesRecorder {
 /// Serialize as timeline JSONL (schema_version 1, kind "mntp_timeline"):
 /// a meta line, then one line per non-empty series with points as
 /// [t_ns, min, mean, max, last, count] arrays. Validated by
-/// scripts/check_telemetry_schema.py --kind timeline; rendered by
-/// `mntp-inspect timeline`.
+/// `mntp-inspect validate`; rendered by `mntp-inspect timeline`.
 void write_timeline(std::ostream& out, const TimeSeriesRecorder& recorder,
                     std::string_view run_name, core::TimePoint sim_end);
 

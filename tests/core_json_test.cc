@@ -33,6 +33,22 @@ TEST(Json, IntegersStayExact) {
   EXPECT_EQ(j.as_int(), 9007199254740993LL);
 }
 
+TEST(Json, Uint64IntegersStayExactAndCastsClamp) {
+  // The writers emit uint64 (seeds): those parse exactly, and as_int()
+  // clamps instead of overflowing.
+  const Json big = Json::parse("18446744073709551615").value();
+  ASSERT_TRUE(big.is_int());
+  EXPECT_EQ(big.as_uint(), 18446744073709551615ULL);
+  EXPECT_EQ(big.as_int(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_DOUBLE_EQ(big.as_double(), 1.8446744073709552e19);
+  EXPECT_EQ(Json::parse("-5").value().as_uint(), 0u);
+  EXPECT_FALSE(Json::parse("-18446744073709551615").value().is_int());
+  EXPECT_EQ(Json::parse("1e300").value().as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json::parse("-1e300").value().as_int(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
 TEST(Json, NumberTypePromotion) {
   // as_int/as_double convert across the int/double divide.
   EXPECT_EQ(Json::parse("2.0").value().as_int(), 2);

@@ -121,7 +121,7 @@ TEST(DiffBench, SelfDiffIsCleanAndExitsZero) {
   const std::string p = write_file("bench_a.json", bench_doc(1000.0, 10.0));
   auto r = diff_files(p, p, {});
   ASSERT_TRUE(r.ok()) << r.error().message;
-  EXPECT_EQ(r.value().kind, DiffKind::kBench);
+  EXPECT_EQ(r.value().kind, ArtifactKind::kBench);
   EXPECT_EQ(r.value().significant, 0u);
   EXPECT_EQ(r.value().regressions, 0u);
   EXPECT_EQ(r.value().exit_code(), 0);
@@ -301,7 +301,7 @@ TEST(DiffProfile, PerturbedSpanIsTopContributor) {
       write_file("prof_b.json", profile_doc("pert", 400.0, 380.0));
   auto r = diff_files(base, pert, {});
   ASSERT_TRUE(r.ok()) << r.error().message;
-  EXPECT_EQ(r.value().kind, DiffKind::kProfile);
+  EXPECT_EQ(r.value().kind, ArtifactKind::kProfile);
   EXPECT_EQ(r.value().a_run, "base");
   EXPECT_EQ(r.value().b_run, "pert");
   ASSERT_FALSE(r.value().sections.empty());
@@ -350,7 +350,7 @@ TEST(DiffReport, AccountingCountersReconcileExactly) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kReport);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kReport);
   EXPECT_EQ(self.value().significant, 0u);
   const DiffEntry* minted = find_entry(self.value(), "mntp.queries.minted");
   ASSERT_NE(minted, nullptr);
@@ -380,7 +380,7 @@ TEST(DiffQueryTrace, ShareShiftIsSignificant) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kQueryTrace);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kQueryTrace);
   EXPECT_EQ(self.value().significant, 0u);
 
   auto r = diff_files(a, b, {});
@@ -401,7 +401,7 @@ TEST(DiffTimeline, DivergenceScoresAgainstOwnSpread) {
 
   auto self = diff_files(a, a, {});
   ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value().kind, DiffKind::kTimeline);
+  EXPECT_EQ(self.value().kind, ArtifactKind::kTimeline);
   EXPECT_EQ(self.value().significant, 0u);
 
   auto r = diff_files(a, b, {});

@@ -17,6 +17,17 @@
 // Exit code: 0 on success (step changes are informational), 1 when any
 // input cannot be read or parsed, 2 on usage errors and on an empty or
 // cut-off artifact (a last line that is not JSON: a crashed producer).
+// Rendering is best-effort: absent keys read as neutral defaults and an
+// unknown schema_version only warns.
+//
+//   mntp-inspect validate FILE...
+//
+// The `validate` subcommand is the strict half: obs::validate_artifact
+// runs every schema rule of the file's kind (the five above, `diff
+// --json` records and fleet reports) on the same loader. It takes no
+// flags and exits 0 when every file is valid, 1 when a rule is broken
+// or a file cannot be read or classified, 2 on a usage error or an
+// empty or cut-off file.
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
 // same kind and has its own exit contract: 0 identical within
@@ -32,9 +43,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/format.h"
@@ -50,25 +63,40 @@ using mntp::obs::TraceQuery;
 
 namespace {
 
+/// The modes (the default summary and one per subcommand), as bits: a
+/// flag carries the mask of the modes that read it, and given in any
+/// other mode it is a usage error (exit 2), never silently ignored.
+enum Mode : unsigned {
+  kSummary = 1,
+  kExplain = 2,
+  kTimeline = 4,
+  kDiff = 8,
+  kValidate = 16,
+};
+constexpr unsigned kNotDiff = kSummary | kExplain | kTimeline;
+constexpr std::pair<const char*, Mode> kModeNames[] = {
+    {"summary", kSummary}, {"explain", kExplain}, {"timeline", kTimeline},
+    {"diff", kDiff},       {"validate", kValidate}};
+
+const char* mode_name(unsigned mode) {
+  for (const auto& [name, bit] : kModeNames) {
+    if (bit == mode) return name;
+  }
+  return "?";
+}
+
 struct Options {
+  Mode mode = kSummary;      // set by a leading subcommand
   double sigma = 4.0;        // step-change threshold, in delta sigmas
   std::size_t max_rows = 20; // cap for step-change listings
-  bool explain = false;      // print per-query timelines for query traces
   long long query_id = -1;   // explain a single query (-1: first --limit)
   std::size_t limit = 10;    // timelines shown in explain mode
-  bool timeline = false;     // `timeline` subcommand (explicit mode)
   std::string series;        // timeline: only series containing this
   std::size_t width = 64;    // timeline: sparkline columns
-  bool diff = false;         // `diff` subcommand (cross-run comparison)
   bool json = false;         // diff: machine output instead of tables
   std::string write_delta;   // diff: BENCH_pr*.json record path (bench)
   mntp::obs::DiffOptions diff_opt;  // tolerance/floor/divergence/budgets
 };
-
-/// The modes that read a flag, as a bitmask; a flag given in any other
-/// mode is a usage error (exit 2), never silently ignored.
-enum Mode : unsigned { kSummary = 1, kExplain = 2, kTimeline = 4, kDiff = 8 };
-constexpr unsigned kNotDiff = kSummary | kExplain | kTimeline;
 
 /// Checked numeric flag parsing: the whole argument must be a number
 /// (strtod/strtoll consume it completely), otherwise the caller prints
@@ -233,10 +261,11 @@ int inspect_query_trace(const std::string& path, const ArtifactFile& file,
               path.c_str(), file.run.c_str(), seconds(file.sim_end_ns),
               queries.size(), trace.dropped);
   if (trace.sampled) {
-    std::printf("  sampling: 1-in-%lld (seed %lld)  minted=%lld kept=%lld "
+    std::printf("  sampling: 1-in-%lld (seed %llu)  minted=%lld kept=%lld "
                 "sampled_out=%lld\n",
-                trace.sample_one_in_n, trace.seed, trace.minted, trace.kept,
-                trace.sampled_out);
+                trace.sample_one_in_n,
+                static_cast<unsigned long long>(trace.seed), trace.minted,
+                trace.kept, trace.sampled_out);
     // Conservation: every minted id ends exactly one way. A mismatch
     // means the producer lost track of ids — worth shouting about, but
     // the stored traces still render fine, so it stays informational.
@@ -303,7 +332,7 @@ int inspect_query_trace(const std::string& path, const ArtifactFile& file,
     std::printf("packet loss by hop:\n%s\n", table.render().c_str());
   }
 
-  if (!opt.explain) return 0;
+  if (opt.mode != kExplain) return 0;
 
   // Per-query timelines: roots (rounds and orphan exchanges) with their
   // child exchanges nested underneath.
@@ -484,31 +513,43 @@ int inspect_timeline(const std::string& path, const ArtifactFile& file,
 
 // -------------------------------------------------------------- dispatch
 
+/// Report a load, decode or validation error: an empty or cut-off file
+/// (a crashed producer) is exit 2, distinct from an unreadable, corrupt,
+/// unrecognized or invalid one (exit 1).
+int report_error(const mntp::core::Error& error) {
+  std::fprintf(stderr, "mntp-inspect: %s\n", error.message.c_str());
+  return error.code == mntp::core::Error::Code::kMalformedPacket ? 2 : 1;
+}
+
+int validate_file(const std::string& path) {
+  auto summary = mntp::obs::validate_artifact(path);
+  if (!summary.ok()) return report_error(summary.error());
+  std::printf("OK: %s: %s\n", path.c_str(), summary.value().c_str());
+  return 0;
+}
+
 int inspect_file(const std::string& path, const Options& opt) {
-  using mntp::obs::DiffKind;
+  using mntp::obs::ArtifactKind;
   auto read = mntp::obs::read_artifact(path);
-  if (!read.ok()) {
-    // An empty or cut-off file (a crashed producer) is exit 2, distinct
-    // from an unreadable, corrupt or unrecognized one (exit 1).
-    std::fprintf(stderr, "mntp-inspect: %s\n", read.error().message.c_str());
-    return read.error().code == mntp::core::Error::Code::kMalformedPacket ? 2
-                                                                         : 1;
-  }
+  if (!read.ok()) return report_error(read.error());
   const ArtifactFile& file = read.value();
-  if (opt.timeline && file.kind != DiffKind::kTimeline) {
+  if (opt.mode == kTimeline && file.kind != ArtifactKind::kTimeline) {
     std::fprintf(stderr, "mntp-inspect: %s: not a timeline artifact\n",
                  path.c_str());
     return 1;
   }
-  if (file.kind != DiffKind::kProfile) {
+  if (file.kind != ArtifactKind::kProfile) {
     warn_unknown_schema(path, file.schema_version);
   }
   switch (file.kind) {
-    case DiffKind::kProfile: return inspect_profile(path, file);
-    case DiffKind::kBench: return inspect_bench(path, file);
-    case DiffKind::kReport: return inspect_report(path, file);
-    case DiffKind::kQueryTrace: return inspect_query_trace(path, file, opt);
-    case DiffKind::kTimeline: return inspect_timeline(path, file, opt);
+    case ArtifactKind::kProfile: return inspect_profile(path, file);
+    case ArtifactKind::kBench: return inspect_bench(path, file);
+    case ArtifactKind::kReport: return inspect_report(path, file);
+    case ArtifactKind::kQueryTrace: return inspect_query_trace(path, file, opt);
+    case ArtifactKind::kTimeline: return inspect_timeline(path, file, opt);
+    case ArtifactKind::kDiff:
+    case ArtifactKind::kFleet:
+      break;  // read_artifact decodes neither
   }
   return 1;
 }
@@ -566,21 +607,17 @@ int main(int argc, char** argv) {
                    flag.c_str(), value);
       return 2;
     };
-    if (arg == "explain" && paths.empty() && !opt.explain && !opt.timeline &&
-        !opt.diff) {
-      // Subcommand: per-query timelines on top of the causation tables.
-      opt.explain = true;
-    } else if (arg == "timeline" && paths.empty() && !opt.timeline &&
-               !opt.explain && !opt.diff) {
-      // Subcommand: explicit timeline mode (the artifact kind is also
-      // auto-detected; the subcommand exists for --series/--width
-      // discoverability and to reject non-timeline inputs).
-      opt.timeline = true;
-    } else if (arg == "diff" && paths.empty() && !opt.diff && !opt.explain &&
-               !opt.timeline) {
-      // Subcommand: cross-run diff of two artifacts of the same kind
-      // (src/obs/diff.h) with its own 0/1/2 exit-code contract.
-      opt.diff = true;
+    // A subcommand is the first non-flag argument. `explain` adds
+    // per-query timelines to the causation tables; `timeline` rejects
+    // non-timeline inputs (the kind is auto-detected anyway); `diff`
+    // compares two artifacts of one kind and `validate` checks every
+    // schema rule, each with its own exit contract.
+    const auto subcommand = std::find_if(
+        std::begin(kModeNames) + 1, std::end(kModeNames),
+        [&arg](const auto& mode) { return arg == mode.first; });
+    if (subcommand != std::end(kModeNames) && paths.empty() &&
+        opt.mode == kSummary) {
+      opt.mode = subcommand->second;
     } else if (flag == "--json") {
       scoped.emplace_back(flag, kDiff);
       opt.json = true;
@@ -594,6 +631,7 @@ int main(int argc, char** argv) {
         return bad_value(flag, value);
       }
     } else if (flag == "--sigma") {
+      scoped.emplace_back(flag, kNotDiff | kDiff);
       if (!take_value(value) || !parse_double_arg(value, opt.sigma)) {
         return bad_value(flag, value);
       }
@@ -645,6 +683,7 @@ int main(int argc, char** argv) {
           "                         [--sigma N] [--divergence D] [--top N]\n"
           "                         [--budget A:B:PCT]... [--write-delta PATH]\n"
           "                         <A> <B>\n"
+          "       mntp-inspect validate <file>...\n"
           "  summarizes JSONL run reports, Chrome span profiles,\n"
           "  BENCH_results.json files, query-trace and timeline JSONL (kind\n"
           "  detected from content). `explain` adds per-query causal\n"
@@ -663,6 +702,10 @@ int main(int argc, char** argv) {
           "  taken from the candidate (second) file;\n"
           "  --write-delta PATH writes the before/after record (kind\n"
           "  mntp_perf_delta), even when the gate fails.\n"
+          "  `validate` checks every schema rule of each file's kind (the\n"
+          "  five above, diff --json records and fleet reports): shapes,\n"
+          "  integer types, closed vocabularies, ordering and conservation\n"
+          "  ledgers. It takes no flags.\n"
           "  a flag outside the modes listed for it exits 2 (--series and\n"
           "  --width also apply to timelines given without `timeline`);\n"
           "  --tolerance, --abs-floor-us and --divergence must be >= 0.\n"
@@ -670,7 +713,9 @@ int main(int argc, char** argv) {
           "  behind a stderr warning (exit stays 0).\n"
           "  exit codes: 0 ok, 1 unreadable/unrecognized artifact,\n"
           "  2 usage or empty/truncated artifact; diff mode: 0 identical\n"
-          "  within tolerance, 1 significant regression, 2 error\n");
+          "  within tolerance, 1 significant regression, 2 error;\n"
+          "  validate mode: 0 valid, 1 a rule broken or unreadable,\n"
+          "  2 usage or empty/truncated artifact\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "mntp-inspect: unknown flag %s\n", arg.c_str());
@@ -679,23 +724,19 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  const unsigned mode = opt.diff      ? kDiff
-                        : opt.explain ? kExplain
-                        : opt.timeline ? kTimeline
-                                       : kSummary;
   for (const auto& [flag, modes] : scoped) {
-    if ((modes & mode) != 0) continue;
-    std::fprintf(stderr, "mntp-inspect: %s %s\n", flag.c_str(),
-                 modes == kDiff      ? "requires the diff mode"
-                 : modes == kExplain ? "requires the explain mode"
-                                     : "does not apply to the diff mode");
+    if ((modes & opt.mode) != 0) continue;
+    const bool one_mode = (modes & (modes - 1)) == 0;
+    std::fprintf(stderr, "mntp-inspect: %s %s the %s mode\n", flag.c_str(),
+                 one_mode ? "requires" : "does not apply to",
+                 mode_name(one_mode ? modes : opt.mode));
     return 2;
   }
   if (opt.sigma <= 0.0) {
     std::fprintf(stderr, "mntp-inspect: --sigma must be > 0\n");
     return 2;
   }
-  if (opt.diff) {
+  if (opt.mode == kDiff) {
     if (paths.size() != 2) {
       std::fprintf(stderr,
                    "usage: mntp-inspect diff [--json] [--tolerance R] "
@@ -735,12 +776,18 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) {
     std::fprintf(stderr,
-                 "usage: mntp-inspect [explain] [--sigma N] [--query ID] "
-                 "[--limit N] <file>...\n");
+                 opt.mode == kValidate
+                     ? "usage: mntp-inspect validate <file>...\n"
+                     : "usage: mntp-inspect [explain] [--sigma N] [--query ID] "
+                       "[--limit N] <file>...\n");
     return 2;
   }
   int status = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (opt.mode == kValidate) {
+      status = std::max(status, validate_file(paths[i]));
+      continue;
+    }
     if (i != 0) std::printf("\n");
     status = std::max(status, inspect_file(paths[i], opt));
   }
