@@ -229,11 +229,12 @@ int ablation_vote_vs_marzullo() {
 int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry("ablation_mntp_design", argc, argv);
   bench::reject_unknown_flags(argc, argv);
-  int failures = 0;
-  failures += ablation_gate_vs_filter();
-  failures += ablation_drift_reestimation();
-  failures += ablation_multisource();
-  failures += ablation_vote_vs_marzullo();
-  if (!telemetry.finalize(core::TimePoint::epoch())) ++failures;
-  return failures;
+  // Every block runs and prints its verdict; any failure exits 1.
+  int status = 0;
+  status |= ablation_gate_vs_filter();
+  status |= ablation_drift_reestimation();
+  status |= ablation_multisource();
+  status |= ablation_vote_vs_marzullo();
+  if (!telemetry.finalize(core::TimePoint::epoch())) status = 1;
+  return status;
 }

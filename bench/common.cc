@@ -437,7 +437,7 @@ int Checks::finish(const std::string& experiment_name) const {
     if (!e.pass) ++failures;
   }
   std::printf("  %zu checks, %d failed\n", entries_.size(), failures);
-  return failures;
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace mntp::bench

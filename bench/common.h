@@ -87,15 +87,16 @@ void plot_offsets(const std::string& title,
                   const std::vector<core::Series>& series);
 
 /// PASS/FAIL check accumulation. Checks never abort; the bench prints a
-/// verdict block at the end and returns the number of failed checks as
-/// its exit code (0 = all shape checks hold).
+/// verdict block at the end and exits 1 when any check failed, 0 when
+/// all shape checks hold (2 stays the usage-error code).
 class Checks {
  public:
   void expect(bool condition, const std::string& description);
   /// expect with a formatted "measured vs target" tail.
   void expect_near(double value, double target, double tolerance,
                    const std::string& description);
-  /// Print the verdict block; returns the failure count.
+  /// Print the verdict block; returns the exit status: 1 when any
+  /// check failed, else 0.
   int finish(const std::string& experiment_name) const;
 
  private:

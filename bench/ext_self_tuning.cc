@@ -182,9 +182,10 @@ int offline_grid_baseline(std::size_t threads) {
 int main(int argc, char** argv) {
   const std::size_t threads = bench::parse_threads(argc, argv);
   bench::reject_unknown_flags(argc, argv);
-  int failures = 0;
-  failures += self_tuning_tradeoff();
-  failures += unstable_channel();
-  failures += offline_grid_baseline(threads);
-  return failures;
+  // Every block runs and prints its verdict; any failure exits 1.
+  int status = 0;
+  status |= self_tuning_tradeoff();
+  status |= unstable_channel();
+  status |= offline_grid_baseline(threads);
+  return status;
 }

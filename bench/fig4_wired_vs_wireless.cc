@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                 "wired free-run is a steady drift, not spiky");
   checks.expect(wless_corr.failures > wired_corr.failures,
                 "wireless hop loses requests; wired barely does");
-  int failures = checks.finish("Figure 4");
-  if (!telemetry.finalize(core::TimePoint::epoch() + span)) ++failures;
-  return failures;
+  int status = checks.finish("Figure 4");
+  if (!telemetry.finalize(core::TimePoint::epoch() + span)) status = 1;
+  return status;
 }

@@ -5,13 +5,13 @@
 // study from simulated traffic instead of parsed logs: per-server
 // request totals (Table 1 shape), per-provider-category OWD quantiles
 // (Figure 1 shape), the SNTP share by category (Figure 2 shape), and
-// the per-(speaker, population) OWD split — while measuring the fleet
-// simulator's sustained simulated-queries/sec/core, the number the
-// bench gate tracks via the perf_suite `fleet_qps` workload.
+// the per-(speaker, population) OWD split — and prints the fleet
+// simulator's sustained simulated-queries/sec/core. That figure depends
+// on the host, so it is not a check: the perf_suite `fleet_qps`
+// workload gates it.
 //
 // Flags: --clients N --seconds S --shards K --threads T --seed S
 //        --kod-limit N --fleet-out PATH (mntp_fleet_report artifact)
-//        --min-qps-per-core Q (throughput check floor, default 1e5)
 //        --check-determinism (re-run serially and require bit-identical
 //        results; the cross-thread/shard matrix lives in
 //        fleet_determinism_test)
@@ -44,8 +44,6 @@ int main(int argc, char** argv) {
   params.kod_limit_per_slice =
       bench::parse_size_flag(argc, argv, "--kod-limit", 1'500);
   const std::size_t threads = bench::parse_threads(argc, argv, 1);
-  const double min_qps_per_core =
-      bench::parse_double_flag(argc, argv, "--min-qps-per-core", 1e5);
   const std::string fleet_out = bench::parse_flag(argc, argv, "--fleet-out");
   const bool check_determinism =
       bench::parse_bool_flag(argc, argv, "--check-determinism");
@@ -180,11 +178,6 @@ int main(int argc, char** argv) {
   checks.expect(result.owd.valid + result.owd.invalid ==
                     result.arrived - result.kod,
                 "conservation: owd valid + invalid == arrived - kod");
-  checks.expect(result.qps_per_core >= min_qps_per_core,
-                "throughput: >= " + std::to_string(
-                                        static_cast<long long>(
-                                            min_qps_per_core)) +
-                    " simulated queries/s/core");
   const double mobile_sntp_share =
       static_cast<double>(cat_sntp[3]) /
       static_cast<double>(std::max<std::uint64_t>(1, cat_clients[3]));
@@ -209,7 +202,9 @@ int main(int argc, char** argv) {
                   "determinism: threaded run bit-identical to serial");
   }
 
-  telemetry.finalize(core::TimePoint::epoch() +
-                     core::Duration::from_seconds(params.duration_s));
-  return checks.finish("fleet_qps");
+  const bool written = telemetry.finalize(
+      core::TimePoint::epoch() +
+      core::Duration::from_seconds(params.duration_s));
+  const int status = checks.finish("fleet_qps");
+  return written ? status : 1;
 }

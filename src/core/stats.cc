@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace mntp::core {
 
@@ -145,27 +144,6 @@ std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const {
     out.emplace_back(x, at(x));
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins>0 and hi>lo");
-  }
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(bin) + 0.5);
 }
 
 }  // namespace mntp::core

@@ -105,24 +105,4 @@ class Cdf {
   std::vector<double> sorted_;
 };
 
-/// Fixed-width histogram over [lo, hi); samples outside clamp to the
-/// first/last bin. Used for offset distribution rendering.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Center x-value of a bin.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace mntp::core

@@ -93,8 +93,4 @@ void ServerFleet::process_slice(std::size_t server,
   }
 }
 
-void ServerFleet::reset() {
-  for (State& st : state_) st = State{};
-}
-
 }  // namespace mntp::fleet

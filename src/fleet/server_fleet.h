@@ -73,9 +73,6 @@ class ServerFleet {
   }
   [[nodiscard]] std::size_t servers() const { return state_.size(); }
 
-  /// Clear all per-run state (cache, batch cursor, totals).
-  void reset();
-
  private:
   static constexpr std::uint64_t kNoBucket = ~0ULL;
 

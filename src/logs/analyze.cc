@@ -83,27 +83,6 @@ std::vector<ProviderOwdStats> LogAnalyzer::provider_owd_stats(
   return out;
 }
 
-std::vector<std::size_t> LogAnalyzer::order_by_median_owd(
-    const std::vector<std::vector<ProviderOwdStats>>& per_server) {
-  std::map<std::size_t, std::pair<double, std::size_t>> acc;  // sum, n
-  for (const auto& stats : per_server) {
-    for (const ProviderOwdStats& ps : stats) {
-      auto& [sum, n] = acc[ps.provider_index];
-      sum += ps.min_owd_ms.median;
-      ++n;
-    }
-  }
-  std::vector<std::size_t> order;
-  order.reserve(acc.size());
-  for (const auto& [idx, _] : acc) order.push_back(idx);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& [sa, na] = acc[a];
-    const auto& [sb, nb] = acc[b];
-    return sa / static_cast<double>(na) < sb / static_cast<double>(nb);
-  });
-  return order;
-}
-
 std::array<double, 4> LogAnalyzer::category_median_owd_ms(
     const std::vector<ServerLog>& logs) {
   std::array<std::vector<double>, 4> values;

@@ -57,12 +57,6 @@ class LogAnalyzer {
   [[nodiscard]] static std::vector<ProviderOwdStats> provider_owd_stats(
       const ServerLog& log, std::size_t min_clients = 3);
 
-  /// Figure 1 ordering key: average of per-provider median min-OWDs
-  /// across several server analyses (the paper sorts providers by the
-  /// "average of minimum OWDs").
-  [[nodiscard]] static std::vector<std::size_t> order_by_median_owd(
-      const std::vector<std::vector<ProviderOwdStats>>& per_server);
-
   /// Category medians across a set of logs, indexed by ProviderCategory —
   /// the headline 40/50/250/550 ms numbers.
   [[nodiscard]] static std::array<double, 4> category_median_owd_ms(

@@ -43,11 +43,4 @@ Protocol classify_protocol(const ntp::NtpPacket& request) {
   return request.looks_like_sntp_request() ? Protocol::kSntp : Protocol::kNtp;
 }
 
-bool owd_measurement_valid(const ntp::NtpPacket& request) {
-  // The OWD heuristic needs the client's transmit timestamp; an unset
-  // transmit (or an unsynchronized leap indicator) invalidates it.
-  return !request.transmit_ts.is_unset() &&
-         request.leap != ntp::LeapIndicator::kUnsynchronized;
-}
-
 }  // namespace mntp::logs

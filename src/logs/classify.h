@@ -33,11 +33,4 @@ namespace mntp::logs {
 enum class Protocol { kSntp, kNtp };
 
 [[nodiscard]] Protocol classify_protocol(const ntp::NtpPacket& request);
-
-/// Synchronization-state filter (Durairajan et al. heuristic): an OWD
-/// computed from a request whose origin timestamp is unset is invalid —
-/// the client's clock was not yet set, so the apparent delay is
-/// meaningless and the measurement must be discarded.
-[[nodiscard]] bool owd_measurement_valid(const ntp::NtpPacket& request);
-
 }  // namespace mntp::logs

@@ -50,29 +50,13 @@ obs::Reason to_reason(SampleOutcome outcome) {
 }
 
 MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
-    : telemetry_(&obs::Telemetry::global()),
-      params_(params),
+    : params_(params),
       // Head-to-head mode (no warm-up period) starts in the regular
       // phase; the filter still bootstraps its first min_warmup_samples
       // unconditionally.
       phase_(start_phase(params.warmup_period)),
       cycle_start_(start),
       filter_(filter_config(params)) {}
-
-void MntpEngine::note_deferral(core::TimePoint t) {
-  ++deferrals_;
-  // Drivers that own a round trace (MntpClient) record the gate detail
-  // and the verdict themselves — they install the round as ambient
-  // before calling us. With no ambient (tuner emulate, direct engine
-  // drivers), mint a one-stage round so deferral causes still land in
-  // the per-query store and the causation table stays complete.
-  obs::QueryTracer& qt = telemetry_->query_tracer();
-  if (qt.enabled() && obs::ambient_query().id == 0) {
-    const obs::QueryId id = qt.begin(t, "round");
-    qt.finish(id, t, obs::Reason::kChannelDefer,
-              {{"phase", std::string(to_string(phase_))}});
-  }
-}
 
 std::size_t MntpEngine::sources_to_query() const {
   return phase_ == Phase::kWarmup ? params_.warmup_sources : 1;
@@ -119,17 +103,6 @@ std::optional<double> MntpEngine::predict_offset_s(core::TimePoint t) const {
 
 MntpEngine::RoundResult MntpEngine::on_round(
     core::TimePoint t, const std::vector<double>& offsets_s) {
-  // Query-trace ownership: a driver that minted a round trace (the
-  // MntpClient) installs it as ambient and emits the verdict itself;
-  // with no ambient and tracing on (direct engine drivers) mint our own
-  // round here so the vote/filter decision stages still attach to a
-  // query and every round gets a verdict.
-  obs::QueryTracer& qt = telemetry_->query_tracer();
-  const bool owned = obs::ambient_query().id == 0 && qt.enabled();
-  const obs::QueryId round_id = owned ? qt.begin(t, "round") : 0;
-  std::optional<obs::ActiveQueryScope> trace_scope;
-  if (owned) trace_scope.emplace(qt, round_id);
-
   RoundResult rr = judge(
       t, offsets_s,
       reset_due(t, params_.reset_period)
@@ -139,7 +112,6 @@ MntpEngine::RoundResult MntpEngine::on_round(
     end_warmup(t);
     rr.warmup_completed = true;
   }
-  if (owned) finish_round_trace(qt, round_id, t, rr, offsets_s.size());
   return rr;
 }
 

@@ -96,7 +96,7 @@ class MntpEngine {
   }
 
   /// Record a deferral (gate closed at an acquisition opportunity).
-  void note_deferral(core::TimePoint t);
+  void note_deferral() { ++deferrals_; }
 
   /// Sources the driver should query for the next round: `warmup_sources`
   /// in warm-up, one in the regular phase.
@@ -150,7 +150,10 @@ class MntpEngine {
   /// Feed the measured offsets (seconds) of one acquisition round taken
   /// at time t. Zero, one, or `sources_to_query()` entries may be present
   /// (failed queries simply do not contribute). Handles phase
-  /// transitions and the reset period.
+  /// transitions and the reset period. The engine mints no query trace:
+  /// a traced driver installs its round as the ambient query first, so
+  /// the vote, filter, reset and warm-up stages attach to it, and closes
+  /// it with finish_round_trace().
   RoundResult on_round(core::TimePoint t, const std::vector<double>& offsets_s);
 
   /// on_round() in two halves, for a driver that decides the checks
@@ -240,11 +243,6 @@ class MntpEngine {
  private:
   /// Mark this cycle's records the filter has pruned since the last call.
   void withdraw_pruned();
-
-  // The ambient obs::Telemetry::global() at construction, for
-  // query-trace stages. The engine stays simulation-free:
-  // obs depends only on core.
-  obs::Telemetry* telemetry_ = nullptr;
 
   MntpParams params_;
   Phase phase_ = Phase::kWarmup;

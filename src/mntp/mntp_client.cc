@@ -83,22 +83,18 @@ void MntpClient::attempt() {
   obs::QueryTracer& qt = sim_.telemetry().query_tracer();
   if (!favorable && !forced) {
     // Deferral: the opportunity is a complete (one-decision) query of
-    // its own — mint, record the gate readings, let the engine attach
-    // its deferral bookkeeping, and close with the defer verdict.
+    // its own — mint, record the gate readings, and close with the
+    // defer verdict.
+    engine_->note_deferral();
+    engine_counters_.count_deferral();
     if (qt.enabled()) {
       const obs::QueryId id = qt.begin(sim_.now(), "round");
       qt.stage(id, sim_.now(), "gate", obs::Reason::kChannelDefer,
                {{"rssi_dbm", hints.rssi.value()},
                 {"noise_dbm", hints.noise.value()},
                 {"snr_margin_db", hints.snr_margin().value()}});
-      obs::ActiveQueryScope scope(qt, id);
-      engine_->note_deferral(sim_.now());
-      engine_counters_.count_deferral();
       qt.finish(id, sim_.now(), obs::Reason::kChannelDefer,
                 {{"phase", std::string(to_string(engine_->phase()))}});
-    } else {
-      engine_->note_deferral(sim_.now());
-      engine_counters_.count_deferral();
     }
     pending_ = sim_.after(params.hint_recheck_interval, [this] { attempt(); });
     return;
@@ -165,8 +161,8 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
   round_trace_ = 0;
   MntpEngine::RoundResult rr;
   {
-    // Install the round so the engine's vote/filter stages attach to it
-    // (the engine then leaves the verdict to us — see on_round).
+    // Install the round so the engine's vote/filter stages attach to it;
+    // the verdict is ours to write.
     obs::ActiveQueryScope scope(qt, round_id);
     rr = engine_->on_round(now, offsets_s);
   }

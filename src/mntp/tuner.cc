@@ -264,7 +264,12 @@ void Replay::step(Branch& b, std::size_t i) {
                       family_.max_deferral > core::Duration::zero() &&
                       t - b.last_emission > family_.max_deferral;
   if (!favorable && !forced) {
-    b.engine.note_deferral(t);
+    // Each deferral is a one-stage query, as in MntpClient::attempt.
+    b.engine.note_deferral();
+    if (tracer_.enabled()) {
+      tracer_.finish(tracer_.begin(t, "round"), t, obs::Reason::kChannelDefer,
+                     {{"phase", std::string(to_string(b.engine.phase()))}});
+    }
     b.next_action_s = rec.t_s + family_.hint_recheck_interval.to_seconds();
     return;
   }

@@ -17,8 +17,7 @@ NtpClient::NtpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
       last_hop_down_(last_hop_down),
       params_(std::move(params)),
       engine_(sim, clock),
-      process_(sim, params_.poll_interval, [this] { poll_round(); }),
-      current_poll_(params_.poll_interval) {
+      process_(sim, params_.poll_interval, [this] { poll_round(); }) {
   filters_.reserve(params_.peer_indices.size());
   for (std::size_t i = 0; i < params_.peer_indices.size(); ++i) {
     filters_.emplace_back(params_.filter);
@@ -139,32 +138,10 @@ void NtpClient::discipline(core::Duration offset) {
   clock_.step(offset.scaled(params_.phase_gain));
   const double update_s = offset.to_seconds();
   freq_integral_ppm_ += params_.frequency_gain * update_s /
-                        current_poll_.to_seconds() * 1e6;
+                        params_.poll_interval.to_seconds() * 1e6;
   freq_integral_ppm_ = std::clamp(freq_integral_ppm_, -params_.max_frequency_ppm,
                                   params_.max_frequency_ppm);
   clock_.set_frequency_compensation(sim_.now(), freq_integral_ppm_);
-
-  if (params_.adaptive_poll) adapt_poll(offset);
-}
-
-void NtpClient::adapt_poll(core::Duration offset) {
-  // ntpd's poll management, simplified: a run of in-band updates earns a
-  // doubled interval (less traffic, less energy); one out-of-band update
-  // snaps back to the base cadence so the loop regains authority fast.
-  if (offset.abs() <= params_.stable_offset_bound) {
-    if (++stable_streak_ >= params_.stable_updates_to_lengthen &&
-        current_poll_ < params_.max_poll_interval) {
-      current_poll_ = std::min(params_.max_poll_interval, current_poll_ * 2);
-      process_.set_interval(current_poll_);
-      stable_streak_ = 0;
-    }
-  } else {
-    stable_streak_ = 0;
-    if (current_poll_ > params_.poll_interval) {
-      current_poll_ = params_.poll_interval;
-      process_.set_interval(current_poll_);
-    }
-  }
 }
 
 }  // namespace mntp::ntp

@@ -26,16 +26,6 @@ struct NtpClientParams {
   /// Indices of the pool members to peer with (stable associations).
   std::vector<std::size_t> peer_indices{0, 1, 2, 3};
   core::Duration poll_interval = core::Duration::seconds(16);
-  /// ntpd-style poll adaptation: lengthen the poll interval while the
-  /// clock is tracking well (small combined offsets), snap back to
-  /// `poll_interval` when it degrades. Off by default so the paper's
-  /// fixed-cadence baseline stays fixed.
-  bool adaptive_poll = false;
-  core::Duration max_poll_interval = core::Duration::seconds(1024);
-  /// Consecutive in-band updates required before doubling the interval.
-  std::size_t stable_updates_to_lengthen = 4;
-  /// |combined offset| below this counts as "tracking well".
-  core::Duration stable_offset_bound = core::Duration::milliseconds(5);
   /// Offsets above this magnitude step the clock; below it, slew.
   core::Duration step_threshold = core::Duration::milliseconds(128);
   /// Consecutive above-threshold rounds (same sign) required before a
@@ -75,15 +65,10 @@ class NtpClient {
   [[nodiscard]] core::Duration last_combined_offset() const { return last_offset_; }
   /// Peers surviving selection in the last round.
   [[nodiscard]] std::size_t last_survivor_count() const { return last_survivors_; }
-  /// Current (possibly adapted) poll interval.
-  [[nodiscard]] core::Duration current_poll_interval() const {
-    return current_poll_;
-  }
 
  private:
   void poll_round();
   void discipline(core::Duration offset);
-  void adapt_poll(core::Duration offset);
 
   sim::Simulation& sim_;
   sim::DisciplinedClock& clock_;
@@ -101,8 +86,6 @@ class NtpClient {
   double freq_integral_ppm_ = 0.0;
   std::size_t above_threshold_streak_ = 0;
   int streak_sign_ = 0;
-  core::Duration current_poll_;
-  std::size_t stable_streak_ = 0;
 };
 
 }  // namespace mntp::ntp

@@ -4,12 +4,19 @@
 
 namespace mntp::ntp {
 
+namespace {
+
+// RFC 4330 §10: a kiss-of-death demands rate reduction, not a retry.
+constexpr double kKodBackoffFactor = 2.0;
+constexpr core::Duration kMaxPollInterval = core::Duration::hours(36);
+
+}  // namespace
+
 SntpClient::SntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
                        ServerPool& pool, net::Link* last_hop_up,
                        net::Link* last_hop_down, SntpClientPolicy policy,
                        QueryOptions query_options)
-    : sim_(sim),
-      clock_(clock),
+    : clock_(clock),
       pool_(pool),
       last_hop_up_(last_hop_up),
       last_hop_down_(last_hop_down),
@@ -24,35 +31,21 @@ void SntpClient::stop() { process_.stop(); }
 
 void SntpClient::poll_once() {
   ++polls_;
-  attempt(policy_.retries);
-}
-
-void SntpClient::attempt(int attempts_left) {
   const std::size_t idx = pool_.pick_index();
   const ServerEndpoint ep = pool_.endpoint(idx, last_hop_up_, last_hop_down_);
-  engine_.query(ep, query_options_,
-                [this, attempts_left](core::Result<SntpSample> result) {
-                  handle(std::move(result), attempts_left);
-                });
+  engine_.query(ep, query_options_, [this](core::Result<SntpSample> result) {
+    handle(std::move(result));
+  });
 }
 
-void SntpClient::handle(core::Result<SntpSample> result, int attempts_left) {
+void SntpClient::handle(core::Result<SntpSample> result) {
   if (!result.ok()) {
-    if (policy_.honor_kiss_of_death &&
-        result.error().code == core::Error::Code::kKissOfDeath) {
-      // RFC 4330 §10: a KoD demands rate reduction — back off, no retry.
+    ++failures_;
+    if (result.error().code == core::Error::Code::kKissOfDeath) {
       ++kod_backoffs_;
-      current_poll_ = std::min(policy_.max_poll_interval,
-                               current_poll_.scaled(policy_.kod_backoff_factor));
+      current_poll_ = std::min(kMaxPollInterval,
+                               current_poll_.scaled(kKodBackoffFactor));
       process_.set_interval(current_poll_);
-      ++failures_;
-      return;
-    }
-    if (attempts_left > 0) {
-      sim_.after(policy_.retry_gap,
-                 [this, attempts_left] { attempt(attempts_left - 1); });
-    } else {
-      ++failures_;
     }
     return;
   }
@@ -60,8 +53,7 @@ void SntpClient::handle(core::Result<SntpSample> result, int attempts_left) {
   samples_.push_back(sample);
   if (on_sample_) on_sample_(sample);
 
-  if (policy_.update_clock &&
-      sample.offset.abs() >= policy_.update_threshold) {
+  if (policy_.update_clock) {
     // SNTP semantics: trust the single sample, step the clock by it.
     clock_.step(sample.offset);
     ++clock_updates_;

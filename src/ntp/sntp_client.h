@@ -1,13 +1,11 @@
 // Periodic SNTP client.
 //
 // This is the baseline the paper measures: a client that polls a pool
-// server on a fixed interval, uses the reported offset directly ("SNTP
-// uses clock offset to update the local clock directly and none of the
-// time-tested filtering algorithms"), retries a configurable number of
-// times on failure, and optionally steps the system clock when the
-// offset exceeds an update threshold — the knobs vendor implementations
-// set (Android: daily poll, 3 retries, 5000 ms threshold; Windows
-// Mobile: weekly poll, no retries; the lab experiments: 5 s poll).
+// server on a fixed interval and uses the reported offset directly
+// ("SNTP uses clock offset to update the local clock directly and none
+// of the time-tested filtering algorithms"). A failed exchange is not
+// retried, and a kiss-of-death reply doubles the poll interval (RFC 4330
+// §10), up to 36 h.
 #pragma once
 
 #include <cstddef>
@@ -27,19 +25,10 @@ namespace mntp::ntp {
 
 struct SntpClientPolicy {
   core::Duration poll_interval = core::Duration::seconds(5);
-  /// Additional attempts after a failed exchange, back to back.
-  int retries = 0;
-  core::Duration retry_gap = core::Duration::seconds(1);
-  /// Apply the measured offset to the system clock (step) when it exceeds
-  /// `update_threshold`. When false the client only reports offsets —
-  /// the mode used in the paper's head-to-head experiments.
+  /// Step the system clock by every measured offset. When false the
+  /// client only reports offsets — the mode used in the paper's
+  /// head-to-head experiments.
   bool update_clock = false;
-  core::Duration update_threshold = core::Duration::zero();
-  /// RFC 4330 §10 compliance: on a kiss-of-death reply, back the polling
-  /// interval off multiplicatively instead of retrying.
-  bool honor_kiss_of_death = true;
-  double kod_backoff_factor = 2.0;
-  core::Duration max_poll_interval = core::Duration::hours(36);
 };
 
 class SntpClient {
@@ -76,10 +65,8 @@ class SntpClient {
 
  private:
   void poll_once();
-  void attempt(int attempts_left);
-  void handle(core::Result<SntpSample> result, int attempts_left);
+  void handle(core::Result<SntpSample> result);
 
-  sim::Simulation& sim_;
   sim::DisciplinedClock& clock_;
   ServerPool& pool_;
   net::Link* last_hop_up_;

@@ -66,10 +66,6 @@ net::Link* Testbed::last_hop_down() {
                           : static_cast<net::Link*>(lan_down_.get());
 }
 
-ServerEndpoint Testbed::endpoint(std::size_t idx) {
-  return pool_->endpoint(idx, last_hop_up(), last_hop_down());
-}
-
 double Testbed::true_clock_offset_ms() {
   return clock_->offset_at(sim_.now()) * 1e3;
 }

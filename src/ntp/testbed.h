@@ -76,9 +76,6 @@ class Testbed {
   [[nodiscard]] net::Link* last_hop_up();
   [[nodiscard]] net::Link* last_hop_down();
 
-  /// Endpoint reaching pool member `idx` through the access hop.
-  [[nodiscard]] ServerEndpoint endpoint(std::size_t idx);
-  [[nodiscard]] std::size_t pick_server() { return pool_->pick_index(); }
 
   /// Oracle: the target system clock's true offset (local - true) in
   /// milliseconds at the current instant — the paper's "true time offset"

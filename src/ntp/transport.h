@@ -6,8 +6,7 @@
 // stamp T2/T3, traverse the downlink path, stamp T4, validate (RFC 4330
 // checks), and deliver an SntpSample — or a typed error on loss, timeout,
 // or validation failure. Retries are the caller's policy, not the
-// engine's (Android retries 3 times, Windows Mobile not at all; MNTP
-// defers instead).
+// engine's (the SNTP client never retries; MNTP defers instead).
 #pragma once
 
 #include <cstdint>

@@ -78,11 +78,6 @@ ShardedHdrHistogram* MetricsRegistry::histogram(std::string_view name,
   });
 }
 
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSnapshot> out;

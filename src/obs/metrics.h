@@ -196,8 +196,6 @@ class MetricsRegistry {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t size() const;
-
   /// Snapshot every metric, ordered by (name, labels).
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
 

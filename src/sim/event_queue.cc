@@ -44,12 +44,4 @@ core::TimePoint EventQueue::run_next() {
   return core::TimePoint::from_ns(entry.when_ns);
 }
 
-void EventQueue::clear() {
-  for (const HeapEntry& e : heap_) {
-    if (entry_live(e)) release_slot(e.slot);
-  }
-  heap_.clear();
-  dead_ = 0;
-}
-
 }  // namespace mntp::sim

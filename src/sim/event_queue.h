@@ -120,8 +120,6 @@ class EventQueue {
   /// or compaction); size() - dead_entries() is the live-event count.
   [[nodiscard]] std::size_t dead_entries() const { return dead_; }
 
-  void clear();
-
  private:
   friend class EventHandle;
 

@@ -32,14 +32,6 @@ double ReplicateReport::median(std::string_view name, double fallback) const {
   return m != nullptr ? m->summary.median : fallback;
 }
 
-const MergedDistribution* ReplicateReport::find_distribution(
-    std::string_view name) const {
-  for (const MergedDistribution& d : distributions) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
 ReplicateReport ReplicationRunner::run(std::uint64_t base_seed,
                                        const Scenario& scenario) const {
   return run(base_seed,

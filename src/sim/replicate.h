@@ -97,9 +97,6 @@ struct ReplicateReport {
   /// Median across replicates of metric `name`; `fallback` when absent.
   [[nodiscard]] double median(std::string_view name,
                               double fallback = 0.0) const;
-  /// Merged distribution by name; nullptr when absent.
-  [[nodiscard]] const MergedDistribution* find_distribution(
-      std::string_view name) const;
 };
 
 class ReplicationRunner {

@@ -166,27 +166,6 @@ TEST(Cdf, EmptyBehaviour) {
   EXPECT_TRUE(cdf.curve(10).empty());
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(9.0, 1.0, 3), std::invalid_argument);
-}
-
 // Property: summarize percentiles are monotone for random data.
 class SummaryProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

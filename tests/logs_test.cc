@@ -91,17 +91,6 @@ TEST(Classify, ProtocolFromPacket) {
   EXPECT_EQ(classify_protocol(full), Protocol::kNtp);
 }
 
-TEST(Classify, OwdValidity) {
-  ntp::NtpPacket p = ntp::NtpPacket::make_sntp_request(
-      core::NtpTimestamp::from_parts(1, 2));
-  EXPECT_TRUE(owd_measurement_valid(p));
-  p.leap = ntp::LeapIndicator::kUnsynchronized;
-  EXPECT_FALSE(owd_measurement_valid(p));
-  p.leap = ntp::LeapIndicator::kNoWarning;
-  p.transmit_ts = core::NtpTimestamp::unset();
-  EXPECT_FALSE(owd_measurement_valid(p));
-}
-
 GeneratorParams test_params() {
   GeneratorParams p;
   p.scale = 1.0 / 5000.0;
@@ -223,21 +212,6 @@ TEST(Analyzer, MobileProvidersMostlySntp) {
     }
   }
   EXPECT_TRUE(saw_mobile);
-}
-
-TEST(Analyzer, ProviderOrderingByMedianOwd) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0 / 300.0}, Rng(10));
-  std::vector<std::vector<ProviderOwdStats>> per_server;
-  per_server.push_back(LogAnalyzer::provider_owd_stats(gen.generate(0), 5));
-  per_server.push_back(LogAnalyzer::provider_owd_stats(gen.generate(14), 5));
-  const auto order = LogAnalyzer::order_by_median_owd(per_server);
-  ASSERT_GT(order.size(), 10u);
-  // Mobile providers (kMobile) must land in the top (slowest) quartile.
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    if (kPaperProviders[order[pos]].category == ProviderCategory::kMobile) {
-      EXPECT_GT(pos, order.size() / 2) << "mobile provider ranked too fast";
-    }
-  }
 }
 
 TEST(Analyzer, MobileMinOwdSpreadIsWide) {

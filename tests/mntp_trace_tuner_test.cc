@@ -269,7 +269,7 @@ tuner::EmulationResult reference_emulate(const Trace& trace,
                         params.max_deferral > Duration::zero() &&
                         t - last_emission > params.max_deferral;
     if (!favorable && !forced) {
-      engine.note_deferral(t);
+      engine.note_deferral();
       next_action_s = rec.t_s + params.hint_recheck_interval.to_seconds();
       continue;
     }

@@ -65,7 +65,7 @@ TEST(ObsConcurrency, RegistryFindOrCreateFromManyThreads) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(reg.counter("shared.series")->value(), kThreads * 500u);
-  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.snapshot().size(), 1u);
 }
 
 TEST(ObsConcurrency, ParallelForWorkersShareOneCounter) {

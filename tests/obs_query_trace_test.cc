@@ -186,23 +186,41 @@ TEST(QueryTracer, JsonlSerializesMetaAndTypedFields) {
   EXPECT_EQ(verdict["reason"].as_string(), "channel_defer");
 }
 
-TEST(QueryTracer, EngineMintsOwnRoundWithoutAmbientDriver) {
-  // Direct engine drivers (the tuner's emulator) install no ambient
-  // round; with tracing on the engine mints one itself so every round
-  // still gets a verdict.
+/// One engine round the way a traced driver runs it: mint the round,
+/// install it as the ambient query, judge, close with the verdict.
+protocol::MntpEngine::RoundResult traced_round(
+    QueryTracer& tracer, protocol::MntpEngine& engine, TimePoint t,
+    const std::vector<double>& offsets) {
+  const QueryId id = tracer.begin(t, "round");
+  protocol::MntpEngine::RoundResult rr;
+  {
+    ActiveQueryScope scope(tracer, id);
+    rr = engine.on_round(t, offsets);
+  }
+  protocol::finish_round_trace(tracer, id, t, rr, offsets.size());
+  return rr;
+}
+
+TEST(QueryTracer, EngineLeavesRoundsToTheDriver) {
+  // The engine mints no query of its own: with tracing on and no ambient
+  // round it records nothing, and the driver's round carries the
+  // verdict.
   Telemetry telemetry;
   ScopedTelemetry scope(telemetry);
-  telemetry.query_tracer().set_enabled(true);
+  QueryTracer& tracer = telemetry.query_tracer();
+  tracer.set_enabled(true);
   protocol::MntpEngine engine(protocol::head_to_head_params(),
                               TimePoint::epoch());
-  (void)engine.on_round(at(5'000'000'000), {0.002});
-  (void)engine.on_round(at(10'000'000'000), {});
+  (void)engine.on_round(at(1'000'000'000), {0.001});
+  EXPECT_TRUE(tracer.snapshot().empty());
+  (void)traced_round(tracer, engine, at(5'000'000'000), {0.002});
+  (void)traced_round(tracer, engine, at(10'000'000'000), {});
 
-  const auto traces = telemetry.query_tracer().snapshot();
+  const auto traces = tracer.snapshot();
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].kind, "round");
   EXPECT_TRUE(traces[0].finished);
-  // First sample bootstraps the filter: accepted in the regular phase
+  // Still bootstrapping the filter: accepted in the regular phase
   // (head-to-head params skip warm-up).
   EXPECT_EQ(traces[0].verdict(), Reason::kAcceptedRegular);
   // A round with no surviving offsets closes as no_samples.
@@ -223,8 +241,12 @@ TEST(QueryTracer, EngineOutputBitIdenticalTracingOnOrOff) {
       for (std::size_t k = rng.index(4); k-- > 0;) {
         offsets.push_back(rng.normal(0.0, 0.01));
       }
-      (void)engine.on_round(at(static_cast<std::int64_t>(i) * 15'000'000'000),
-                            offsets);
+      const TimePoint t = at(static_cast<std::int64_t>(i) * 15'000'000'000);
+      if (tracing) {
+        (void)traced_round(telemetry.query_tracer(), engine, t, offsets);
+      } else {
+        (void)engine.on_round(t, offsets);
+      }
     }
     return engine.records();
   };

@@ -98,16 +98,6 @@ TEST(EventQueue, EventMaySchedule) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  bool ran = false;
-  q.schedule(at_ms(1), [&] { ran = true; });
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(ran);
-}
-
 TEST(EventQueue, DefaultHandleIsInert) {
   EventHandle h;
   EXPECT_FALSE(h.pending());
