@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   // --- Figure 2 shape: SNTP share by category ----------------------------
   std::array<std::uint64_t, 4> cat_clients{};
   std::array<std::uint64_t, 4> cat_sntp{};
-  for (std::uint64_t i = 0; i < fleet->size(); ++i) {
-    const auto c = static_cast<std::size_t>(fleet->category(i));
+  for (const fleet::ClientRow& row : fleet->rows()) {
+    const auto c = static_cast<std::size_t>(fleet::category_of(row.provider));
     ++cat_clients[c];
-    if (fleet->speaker(i) == fleet::Speaker::kSntp) ++cat_sntp[c];
+    if (fleet::speaker_of(row.traits) == fleet::Speaker::kSntp) ++cat_sntp[c];
   }
   {
     core::TextTable table({"category", "clients", "sntp_share_%"});

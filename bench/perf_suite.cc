@@ -324,11 +324,11 @@ std::vector<Workload> build_workloads() {
     sink = static_cast<std::size_t>(report.median("accepted"));
   }});
 
-  // Fleet simulator: 50k SoA clients advanced through 30 sim-seconds of
+  // Fleet simulator: 50k clients advanced through 30 sim-seconds of
   // time-sliced shard processing plus the server-side batching / cache /
   // KoD pipeline, single-threaded (the per-core number the gate tracks;
   // thread scaling belongs to fleet_qps --threads). The population is
-  // built once and shared across reps — run() copies its mutable state.
+  // built once and shared across reps — run() builds its mutable state.
   {
     fleet::FleetParams params;
     params.clients = 50'000;

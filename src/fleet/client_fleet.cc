@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -61,53 +62,57 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
   if (params.clients == 0) {
     throw std::invalid_argument("ClientFleet: clients must be > 0");
   }
+  if (params.clients > std::numeric_limits<std::uint32_t>::max()) {
+    // The calendar wheel and ArrivalRecord carry 32-bit client ids.
+    throw std::invalid_argument("ClientFleet: clients must be <= 2^32 - 1");
+  }
   const std::size_t n = static_cast<std::size_t>(params.clients);
   ClientFleet fleet;
   fleet.size_ = params.clients;
-  fleet.traits_.resize(n);
-  fleet.provider_.resize(n);
-  fleet.server_.resize(n);
-  fleet.base_owd_ms_.resize(n);
-  fleet.clock_err_ms_.resize(n);
-  fleet.skew_ppm_.resize(n);
-  fleet.snr_mean_db_.resize(n);
+  fleet.rows_.resize(n);
   fleet.init_interval_ns_.resize(n);
   fleet.init_next_poll_ns_.resize(n);
+  std::vector<ClientRow>& rows = fleet.rows_;
 
   core::Rng rng(core::derive_stream_seed(params.seed, kBuildStream));
 
-  // Gaussian columns first, one column at a time; the serial pass below
+  // Gaussian fields first, one field at a time; the serial pass below
   // overwrites the entries that are not plain Gaussians (unsynchronized
   // clock errors).
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.clock_err_ms_[i] =
+    rows[i].clock_err_ms =
         static_cast<float>(rng.normal(0.0, params.clock_offset_sigma_ms));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.skew_ppm_[i] =
+    rows[i].skew_ppm =
         static_cast<float>(rng.normal(0.0, params.skew_sigma_ppm));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.snr_mean_db_[i] =
+    rows[i].snr_mean_db =
         static_cast<float>(rng.normal(params.snr_mean_db, params.snr_sigma_db));
   }
 
   const auto server_cum = server_cumulative();
   const auto provider_cum_public = provider_cumulative(false);
   const auto provider_cum_internal = provider_cumulative(true);
+  std::array<double, logs::kPaperProviders.size()> log_median_owd{};
+  for (std::size_t p = 0; p < log_median_owd.size(); ++p) {
+    log_median_owd[p] = std::log(logs::kPaperProviders[p].min_owd_median_ms);
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
+    ClientRow& row = rows[i];
     // Home server weighted by Table-1 unique-client counts.
     const std::size_t s = pick_cumulative(server_cum, rng.uniform(0.0, 1.0));
     const logs::ServerSpec& server = logs::kPaperServers[s];
-    fleet.server_[i] = static_cast<std::uint16_t>(s);
+    row.server = static_cast<std::uint16_t>(s);
 
     // Provider, then the provider-derived traits.
     const std::size_t p = pick_cumulative(
         server.isp_internal ? provider_cum_internal : provider_cum_public,
         rng.uniform(0.0, 1.0));
     const logs::ProviderSpec& provider = logs::kPaperProviders[p];
-    fleet.provider_[i] = static_cast<std::uint8_t>(p);
+    row.provider = static_cast<std::uint8_t>(p);
 
     std::uint8_t traits = 0;
     double sntp_p = provider.sntp_fraction;
@@ -128,17 +133,16 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
       base_ms = rng.uniform(0.35 * provider.min_owd_median_ms,
                             1.75 * provider.min_owd_median_ms);
     } else {
-      base_ms = rng.lognormal(std::log(provider.min_owd_median_ms),
-                              provider.min_owd_sigma);
+      base_ms = rng.lognormal(log_median_owd[p], provider.min_owd_sigma);
     }
     base_ms = std::clamp(base_ms, 1.0, 997.0);
-    fleet.base_owd_ms_[i] = static_cast<float>(base_ms);
+    row.base_owd_ms = static_cast<float>(base_ms);
 
     if (rng.bernoulli(params.unsynchronized_fraction)) {
       traits |= ClientTraits::kUnsynchronized;
       const double mag_ms = 1'000.0 * rng.uniform(params.unsync_offset_min_s,
                                                   params.unsync_offset_max_s);
-      fleet.clock_err_ms_[i] =
+      row.clock_err_ms =
           static_cast<float>(rng.bernoulli(0.5) ? mag_ms : -mag_ms);
     }
 
@@ -159,7 +163,7 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
     fleet.init_next_poll_ns_[i] = static_cast<std::uint64_t>(
         rng.uniform(0.0, 1.0) * static_cast<double>(interval_ns));
 
-    fleet.traits_[i] = traits;
+    row.traits = traits;
     if ((traits & ClientTraits::kSntp) != 0) ++fleet.sntp_clients_;
     if ((traits & ClientTraits::kWireless) != 0) ++fleet.wireless_clients_;
   }

@@ -27,7 +27,7 @@ constexpr std::array<logs::ProviderCategory, 4> kCategories{
 
 }  // namespace
 
-OwdCollector::Slot::Slot() {
+OwdCollector::Summary::Summary() {
   for (auto& row : by_class) {
     for (auto& h : row) h = obs::HdrHistogram(owd_hist_options());
   }
@@ -60,10 +60,9 @@ OwdCollector::OwdCollector(std::size_t slots, double valid_min_ms,
 void OwdCollector::record(std::size_t slot, Speaker speaker,
                           Population population,
                           logs::ProviderCategory category, double owd_ms) {
-  Slot& local = slots_[slot];
+  Summary& local = slots_[slot];
   if (owd_ms < valid_min_ms_ || owd_ms > valid_max_ms_) {
     ++local.invalid;
-    reg_invalid_->inc();
     return;
   }
   const auto sp = static_cast<std::size_t>(speaker);
@@ -72,17 +71,11 @@ void OwdCollector::record(std::size_t slot, Speaker speaker,
   ++local.valid;
   local.by_class[sp][pop].record(owd_ms);
   local.by_category[cat].record(owd_ms);
-  reg_class_[sp][pop]->record(owd_ms);
-  reg_category_[cat]->record(owd_ms);
 }
 
-OwdCollector::Summary OwdCollector::merged() const {
+OwdCollector::Summary OwdCollector::merged() {
   Summary out;
-  for (auto& row : out.by_class) {
-    for (auto& h : row) h = obs::HdrHistogram(owd_hist_options());
-  }
-  for (auto& h : out.by_category) h = obs::HdrHistogram(owd_hist_options());
-  for (const Slot& slot : slots_) {
+  for (const Summary& slot : slots_) {
     out.valid += slot.valid;
     out.invalid += slot.invalid;
     for (std::size_t sp = 0; sp < 2; ++sp) {
@@ -94,6 +87,15 @@ OwdCollector::Summary OwdCollector::merged() const {
       out.by_category[cat].merge(slot.by_category[cat]);
     }
   }
+  for (std::size_t sp = 0; sp < 2; ++sp) {
+    for (std::size_t pop = 0; pop < 2; ++pop) {
+      reg_class_[sp][pop]->merge(out.by_class[sp][pop]);
+    }
+  }
+  for (std::size_t cat = 0; cat < 4; ++cat) {
+    reg_category_[cat]->merge(out.by_category[cat]);
+  }
+  reg_invalid_->inc(out.invalid);
   return out;
 }
 

@@ -5,10 +5,10 @@
 // §3.1 measurement study asks the transposed question — "what does a
 // *server* see from millions of clients". Replaying one event per query
 // through the event kernel would spend the whole budget on queue churn.
-// The fleet layer instead keeps the population in struct-of-arrays form
-// (src/fleet/client_fleet.h) and advances it in time-sliced batches per
-// shard (src/fleet/simulator.h), so the inner loop is a tight pass over
-// contiguous arrays with no allocation and no priority queue.
+// The fleet layer instead keeps the population as one compact row per
+// client (src/fleet/client_fleet.h) and advances it in time-sliced
+// batches per shard (src/fleet/simulator.h), so the inner loop touches a
+// client's row and state with no allocation and no priority queue.
 //
 // Determinism contract (the same one sim::ReplicationRunner and the
 // sharded obs metrics obey): every random decision is a pure function of

@@ -45,16 +45,15 @@ ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
 
 void ServerFleet::process_slice(std::size_t server,
                                 std::span<const ArrivalRecord> arrivals,
-                                const ClientFleet& fleet,
-                                std::span<std::uint64_t> interval_ns,
+                                std::span<ClientState> clients,
                                 OwdCollector& owd) {
   State& st = state_[server];
+  const ServerTotals before = st.totals;
   const std::uint64_t server_seed =
       core::derive_stream_seed(seed_root_, server);
   std::uint64_t slice_requests = 0;
   for (const ArrivalRecord& a : arrivals) {
     ++st.totals.requests;
-    requests_counter_[server]->inc();
     // Batching: a new batch window opens a new batch. The cursor
     // persists across slices so a window straddling a slice boundary is
     // still one batch.
@@ -62,15 +61,14 @@ void ServerFleet::process_slice(std::size_t server,
     if (batch != st.prev_batch) {
       st.prev_batch = batch;
       ++st.totals.batches;
-      batches_counter_->inc();
     }
     // KoD rate limit: over-limit requests get no time response; the
     // client backs off its poll interval (capped).
     if (++slice_requests > kod_limit_) {
       ++st.totals.kod;
-      kod_counter_->inc();
-      interval_ns[a.client] = ntp::kod_backoff_interval_ns(
-          interval_ns[a.client], kod_backoff_factor_, kod_cap_ns_);
+      std::uint64_t& interval = clients[a.client].interval_ns;
+      interval = ntp::kod_backoff_interval_ns(interval, kod_backoff_factor_,
+                                              kod_cap_ns_);
       continue;
     }
     // Response cache: the server's clock error is a pure function of
@@ -82,15 +80,19 @@ void ServerFleet::process_slice(std::size_t server,
       core::Rng rng(core::derive_stream_seed(server_seed, bucket));
       st.cached_err_ms = rng.normal(0.0, server_err_sigma_ms_);
       ++st.totals.cache_misses;
-      cache_miss_counter_->inc();
     } else {
       ++st.totals.cache_hits;
-      cache_hit_counter_->inc();
     }
     const double owd_ms = a.partial_ms + st.cached_err_ms;
-    owd.record(server, fleet.speaker(a.client), fleet.population(a.client),
-               fleet.category(a.client), owd_ms);
+    owd.record(server, speaker_of(a.traits), population_of(a.traits),
+               category_of(a.provider), owd_ms);
   }
+  // The registry counters take this slice's increments in one add each.
+  requests_counter_[server]->inc(st.totals.requests - before.requests);
+  batches_counter_->inc(st.totals.batches - before.batches);
+  kod_counter_->inc(st.totals.kod - before.kod);
+  cache_hit_counter_->inc(st.totals.cache_hits - before.cache_hits);
+  cache_miss_counter_->inc(st.totals.cache_misses - before.cache_misses);
 }
 
 }  // namespace mntp::fleet

@@ -34,12 +34,17 @@ namespace mntp::fleet {
 
 /// One delivered query as Phase A emits it. `partial_ms` is the
 /// client-side half of the measured OWD (true delay minus client clock
-/// error); Phase B adds the server's cached clock error.
+/// error); Phase B adds the server's cached clock error. The client's
+/// traits and provider ride in what would be padding, so Phase B's OWD
+/// record reads no fleet memory.
 struct ArrivalRecord {
   std::uint64_t arrive_ns;
   std::uint32_t client;
+  std::uint8_t traits;    // ClientRow::traits
+  std::uint8_t provider;  // ClientRow::provider
   double partial_ms;
 };
+static_assert(sizeof(ArrivalRecord) == 24);
 
 struct ServerTotals {
   std::uint64_t requests = 0;
@@ -55,7 +60,7 @@ class ServerFleet {
   /// when the fleet uses the paper population). Binds registry handles
   /// from the current global obs context: per-server
   /// fleet.server.requests{server=...} plus fleet-wide kod / batches /
-  /// cache counters.
+  /// cache counters, each added once per processed slice.
   ServerFleet(const FleetParams& params, std::size_t servers);
 
   /// Process one server's canonically-sorted slice batch. Safe to call
@@ -64,9 +69,7 @@ class ServerFleet {
   /// collector slot is the server index.
   void process_slice(std::size_t server,
                      std::span<const ArrivalRecord> arrivals,
-                     const ClientFleet& fleet,
-                     std::span<std::uint64_t> interval_ns,
-                     OwdCollector& owd);
+                     std::span<ClientState> clients, OwdCollector& owd);
 
   [[nodiscard]] const ServerTotals& totals(std::size_t server) const {
     return state_[server].totals;

@@ -76,11 +76,16 @@ FleetResult Simulator::run(std::size_t threads) {
       static_cast<std::uint64_t>(params_.kod_backoff_cap_s / params_.slice_s) +
       2;
 
-  // Per-run mutable client state, copied so runs are independent.
-  std::vector<std::uint64_t> next_poll(fleet.init_next_poll_ns());
-  std::vector<std::uint64_t> interval(fleet.init_interval_ns());
-  std::vector<double> shadow_db(n, 0.0);
-  std::vector<std::uint64_t> last_adv_ns(n, 0);
+  // Per-run mutable client state, fresh per run so runs are independent.
+  const std::vector<ClientRow>& rows = fleet.rows();
+  std::vector<ClientState> state;
+  state.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state.push_back(ClientState{.next_poll_ns = fleet.init_next_poll_ns()[i],
+                                .interval_ns = fleet.init_interval_ns()[i],
+                                .last_adv_ns = 0,
+                                .shadow_db = 0.0});
+  }
 
   // Calendar wheels and arrival buffers, per shard.
   std::vector<std::vector<std::vector<std::uint32_t>>> wheel(shards);
@@ -92,8 +97,8 @@ FleetResult Simulator::run(std::size_t threads) {
     const std::size_t lo = sh * per_shard;
     const std::size_t hi = std::min(lo + per_shard, n);
     for (std::size_t i = lo; i < hi; ++i) {
-      if (next_poll[i] < duration_ns) {
-        wheel[sh][(next_poll[i] / slice_ns) % wheel_h].push_back(
+      if (state[i].next_poll_ns < duration_ns) {
+        wheel[sh][(state[i].next_poll_ns / slice_ns) % wheel_h].push_back(
             static_cast<std::uint32_t>(i));
       }
     }
@@ -117,23 +122,23 @@ FleetResult Simulator::run(std::size_t threads) {
 
   for (std::uint64_t slice = 0; slice < n_slices; ++slice) {
     const std::uint64_t slot_index = slice % wheel_h;
-    // Phase A: clients. Each shard owns its wheel, its arrival buffers
-    // and its slice tallies; the only shared reads are the immutable
-    // fleet columns.
+    // Phase A: clients. Each shard owns its wheel, its arrival buffers,
+    // its clients' states and its slice tallies; the only shared reads
+    // are the immutable fleet rows.
     pool.parallel_for(0, shards, [&](std::size_t sh) {
       std::vector<std::uint32_t>& scratch = drain_scratch[sh];
       scratch.swap(wheel[sh][slot_index]);
       std::uint64_t q_count = 0;
       std::uint64_t d_count = 0;
       for (const std::uint32_t id : scratch) {
-        const std::uint64_t poll_ns = next_poll[id];
+        ClientState& cs = state[id];
+        const ClientRow& row = rows[id];
+        const std::uint64_t poll_ns = cs.next_poll_ns;
         core::Rng q(core::derive_stream_seed(
             core::derive_stream_seed(client_root, id), poll_ns));
         ++q_count;
-        queries_counter_->inc();
 
-        const std::uint8_t traits = fleet.traits()[id];
-        const bool wireless = (traits & ClientTraits::kWireless) != 0;
+        const bool wireless = (row.traits & ClientTraits::kWireless) != 0;
         bool delivered;
         double backoff_ms = 0.0;
         if (wireless) {
@@ -142,14 +147,14 @@ FleetResult Simulator::run(std::size_t threads) {
           // SNR failure curve and the MAC retry loop.
           namespace kernel = net::wireless_kernel;
           const double gap_s =
-              static_cast<double>(poll_ns - last_adv_ns[id]) / kNsPerSec;
+              static_cast<double>(poll_ns - cs.last_adv_ns) / kNsPerSec;
           const double sh_db = kernel::ou_advance(
-              shadow_db[id], gap_s, params_.shadowing_sigma_db,
+              cs.shadow_db, gap_s, params_.shadowing_sigma_db,
               params_.shadowing_tau_s, q);
-          shadow_db[id] = sh_db;
-          last_adv_ns[id] = poll_ns;
+          cs.shadow_db = sh_db;
+          cs.last_adv_ns = poll_ns;
           const double p_fail = kernel::snr_failure_probability(
-              fleet.snr_mean_db()[id] + sh_db, params_.snr50_db,
+              row.snr_mean_db + sh_db, params_.snr50_db,
               params_.snr_slope_db);
           const kernel::MacResult mac = kernel::mac_transmit(
               p_fail, params_.max_retries, params_.retry_backoff_ms, q);
@@ -160,30 +165,31 @@ FleetResult Simulator::run(std::size_t threads) {
         }
 
         if (delivered) {
-          const bool mobile = fleet.category(id) ==
-                              logs::ProviderCategory::kMobile;
+          const bool mobile =
+              category_of(row.provider) == logs::ProviderCategory::kMobile;
           double owd_ms =
-              static_cast<double>(fleet.base_owd_ms()[id]) *
+              static_cast<double>(row.base_owd_ms) *
                   q.pareto(1.0, mobile ? mobile_shape : fixed_shape) +
               backoff_ms;
           owd_ms = std::min(owd_ms, params_.owd_cap_ms);
           const double poll_s = static_cast<double>(poll_ns) / kNsPerSec;
           const double client_err_ms =
-              static_cast<double>(fleet.clock_err_ms()[id]) +
-              static_cast<double>(fleet.skew_ppm()[id]) * poll_s * 1e-3;
-          arrivals[sh][fleet.server()[id]].push_back(ArrivalRecord{
+              static_cast<double>(row.clock_err_ms) +
+              static_cast<double>(row.skew_ppm) * poll_s * 1e-3;
+          arrivals[sh][row.server].push_back(ArrivalRecord{
               .arrive_ns =
                   poll_ns + static_cast<std::uint64_t>(owd_ms * kNsPerMs),
               .client = id,
+              .traits = row.traits,
+              .provider = row.provider,
               .partial_ms = owd_ms - client_err_ms,
           });
         } else {
           ++d_count;
-          dropped_counter_->inc();
         }
 
-        const std::uint64_t np = poll_ns + interval[id];
-        next_poll[id] = np;
+        const std::uint64_t np = poll_ns + cs.interval_ns;
+        cs.next_poll_ns = np;
         if (np < duration_ns) {
           wheel[sh][(np / slice_ns) % wheel_h].push_back(id);
         }
@@ -191,6 +197,8 @@ FleetResult Simulator::run(std::size_t threads) {
       scratch.clear();
       shard_queries[sh] += q_count;
       shard_dropped[sh] += d_count;
+      queries_counter_->inc(q_count);
+      dropped_counter_->inc(d_count);
     });
 
     // Phase B: servers. Gather each server's arrivals from every shard,
@@ -211,7 +219,7 @@ FleetResult Simulator::run(std::size_t threads) {
                              ? a.arrive_ns < b.arrive_ns
                              : a.client < b.client;
                 });
-      server_fleet.process_slice(s, batch, fleet, interval, owd);
+      server_fleet.process_slice(s, batch, state, owd);
     });
   }
 

@@ -81,8 +81,8 @@ class Simulator {
 
   /// One full run over `params.duration_s`, fanned out over
   /// `threads` workers (0/1 = exact serial path, per core::ThreadPool).
-  /// Mutable client state is copied fresh per call, so repeated runs are
-  /// independent and identical.
+  /// Mutable client state (one ClientState per client) is built fresh
+  /// per call, so repeated runs are independent and identical.
   [[nodiscard]] FleetResult run(std::size_t threads);
 
   [[nodiscard]] const FleetParams& params() const { return params_; }

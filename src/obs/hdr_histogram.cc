@@ -223,6 +223,11 @@ void ShardedHdrHistogram::record(double v) {
   shard_for_this_thread()->record(v);
 }
 
+void ShardedHdrHistogram::merge(const HdrHistogram& h) {
+  if (!enabled_->load(std::memory_order_relaxed)) return;
+  shard_for_this_thread()->merge(h);
+}
+
 HdrHistogram ShardedHdrHistogram::merged() const {
   HdrHistogram out(options_);
   shards_.for_each([&out](const HdrHistogram& shard) { out.merge(shard); });

@@ -190,6 +190,10 @@ class ShardedHdrHistogram {
   /// Record into this thread's shard. Lock-free after the shard exists
   /// (one mutex acquisition per thread per histogram, at first record).
   void record(double v);
+  /// Merge a whole histogram into this thread's shard, for a writer that
+  /// aggregates locally and publishes once. Throws std::invalid_argument
+  /// when the layouts differ (HdrHistogram::merge).
+  void merge(const HdrHistogram& h);
 
   /// Merge every shard into one histogram. Identical result for every
   /// thread count / interleaving (merge is order-insensitive). Call after

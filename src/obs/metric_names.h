@@ -60,11 +60,13 @@ inline constexpr const char kMntpClientClockSteps[] =
 // tuner
 inline constexpr const char kTunerConfigsScored[] = "tuner.configs_scored";
 
-// fleet: the SoA client-population simulator (src/fleet/). Counters are
-// ShardedCounters bumped from worker threads; the OWD families are
+// fleet: the client-population simulator (src/fleet/). Counters are
+// ShardedCounters added once per shard-slice (client) or server-slice
+// (server) from worker threads; the OWD families are
 // ShardedHdrHistograms labelled by (speaker, population) and by provider
-// category respectively — the aggregates behind the §3.1-style tables
-// fleet_qps prints and the mntp_fleet_report artifact embeds.
+// category respectively, published once per run — the aggregates behind
+// the §3.1-style tables fleet_qps prints and the mntp_fleet_report
+// artifact embeds.
 inline constexpr const char kFleetClientQueries[] = "fleet.client.queries";
 inline constexpr const char kFleetClientDropped[] = "fleet.client.dropped";
 inline constexpr const char kFleetServerRequests[] = "fleet.server.requests";

@@ -158,15 +158,6 @@ std::uint64_t QueryTracer::sampled_out() const {
   return sampled_out_;
 }
 
-void QueryTracer::clear() {
-  std::lock_guard lock(mutex_);
-  traces_.clear();
-  index_.clear();
-  sampled_out_ = 0;
-  dropped_queries_ = 0;
-  dropped_stages_ = 0;
-}
-
 void QueryTracer::export_counters(MetricsRegistry& registry) const {
   std::uint64_t kept, sampled_out, dropped;
   {

@@ -193,8 +193,6 @@ class QueryTracer {
   [[nodiscard]] std::uint64_t kept() const;
   /// Traces the sampling gate rejected.
   [[nodiscard]] std::uint64_t sampled_out() const;
-  /// Forget all stored traces (keeps the id counter monotonic).
-  void clear();
 
   /// Export the accounting into `registry` as obs.query_trace.kept /
   /// .sampled_out / .dropped counters, so `mntp-inspect` reconciliation

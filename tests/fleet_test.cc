@@ -1,8 +1,16 @@
 // Fleet layer unit tests: population build calibration and the
-// simulator's conservation / mechanism invariants.
+// simulator's conservation / mechanism invariants. The binary replaces
+// global operator new with a malloc wrapper that can refuse large
+// requests (see the id-width test).
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +21,30 @@
 #include "fleet/simulator.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+
+namespace {
+// Largest single allocation operator new grants; see the id-width test.
+std::atomic<std::size_t> g_alloc_cap{std::numeric_limits<std::size_t>::max()};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  const bool granted = size <= g_alloc_cap.load(std::memory_order_relaxed);
+  if (void* p = granted ? std::malloc(size == 0 ? 1 : size) : nullptr) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line, so the compiler pairs each delete with operator new
+// rather than seeing a bare free() of a new'd pointer.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mntp {
 namespace {
@@ -38,11 +70,12 @@ TEST(ClientFleet, BuildMatchesPopulationTargets) {
   EXPECT_GT(fleet.wireless_clients(), 0U);
   // Mobile-provider clients are always wireless.
   for (std::uint64_t i = 0; i < fleet.size(); ++i) {
-    if (fleet.category(i) == logs::ProviderCategory::kMobile) {
-      EXPECT_EQ(fleet.population(i), fleet::Population::kWireless);
+    const fleet::ClientRow& row = fleet.rows()[i];
+    if (fleet::category_of(row.provider) == logs::ProviderCategory::kMobile) {
+      EXPECT_EQ(fleet::population_of(row.traits), fleet::Population::kWireless);
     }
-    EXPECT_GE(fleet.base_owd_ms()[i], 1.0F);
-    EXPECT_LE(fleet.base_owd_ms()[i], 997.0F);
+    EXPECT_GE(row.base_owd_ms, 1.0F);
+    EXPECT_LE(row.base_owd_ms, 997.0F);
     EXPECT_LT(fleet.init_next_poll_ns()[i], fleet.init_interval_ns()[i]);
   }
 }
@@ -51,10 +84,20 @@ TEST(ClientFleet, BuildIsDeterministic) {
   const fleet::FleetParams p = small_params();
   const fleet::ClientFleet a = fleet::ClientFleet::build(p);
   const fleet::ClientFleet b = fleet::ClientFleet::build(p);
-  EXPECT_EQ(a.traits(), b.traits());
-  EXPECT_EQ(a.server(), b.server());
-  EXPECT_EQ(a.base_owd_ms(), b.base_owd_ms());
+  EXPECT_EQ(a.rows(), b.rows());
   EXPECT_EQ(a.init_next_poll_ns(), b.init_next_poll_ns());
+}
+
+TEST(ClientFleet, RejectsIdsWiderThan32BitsBeforeAllocating) {
+  // Ids are 32-bit in the calendar wheel and in ArrivalRecord. While the
+  // cap is armed, operator new refuses any request above 1 MiB, so a
+  // build that allocated the population before validating fails with
+  // std::bad_alloc instead of touching gigabytes.
+  fleet::FleetParams p = small_params();
+  p.clients = (std::uint64_t{1} << 32) + 1;
+  g_alloc_cap.store(std::size_t{1} << 20);
+  EXPECT_THROW((void)fleet::ClientFleet::build(p), std::invalid_argument);
+  g_alloc_cap.store(std::numeric_limits<std::size_t>::max());
 }
 
 TEST(Simulator, ConservationInvariantsHold) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -86,6 +87,30 @@ TEST(Histogram, MomentsAndExtremes) {
   EXPECT_DOUBLE_EQ(m.max(), 25.0);
   EXPECT_NEAR(m.sum(), 46.0, 46.0 * kHdrRelError);
   EXPECT_NEAR(m.mean(), 11.5, 11.5 * kHdrRelError);
+}
+
+TEST(Histogram, MergeEqualsRecordingEachSample) {
+  // A writer that aggregates locally and publishes once must leave the
+  // series exactly where recording every sample would.
+  MetricsRegistry reg;
+  ShardedHdrHistogram* per_sample = reg.histogram("a");
+  ShardedHdrHistogram* published = reg.histogram("b");
+  HdrHistogram local;
+  for (double v : {0.25, 3.0, 3.0, 47.5, 1e4}) {
+    per_sample->record(v);
+    local.record(v);
+  }
+  published->merge(local);
+  EXPECT_EQ(published->merged(), per_sample->merged());
+
+  reg.set_enabled(false);
+  published->merge(local);
+  EXPECT_EQ(published->merged(), per_sample->merged());
+  reg.set_enabled(true);
+
+  EXPECT_THROW(published->merge(HdrHistogram(HdrHistogramOptions{
+                   .min_magnitude = 1.0, .max_magnitude = 16.0})),
+               std::invalid_argument);
 }
 
 TEST(Histogram, BucketPlacementIncludesOverflow) {
