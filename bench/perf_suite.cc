@@ -87,17 +87,30 @@ double mad(std::vector<double> xs, double median) {
   return core::percentile(xs, 50.0);
 }
 
-WorkloadResult measure(const Workload& w, std::size_t warmup,
-                       std::size_t reps) {
-  WorkloadResult result;
-  result.name = w.name;
-  for (std::size_t i = 0; i < warmup; ++i) w.run();
-  result.samples_us.reserve(reps);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const double t0 = now_us();
-    w.run();
-    result.samples_us.push_back(now_us() - t0);
+/// Run `warmup` untimed then `reps` timed rounds, interleaved: round i
+/// runs every workload once before round i+1 runs any, so workloads
+/// compared within one run (the telemetry-off budget pair) sample the
+/// same host state rather than states seconds apart. Odd rounds run the
+/// list backwards, so no workload always follows the same neighbour.
+std::vector<std::vector<double>> run_rounds(
+    const std::vector<Workload>& workloads, std::size_t warmup,
+    std::size_t reps) {
+  std::vector<std::vector<double>> samples_us(workloads.size());
+  for (std::size_t round = 0; round < warmup + reps; ++round) {
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+      const std::size_t k = round % 2 == 0 ? i : workloads.size() - 1 - i;
+      const double t0 = now_us();
+      workloads[k].run();
+      if (round >= warmup) samples_us[k].push_back(now_us() - t0);
+    }
   }
+  return samples_us;
+}
+
+WorkloadResult summarize(std::string name, std::vector<double> samples_us) {
+  WorkloadResult result;
+  result.name = std::move(name);
+  result.samples_us = std::move(samples_us);
   result.median_us = core::percentile(result.samples_us, 50.0);
   result.mad_us = mad(result.samples_us, result.median_us);
   result.p95_us = core::percentile(result.samples_us, 95.0);
@@ -416,17 +429,22 @@ int main(int argc, char** argv) {
   bench::reject_unknown_flags(argc, argv);
 
   std::printf("== MNTP perf suite: %zu reps (+%zu warmup) ==\n", reps, warmup);
+  std::vector<Workload> workloads = build_workloads();
+  std::erase_if(workloads, [&](const Workload& w) {
+    return !only.empty() && w.name != only;
+  });
+  if (workloads.empty()) {
+    std::fprintf(stderr, "no workload matched --workload %s\n", only.c_str());
+    return 2;
+  }
+  std::vector<std::vector<double>> samples_us =
+      run_rounds(workloads, warmup, reps);
   std::vector<WorkloadResult> results;
-  for (const Workload& w : build_workloads()) {
-    if (!only.empty() && w.name != only) continue;
-    results.push_back(measure(w, warmup, reps));
+  for (std::size_t k = 0; k < workloads.size(); ++k) {
+    results.push_back(summarize(workloads[k].name, std::move(samples_us[k])));
     const WorkloadResult& r = results.back();
     std::printf("  %-22s median %10.1f us  mad %8.1f  p95 %10.1f\n",
                 r.name.c_str(), r.median_us, r.mad_us, r.p95_us);
-  }
-  if (results.empty()) {
-    std::fprintf(stderr, "no workload matched --workload %s\n", only.c_str());
-    return 2;
   }
 
   core::TextTable table({"workload", "median_us", "mad_us", "p95_us",

@@ -3,11 +3,10 @@
 // `FixedFunction<R(Args...), N>` stores any callable whose decayed type
 // fits in N bytes (and is nothrow-move-constructible) inline, with no
 // heap allocation on construction, move, invocation, or destruction —
-// the property the event kernel's schedule/fire path depends on.
-// Oversized or throwing-move callables still work, but fall back to a
-// single heap allocation and bump a process-wide counter
-// (`core::fixed_function_heap_fallbacks()`), so regressions are loud in
-// tests instead of silently re-introducing per-event allocations.
+// the property the event kernel's schedule/fire path depends on. There
+// is no heap fallback: a callable that does not fit fails to compile
+// (`static_assert` in `emplace`), so allocation-free callables are a
+// compile-time guarantee rather than a runtime count.
 //
 // Differences from std::function, all deliberate:
 //   * move-only (captured state is never copied, so move-only captures
@@ -17,30 +16,13 @@
 //     rather than throwing std::bad_function_call.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace mntp::core {
-
-namespace detail {
-
-/// Process-wide count of FixedFunction constructions (any instantiation)
-/// that exceeded the inline buffer and heap-allocated. Relaxed atomic:
-/// totals are exact, ordering is irrelevant.
-inline std::atomic<std::uint64_t> fixed_function_heap_fallbacks{0};
-
-}  // namespace detail
-
-/// Total heap-fallback constructions across all FixedFunction
-/// instantiations since process start.
-[[nodiscard]] inline std::uint64_t fixed_function_heap_fallbacks() {
-  return detail::fixed_function_heap_fallbacks.load(std::memory_order_relaxed);
-}
 
 template <typename Signature, std::size_t N = 48>
 class FixedFunction;
@@ -94,25 +76,15 @@ class FixedFunction<R(Args...), N> {
   void emplace(F&& f) {
     reset();
     using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      detail::fixed_function_heap_fallbacks.fetch_add(
-          1, std::memory_order_relaxed);
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    static_assert(fits_inline<Fn>(),
+                  "callable exceeds the FixedFunction inline buffer (or its "
+                  "move may throw); shrink the capture or raise N");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &kOps<Fn>;
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
-  }
-
-  /// True when the held callable lives in the inline buffer (empty
-  /// functions report true: they hold nothing on the heap).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ == nullptr || ops_->inline_storage;
   }
 
   R operator()(Args... args) {
@@ -126,7 +98,6 @@ class FixedFunction<R(Args...), N> {
     /// Move-construct dst's storage from src's, then destroy src's.
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void* storage) noexcept;
-    bool inline_storage;
   };
 
   template <typename Fn>
@@ -136,7 +107,7 @@ class FixedFunction<R(Args...), N> {
   }
 
   template <typename Fn>
-  static constexpr Ops kInlineOps{
+  static constexpr Ops kOps{
       [](void* storage, Args&&... args) -> R {
         return (*static_cast<Fn*>(storage))(std::forward<Args>(args)...);
       },
@@ -146,19 +117,6 @@ class FixedFunction<R(Args...), N> {
         fn->~Fn();
       },
       [](void* storage) noexcept { static_cast<Fn*>(storage)->~Fn(); },
-      /*inline_storage=*/true,
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps{
-      [](void* storage, Args&&... args) -> R {
-        return (**static_cast<Fn**>(storage))(std::forward<Args>(args)...);
-      },
-      [](void* src, void* dst) noexcept {
-        ::new (dst) Fn*(*static_cast<Fn**>(src));
-      },
-      [](void* storage) noexcept { delete *static_cast<Fn**>(storage); },
-      /*inline_storage=*/false,
   };
 
   void take(FixedFunction&& other) noexcept {
@@ -169,11 +127,8 @@ class FixedFunction<R(Args...), N> {
     }
   }
 
-  static constexpr std::size_t kStorageBytes =
-      N < sizeof(void*) ? sizeof(void*) : N;
-
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kStorageBytes];
+  alignas(std::max_align_t) unsigned char storage_[N];
 };
 
 }  // namespace mntp::core

@@ -5,14 +5,6 @@
 
 namespace mntp::core {
 
-std::optional<LinearFit> least_squares(std::span<const double> xs,
-                                       std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return std::nullopt;
-  IncrementalLinReg acc;
-  for (std::size_t i = 0; i < xs.size(); ++i) acc.add(xs[i], ys[i]);
-  return acc.fit();
-}
-
 void IncrementalLinReg::add(double x, double y) {
   if (!have_origin_) {
     x0_ = x;
@@ -25,18 +17,6 @@ void IncrementalLinReg::add(double x, double y) {
   sxx_ += cx * cx;
   sxy_ += cx * y;
   syy_ += y * y;
-}
-
-void IncrementalLinReg::remove(double x, double y) {
-  if (n_ == 0) return;
-  const double cx = x - x0_;
-  --n_;
-  sx_ -= cx;
-  sy_ -= y;
-  sxx_ -= cx * cx;
-  sxy_ -= cx * y;
-  syy_ -= y * y;
-  if (n_ == 0) reset();
 }
 
 void IncrementalLinReg::reset() {
@@ -67,12 +47,6 @@ std::optional<LinearFit> IncrementalLinReg::fit() const {
     f.r_squared = std::clamp(ss_reg / ss_tot, 0.0, 1.0);
   }
   return f;
-}
-
-std::optional<double> IncrementalLinReg::predict(double x) const {
-  const auto f = fit();
-  if (!f) return std::nullopt;
-  return f->predict(x);
 }
 
 }  // namespace mntp::core

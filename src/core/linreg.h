@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 
 namespace mntp::core {
 
@@ -29,14 +28,7 @@ struct LinearFit {
   [[nodiscard]] double residual(double x, double y) const { return y - predict(x); }
 };
 
-/// Ordinary least squares over paired samples. Requires xs.size() ==
-/// ys.size(). Returns nullopt with fewer than two points or when all x
-/// values coincide (vertical line).
-[[nodiscard]] std::optional<LinearFit> least_squares(std::span<const double> xs,
-                                                     std::span<const double> ys);
-
-/// Incremental least-squares accumulator: O(1) add and O(1) fit, with
-/// support for removing the oldest contribution when used behind a window.
+/// Incremental least-squares accumulator: O(1) add and O(1) fit.
 ///
 /// Internally keeps sums centered on the first x value to avoid
 /// catastrophic cancellation when x values are large (nanosecond
@@ -46,20 +38,12 @@ class IncrementalLinReg {
   /// Add an (x, y) observation.
   void add(double x, double y);
 
-  /// Remove a previously added observation. The caller is responsible for
-  /// only removing points that were added (used for sliding windows).
-  void remove(double x, double y);
-
   void reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
 
   /// Current fit, or nullopt when underdetermined.
   [[nodiscard]] std::optional<LinearFit> fit() const;
-
-  /// Convenience: predicted y at x from the current fit; nullopt when
-  /// the fit is underdetermined.
-  [[nodiscard]] std::optional<double> predict(double x) const;
 
  private:
   std::size_t n_ = 0;

@@ -1,7 +1,6 @@
 #include "core/ntp_timestamp.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace mntp::core {
 
@@ -45,14 +44,6 @@ Duration NtpTimestamp::operator-(NtpTimestamp o) const {
   const auto diff = static_cast<std::int64_t>(raw_ - o.raw_);
   const double seconds_diff = static_cast<double>(diff) / kFrac32;
   return Duration::from_seconds(seconds_diff);
-}
-
-std::string NtpTimestamp::to_string() const {
-  char buf[40];
-  const double frac_sec = static_cast<double>(fraction()) / kFrac32;
-  std::snprintf(buf, sizeof buf, "%u.%06u", seconds(),
-                static_cast<unsigned>(frac_sec * 1e6));
-  return buf;
 }
 
 NtpShort NtpShort::from_duration(Duration d) {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <compare>
-#include <string>
 
 #include "core/time.h"
 
@@ -61,9 +60,6 @@ class NtpTimestamp {
   [[nodiscard]] Duration operator-(NtpTimestamp o) const;
 
   constexpr auto operator<=>(const NtpTimestamp&) const = default;
-
-  /// Render as "sssssssss.ffffff" seconds since the NTP epoch.
-  [[nodiscard]] std::string to_string() const;
 
  private:
   explicit constexpr NtpTimestamp(std::uint64_t raw) : raw_(raw) {}

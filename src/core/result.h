@@ -57,8 +57,6 @@ struct Error {
   [[nodiscard]] static Error io(std::string msg) {
     return {Code::kIo, std::move(msg)};
   }
-
-  [[nodiscard]] const char* code_name() const;
 };
 
 template <typename T>

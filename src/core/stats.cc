@@ -40,12 +40,7 @@ double RunningStats::variance() const {
   return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double RunningStats::sample_variance() const {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-double RunningStats::sample_stddev() const { return std::sqrt(sample_variance()); }
 
 std::string Summary::to_string() const {
   char buf[200];

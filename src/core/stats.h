@@ -26,10 +26,7 @@ class RunningStats {
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   /// Population variance (divides by n). Zero when fewer than two samples.
   [[nodiscard]] double variance() const;
-  /// Sample variance (divides by n-1). Zero when fewer than two samples.
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double sample_stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
 

@@ -127,9 +127,4 @@ std::string ascii_plot(std::span<const Series> series, std::size_t width,
   return out.str();
 }
 
-std::string ascii_plot(const Series& s, std::size_t width, std::size_t height,
-                       const std::string& title) {
-  return ascii_plot(std::span<const Series>{&s, 1}, width, height, title);
-}
-
 }  // namespace mntp::core

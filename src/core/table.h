@@ -53,9 +53,4 @@ struct Series {
                                      std::size_t height = 20,
                                      const std::string& title = {});
 
-/// Convenience single-series overload.
-[[nodiscard]] std::string ascii_plot(const Series& s, std::size_t width = 78,
-                                     std::size_t height = 20,
-                                     const std::string& title = {});
-
 }  // namespace mntp::core

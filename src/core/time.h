@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <compare>
 #include <limits>
-#include <string>
 
 namespace mntp::core {
 
@@ -63,9 +62,6 @@ class Duration {
 
   [[nodiscard]] constexpr Duration abs() const { return ns_ < 0 ? Duration{-ns_} : *this; }
 
-  /// Human-readable rendering, e.g. "12.5ms", "3.2s", "250us".
-  [[nodiscard]] std::string to_string() const;
-
  private:
   explicit constexpr Duration(std::int64_t ns) : ns_(ns) {}
   std::int64_t ns_ = 0;
@@ -91,9 +87,6 @@ class TimePoint {
   constexpr TimePoint operator-(Duration d) const { return TimePoint{ns_ - d.ns()}; }
   constexpr Duration operator-(TimePoint o) const { return Duration::nanoseconds(ns_ - o.ns_); }
   constexpr TimePoint& operator+=(Duration d) { ns_ += d.ns(); return *this; }
-
-  /// Render as seconds since epoch, e.g. "t=12.500s".
-  [[nodiscard]] std::string to_string() const;
 
  private:
   explicit constexpr TimePoint(std::int64_t ns) : ns_(ns) {}

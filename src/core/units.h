@@ -6,7 +6,6 @@
 #pragma once
 
 #include <compare>
-#include <string>
 
 namespace mntp::core {
 
@@ -21,8 +20,6 @@ class Decibels {
 
   constexpr Decibels operator+(Decibels o) const { return Decibels{db_ + o.db_}; }
   constexpr Decibels operator-(Decibels o) const { return Decibels{db_ - o.db_}; }
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   double db_ = 0.0;
@@ -43,8 +40,6 @@ class Dbm {
   /// Shifting an absolute level by a ratio yields an absolute level.
   constexpr Dbm operator+(Decibels d) const { return Dbm{dbm_ + d.value()}; }
   constexpr Dbm operator-(Decibels d) const { return Dbm{dbm_ - d.value()}; }
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   double dbm_ = 0.0;

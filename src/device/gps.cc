@@ -18,8 +18,6 @@ GpsTimeSource::GpsTimeSource(sim::Simulation& sim, sim::DisciplinedClock& clock,
 }
 
 void GpsTimeSource::start() { process_.start(); }
-void GpsTimeSource::stop() { process_.stop(); }
-
 void GpsTimeSource::advance_to(core::TimePoint t) {
   while (next_transition_ <= t) {
     open_sky_ = !open_sky_;

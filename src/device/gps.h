@@ -46,7 +46,6 @@ class GpsTimeSource {
                 GpsParams params, core::Rng rng);
 
   void start();
-  void stop();
 
   /// True when satellites are acquirable at `now` (open-sky state).
   [[nodiscard]] bool available(core::TimePoint now);

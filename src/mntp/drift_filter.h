@@ -125,7 +125,7 @@ class DriftFilter {
   /// the accumulator centers on the first sample's x, so a new first
   /// sample means a new origin. Append-only growth never calls this —
   /// `offer` extends the accumulator in O(1), which is bit-identical to
-  /// a from-scratch refit because `core::least_squares` is itself just
+  /// a from-scratch refit because this rebuild is itself just
   /// sequential `IncrementalLinReg::add` calls over the same sequence.
   void rebuild_fit();
   /// Mean + sd of the squared residuals of the last `stats_window`

@@ -37,7 +37,6 @@ MntpClient::MntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
 }
 
 void MntpClient::start() {
-  running_ = true;
   last_emission_ = sim_.now();
   engine_ = std::make_unique<MntpEngine>(params_, sim_.now());
   last_accepted_offset_s_.reset();
@@ -59,16 +58,10 @@ void MntpClient::start() {
   deferral_probe_ = ts.counter_probe(
       obs::metric_names::kTsMntpDeferrals, {},
       [this] { return engine_->deferrals(); });
-  pending_ = sim_.after(core::Duration::zero(), [this] { attempt(); });
-}
-
-void MntpClient::stop() {
-  running_ = false;
-  pending_.cancel();
+  sim_.after(core::Duration::zero(), [this] { attempt(); });
 }
 
 void MntpClient::attempt() {
-  if (!running_) return;
   // Acquire offset only when channel is stable (Algorithm 1 steps 5/17).
   const net::WirelessHints hints = channel_.observe_hints(sim_.now());
   const bool favorable = engine_->gate(hints);
@@ -96,7 +89,7 @@ void MntpClient::attempt() {
       qt.finish(id, sim_.now(), obs::Reason::kChannelDefer,
                 {{"phase", std::string(to_string(engine_->phase()))}});
     }
-    pending_ = sim_.after(params.hint_recheck_interval, [this] { attempt(); });
+    sim_.after(params.hint_recheck_interval, [this] { attempt(); });
     return;
   }
   if (qt.enabled()) {
@@ -154,7 +147,6 @@ void MntpClient::run_round() {
 }
 
 void MntpClient::finish_round(std::vector<double> offsets_s) {
-  if (!running_) return;
   const core::TimePoint now = sim_.now();
   obs::QueryTracer& qt = sim_.telemetry().query_tracer();
   const obs::QueryId round_id = round_trace_;
@@ -192,7 +184,7 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
       engine_->note_frequency_compensation(now, comp_ppm);
     }
   }
-  pending_ = sim_.after(engine_->next_wait(), [this] { attempt(); });
+  sim_.after(engine_->next_wait(), [this] { attempt(); });
 }
 
 }  // namespace mntp::protocol

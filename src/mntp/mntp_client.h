@@ -41,7 +41,6 @@ class MntpClient {
              ntp::QueryOptions query_options = {});
 
   void start();
-  void stop();
 
   [[nodiscard]] const MntpEngine& engine() const { return *engine_; }
   /// Mutable engine access for runtime adaptation (self-tuning). Only
@@ -70,8 +69,6 @@ class MntpClient {
   ntp::QueryEngine query_engine_;
   std::unique_ptr<MntpEngine> engine_;
   EngineCounters engine_counters_;
-  sim::EventHandle pending_;
-  bool running_ = false;
   std::vector<HintRecord> hint_log_;
   std::size_t requests_sent_ = 0;
   std::size_t query_failures_ = 0;

@@ -20,8 +20,6 @@ void SelfTuner::start() {
   if (clamped != wait) client_.mutable_engine().set_regular_wait_time(clamped);
   process_.start(params_.adapt_interval);
 }
-void SelfTuner::stop() { process_.stop(); }
-
 core::Duration SelfTuner::current_wait() const {
   return client_.engine().params().regular_wait_time;
 }

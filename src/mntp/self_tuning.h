@@ -42,7 +42,6 @@ class SelfTuner {
   /// Clamp the regular wait into the band and begin adapting; call
   /// after the client has started.
   void start();
-  void stop();
 
   [[nodiscard]] std::size_t speedups() const { return speedups_; }
   [[nodiscard]] std::size_t backoffs() const { return backoffs_; }

@@ -24,13 +24,6 @@ void CrossTrafficGenerator::start() {
   begin_idle();
 }
 
-void CrossTrafficGenerator::stop() {
-  running_ = false;
-  pending_.cancel();
-  downloading_ = false;
-  channel_.set_utilization(params_.idle_utilization);
-}
-
 void CrossTrafficGenerator::set_frequency_scale(double scale) {
   freq_scale_ = std::clamp(scale, 0.05, 20.0);
 }
@@ -40,9 +33,7 @@ void CrossTrafficGenerator::begin_idle() {
   channel_.set_utilization(params_.idle_utilization);
   const double gap_s =
       rng_.exponential(params_.mean_idle.to_seconds() / freq_scale_);
-  pending_ = sim_.after(core::Duration::from_seconds(gap_s), [this] {
-    if (running_) begin_download();
-  });
+  sim_.after(core::Duration::from_seconds(gap_s), [this] { begin_download(); });
 }
 
 void CrossTrafficGenerator::begin_download() {
@@ -53,10 +44,10 @@ void CrossTrafficGenerator::begin_download() {
   utilization_->record(utilization);
   const double dur_s = rng_.lognormal(
       std::log(params_.median_download.to_seconds()), params_.download_sigma);
-  pending_ = sim_.after(core::Duration::from_seconds(dur_s), [this] {
+  sim_.after(core::Duration::from_seconds(dur_s), [this] {
     ++completed_;
     downloads_counter_->inc();
-    if (running_) begin_idle();
+    begin_idle();
   });
 }
 

@@ -40,10 +40,6 @@ class CrossTrafficGenerator {
   /// Begin the idle/download cycle.
   void start();
 
-  /// Stop after the current phase completes; the channel is returned to
-  /// idle utilization.
-  void stop();
-
   /// Scale the download *frequency* (the monitor node's second knob):
   /// 2.0 halves the mean idle gap, 0.5 doubles it. Clamped to
   /// [0.05, 20].
@@ -61,7 +57,6 @@ class CrossTrafficGenerator {
   WirelessChannel& channel_;
   CrossTrafficParams params_;
   core::Rng rng_;
-  sim::EventHandle pending_;
   double freq_scale_ = 1.0;
   bool running_ = false;
   bool downloading_ = false;

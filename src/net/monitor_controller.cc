@@ -17,8 +17,6 @@ MonitorController::MonitorController(sim::Simulation& sim,
       process_(sim, params.control_interval, [this] { control_tick(); }) {}
 
 void MonitorController::start() { process_.start(params_.control_interval); }
-void MonitorController::stop() { process_.stop(); }
-
 void MonitorController::control_tick() {
   ++ticks_;
   const ProbeStats stats = pinger_.stats();

@@ -45,7 +45,6 @@ class MonitorController {
                     MonitorControllerParams params);
 
   void start();
-  void stop();
 
   /// Number of control decisions taken (diagnostics).
   [[nodiscard]] std::size_t ticks() const { return ticks_; }

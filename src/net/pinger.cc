@@ -14,8 +14,6 @@ Pinger::Pinger(sim::Simulation& sim, LinkPath forward, LinkPath reverse,
       process_(sim, params.interval, [this] { probe(); }) {}
 
 void Pinger::start() { process_.start(); }
-void Pinger::stop() { process_.stop(); }
-
 void Pinger::probe() {
   const core::TimePoint sent = sim_.now();
   ++sent_;

@@ -47,7 +47,6 @@ class Pinger {
          PingerParams params);
 
   void start();
-  void stop();
 
   /// Stats over the retained window (most recent `params.window` probes).
   [[nodiscard]] ProbeStats stats() const;

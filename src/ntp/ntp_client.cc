@@ -25,8 +25,6 @@ NtpClient::NtpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
 }
 
 void NtpClient::start() { process_.start(); }
-void NtpClient::stop() { process_.stop(); }
-
 void NtpClient::poll_round() {
   // Query every peer this round; when the last reply (or failure) lands,
   // run the mitigation pipeline and discipline the clock.

@@ -56,7 +56,6 @@ class NtpClient {
             NtpClientParams params);
 
   void start();
-  void stop();
 
   /// Number of discipline updates applied (steps + slews).
   [[nodiscard]] std::size_t updates() const { return updates_; }

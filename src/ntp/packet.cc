@@ -1,7 +1,5 @@
 #include "ntp/packet.h"
 
-#include <cstdio>
-
 namespace mntp::ntp {
 
 namespace {
@@ -113,17 +111,6 @@ bool NtpPacket::looks_like_sntp_request() const {
          root_delay.raw() == 0 && root_dispersion.raw() == 0 &&
          reference_id == 0 && reference_ts.is_unset() && origin_ts.is_unset() &&
          receive_ts.is_unset();
-}
-
-std::string NtpPacket::to_string() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "NtpPacket{li=%u v=%u mode=%u stratum=%u poll=%d prec=%d "
-                "refid=0x%08x xmt=%s}",
-                static_cast<unsigned>(leap), version,
-                static_cast<unsigned>(mode), stratum, poll, precision,
-                reference_id, transmit_ts.to_string().c_str());
-  return buf;
 }
 
 std::uint32_t kiss_code(const char (&ascii)[5]) {

@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "core/ntp_timestamp.h"
 #include "core/result.h"
@@ -96,8 +95,6 @@ struct NtpPacket {
   [[nodiscard]] bool is_kiss_of_death() const {
     return mode == Mode::kServer && stratum == 0;
   }
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Well-known kiss-of-death reference IDs.

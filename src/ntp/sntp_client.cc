@@ -27,8 +27,6 @@ SntpClient::SntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
       current_poll_(policy.poll_interval) {}
 
 void SntpClient::start() { process_.start(); }
-void SntpClient::stop() { process_.stop(); }
-
 void SntpClient::poll_once() {
   ++polls_;
   const std::size_t idx = pool_.pick_index();

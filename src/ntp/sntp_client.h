@@ -40,7 +40,6 @@ class SntpClient {
              SntpClientPolicy policy, QueryOptions query_options = {});
 
   void start();
-  void stop();
 
   /// All accepted samples, in completion order.
   [[nodiscard]] const std::vector<SntpSample>& samples() const { return samples_; }

@@ -572,6 +572,7 @@ const char* artifact_kind_name(ArtifactKind kind) {
     case ArtifactKind::kTimeline: return "timeline";
     case ArtifactKind::kDiff: return "diff";
     case ArtifactKind::kFleet: return "fleet";
+    case ArtifactKind::kPerfDelta: return "perf-delta";
   }
   return "unknown";
 }
@@ -632,6 +633,8 @@ core::Result<LoadedArtifact> load_artifact(const std::string& path) {
         loaded.kind = ArtifactKind::kDiff;
       } else if (kind == "mntp_fleet_report") {
         loaded.kind = ArtifactKind::kFleet;
+      } else if (kind == "mntp_perf_delta") {
+        loaded.kind = ArtifactKind::kPerfDelta;
       } else {
         return Error::invalid_argument(
             kind.empty()
@@ -698,6 +701,7 @@ core::Result<ArtifactFile> read_artifact(const std::string& path) {
       break;
     case ArtifactKind::kDiff:
     case ArtifactKind::kFleet:
+    case ArtifactKind::kPerfDelta:
       return Error::invalid_argument(
           path + ": unsupported artifact kind '" +
           docs.front()["kind"].as_string() + "' (validate only)");
@@ -750,7 +754,8 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
       break;
     case ArtifactKind::kDiff:
     case ArtifactKind::kFleet:
-      break;  // read_artifact decodes neither
+    case ArtifactKind::kPerfDelta:
+      break;  // read_artifact decodes none of these
   }
   result.kind = a.kind;
   result.a_path = a_path;

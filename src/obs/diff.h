@@ -13,8 +13,9 @@
 // read_artifact() decodes what it loads into one typed struct per kind;
 // tools/mntp_inspect renders those structs best-effort and diff_files()
 // compares two of the same kind. validate_artifact() runs every schema
-// rule of the seven kinds (the five above plus `mntp-inspect diff
-// --json` records and fleet reports) over the same loaded documents.
+// rule of the eight kinds (the five above plus `mntp-inspect diff
+// --json` records, fleet reports and `diff --write-delta` perf deltas)
+// over the same loaded documents.
 // Every diff section is one outer join of two keyed maps under a
 // per-kind rule:
 //
@@ -61,10 +62,11 @@
 namespace mntp::obs {
 
 /// Artifact kinds, classified by content. The first five decode and
-/// diff; a diff record (kind mntp_diff) and a fleet report (kind
-/// mntp_fleet_report) are only validated.
+/// diff; a diff record (kind mntp_diff), a fleet report (kind
+/// mntp_fleet_report) and a perf delta (kind mntp_perf_delta, written
+/// by `diff --write-delta`) are only validated.
 enum class ArtifactKind {
-  kBench, kProfile, kReport, kQueryTrace, kTimeline, kDiff, kFleet
+  kBench, kProfile, kReport, kQueryTrace, kTimeline, kDiff, kFleet, kPerfDelta
 };
 
 /// Stable lowercase name used in JSON output and error messages.

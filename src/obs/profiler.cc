@@ -77,11 +77,6 @@ std::uint64_t Profiler::total_spans() const {
   return total;
 }
 
-void Profiler::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  aggregates_.clear();
-}
-
 void Profiler::export_to_metrics(MetricsRegistry& registry) const {
   const std::vector<SpanStats> all = stats();
   const auto us = [](std::int64_t ns) {

@@ -96,9 +96,6 @@ class Profiler {
   /// Total spans ever recorded.
   [[nodiscard]] std::uint64_t total_spans() const;
 
-  /// Drop all aggregates (the enabled flag is untouched).
-  void clear();
-
   /// Publish the per-span aggregates into `registry` as `profile.span.*`
   /// gauges labelled {span=<name>}, in microseconds. Idempotent: gauges
   /// are set, not accumulated.

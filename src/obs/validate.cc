@@ -277,10 +277,8 @@ std::string check_profile(const Json& doc) {
 
 // -------------------------------------------------------------- bench
 
-std::string check_bench(const Json& doc) {
-  schema_version(doc, 1);
-  const std::int64_t reps = integer(doc, "reps", kPositive);
-  integer(doc, "warmup");
+/// The build environment a bench run and a perf delta both carry.
+void check_environment(const Json& doc) {
   const Json& env = object(doc, "environment");
   within("environment", [&] {
     for (const char* key : {"compiler", "build_type", "build_flags"}) {
@@ -288,6 +286,13 @@ std::string check_bench(const Json& doc) {
     }
     integer(env, "hardware_threads", kAny);
   });
+}
+
+std::string check_bench(const Json& doc) {
+  schema_version(doc, 1);
+  const std::int64_t reps = integer(doc, "reps", kPositive);
+  integer(doc, "warmup");
+  check_environment(doc);
   const std::vector<Json>& workloads = array(doc, "workloads", true);
   std::set<std::string> seen;
   each(workloads, "workloads", [&](const Json& w, std::size_t) {
@@ -313,6 +318,28 @@ std::string check_bench(const Json& doc) {
   });
   return to_string(workloads.size()) + " workloads, " + to_string(reps) +
          " reps";
+}
+
+/// A perf delta (`diff --write-delta`, the committed BENCH_pr*.json):
+/// one entry per workload, either side's median null when the workload
+/// exists on one side only. Hand-added blocks (e2e_runs,
+/// profile_span_movers, per-pair medians) are free-form.
+std::string check_perf_delta(const Json& doc) {
+  schema_version(doc, 1);
+  check_environment(doc);
+  const std::vector<Json>& workloads = array(doc, "workloads", true);
+  std::set<std::string> seen;
+  each(workloads, "workloads", [&](const Json& w, std::size_t) {
+    const std::string& name = text(w, "name");
+    expect(seen.insert(name).second,
+           "duplicate workload name '" + name + "'");
+    for (const char* key : {"after_median_us", "before_median_us"}) {
+      const Json& v = field(w, key);
+      expect(v.is_null() || v.is_number(),
+             strformat("'%s' must be a number or null", key));
+    }
+  });
+  return to_string(workloads.size()) + " workloads";
 }
 
 // -------------------------------------------------------- query trace
@@ -632,6 +659,7 @@ std::string check(const LoadedArtifact& a) {
     case ArtifactKind::kTimeline: return check_timeline(a);
     case ArtifactKind::kDiff: return check_diff(a.docs.front());
     case ArtifactKind::kFleet: return check_fleet(a.docs.front());
+    case ArtifactKind::kPerfDelta: return check_perf_delta(a.docs.front());
   }
   fail("unknown artifact kind");
 }

@@ -10,9 +10,8 @@
 //     querying a handle whose slot was recycled is safely inert — the
 //     generation no longer matches. No per-event control block.
 //   * `core::FixedFunction<void(), 48>` stores the action: captures up
-//     to 48 bytes live inline in the slot (zero allocations); larger
-//     captures fall back to one heap allocation and bump the global
-//     `core::fixed_function_heap_fallbacks()` counter.
+//     to 48 bytes live inline in the slot (zero allocations); a larger
+//     capture does not compile.
 //   * An explicit 4-ary min-heap over POD entries `(time, seq, slot,
 //     generation)`. Pop moves entries out of a plain vector — no
 //     const_cast — and the 4-ary layout halves the sift-down depth of a

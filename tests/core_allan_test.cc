@@ -1,4 +1,4 @@
-#include "core/allan.h"
+#include "support/allan.h"
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,10 @@
 #include "core/rng.h"
 #include "sim/clock_model.h"
 
-namespace mntp::core {
+namespace mntp::test_support {
 namespace {
+
+using core::Rng;
 
 TEST(Allan, DegenerateInputsReturnZero) {
   const std::vector<double> tiny{1.0, 2.0};
@@ -106,4 +108,4 @@ TEST(Allan, OscillatorModelShowsWanderAtLongTau) {
 }
 
 }  // namespace
-}  // namespace mntp::core
+}  // namespace mntp::test_support

@@ -50,11 +50,6 @@ TEST(NtpTimestamp, NegativeSimTime) {
   EXPECT_LE((back - t).abs().ns(), 2);
 }
 
-TEST(NtpTimestamp, ToStringFormat) {
-  const auto t = NtpTimestamp::from_parts(123, 0x80000000u);
-  EXPECT_EQ(t.to_string(), "123.500000");
-}
-
 TEST(NtpTimestampProperty, TimePointRoundTripWithinOneNanosecond) {
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {

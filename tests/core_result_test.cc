@@ -18,12 +18,6 @@ TEST(Error, FactoriesSetCode) {
   EXPECT_EQ(Error::io("x").code, Error::Code::kIo);
 }
 
-TEST(Error, CodeNames) {
-  EXPECT_STREQ(Error::timeout("").code_name(), "timeout");
-  EXPECT_STREQ(Error::malformed("").code_name(), "malformed_packet");
-  EXPECT_STREQ(Error::io("").code_name(), "io");
-}
-
 TEST(Result, HoldsValue) {
   Result<int> r = 42;
   ASSERT_TRUE(r.ok());

@@ -46,12 +46,12 @@ TEST(Format, FmtCountThousandsSeparators) {
 
 TEST(AsciiPlot, EmptySeries) {
   const Series s{.label = "empty", .points = {}};
-  EXPECT_NE(ascii_plot(s).find("(no data)"), std::string::npos);
+  EXPECT_NE(ascii_plot({&s, 1}).find("(no data)"), std::string::npos);
 }
 
 TEST(AsciiPlot, PlotsMarkersAndLegend) {
   Series s{.label = "ramp", .points = {{0, 0}, {1, 1}, {2, 2}}, .marker = '#'};
-  const std::string out = ascii_plot(s, 40, 10, "title");
+  const std::string out = ascii_plot({&s, 1}, 40, 10, "title");
   EXPECT_NE(out.find("title"), std::string::npos);
   EXPECT_NE(out.find('#'), std::string::npos);
   EXPECT_NE(out.find("ramp"), std::string::npos);
@@ -81,11 +81,6 @@ TEST(Units, Literals) {
   EXPECT_DOUBLE_EQ((75.0_dBm).value(), 75.0);
   EXPECT_DOUBLE_EQ((20_dB).value(), 20.0);
   EXPECT_DOUBLE_EQ((0_dBm - 75.0_dB).value(), -75.0);
-}
-
-TEST(Units, ToString) {
-  EXPECT_EQ(Dbm{-75.5}.to_string(), "-75.5dBm");
-  EXPECT_EQ(Decibels{20.0}.to_string(), "20.0dB");
 }
 
 }  // namespace

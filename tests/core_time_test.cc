@@ -62,14 +62,6 @@ TEST(Duration, ConversionAccessors) {
   EXPECT_DOUBLE_EQ(d.to_micros(), 1500.0);
 }
 
-TEST(Duration, ToStringPicksUnit) {
-  EXPECT_EQ(Duration::nanoseconds(12).to_string(), "12ns");
-  EXPECT_EQ(Duration::microseconds(12).to_string(), "12.0us");
-  EXPECT_EQ(Duration::milliseconds(12).to_string(), "12.00ms");
-  EXPECT_EQ(Duration::seconds(12).to_string(), "12.00s");
-  EXPECT_EQ(Duration::minutes(2).to_string(), "2.0min");
-}
-
 TEST(TimePoint, EpochAndOffsets) {
   const TimePoint e = TimePoint::epoch();
   EXPECT_EQ(e.ns(), 0);
@@ -91,11 +83,6 @@ TEST(TimePoint, PlusEquals) {
   TimePoint t = TimePoint::epoch();
   t += Duration::milliseconds(250);
   EXPECT_EQ(t.to_seconds(), 0.25);
-}
-
-TEST(TimePoint, ToString) {
-  EXPECT_EQ((TimePoint::epoch() + Duration::milliseconds(12500)).to_string(),
-            "t=12.500s");
 }
 
 // Property sweep: round-tripping through seconds loses < 1 ns.

@@ -210,21 +210,6 @@ TEST(MntpClient, FalseTickersInPoolRejectedDuringWarmup) {
   }
 }
 
-TEST(MntpClient, StopHaltsActivity) {
-  ntp::TestbedConfig config;
-  config.seed = 306;
-  ntp::Testbed bed(config);
-  MntpClient client(bed.sim(), bed.target_clock(), bed.pool(), bed.channel(),
-                    head_to_head_params(), bed.fork_rng());
-  bed.start();
-  client.start();
-  bed.sim().run_until(TimePoint::epoch() + Duration::minutes(5));
-  client.stop();
-  const auto sent = client.requests_sent();
-  bed.sim().run_until(TimePoint::epoch() + Duration::minutes(30));
-  EXPECT_EQ(client.requests_sent(), sent);
-}
-
 TEST(MntpClient, DeterministicPerSeed) {
   auto run = [] {
     ntp::TestbedConfig config;

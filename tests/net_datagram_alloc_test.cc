@@ -1,6 +1,6 @@
 // Allocation budget of the datagram path: each send_datagram makes one
-// heap allocation (its walker) and no event capture spills out of the
-// event queue's inline buffer. Warm runs of the ping monitor, an SNTP
+// heap allocation (its walker); event captures cannot spill out of the
+// event queue's inline buffer (that does not compile). Warm runs of the ping monitor, an SNTP
 // client and the Fig 12 head-to-head are measured against that budget.
 // Uses the same global operator new/delete counting hook as
 // sim_event_alloc_test.cc (one hook per test binary).
@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "core/fixed_function.h"
 #include "core/rng.h"
 #include "mntp/mntp_client.h"
 #include "mntp/params.h"
@@ -82,7 +81,6 @@ TEST(DatagramAllocation, PingerProbeAllocatesOnlyItsWalkers) {
 
   const std::size_t sent_before = pinger.total_sent();
   const std::uint64_t news_before = news();
-  const std::uint64_t fallbacks_before = core::fixed_function_heap_fallbacks();
   t += Duration::seconds(10'000);
   sim.run_until(t);
   const double probes =
@@ -90,7 +88,6 @@ TEST(DatagramAllocation, PingerProbeAllocatesOnlyItsWalkers) {
   ASSERT_GE(probes, 10'000.0);
   const double per_probe = static_cast<double>(news() - news_before) / probes;
   EXPECT_LE(per_probe, 2.0) << "allocations per ping probe";
-  EXPECT_EQ(core::fixed_function_heap_fallbacks(), fallbacks_before);
 }
 
 TEST(DatagramAllocation, SntpPollStaysWithinBudget) {
@@ -121,7 +118,11 @@ TEST(DatagramAllocation, SntpPollStaysWithinBudget) {
 
 TEST(DatagramAllocation, HeadToHeadSchedulesNoHeapCaptures) {
   // The Fig 12 head-to-head (wireless, free-running clock, SNTP every
-  // 5 s next to MNTP): every callback and event capture stays inline.
+  // 5 s next to MNTP). Every callback and event capture stays inline by
+  // construction (FixedFunction has no heap fallback), so the warm
+  // window's allocations are the exchanges' own (three each) plus what
+  // the clients log: MNTP's hint checks, round records and vote
+  // vectors. 10.6 per exchange at this seed.
   ntp::TestbedConfig config;
   config.seed = 7;
   config.wireless = true;
@@ -139,10 +140,16 @@ TEST(DatagramAllocation, HeadToHeadSchedulesNoHeapCaptures) {
   mntp_client.start();
   bed.sim().run_until(TimePoint::epoch() + Duration::minutes(10));
 
-  const std::uint64_t fallbacks_before = core::fixed_function_heap_fallbacks();
+  const std::uint64_t exchanges_before =
+      sntp.polls() + mntp_client.requests_sent();
+  const std::uint64_t news_before = news();
   bed.sim().run_until(TimePoint::epoch() + Duration::hours(4));
-  EXPECT_EQ(core::fixed_function_heap_fallbacks() - fallbacks_before, 0u);
-  EXPECT_GT(sntp.polls(), 2'000u);
+  const double exchanges = static_cast<double>(
+      sntp.polls() + mntp_client.requests_sent() - exchanges_before);
+  ASSERT_GT(sntp.polls(), 2'000u);
+  const double per_exchange =
+      static_cast<double>(news() - news_before) / exchanges;
+  EXPECT_LE(per_exchange, 12.0) << "allocations per head-to-head exchange";
 }
 
 }  // namespace

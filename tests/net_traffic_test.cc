@@ -71,20 +71,6 @@ TEST(CrossTraffic, FrequencyScaleClamped) {
   EXPECT_DOUBLE_EQ(gen.frequency_scale(), 0.05);
 }
 
-TEST(CrossTraffic, StopRestoresIdleUtilization) {
-  sim::Simulation sim;
-  WirelessChannel channel(WirelessChannelParams{}, Rng(9));
-  CrossTrafficParams p;
-  CrossTrafficGenerator gen(sim, channel, p, Rng(10));
-  gen.start();
-  sim.run_until(TimePoint::epoch() + Duration::minutes(5));
-  gen.stop();
-  EXPECT_DOUBLE_EQ(channel.utilization(), p.idle_utilization);
-  const auto completed = gen.downloads_completed();
-  sim.run_until(TimePoint::epoch() + Duration::hours(1));
-  EXPECT_EQ(gen.downloads_completed(), completed);
-}
-
 TEST(Pinger, MeasuresRttOverKnownLinks) {
   sim::Simulation sim;
   WiredLinkParams lp;

@@ -147,12 +147,6 @@ TEST(NtpPacket, KissCodeAscii) {
   EXPECT_EQ(kiss_code("DENY"), 0x44454E59u);
 }
 
-TEST(NtpPacket, ToStringMentionsFields) {
-  const std::string s = sample_packet().to_string();
-  EXPECT_NE(s.find("stratum=2"), std::string::npos);
-  EXPECT_NE(s.find("mode=4"), std::string::npos);
-}
-
 TEST(NtpPacketProperty, RandomRoundTrips) {
   core::Rng rng(31);
   for (int i = 0; i < 500; ++i) {

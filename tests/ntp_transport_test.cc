@@ -179,7 +179,6 @@ TEST(SntpClient, PollsAndRecordsSamples) {
   SntpClient client(f.sim, f.clock, f.pool, nullptr, nullptr, policy);
   client.start();
   f.sim.run_until(TimePoint::epoch() + Duration::minutes(5));
-  client.stop();
   EXPECT_GE(client.polls(), 59u);
   EXPECT_GE(client.samples().size(), 55u);  // a few losses allowed
   EXPECT_EQ(client.offsets_ms().size(), client.samples().size());

@@ -241,17 +241,6 @@ TEST(Profiler, ChromeTraceHasOneEventPerSpanName) {
   EXPECT_LT(out.str().size(), 1024u);
 }
 
-TEST(Profiler, ClearResetsEverythingButEnabled) {
-  ProfiledScope p;
-  {
-    ProfileScope span("test.clear");
-  }
-  p.telemetry.profiler().clear();
-  EXPECT_TRUE(p.telemetry.profiler().stats().empty());
-  EXPECT_EQ(p.telemetry.profiler().total_spans(), 0u);
-  EXPECT_TRUE(p.telemetry.profiler().enabled());
-}
-
 // The acceptance bar for the whole profiler: enabling it must not
 // change any simulated result. Run identical engine workloads with the
 // profiler off and on; every reported offset must be bit-identical.

@@ -1,5 +1,5 @@
 // Strict artifact validation (obs::validate_artifact, `mntp-inspect
-// validate`): for each of the seven artifact kinds one small valid
+// validate`): for each of the eight artifact kinds one small valid
 // artifact passes, and one mutation per rule breaks it with a message
 // naming the rule (exit 1 in the CLI). Each mutation replaces the first
 // occurrence of `find` in its kind's valid text. Empty and cut-off files
@@ -16,7 +16,9 @@
 namespace mntp::obs {
 namespace {
 
-enum Kind { kReport, kProfile, kBench, kQueryTrace, kTimeline, kDiff, kFleet };
+enum Kind {
+  kReport, kProfile, kBench, kQueryTrace, kTimeline, kDiff, kFleet, kPerfDelta
+};
 
 // One valid artifact per Kind, in Kind order.
 const char* const kValid[] = {
@@ -69,6 +71,13 @@ const char* const kValid[] = {
 {"category":"isp","count":5,"p50_ms":1.0,"p90_ms":2.0,"p99_ms":3.0,"mean_ms":1.5,"min_ms":0.5,"max_ms":4.0},
 {"category":"broadband","count":0,"p50_ms":0.0,"p90_ms":0.0,"p99_ms":0.0,"mean_ms":0.0,"min_ms":0.0,"max_ms":0.0},
 {"category":"mobile","count":5,"p50_ms":1.0,"p90_ms":2.0,"p99_ms":3.0,"mean_ms":1.5,"min_ms":0.5,"max_ms":4.0}]}
+)",
+    R"({"schema_version":1,"kind":"mntp_perf_delta","description":"unit",
+"environment":{"compiler":"gcc","build_type":"Release","build_flags":"-O2","hardware_threads":4},
+"workloads":[
+{"name":"engine_round","after_median_us":9.0,"after_mad_us":0.4,"before_median_us":10.0,"before_mad_us":0.5,"speedup":1.111},
+{"name":"fleet_qps","after_median_us":50.0,"after_mad_us":1.0,"before_median_us":null,"note":"new workload in this PR"}],
+"e2e_runs":{"testbed_h2h":{"cpu_s":[1.0,1.1]}}}
 )",
 };
 
@@ -233,6 +242,15 @@ const Mutation kMutations[] = {
     {kFleet, R"("category_owd":[)", R"("category_owd":7,"rows":[)", "'category_owd' must be an array"},
     {kFleet, R"("category":"isp")", R"("category":"cloud")", "category_owd[1]: expected category 'isp'"},
     {kFleet, R"("category":"cloud","count":5)", R"("category":"cloud","count":6)", "category_owd counts sum to 16, totals.owd_valid is 15"},
+    // perf delta
+    {kPerfDelta, R"("schema_version":1)", R"("schema_version":2)", "unsupported schema_version 2"},
+    {kPerfDelta, R"("environment":{)", R"("env":{)", "missing 'environment'"},
+    {kPerfDelta, R"("hardware_threads":4)", R"("hardware_threads":"4")", "environment: 'hardware_threads' must be an integer"},
+    {kPerfDelta, R"("workloads":[)", R"("workloads":[],"rows":[)", "'workloads' must be a non-empty array"},
+    {kPerfDelta, R"("name":"fleet_qps")", R"("name":"engine_round")", "workloads[1]: duplicate workload name 'engine_round'"},
+    {kPerfDelta, R"("name":"engine_round")", R"("name":"")", "workloads[0]: 'name' must be a non-empty string"},
+    {kPerfDelta, R"("after_median_us":9.0,)", "", "workloads[0]: missing 'after_median_us'"},
+    {kPerfDelta, R"("before_median_us":null)", R"("before_median_us":"n/a")", "workloads[1]: 'before_median_us' must be a number or null"},
 };
 
 std::string write_file(const std::string& name, const std::string& content) {
@@ -248,8 +266,8 @@ TEST(Validate, EveryValidArtifactPasses) {
       "report: 3 metric lines, run 'unit'", "profile: 2 spans",
       "bench: 2 workloads, 2 reps", "query-trace: 2 query lines",
       "timeline: 2 series lines", "diff: bench diff with 2 entries",
-      "fleet: 10 clients, 20 queries"};
-  for (int kind = kReport; kind <= kFleet; ++kind) {
+      "fleet: 10 clients, 20 queries", "perf-delta: 2 workloads"};
+  for (int kind = kReport; kind <= kPerfDelta; ++kind) {
     auto r = validate_artifact(
         write_file("valid_" + std::to_string(kind), kValid[kind]));
     ASSERT_TRUE(r.ok()) << kind << ": " << r.error().message;

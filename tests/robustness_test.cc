@@ -9,7 +9,6 @@
 #include "core/rng.h"
 #include "ntp/packet.h"
 #include "ntp/selection.h"
-#include "ptp/message.h"
 #include "sim/event_queue.h"
 #include "ntp/testbed.h"
 #include "mntp/mntp_client.h"
@@ -53,19 +52,6 @@ TEST(FuzzNtpParser, BitFlipsOfValidPacketHandledCleanly) {
     // Either parses (most field mutations are legal values) or errors;
     // never crashes, never loops.
     (void)ntp::NtpPacket::parse(mutated);
-  }
-}
-
-TEST(FuzzPtpParser, RandomBytesNeverCrash) {
-  Rng rng(1002);
-  for (int i = 0; i < 20000; ++i) {
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(rng.uniform_int(0, 90)));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
-    const auto r = ptp::PtpMessage::parse(bytes);
-    if (r.ok()) {
-      ASSERT_LT(r.value().timestamp.nanoseconds, 1'000'000'000u);
-    }
   }
 }
 

@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "core/fixed_function.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 
@@ -63,7 +62,6 @@ TEST(EventAllocation, SteadyStateScheduleFireIsAllocationFree) {
   }
   while (!q.empty()) q.run_next();
 
-  const std::uint64_t heap_before = core::fixed_function_heap_fallbacks();
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
   for (int round = 0; round < 1'000; ++round) {
     for (int i = 0; i < 64; ++i) {
@@ -75,7 +73,6 @@ TEST(EventAllocation, SteadyStateScheduleFireIsAllocationFree) {
 
   EXPECT_EQ(news_after - news_before, 0u)
       << "schedule/fire steady state allocated";
-  EXPECT_EQ(core::fixed_function_heap_fallbacks(), heap_before);
   EXPECT_EQ(fired, 512u + 64'000u);
 }
 

@@ -24,7 +24,8 @@
 //
 // The `validate` subcommand is the strict half: obs::validate_artifact
 // runs every schema rule of the file's kind (the five above, `diff
-// --json` records and fleet reports) on the same loader. It takes no
+// --json` records, fleet reports and `diff --write-delta` perf deltas)
+// on the same loader. It takes no
 // flags and exits 0 when every file is valid, 1 when a rule is broken
 // or a file cannot be read or classified, 2 on a usage error or an
 // empty or cut-off file.
@@ -549,7 +550,8 @@ int inspect_file(const std::string& path, const Options& opt) {
     case ArtifactKind::kTimeline: return inspect_timeline(path, file, opt);
     case ArtifactKind::kDiff:
     case ArtifactKind::kFleet:
-      break;  // read_artifact decodes neither
+    case ArtifactKind::kPerfDelta:
+      break;  // read_artifact decodes none of these
   }
   return 1;
 }
@@ -703,9 +705,9 @@ int main(int argc, char** argv) {
           "  --write-delta PATH writes the before/after record (kind\n"
           "  mntp_perf_delta), even when the gate fails.\n"
           "  `validate` checks every schema rule of each file's kind (the\n"
-          "  five above, diff --json records and fleet reports): shapes,\n"
-          "  integer types, closed vocabularies, ordering and conservation\n"
-          "  ledgers. It takes no flags.\n"
+          "  five above, diff --json records, fleet reports and perf\n"
+          "  deltas): shapes, integer types, closed vocabularies, ordering\n"
+          "  and conservation ledgers. It takes no flags.\n"
           "  a flag outside the modes listed for it exits 2 (--series and\n"
           "  --width also apply to timelines given without `timeline`);\n"
           "  --tolerance, --abs-floor-us and --divergence must be >= 0.\n"
