@@ -167,8 +167,9 @@ std::vector<Workload> build_workloads() {
   // disabled-telemetry budget (≤3% over engine_round — every metric
   // record degrades to one branch); `metrics` prices the sharded-counter
   // hot path; `trace` additionally mints one sampled query per round
-  // (1-in-16 hash gate) with the ambient scope installed, so filter
-  // decision points pay their tracer lookups.
+  // (1-in-16 hash gate) with the ambient scope installed. Only the kept
+  // rounds' filter decision points build payloads and take the store's
+  // lock; a sampled-out round costs the mint and the scope.
   {
     auto telemetry_round = [](obs::Telemetry& tel, bool trace_rounds) {
       obs::ScopedTelemetry scope(tel);

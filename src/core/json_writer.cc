@@ -6,45 +6,6 @@
 
 namespace mntp::core {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";  // JSON has no inf/nan
@@ -53,6 +14,60 @@ void append_json_number(std::string& out, double v) {
   char buf[32];
   char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
   out.append(buf, end);
+}
+
+void JsonWriter::append_escaped(std::string_view s) {
+  // Copy each run of plain bytes whole; escape the rest one by one.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out_ += "\\\"";
+        break;
+      case '\\':
+        out_ += "\\\\";
+        break;
+      case '\b':
+        out_ += "\\b";
+        break;
+      case '\f':
+        out_ += "\\f";
+        break;
+      case '\n':
+        out_ += "\\n";
+        break;
+      case '\r':
+        out_ += "\\r";
+        break;
+      case '\t':
+        out_ += "\\t";
+        break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out_ += buf;
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+}
+
+JsonWriter& JsonWriter::value(std::int64_t v) {
+  element_prologue();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::uint64_t v) {
+  element_prologue();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  return *this;
 }
 
 JsonWriter& JsonWriter::value_fixed(double v, int decimals) {

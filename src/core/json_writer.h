@@ -28,10 +28,6 @@
 
 namespace mntp::core {
 
-/// JSON string escaping (quotes, backslashes, control characters;
-/// non-ASCII passes through as UTF-8).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Append `v` rendered as a JSON number: the shortest round-trip form
 /// for finite values, `null` for inf/nan.
 void append_json_number(std::string& out, double v);
@@ -74,7 +70,7 @@ class JsonWriter {
            !levels_.back().key_pending);
     element_prologue();
     out_ += '"';
-    out_ += json_escape(k);
+    append_escaped(k);
     out_ += indent_ > 0 ? "\": " : "\":";
     levels_.back().key_pending = true;
     return *this;
@@ -83,7 +79,7 @@ class JsonWriter {
   JsonWriter& value(std::string_view v) {
     element_prologue();
     out_ += '"';
-    out_ += json_escape(v);
+    append_escaped(v);
     out_ += '"';
     return *this;
   }
@@ -93,16 +89,8 @@ class JsonWriter {
     append_json_number(out_, v);
     return *this;
   }
-  JsonWriter& value(std::int64_t v) {
-    element_prologue();
-    out_ += std::to_string(v);
-    return *this;
-  }
-  JsonWriter& value(std::uint64_t v) {
-    element_prologue();
-    out_ += std::to_string(v);
-    return *this;
-  }
+  JsonWriter& value(std::int64_t v);
+  JsonWriter& value(std::uint64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v) {
     element_prologue();
@@ -130,6 +118,9 @@ class JsonWriter {
     bool key_pending = false;
   };
 
+  /// Appends `s` with JSON string escaping (quotes, backslashes, control
+  /// characters; non-ASCII passes through as UTF-8), straight into out_.
+  void append_escaped(std::string_view s);
   /// Comma / newline / indentation before a key or a top-level value.
   void element_prologue();
   /// Newline + dedent before the closing bracket of a non-empty level.

@@ -111,7 +111,9 @@ FilterDecision DriftFilter::offer(core::TimePoint t, double offset_s) {
     // The gate is max(window stats, band²) >= band², so a sample inside
     // the band is accepted whatever the window holds: the window pass
     // runs only when it can change the verdict, or when a traced query
-    // wants the threshold it was judged against.
+    // wants the threshold it was judged against (a sampled-out round
+    // installs no ambient tracer, so it skips the pass like an untraced
+    // run).
     const double band_sq =
         config_.min_accept_band_s * config_.min_accept_band_s;
     const bool traced = mntp::obs::ambient_query().tracer != nullptr;

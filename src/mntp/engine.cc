@@ -216,6 +216,7 @@ std::vector<double> MntpEngine::rejected_offsets_ms() const {
 void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
                         core::TimePoint t, const MntpEngine::RoundResult& rr,
                         std::size_t sources) {
+  if (!obs::recorded(id)) return;
   qt.finish(id, t,
             sources == 0 ? obs::Reason::kNoSamples : to_reason(rr.outcome),
             {{"phase", std::string(to_string(rr.phase))},

@@ -271,7 +271,8 @@ class MntpEngine {
 
 /// Closes the traced round `id` with its verdict: the outcome's reason
 /// (no_samples when `sources` is 0) and the phase the sample was judged
-/// under. Every driver that mints a round closes it here.
+/// under. Every driver that mints a round closes it here; it builds
+/// nothing for an unrecorded id (0, or sampled out).
 void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
                         core::TimePoint t, const MntpEngine::RoundResult& rr,
                         std::size_t sources);

@@ -80,8 +80,8 @@ void MntpClient::attempt() {
     // defer verdict.
     engine_->note_deferral();
     engine_counters_.count_deferral();
-    if (qt.enabled()) {
-      const obs::QueryId id = qt.begin(sim_.now(), "round");
+    const obs::QueryId id = qt.enabled() ? qt.begin(sim_.now(), "round") : 0;
+    if (obs::recorded(id)) {
       qt.stage(id, sim_.now(), "gate", obs::Reason::kChannelDefer,
                {{"rssi_dbm", hints.rssi.value()},
                 {"noise_dbm", hints.noise.value()},
@@ -92,8 +92,8 @@ void MntpClient::attempt() {
     sim_.after(params.hint_recheck_interval, [this] { attempt(); });
     return;
   }
-  if (qt.enabled()) {
-    round_trace_ = qt.begin(sim_.now(), "round");
+  if (qt.enabled()) round_trace_ = qt.begin(sim_.now(), "round");
+  if (obs::recorded(round_trace_)) {
     qt.stage(round_trace_, sim_.now(), "gate",
              forced ? obs::Reason::kForcedEmission : obs::Reason::kOk,
              {{"rssi_dbm", hints.rssi.value()},
@@ -167,12 +167,12 @@ void MntpClient::finish_round(std::vector<double> offsets_s) {
     clock_.step(core::Duration::from_seconds(rr.offset_s));
     engine_->note_clock_step(rr.offset_s);
     clock_steps_counter_->inc();
-    qt.stage(round_id, now, "clock_step", obs::Reason::kNone,
-             {{"step_ms", rr.offset_s * 1e3}});
+    if (obs::recorded(round_id)) {
+      qt.stage(round_id, now, "clock_step", obs::Reason::kNone,
+               {{"step_ms", rr.offset_s * 1e3}});
+    }
   }
-  if (round_id != 0) {
-    finish_round_trace(qt, round_id, now, rr, offsets_s.size());
-  }
+  finish_round_trace(qt, round_id, now, rr, offsets_s.size());
   if (rr.warmup_completed && params_.correct_drift &&
       params_.apply_corrections_to_clock) {
     // correctSystemClockDrift(driftEst): trim the clock frequency by the

@@ -266,8 +266,10 @@ void Replay::step(Branch& b, std::size_t i) {
   if (!favorable && !forced) {
     // Each deferral is a one-stage query, as in MntpClient::attempt.
     b.engine.note_deferral();
-    if (tracer_.enabled()) {
-      tracer_.finish(tracer_.begin(t, "round"), t, obs::Reason::kChannelDefer,
+    if (const obs::QueryId id =
+            tracer_.enabled() ? tracer_.begin(t, "round") : 0;
+        obs::recorded(id)) {
+      tracer_.finish(id, t, obs::Reason::kChannelDefer,
                      {{"phase", std::string(to_string(b.engine.phase()))}});
     }
     b.next_action_s = rec.t_s + family_.hint_recheck_interval.to_seconds();
@@ -329,7 +331,9 @@ void Replay::close_round(Branch& b, std::size_t i,
   std::optional<obs::ActiveQueryScope> scope;
   if (id != 0) {
     scope.emplace(tracer_, id);
-    if (forced) tracer_.stage(id, t, "gate", obs::Reason::kForcedEmission);
+    if (forced && obs::recorded(id)) {
+      tracer_.stage(id, t, "gate", obs::Reason::kForcedEmission);
+    }
   }
   const MntpEngine::RoundResult rr = b.engine.judge(t, offsets, restart);
 
@@ -350,7 +354,7 @@ void Replay::close_round(Branch& b, std::size_t i,
     }
     b.engine.end_warmup(t);
   }
-  if (id != 0) finish_round_trace(tracer_, id, t, rr, offsets.size());
+  finish_round_trace(tracer_, id, t, rr, offsets.size());
   advance(b, i);
 }
 

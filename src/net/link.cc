@@ -19,7 +19,8 @@ struct Walker {
   std::size_t bytes;
   ArrivalFn on_arrival;
   DropFn on_drop;
-  /// Non-null only when this datagram belongs to a traced query.
+  /// Non-null only when this datagram belongs to a query minted while
+  /// tracing was on (recorded or not; obs::recorded tells which).
   obs::QueryTracer* tracer = nullptr;
   obs::QueryId query = 0;
 };
@@ -36,20 +37,22 @@ void step(std::unique_ptr<Walker> w, std::size_t hop_index,
   if (w->tracer) {
     // Channel models under this transmit() see the packet's query as
     // ambient and can record airtime detail (retries, queueing, ...).
+    // An unrecorded query installs its scope too: it hides whatever
+    // query sent the packet, so airtime never lands on that one.
     obs::ActiveQueryScope scope(*w->tracer, w->query);
     r = w->path.hop(hop_index).transmit(t, w->bytes);
   } else {
     r = w->path.hop(hop_index).transmit(t, w->bytes);
   }
   if (!r.delivered) {
-    if (w->tracer) {
+    if (obs::recorded(w->query)) {
       w->tracer->stage(w->query, t, "loss", obs::Reason::kLoss,
                        {{"hop", static_cast<std::int64_t>(hop_index)}});
     }
     if (w->on_drop) w->on_drop();
     return;
   }
-  if (w->tracer) {
+  if (obs::recorded(w->query)) {
     w->tracer->stage(w->query, t, "hop", obs::Reason::kNone,
                      {{"hop", static_cast<std::int64_t>(hop_index)},
                       {"delay_ms", r.delay.to_millis()}});

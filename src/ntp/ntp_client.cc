@@ -43,6 +43,7 @@ void NtpClient::poll_round() {
         ep, params_.query_options,
         [this, peer, outstanding, round_id](core::Result<SntpSample> result) {
           obs::QueryTracer& qt = sim_.telemetry().query_tracer();
+          const bool traced = obs::recorded(round_id);
           if (result.ok()) {
             const SntpSample& s = result.value();
             (void)filters_[peer].update(s.offset, s.delay, s.completed_at);
@@ -56,31 +57,38 @@ void NtpClient::poll_round() {
               }
             }
             if (estimates.empty()) {
-              qt.finish(round_id, sim_.now(), obs::Reason::kNoSamples,
-                        {{"peers", static_cast<std::int64_t>(filters_.size())}});
+              if (traced) {
+                qt.finish(round_id, sim_.now(), obs::Reason::kNoSamples,
+                          {{"peers",
+                            static_cast<std::int64_t>(filters_.size())}});
+              }
               return;
             }
             auto chimers = select_truechimers(estimates);
             if (chimers.empty()) {
               // Intersection found no majority clique: every estimate is
               // a potential false ticker; the round moves nothing.
-              qt.stage(round_id, sim_.now(), "selection",
-                       obs::Reason::kNoSurvivors,
-                       {{"estimates",
-                         static_cast<std::int64_t>(estimates.size())},
-                        {"truechimers", static_cast<std::int64_t>(0)}});
-              qt.finish(round_id, sim_.now(), obs::Reason::kNoSurvivors, {});
+              if (traced) {
+                qt.stage(round_id, sim_.now(), "selection",
+                         obs::Reason::kNoSurvivors,
+                         {{"estimates",
+                           static_cast<std::int64_t>(estimates.size())},
+                          {"truechimers", static_cast<std::int64_t>(0)}});
+                qt.finish(round_id, sim_.now(), obs::Reason::kNoSurvivors);
+              }
               return;
             }
             const std::size_t truechimers = chimers.size();
             chimers = cluster_survivors(estimates, std::move(chimers),
                                         params_.cluster);
             last_survivors_ = chimers.size();
-            qt.stage(round_id, sim_.now(), "selection", obs::Reason::kOk,
-                     {{"estimates", static_cast<std::int64_t>(estimates.size())},
-                      {"truechimers", static_cast<std::int64_t>(truechimers)},
-                      {"survivors",
-                       static_cast<std::int64_t>(chimers.size())}});
+            if (traced) {
+              qt.stage(
+                  round_id, sim_.now(), "selection", obs::Reason::kOk,
+                  {{"estimates", static_cast<std::int64_t>(estimates.size())},
+                   {"truechimers", static_cast<std::int64_t>(truechimers)},
+                   {"survivors", static_cast<std::int64_t>(chimers.size())}});
+            }
             // Discipline only on rounds where a surviving peer
             // contributed a not-yet-consumed nomination; a round
             // of stale re-nominations must not move the clock
@@ -90,16 +98,20 @@ void NtpClient::poll_round() {
               if (estimates[idx].fresh) fresh_survivors.push_back(idx);
             }
             if (fresh_survivors.empty()) {
-              qt.finish(round_id, sim_.now(), obs::Reason::kOk,
-                        {{"disciplined", false}});
+              if (traced) {
+                qt.finish(round_id, sim_.now(), obs::Reason::kOk,
+                          {{"disciplined", false}});
+              }
               return;
             }
             const core::Duration offset =
                 combine_offsets(estimates, fresh_survivors);
             discipline(offset);
-            qt.finish(round_id, sim_.now(), obs::Reason::kOk,
-                      {{"disciplined", true},
-                       {"offset_ms", offset.to_millis()}});
+            if (traced) {
+              qt.finish(round_id, sim_.now(), obs::Reason::kOk,
+                        {{"disciplined", true},
+                         {"offset_ms", offset.to_millis()}});
+            }
           }
         });
   }

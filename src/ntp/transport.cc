@@ -96,6 +96,8 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
   obs::QueryTracer& qt = sim_.telemetry().query_tracer();
   if (qt.enabled()) {
     ex->qid = qt.begin(ex->send_true, "exchange", obs::ambient_query().id);
+  }
+  if (obs::recorded(ex->qid)) {
     qt.stage(ex->qid, ex->send_true, "request", obs::Reason::kOk,
              {{"wire_bytes", static_cast<std::int64_t>(options.wire_bytes)},
               {"mode", std::string(options.sntp_style ? "sntp" : "ntp")},
@@ -107,7 +109,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
     if (!*ex->engine_alive) return;
     ++timeouts_;
     timeout_counter_->inc();
-    if (ex->qid != 0) {
+    if (obs::recorded(ex->qid)) {
       sim_.telemetry().query_tracer().finish(ex->qid, sim_.now(),
                                              obs::Reason::kTimeout);
     }
@@ -129,7 +131,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
         auto reply = ex->server->handle(ex->request_bytes, arrival);
         if (!reply.ok()) {
           error_counter_->inc();
-          if (ex->qid != 0) {
+          if (obs::recorded(ex->qid)) {
             sim_.telemetry().query_tracer().finish(
                 ex->qid, arrival, obs::Reason::kServerError);
           }
@@ -138,7 +140,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
         }
         const NtpPacket& reply_packet = reply.value().packet;
         ex->reply_bytes = reply_packet.to_bytes();
-        if (ex->qid != 0) {
+        if (obs::recorded(ex->qid)) {
           sim_.telemetry().query_tracer().stage(
               ex->qid, arrival, "server", obs::Reason::kOk,
               {{"stratum", static_cast<std::int64_t>(reply_packet.stratum)},
@@ -159,7 +161,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
                 auto parsed = NtpPacket::parse(ex->reply_bytes);
                 if (!parsed.ok()) {
                   error_counter_->inc();
-                  if (ex->qid != 0) {
+                  if (obs::recorded(ex->qid)) {
                     sim_.telemetry().query_tracer().finish(
                         ex->qid, t4_true, obs::Reason::kValidationError);
                   }
@@ -170,7 +172,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
                 if (const core::Status s = validate_sntp_response(p, ex->t1);
                     !s.ok()) {
                   error_counter_->inc();
-                  if (ex->qid != 0) {
+                  if (obs::recorded(ex->qid)) {
                     sim_.telemetry().query_tracer().finish(
                         ex->qid, t4_true, obs::Reason::kValidationError);
                   }
@@ -186,7 +188,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
                                         .t3 = p.transmit_ts,
                                         .t4 = t4};
                 rtt_ms_->record(xchg.delay().to_millis());
-                if (ex->qid != 0) {
+                if (obs::recorded(ex->qid)) {
                   sim_.telemetry().query_tracer().finish(
                       ex->qid, t4_true, obs::Reason::kOk,
                       {{"offset_ms", xchg.offset().to_millis()},

@@ -78,20 +78,21 @@ QueryId QueryTracer::begin(core::TimePoint t, std::string_view kind,
   const QueryId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t key =
       t_replicate != nullptr ? t_replicate->next_key_++ : id;
-  std::lock_guard lock(mutex_);
   if (!gate_keeps(key)) {
-    // Sampled away; id stays monotonic and stages for it will no-op.
-    ++sampled_out_;
-    return id;
+    // Sampled away: no lock, and the mark makes every later call for
+    // this id return before building or taking anything.
+    sampled_out_.fetch_add(1, std::memory_order_relaxed);
+    return id | kUnrecordedMark;
   }
+  std::lock_guard lock(mutex_);
   if (traces_.size() >= limits_.max_queries) {
     ++dropped_queries_;
-    return id;
+    return id | kUnrecordedMark;
   }
   index_.emplace(id, traces_.size());
   QueryTrace& trace = traces_.emplace_back();
   trace.id = id;
-  trace.parent = parent;
+  trace.parent = parent & ~kUnrecordedMark;
   trace.kind = std::string(kind);
   trace.started = t;
   return id;
@@ -100,7 +101,7 @@ QueryId QueryTracer::begin(core::TimePoint t, std::string_view kind,
 void QueryTracer::stage(QueryId id, core::TimePoint t,
                         std::string_view stage, Reason reason,
                         std::vector<Field> fields) {
-  if (id == 0 || !enabled()) return;
+  if (!recorded(id) || !enabled()) return;
   std::lock_guard lock(mutex_);
   auto it = index_.find(id);
   if (it == index_.end()) return;
@@ -116,7 +117,7 @@ void QueryTracer::stage(QueryId id, core::TimePoint t,
 
 void QueryTracer::finish(QueryId id, core::TimePoint t, Reason reason,
                          std::vector<Field> fields) {
-  if (id == 0 || !enabled()) return;
+  if (!recorded(id) || !enabled()) return;
   std::lock_guard lock(mutex_);
   auto it = index_.find(id);
   if (it == index_.end()) return;
@@ -154,8 +155,7 @@ std::uint64_t QueryTracer::kept() const {
 }
 
 std::uint64_t QueryTracer::sampled_out() const {
-  std::lock_guard lock(mutex_);
-  return sampled_out_;
+  return sampled_out_.load(std::memory_order_relaxed);
 }
 
 void QueryTracer::export_counters(MetricsRegistry& registry) const {
@@ -163,7 +163,7 @@ void QueryTracer::export_counters(MetricsRegistry& registry) const {
   {
     std::lock_guard lock(mutex_);
     kept = traces_.size();
-    sampled_out = sampled_out_;
+    sampled_out = sampled_out_.load(std::memory_order_relaxed);
     dropped = dropped_queries_;
   }
   registry.counter(metric_names::kObsQueryTraceKept)->inc(kept);
@@ -171,13 +171,15 @@ void QueryTracer::export_counters(MetricsRegistry& registry) const {
   registry.counter(metric_names::kObsQueryTraceDropped)->inc(dropped);
 }
 
-std::string QueryTracer::to_jsonl(std::string_view run,
-                                  core::TimePoint sim_end) const {
+void QueryTracer::write_jsonl(std::ostream& out, std::string_view run,
+                              core::TimePoint sim_end) const {
   std::lock_guard lock(mutex_);
-  std::string out;
-  out.reserve(256 + traces_.size() * 256);
+  // Lines go out in chunks of about kChunkBytes: the artifact is never
+  // held whole, and the file sees few large writes.
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+  std::string chunk;
   {
-    core::JsonWriter w(out);
+    core::JsonWriter w(chunk);
     w.begin_object()
         .kv("type", "meta")
         .kv("schema_version", std::int64_t{1})
@@ -198,12 +200,12 @@ std::string QueryTracer::to_jsonl(std::string_view run,
           .kv("minted",
               next_id_.load(std::memory_order_relaxed) - 1)
           .kv("kept", static_cast<std::uint64_t>(traces_.size()))
-          .kv("sampled_out", sampled_out_)
+          .kv("sampled_out", sampled_out_.load(std::memory_order_relaxed))
           .end_object();
     }
     w.end_object();
   }
-  out += '\n';
+  chunk += '\n';
   // Emit in id order. Queries are *stored* in insertion order, and
   // concurrent minters (parallel replicates, tuner workers) can insert
   // in a different order than they minted — the artifact contract is
@@ -216,10 +218,14 @@ std::string QueryTracer::to_jsonl(std::string_view run,
               return a->id < b->id;
             });
   for (const QueryTrace* trace_ptr : ordered) {
-    append_query_trace_json(out, *trace_ptr);
-    out += '\n';
+    append_query_trace_json(chunk, *trace_ptr);
+    chunk += '\n';
+    if (chunk.size() >= kChunkBytes) {
+      out << chunk;
+      chunk.clear();
+    }
   }
-  return out;
+  out << chunk;
 }
 
 bool QueryTracer::write_jsonl_file(const std::string& path,
@@ -227,7 +233,7 @@ bool QueryTracer::write_jsonl_file(const std::string& path,
                                    core::TimePoint sim_end) const {
   std::ofstream out(path);
   if (!out) return false;
-  out << to_jsonl(run, sim_end);
+  write_jsonl(out, run, sim_end);
   return static_cast<bool>(out);
 }
 
@@ -235,7 +241,7 @@ AmbientQuery ambient_query() { return t_ambient; }
 
 ActiveQueryScope::ActiveQueryScope(QueryTracer& tracer, QueryId id)
     : previous_(t_ambient) {
-  t_ambient = id != 0 ? AmbientQuery{&tracer, id} : AmbientQuery{};
+  t_ambient = AmbientQuery{recorded(id) ? &tracer : nullptr, id};
 }
 
 ActiveQueryScope::~ActiveQueryScope() { t_ambient = previous_; }

@@ -30,6 +30,16 @@
 // disabled, an instrumented decision point costs one thread-local read
 // and a branch.
 //
+// Sampling decides at mint: begin() runs the gate before it takes any
+// lock, and a query the store will not hold (sampled out, or the store
+// is full) gets its id back with kUnrecordedMark set. Emitters holding
+// an id test obs::recorded(id) before they build a payload; stage() and
+// finish() return before the lock for a marked id. An ActiveQueryScope
+// for a marked id installs a null ambient tracer but keeps the id, so
+// ambient emitters under it build nothing, it still hides an enclosing
+// recorded query from them, and children minted under it still name it
+// as their parent (parents are stored without the mark).
+//
 // Determinism & overhead: the tracer only OBSERVES — it never consumes
 // RNG draws, never schedules events, and is off by default behind the
 // same cached-atomic guard discipline as the profiler, so untraced runs
@@ -37,15 +47,18 @@
 // mntp_engine_test; perf_suite's telemetry_overhead_off prices the off
 // path). The store is bounded
 // (max_queries / max_stages_per_query); overflow increments dropped
-// counters instead of growing without bound. All mutation serializes on
-// one mutex — safe under the parallel tuner, where each worker's rounds
-// interleave arbitrarily but each stage append is atomic.
+// counters instead of growing without bound. Only recorded queries
+// reach the store, and their begin/stage/finish serialize on one mutex —
+// safe under the parallel tuner, where each worker's rounds interleave
+// arbitrarily but each stage append is atomic. Minting and the
+// sampled-out count are lock-free atomics.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -70,6 +83,17 @@ struct Field {
 
 /// Monotonic per-tracer query identifier; 0 is "no query" (disabled).
 using QueryId = std::uint64_t;
+
+/// Set on the id of a query the store does not hold (sampled out by the
+/// gate, or minted while the store was full). The low bits are the
+/// minted id.
+inline constexpr QueryId kUnrecordedMark = QueryId{1} << 63;
+
+/// True when `id` names a query in the store: stages for it land.
+/// Emitters holding an id test this before building a payload.
+[[nodiscard]] inline bool recorded(QueryId id) {
+  return id != 0 && (id & kUnrecordedMark) == 0;
+}
 
 /// One hop or decision in the life of a query.
 struct QueryStage {
@@ -160,15 +184,18 @@ class QueryTracer {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Mint a new query. Returns 0 when disabled — every other call
-  /// treats id 0 as "not traced", so callers never need their own guard
-  /// beyond skipping payload construction. Ids stay monotonic even when
-  /// the store is full (the trace body is then dropped and counted).
+  /// Mint a new query. Returns 0 when disabled. The sampling gate runs
+  /// before any lock: a query the store will not hold (sampled out, or
+  /// the store is full — then counted as dropped) comes back with
+  /// kUnrecordedMark set, and every other call treats it like id 0, so
+  /// callers skip payload construction with obs::recorded(id). The
+  /// minted numbers stay monotonic either way. `parent` is stored
+  /// without its mark.
   QueryId begin(core::TimePoint t, std::string_view kind,
                 QueryId parent = 0);
 
-  /// Append a stage to a live query. No-ops for id 0, unknown ids
-  /// (sampled out or overflowed), or already-finished queries.
+  /// Append a stage to a live query. No-ops for id 0, marked ids, or
+  /// already-finished queries; only recorded ids take the lock.
   void stage(QueryId id, core::TimePoint t, std::string_view stage,
              Reason reason, std::vector<Field> fields = {});
 
@@ -199,13 +226,15 @@ class QueryTracer {
   /// can tell "sampled away on purpose" from "lost". Call at finalize.
   void export_counters(MetricsRegistry& registry) const;
 
-  /// Serialize the store as query-trace JSONL (schema v1): a meta line
+  /// Stream the store as query-trace JSONL (schema v1): a meta line
   /// {"type":"meta","kind":"mntp_query_trace",...} then one
-  /// {"type":"query",...} line per trace in mint order. `run` names the
-  /// producing bench; `sim_end` stamps the end of the simulated run.
-  [[nodiscard]] std::string to_jsonl(std::string_view run,
-                                     core::TimePoint sim_end) const;
-  /// to_jsonl straight to a file; returns false on I/O failure.
+  /// {"type":"query",...} line per trace in mint order, written in
+  /// chunks of about 64 KiB, so the artifact is never held whole in
+  /// memory. `run` names the producing bench; `sim_end` stamps the end
+  /// of the simulated run.
+  void write_jsonl(std::ostream& out, std::string_view run,
+                   core::TimePoint sim_end) const;
+  /// write_jsonl to a file; returns false on I/O failure.
   bool write_jsonl_file(const std::string& path, std::string_view run,
                         core::TimePoint sim_end) const;
 
@@ -221,18 +250,21 @@ class QueryTracer {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   std::atomic<std::uint64_t> next_id_{1};
+  std::atomic<std::uint64_t> sampled_out_{0};
+  /// Written by set_sampling before the run fans out; read by begin()
+  /// without the lock.
   Sampling sampling_;
   std::uint64_t gate_seed_ = 0;  // derive_stream_seed(sampling_.seed, 0)
   /// Append-only store in insertion order; index_ maps id -> slot.
   std::vector<QueryTrace> traces_;
   std::unordered_map<QueryId, std::size_t> index_;
-  std::uint64_t sampled_out_ = 0;
   std::uint64_t dropped_queries_ = 0;
   std::uint64_t dropped_stages_ = 0;
 };
 
 /// The ambient query: (tracer, id) for the query the current thread is
-/// working on behalf of. Null tracer / id 0 when none.
+/// working on behalf of. Null tracer / id 0 when none; null tracer and
+/// the marked id under an unrecorded query.
 struct AmbientQuery {
   QueryTracer* tracer = nullptr;
   QueryId id = 0;
@@ -250,7 +282,10 @@ struct AmbientQuery {
 /// Installs (tracer, id) as the thread's ambient query for this scope;
 /// restores the previous ambient on destruction. Nestable. Passing
 /// id 0 installs "no ambient" (emitters see a null tracer), so callers
-/// can wrap unconditionally with the id they hold.
+/// can wrap unconditionally with the id they hold. A marked id installs
+/// a null tracer with the id kept: emitters under it build nothing,
+/// an enclosing recorded query is hidden from them, and queries minted
+/// under it still take it as their parent.
 class ActiveQueryScope {
  public:
   ActiveQueryScope(QueryTracer& tracer, QueryId id);

@@ -57,7 +57,7 @@ class Telemetry {
   /// Per-query causal tracer bound to this context (see
   /// obs/query_trace.h). Off by default; enable with
   /// query_tracer().set_enabled(true), export via
-  /// query_tracer().to_jsonl / write_jsonl_file.
+  /// query_tracer().write_jsonl / write_jsonl_file.
   [[nodiscard]] QueryTracer& query_tracer() { return query_tracer_; }
   [[nodiscard]] const QueryTracer& query_tracer() const {
     return query_tracer_;

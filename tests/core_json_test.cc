@@ -9,6 +9,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/json_writer.h"
@@ -124,12 +125,25 @@ TEST(Json, CopiesShareStorageCheaply) {
   EXPECT_EQ(&a["k"].as_array(), &b["k"].as_array());
 }
 
+/// `s` as the writer renders it: a quoted, escaped JSON string.
+std::string render_string(std::string_view s) {
+  std::string out;
+  JsonWriter(out).value(s);
+  return out;
+}
+
 TEST(JsonEscape, HandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(render_string("plain"), "\"plain\"");
+  EXPECT_EQ(render_string("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(render_string("back\\slash"), "\"back\\\\slash\"");
+  EXPECT_EQ(render_string("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+  EXPECT_EQ(render_string(std::string("\x01", 1)), "\"\\u0001\"");
+  EXPECT_EQ(render_string(std::string("x\0y\x1f\r\b\f", 7)),
+            "\"x\\u0000y\\u001f\\r\\b\\f\"");
+  // Keys take the same escaping.
+  std::string obj;
+  JsonWriter(obj).begin_object().kv("q\"k", "\\").end_object();
+  EXPECT_EQ(obj, "{\"q\\\"k\":\"\\\\\"}");
 }
 
 std::string render_number(double v) {

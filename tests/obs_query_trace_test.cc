@@ -1,6 +1,7 @@
 // Query-tracer tests: lifecycle and latching, store bounds, ambient
 // scoping, JSONL serialization, engine round ownership, the tracing-off
-// bit-identity guarantee, and thread safety under the parallel tuner.
+// bit-identity guarantee, the sampling gate and its sampled-out mark, and
+// thread safety under the parallel tuner.
 #include "obs/query_trace.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,13 @@ namespace {
 using core::TimePoint;
 
 TimePoint at(std::int64_t ns) { return TimePoint::from_ns(ns); }
+
+std::string to_jsonl(const QueryTracer& tracer, std::string_view run,
+                     TimePoint sim_end) {
+  std::ostringstream out;
+  tracer.write_jsonl(out, run, sim_end);
+  return out.str();
+}
 
 TEST(QueryTracer, DisabledMintsNothing) {
   QueryTracer tracer;  // off by default
@@ -110,6 +119,8 @@ TEST(QueryTracer, QueryCapKeepsIdsMonotonicAndCountsDrops) {
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);  // ids stay monotonic even when the body is dropped
   EXPECT_EQ(tracer.dropped(), 1u);
+  EXPECT_TRUE(recorded(b));
+  EXPECT_FALSE(recorded(c));  // marked: emitters skip its payloads
   tracer.stage(c, at(4), "gate", Reason::kOk);  // silently no-ops
   tracer.finish(c, at(5), Reason::kOk);
   EXPECT_EQ(tracer.snapshot().size(), 2u);
@@ -148,7 +159,7 @@ TEST(QueryTracer, JsonlSerializesMetaAndTypedFields) {
   tracer.finish(id, at(3'000'000'000), Reason::kChannelDefer,
                 {{"phase", std::string("warmup")}});
 
-  const std::string jsonl = tracer.to_jsonl("test_run", at(4'000'000'000));
+  const std::string jsonl = to_jsonl(tracer, "test_run", at(4'000'000'000));
   std::istringstream stream(jsonl);
   std::vector<std::string> lines;
   for (std::string line; std::getline(stream, line);) lines.push_back(line);
@@ -404,6 +415,84 @@ TEST(QueryTracerSampling, ReplicateKeysAreThreadCountInvariant) {
   EXPECT_EQ(kept_starts(single), replicate0);
 }
 
+/// Mints queries of `kind` until the gate answers `keep`; returns that
+/// id. The kept queries minted on the way stay in the store, stageless.
+QueryId mint_until(QueryTracer& tracer, bool keep, std::string_view kind,
+                   QueryId parent = 0) {
+  for (;;) {
+    const QueryId id = tracer.begin(at(1), kind, parent);
+    if (recorded(id) == keep) return id;
+  }
+}
+
+TEST(QueryTracerSampling, SampledOutIdRecordsNothingAndShadowsAmbient) {
+  QueryTracer tracer;
+  tracer.set_enabled(true);
+  tracer.set_sampling({.sample_one_in_n = 2, .seed = 3});
+  const QueryId round = mint_until(tracer, true, "round");
+  const QueryId out = mint_until(tracer, false, "exchange");
+  ASSERT_NE(out, 0u);
+  EXPECT_NE(out & kUnrecordedMark, 0u);
+  EXPECT_LE(out & ~kUnrecordedMark, tracer.minted());
+
+  // Stage and finish for a marked id record nothing.
+  tracer.stage(out, at(2), "hop", Reason::kNone, {{"hop", std::int64_t{0}}});
+  tracer.finish(out, at(3), Reason::kOk);
+
+  // An ambient emitter as the channel models write one.
+  const auto emit_airtime = [] {
+    if (const AmbientQuery q = ambient_query(); q.tracer) {
+      q.tracer->stage(q.id, at(4), "airtime", Reason::kNone);
+    }
+  };
+  {
+    ActiveQueryScope round_scope(tracer, round);
+    {
+      // The sampled-out exchange's scope hides the recorded round from
+      // emitters under it, yet still names the exchange.
+      ActiveQueryScope exchange_scope(tracer, out);
+      EXPECT_EQ(ambient_query().tracer, nullptr);
+      EXPECT_EQ(ambient_query().id, out);
+      emit_airtime();
+    }
+    EXPECT_EQ(ambient_query().tracer, &tracer);
+    EXPECT_EQ(ambient_query().id, round);
+  }
+  tracer.finish(round, at(5), Reason::kOk);
+
+  // The round holds its verdict and no airtime; nothing else holds any
+  // stage.
+  for (const QueryTrace& t : tracer.snapshot()) {
+    if (t.id != round) {
+      EXPECT_TRUE(t.stages.empty()) << "query " << t.id;
+      continue;
+    }
+    ASSERT_EQ(t.stages.size(), 1u);
+    EXPECT_EQ(t.stages[0].stage, "verdict");
+  }
+  EXPECT_EQ(tracer.kept() + tracer.sampled_out(), tracer.minted());
+}
+
+TEST(QueryTracerSampling, KeptExchangeUnderSampledOutRoundNamesItsRound) {
+  QueryTracer tracer;
+  tracer.set_enabled(true);
+  tracer.set_sampling({.sample_one_in_n = 2, .seed = 5});
+  const QueryId round = mint_until(tracer, false, "round");
+  QueryId exchange = 0;
+  {
+    ActiveQueryScope scope(tracer, round);
+    exchange = mint_until(tracer, true, "exchange", ambient_query().id);
+  }
+  const auto traces = tracer.snapshot();
+  const auto it = std::find_if(
+      traces.begin(), traces.end(),
+      [&](const QueryTrace& t) { return t.id == exchange; });
+  ASSERT_NE(it, traces.end());
+  EXPECT_EQ(it->parent, round & ~kUnrecordedMark);
+  EXPECT_NE(it->parent, 0u);
+  EXPECT_LT(it->parent, exchange);
+}
+
 TEST(QueryTracerSampling, MetaCarriesSamplingBlockOnlyWhenActive) {
   // Byte-identity guarantee: an unsampled artifact has NO sampling key
   // (old consumers see the exact old schema); a sampled one reconciles.
@@ -411,7 +500,7 @@ TEST(QueryTracerSampling, MetaCarriesSamplingBlockOnlyWhenActive) {
   plain.set_enabled(true);
   const QueryId id = plain.begin(at(1), "round");
   plain.finish(id, at(2), Reason::kOk);
-  const std::string unsampled = plain.to_jsonl("run", at(3));
+  const std::string unsampled = to_jsonl(plain, "run", at(3));
   EXPECT_EQ(unsampled.find("\"sampling\""), std::string::npos);
 
   QueryTracer tracer;
@@ -421,7 +510,7 @@ TEST(QueryTracerSampling, MetaCarriesSamplingBlockOnlyWhenActive) {
     const QueryId q = tracer.begin(at(i), "round");
     tracer.finish(q, at(i + 1), Reason::kOk);
   }
-  const std::string jsonl = tracer.to_jsonl("run", at(100));
+  const std::string jsonl = to_jsonl(tracer, "run", at(100));
   const auto meta =
       core::Json::parse(jsonl.substr(0, jsonl.find('\n')));
   ASSERT_TRUE(meta.ok());
@@ -482,6 +571,44 @@ TEST(QueryTracer, ParallelTunerSearchTracesSafelyAndIdentically) {
   // Same replays → same number of minted rounds, whatever the schedule.
   EXPECT_GT(serial_traces, 0u);
   EXPECT_EQ(serial_traces, parallel_traces);
+}
+
+TEST(QueryTracerSampling, ParallelTunerSearchSampledIsSafeAndIdentical) {
+  // Workers mint concurrently, and most mints take the lock-free
+  // sampled-out path while the kept ones append to the shared store
+  // (the TSan exercise of the gate). Only the counts are
+  // schedule-independent: ids are minted process-wide.
+  const protocol::Trace trace = make_noisy_trace(720);
+  protocol::tuner::SearchSpace space;
+  space.warmup_periods = {core::Duration::minutes(30)};
+  space.warmup_wait_times = {core::Duration::seconds(15)};
+  space.regular_wait_times = {core::Duration::minutes(5),
+                              core::Duration::minutes(15)};
+  space.reset_periods = {core::Duration::hours(4)};
+
+  auto run = [&](std::size_t threads) {
+    Telemetry telemetry;
+    ScopedTelemetry scope(telemetry);
+    QueryTracer& tracer = telemetry.query_tracer();
+    tracer.set_enabled(true);
+    tracer.set_sampling({.sample_one_in_n = 4, .seed = 11});
+    auto entries = protocol::tuner::search(trace, space, {.threads = threads});
+    EXPECT_EQ(tracer.kept() + tracer.sampled_out(), tracer.minted());
+    std::size_t finished = 0;
+    for (const QueryTrace& t : tracer.snapshot()) finished += t.finished;
+    EXPECT_EQ(finished, tracer.kept());
+    return std::make_pair(std::move(entries), tracer.minted());
+  };
+
+  const auto [serial, serial_minted] = run(1);
+  const auto [parallel, parallel_minted] = run(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].rmse_ms, parallel[i].rmse_ms) << "entry " << i;
+    EXPECT_EQ(serial[i].requests, parallel[i].requests) << "entry " << i;
+  }
+  EXPECT_GT(serial_minted, 0u);
+  EXPECT_EQ(serial_minted, parallel_minted);
 }
 
 }  // namespace
