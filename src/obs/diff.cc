@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/format.h"
@@ -19,7 +17,6 @@ namespace mntp::obs {
 namespace {
 
 using core::Error;
-using core::Json;
 using core::Result;
 
 using namespace diff_class;
@@ -29,128 +26,6 @@ using namespace diff_class;
 /// minted == kept + sampled_out + dropped and friends).
 bool is_accounting_counter(const std::string& name) {
   return name.rfind("mntp.", 0) == 0 || name.rfind("obs.", 0) == 0;
-}
-
-// ------------------------------------------------------------ decoding
-
-ArtifactLabels decode_labels(const Json& labels) {
-  ArtifactLabels out;
-  for (const auto& [key, value] : labels.as_object()) {
-    out[key] = value.as_string();
-  }
-  return out;
-}
-
-/// An error message, or nullptr when the document decoded.
-const char* decode_bench(const Json& doc, BenchArtifact& out) {
-  if (!doc["workloads"].is_array()) {
-    return "bench artifact has no workloads array";
-  }
-  out.reps = doc["reps"].as_int();
-  out.warmup = doc["warmup"].as_int();
-  out.environment = doc["environment"];
-  for (const Json& w : doc["workloads"].as_array()) {
-    if (w["name"].as_string().empty()) return "bench workload without name";
-    out.workloads.push_back(
-        {w["name"].as_string(), w["median_us"].as_double(),
-         w["mad_us"].as_double(), w["p95_us"].as_double(),
-         w["min_us"].as_double(), w["max_us"].as_double()});
-  }
-  return nullptr;
-}
-
-const char* decode_profile(const Json& doc, ArtifactFile& file) {
-  if (!doc["traceEvents"].is_array()) {
-    return "profile artifact has no traceEvents array";
-  }
-  for (const Json& e : doc["traceEvents"].as_array()) {
-    const std::string& ph = e["ph"].as_string();
-    if (ph == "M" && e["name"].as_string() == "process_name") {
-      file.run = e["args"]["name"].as_string();
-    }
-    if (ph != "X") continue;
-    const Json& args = e["args"];
-    const double dur = e["dur"].as_double();
-    const bool aggregate = args.has("agg_count");
-    const double lo = aggregate ? args["min_us"].as_double() : dur;
-    const double hi = aggregate ? args["max_us"].as_double() : dur;
-    SpanAggregate& agg = file.profile.spans[e["name"].as_string()];
-    agg.min_us = agg.count == 0.0 ? lo : std::min(agg.min_us, lo);
-    agg.max_us = agg.count == 0.0 ? hi : std::max(agg.max_us, hi);
-    agg.has_range = agg.has_range && (!aggregate || args.has("min_us"));
-    agg.count += aggregate ? args["agg_count"].as_double() : 1.0;
-    agg.total_us += dur;
-    agg.self_us += args["self_us"].as_double();
-  }
-  return nullptr;
-}
-
-TraceQuery decode_query(const Json& line) {
-  TraceQuery q;
-  q.id = line["id"].as_int();
-  q.parent = line["parent"].as_int();
-  q.kind = line["kind"].as_string();
-  q.start_ns = line["start_ns"].as_int();
-  for (const Json& s : line["stages"].as_array()) {
-    q.stages.push_back({s["stage"].as_string(), s["reason"].as_string(),
-                        s["t_ns"].as_int(), s["fields"]});
-  }
-  const TraceStage* verdict = q.verdict_stage();
-  q.verdict = verdict ? verdict->reason : "unfinished";
-  return q;
-}
-
-TimelineSeries decode_series(const Json& line) {
-  TimelineSeries s;
-  s.name = line["name"].as_string();
-  s.labels = decode_labels(line["labels"]);
-  s.probe = line["probe"].as_string();
-  s.samples = line["samples"].as_int();
-  s.stride = line["stride"].as_int();
-  for (const Json& p : line["points"].as_array()) {
-    s.t_ns.push_back(p.at(0).as_int());
-    s.min.push_back(p.at(1).as_double());
-    s.mean.push_back(p.at(2).as_double());
-    s.max.push_back(p.at(3).as_double());
-    s.last = p.at(4).as_double();
-  }
-  return s;
-}
-
-/// Decode the lines of a classified JSONL artifact (meta first).
-void decode_jsonl(const std::vector<Json>& lines, ArtifactFile& file) {
-  for (const Json& line : lines) {
-    const std::string& type = line["type"].as_string();
-    if (type == "meta") {
-      file.run = line["run"].as_string();
-      file.schema_version = line["schema_version"].as_int();
-      file.sim_end_ns = line["sim_end_ns"].as_int();
-      file.report.metric_count = line["metric_count"].as_int();
-      file.trace.dropped = line["dropped"].as_int();
-      file.timeline.cadence_ns = line["cadence_ns"].as_int();
-      file.timeline.series_count = line["series_count"].as_int();
-      if (line.has("sampling")) {
-        const Json& s = line["sampling"];
-        file.trace.sampled = true;
-        file.trace.sample_one_in_n = s["sample_one_in_n"].as_int();
-        file.trace.seed = s["seed"].as_uint();
-        file.trace.minted = s["minted"].as_int();
-        file.trace.kept = s["kept"].as_int();
-        file.trace.sampled_out = s["sampled_out"].as_int();
-      }
-    } else if (type == "metric" && file.kind == ArtifactKind::kReport) {
-      file.report.metrics.push_back(
-          {line["name"].as_string(), decode_labels(line["labels"]),
-           line["kind"].as_string(), line["value"].as_double(),
-           line["count"].as_int(), line["p50"].as_double(),
-           line["p90"].as_double(), line["p99"].as_double(),
-           line["max"].as_double()});
-    } else if (type == "query" && file.kind == ArtifactKind::kQueryTrace) {
-      file.trace.queries.push_back(decode_query(line));
-    } else if (type == "series" && file.kind == ArtifactKind::kTimeline) {
-      file.timeline.series.push_back(decode_series(line));
-    }
-  }
 }
 
 // ------------------------------------------------------------- diffing
@@ -563,20 +438,6 @@ core::Result<BenchBudget> parse_bench_budget(std::string_view spec) {
   return budget;
 }
 
-const char* artifact_kind_name(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kBench: return "bench";
-    case ArtifactKind::kProfile: return "profile";
-    case ArtifactKind::kReport: return "report";
-    case ArtifactKind::kQueryTrace: return "query-trace";
-    case ArtifactKind::kTimeline: return "timeline";
-    case ArtifactKind::kDiff: return "diff";
-    case ArtifactKind::kFleet: return "fleet";
-    case ArtifactKind::kPerfDelta: return "perf-delta";
-  }
-  return "unknown";
-}
-
 std::string format_labels(const ArtifactLabels& labels) {
   std::string out;
   for (const auto& [key, value] : labels) {
@@ -593,126 +454,6 @@ double bucket_mean(const std::vector<double>& v, std::size_t i,
   double acc = 0.0;
   for (std::size_t k = begin; k < end; ++k) acc += v[k];
   return acc / static_cast<double>(end - begin);
-}
-
-const TraceStage* TraceQuery::verdict_stage() const {
-  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
-    if (it->stage == "verdict") return &*it;
-  }
-  return nullptr;
-}
-
-core::Result<LoadedArtifact> load_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error::io("cannot read " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    // The producer crashed before its first write, or the path was
-    // pre-created by a harness.
-    return Error::malformed(path + ": empty artifact file");
-  }
-
-  LoadedArtifact loaded;
-  if (auto parsed = Json::parse(content); parsed.ok()) {
-    const Json& doc = parsed.value();
-    const std::string& kind = doc["kind"].as_string();
-    // A JSONL artifact with no body (no query, series or metric yet) is
-    // a single meta line, i.e. whole-file JSON too: it is split below.
-    const bool meta_only =
-        doc["type"].as_string() == "meta" &&
-        (kind.empty() || kind == "mntp_query_trace" ||
-         kind == "mntp_timeline");
-    if (!meta_only) {
-      if (doc.has("traceEvents")) {
-        loaded.kind = ArtifactKind::kProfile;
-      } else if (kind == "mntp_perf_suite") {
-        loaded.kind = ArtifactKind::kBench;
-      } else if (kind == "mntp_diff") {
-        loaded.kind = ArtifactKind::kDiff;
-      } else if (kind == "mntp_fleet_report") {
-        loaded.kind = ArtifactKind::kFleet;
-      } else if (kind == "mntp_perf_delta") {
-        loaded.kind = ArtifactKind::kPerfDelta;
-      } else {
-        return Error::invalid_argument(
-            kind.empty()
-                ? path + ": unrecognized JSON document"
-                : path + ": unsupported artifact kind '" + kind + "'");
-      }
-      loaded.docs.push_back(std::move(parsed).take());
-      return loaded;
-    }
-  }
-
-  // Parse every JSONL line here, once, under one policy. Writers emit
-  // whole lines, so only the last line can be a cut-off write (a crashed
-  // producer, an interrupted copy); a bad line anywhere else is a
-  // corrupt artifact.
-  const std::size_t tail = content.find_last_not_of(" \t\r\n");
-  std::size_t line_no = 0;
-  for (std::size_t pos = 0; pos <= tail;) {
-    const std::size_t end = std::min(content.find('\n', pos), content.size());
-    const std::string_view text(content.data() + pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (text.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    auto parsed = Json::parse(text);
-    if (parsed.ok()) {
-      loaded.docs.push_back(std::move(parsed).take());
-      loaded.line_numbers.push_back(line_no);
-    } else if (end > tail) {
-      return Error::malformed(core::strformat(
-          "%s: truncated artifact (last line %zu is not valid JSON)",
-          path.c_str(), line_no));
-    } else {
-      return Error::invalid_argument(
-          core::strformat("%s:%zu: %s", path.c_str(), line_no,
-                          parsed.error().message.c_str()));
-    }
-  }
-  const Json& meta = loaded.docs.front();
-  if (meta["type"].as_string() != "meta") {
-    return Error::invalid_argument(
-        path + ": first line is not a meta object (no known artifact kind)");
-  }
-  const std::string& kind = meta["kind"].as_string();
-  loaded.kind = kind == "mntp_query_trace" ? ArtifactKind::kQueryTrace
-                : kind == "mntp_timeline"  ? ArtifactKind::kTimeline
-                                           : ArtifactKind::kReport;
-  return loaded;
-}
-
-core::Result<ArtifactFile> read_artifact(const std::string& path) {
-  auto loaded = load_artifact(path);
-  if (!loaded.ok()) return loaded.error();
-  const std::vector<Json>& docs = loaded.value().docs;
-  ArtifactFile file;
-  file.kind = loaded.value().kind;
-  const char* error = nullptr;
-  switch (file.kind) {
-    case ArtifactKind::kProfile:
-      error = decode_profile(docs.front(), file);
-      break;
-    case ArtifactKind::kBench:
-      file.schema_version = docs.front()["schema_version"].as_int();
-      error = decode_bench(docs.front(), file.bench);
-      break;
-    case ArtifactKind::kDiff:
-    case ArtifactKind::kFleet:
-    case ArtifactKind::kPerfDelta:
-      return Error::invalid_argument(
-          path + ": unsupported artifact kind '" +
-          docs.front()["kind"].as_string() + "' (validate only)");
-    case ArtifactKind::kReport:
-    case ArtifactKind::kQueryTrace:
-    case ArtifactKind::kTimeline:
-      decode_jsonl(docs, file);
-      break;
-  }
-  if (error != nullptr) return Error::invalid_argument(path + ": " + error);
-  return file;
 }
 
 core::Result<DiffResult> diff_files(const std::string& a_path,

@@ -1,21 +1,13 @@
-// Cross-run diff & regression-triage engine, and the one loader,
-// decoder and validator of the observability artifacts.
+// Cross-run diff & regression-triage engine over the artifacts that
+// obs/artifact.h reads.
 //
-// Every artifact the observability stack writes — perf-suite baselines
-// (BENCH_*.json), Chrome span profiles (--profile-out), JSONL run
-// reports (--telemetry-out), causal query traces (--query-trace-out)
-// and sim-time timelines (--timeline-out) — describes ONE run. The
+// Every artifact the observability stack writes describes ONE run. The
 // paper's whole evaluation is comparative, and so is every perf PR:
 // the question is "what moved between these two runs, and which span /
-// counter / reason / series moved it".
+// counter / reason / series moved it". diff_files() reads two artifacts
+// of the same kind with read_artifact() and compares them; this module
+// holds only the joins, the gate and the renderers.
 //
-// load_artifact() reads, parses and classifies any artifact by content.
-// read_artifact() decodes what it loads into one typed struct per kind;
-// tools/mntp_inspect renders those structs best-effort and diff_files()
-// compares two of the same kind. validate_artifact() runs every schema
-// rule of the eight kinds (the five above plus `mntp-inspect diff
-// --json` records, fleet reports and `diff --write-delta` perf deltas)
-// over the same loaded documents.
 // Every diff section is one outer join of two keyed maps under a
 // per-kind rule:
 //
@@ -50,30 +42,14 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/json.h"
 #include "core/result.h"
+#include "obs/artifact.h"
 
 namespace mntp::obs {
-
-/// Artifact kinds, classified by content. The first five decode and
-/// diff; a diff record (kind mntp_diff), a fleet report (kind
-/// mntp_fleet_report) and a perf delta (kind mntp_perf_delta, written
-/// by `diff --write-delta`) are only validated.
-enum class ArtifactKind {
-  kBench, kProfile, kReport, kQueryTrace, kTimeline, kDiff, kFleet, kPerfDelta
-};
-
-/// Stable lowercase name used in JSON output and error messages.
-[[nodiscard]] const char* artifact_kind_name(ArtifactKind kind);
-
-/// Labels as the artifacts write them: a {"key":"value"} object.
-using ArtifactLabels = std::map<std::string, std::string>;
 
 /// "k=v,k=v" (empty for no labels) — the one label formatter, behind
 /// the inspector's label columns and the diff's `name{labels}` keys.
@@ -84,136 +60,6 @@ using ArtifactLabels = std::map<std::string, std::string>;
 /// and the inspector's sparklines.
 [[nodiscard]] double bucket_mean(const std::vector<double>& v, std::size_t i,
                                  std::size_t buckets);
-
-/// bench: a perf_suite result (BENCH_*.json).
-struct BenchWorkload {
-  std::string name;
-  double median_us = 0.0, mad_us = 0.0, p95_us = 0.0, min_us = 0.0,
-         max_us = 0.0;
-};
-struct BenchArtifact {
-  long long reps = 0, warmup = 0;
-  core::Json environment;                // flat object: strings, numbers
-  std::vector<BenchWorkload> workloads;  // file order
-};
-
-/// profile: Chrome trace events aggregated by span name. A plain event
-/// is one span; an aggregate event (--profile-out) stands for
-/// args.agg_count spans and carries their range in args.min_us/max_us
-/// when the producer wrote it.
-struct SpanAggregate {
-  double count = 0.0, total_us = 0.0, self_us = 0.0, min_us = 0.0,
-         max_us = 0.0;
-  bool has_range = true;  // false once an aggregate event lacks min/max
-};
-struct ProfileArtifact {
-  std::map<std::string, SpanAggregate> spans;
-};
-
-/// report: one metric line (histogram fields are 0 on scalars).
-struct ReportMetric {
-  std::string name;
-  ArtifactLabels labels;
-  std::string kind;  // counter, gauge or histogram
-  double value = 0.0;
-  long long count = 0;
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0, max = 0.0;
-};
-struct ReportArtifact {
-  long long metric_count = 0;         // as the meta line declares
-  std::vector<ReportMetric> metrics;  // file order
-};
-
-/// query trace: one query line and its stages.
-struct TraceStage {
-  std::string stage, reason;
-  long long t_ns = 0;
-  core::Json fields;  // free-form object
-};
-struct TraceQuery {
-  long long id = 0, parent = 0;  // parent 0: a root
-  std::string kind;
-  long long start_ns = 0;
-  std::vector<TraceStage> stages;
-  std::string verdict;  // the verdict stage's reason, or "unfinished"
-  /// The terminal stage (the last named "verdict"), or nullptr for a
-  /// query that never finished.
-  [[nodiscard]] const TraceStage* verdict_stage() const;
-};
-struct QueryTraceArtifact {
-  long long dropped = 0;
-  bool sampled = false;  // the meta line carried a "sampling" block
-  long long sample_one_in_n = 1, minted = 0, kept = 0, sampled_out = 0;
-  std::uint64_t seed = 0;
-  std::vector<TraceQuery> queries;  // file order
-};
-
-/// timeline: one series line; per point ([t_ns,min,mean,max,last,count])
-/// the time of its last folded sample and min/mean/max of its samples.
-struct TimelineSeries {
-  std::string name;
-  ArtifactLabels labels;
-  std::string probe;
-  long long samples = 0, stride = 0;
-  std::vector<long long> t_ns;
-  std::vector<double> min, mean, max;
-  double last = 0.0;  // the last point's last sample
-};
-struct TimelineArtifact {
-  long long cadence_ns = 0, series_count = 0;  // as the meta line declares
-  std::vector<TimelineSeries> series;          // file order
-};
-
-/// One artifact file, read, parsed and classified by content but not
-/// decoded. Whole-file JSON (profile, bench, diff, fleet) is one
-/// document. JSONL (run report, query trace, timeline) is one document
-/// per non-blank line, meta first, classified by the meta line's kind
-/// (none: a run report); a meta-only JSONL file is JSONL too.
-struct LoadedArtifact {
-  ArtifactKind kind = ArtifactKind::kBench;
-  std::vector<core::Json> docs;
-  std::vector<std::size_t> line_numbers;  // JSONL: each doc's file line
-};
-
-/// Read, parse and classify `path` — the one loader behind read_artifact
-/// and validate_artifact. Errors carry the path: kIo when the file
-/// cannot be read, kMalformedPacket for an empty file or a last line
-/// that is not JSON (a cut-off write), kInvalidArgument for a bad line
-/// anywhere else (as `path:line: ...`) or a readable document of no
-/// known kind.
-[[nodiscard]] core::Result<LoadedArtifact> load_artifact(
-    const std::string& path);
-
-/// One artifact decoded into the member `kind` names.
-struct ArtifactFile {
-  ArtifactKind kind = ArtifactKind::kBench;
-  std::string run;  // the meta line's run, or the profile's process_name
-  long long schema_version = 0;  // bench document / meta line
-  long long sim_end_ns = 0;      // meta line
-  BenchArtifact bench;
-  ProfileArtifact profile;
-  ReportArtifact report;
-  QueryTraceArtifact trace;
-  TimelineArtifact timeline;
-};
-
-/// load_artifact, then decode best-effort (absent keys read as neutral
-/// defaults) — behind `mntp-inspect` and diff_files alike. Errors are
-/// load_artifact's, plus kInvalidArgument for a diff record or fleet
-/// report (nothing decodes them) and for a bench or profile document
-/// without its workloads / traceEvents array.
-[[nodiscard]] core::Result<ArtifactFile> read_artifact(
-    const std::string& path);
-
-/// load_artifact, then every schema rule of the loaded kind: shapes,
-/// integer-vs-number types, the closed vocabularies (reasons, diff
-/// classes, metric and probe kinds, fleet speakers, populations and
-/// categories), ordering, and the conservation ledgers. Returns a
-/// one-line summary of a valid artifact. Errors are load_artifact's,
-/// plus kInvalidArgument naming the first broken rule and where it
-/// broke (`path: line 3: stages[1]: unknown reason 'x'`).
-[[nodiscard]] core::Result<std::string> validate_artifact(
-    const std::string& path);
 
 /// A within-candidate bench budget (`--budget A:B:PCT`): in file B,
 /// workload `a`'s median must satisfy median(a) <= median(b) * (1 +

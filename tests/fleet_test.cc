@@ -11,6 +11,7 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "fleet/simulator.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "support/read_back.h"
 
 namespace {
 // Largest single allocation operator new grants; see the id-width test.
@@ -212,6 +214,14 @@ TEST(FleetReport, RendersAndRoundTripsKeyFields) {
   EXPECT_NE(doc.find("\"category\": \"mobile\""), std::string::npos);
   EXPECT_NE(doc.find("\"speaker\": \"sntp\""), std::string::npos);
   EXPECT_NE(doc.find("\"id\": \"MW2\""), std::string::npos);
+
+  // The strict reader balances the report's ledgers; its summary carries
+  // the written client and query counts. Nothing decodes a fleet report.
+  EXPECT_EQ(test::validate_back("fleet_report.json", doc),
+            "fleet: " + std::to_string(p.clients) + " clients, " +
+                std::to_string(r.queries) + " queries");
+  EXPECT_FALSE(obs::read_artifact(::testing::TempDir() + "fleet_report.json")
+                   .ok());
 }
 
 TEST(FleetMetrics, RegistryCountersMatchResultTotals) {

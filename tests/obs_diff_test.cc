@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/json.h"
+#include "support/read_back.h"
 
 namespace mntp::obs {
 namespace {
@@ -30,7 +31,8 @@ std::string bench_doc(double engine_median, double engine_mad,
   std::string doc =
       "{\"schema_version\":1,\"kind\":\"mntp_perf_suite\",\"reps\":3,"
       "\"warmup\":1,\"environment\":{\"compiler\":\"" + compiler +
-      "\",\"build_type\":\"Release\"},"
+      "\",\"build_type\":\"Release\",\"build_flags\":\"-O2\","
+      "\"hardware_threads\":4},"
       "\"workloads\":[{\"name\":\"engine_round\",\"median_us\":" +
       std::to_string(engine_median) +
       ",\"mad_us\":" + std::to_string(engine_mad) + "}";
@@ -288,6 +290,14 @@ TEST(DiffBench, PerfDeltaRecord) {
   EXPECT_EQ(rw[0]["speedup"].as_double(), 0.8);
   EXPECT_TRUE(rw[1]["after_median_us"].is_null());
   EXPECT_EQ(rw[1]["note"].as_string(), "workload removed in this PR");
+
+  // Both records pass the strict perf-delta reader, which counts their
+  // workloads; nothing decodes a perf delta.
+  EXPECT_EQ(test::validate_back("delta_ab.json", delta.value()),
+            "perf-delta: 2 workloads");
+  EXPECT_EQ(test::validate_back("delta_ba.json", reverse.value()),
+            "perf-delta: 2 workloads");
+  EXPECT_FALSE(read_artifact(::testing::TempDir() + "delta_ab.json").ok());
 
   const std::string prof =
       write_file("delta_prof.json", profile_doc("p", 100.0, 80.0));

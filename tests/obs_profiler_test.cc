@@ -15,6 +15,7 @@
 #include "mntp/params.h"
 #include "obs/metric_names.h"
 #include "obs/telemetry.h"
+#include "support/read_back.h"
 
 namespace mntp::obs {
 namespace {
@@ -215,6 +216,22 @@ TEST(Profiler, ChromeTraceIsValidJsonWithExpectedShape) {
     EXPECT_EQ(args["agg_count"].as_int(), 1);
     EXPECT_LE(args["min_us"].as_double(), args["max_us"].as_double());
     EXPECT_TRUE(args.has("p50_us"));
+  }
+
+  // The reader folds each event into its span's aggregate.
+  const ArtifactFile file = test::read_back("chrome_trace.json", out.str());
+  EXPECT_EQ(file.kind, ArtifactKind::kProfile);
+  EXPECT_EQ(file.run, "unit_test");
+  ASSERT_EQ(file.profile.spans.size(), 2u);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    const core::Json& e = events[i];
+    const SpanAggregate& span = file.profile.spans.at(e["name"].as_string());
+    EXPECT_EQ(span.count, e["args"]["agg_count"].as_double());
+    EXPECT_EQ(span.total_us, e["dur"].as_double());
+    EXPECT_EQ(span.self_us, e["args"]["self_us"].as_double());
+    EXPECT_TRUE(span.has_range);
+    EXPECT_EQ(span.min_us, e["args"]["min_us"].as_double());
+    EXPECT_EQ(span.max_us, e["args"]["max_us"].as_double());
   }
 }
 

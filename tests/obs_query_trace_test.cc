@@ -23,6 +23,7 @@
 #include "mntp/tuner.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "support/read_back.h"
 
 namespace mntp::obs {
 namespace {
@@ -195,6 +196,34 @@ TEST(QueryTracer, JsonlSerializesMetaAndTypedFields) {
   const core::Json& verdict = q["stages"].as_array()[1];
   EXPECT_EQ(verdict["stage"].as_string(), "verdict");
   EXPECT_EQ(verdict["reason"].as_string(), "channel_defer");
+
+  const ArtifactFile file = test::read_back("query_trace.jsonl", jsonl);
+  EXPECT_EQ(file.kind, ArtifactKind::kQueryTrace);
+  EXPECT_EQ(file.run, "test_run");
+  EXPECT_EQ(file.sim_end_ns, 4'000'000'000);
+  EXPECT_EQ(file.trace.dropped, 0);
+  EXPECT_FALSE(file.trace.sampled);
+  ASSERT_EQ(file.trace.queries.size(), 1u);
+  const TraceQuery& decoded = file.trace.queries[0];
+  EXPECT_EQ(decoded.id, static_cast<long long>(id));
+  EXPECT_EQ(decoded.parent, 0);
+  EXPECT_EQ(decoded.kind, "round");
+  EXPECT_EQ(decoded.start_ns, 1'000'000'000);
+  EXPECT_EQ(decoded.verdict, "channel_defer");
+  ASSERT_EQ(decoded.stages.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const core::Json& written = q["stages"].as_array()[i];
+    const TraceStage& stage = decoded.stages[i];
+    EXPECT_EQ(stage.t_ns, written["t_ns"].as_int());
+    EXPECT_EQ(stage.stage, written["stage"].as_string());
+    EXPECT_EQ(stage.reason, written["reason"].as_string());
+    EXPECT_EQ(stage.fields.size(), written["fields"].size());
+  }
+  const core::Json& fields = decoded.stages[0].fields;
+  EXPECT_DOUBLE_EQ(fields["rssi_dbm"].as_double(), -78.5);
+  EXPECT_EQ(fields["retries"].as_int(), 3);
+  EXPECT_EQ(fields["hop"].as_string(), "wifi.up");
+  EXPECT_TRUE(fields["exhausted"].as_bool());
 }
 
 /// One engine round the way a traced driver runs it: mint the round,

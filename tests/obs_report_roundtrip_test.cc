@@ -1,7 +1,8 @@
 // Round-trip check for the run-report JSONL writer (obs/report.h): build
 // a populated Telemetry, serialize with write_run_report, parse
-// every line back with core::Json and verify the schema contract the
-// Python validator and mntp-inspect both rely on.
+// every line back with core::Json and verify the schema contract, then
+// read the same output back through obs::validate_artifact and
+// obs::read_artifact and compare the decoded values with the lines.
 #include "obs/report.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/json.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
+#include "support/read_back.h"
 
 namespace mntp::obs {
 namespace {
@@ -40,12 +42,47 @@ struct ReportFixture {
     for (int i = 1; i <= 100; ++i) h->record(static_cast<double>(i));
   }
 
-  [[nodiscard]] std::vector<core::Json> write() const {
+  [[nodiscard]] std::string text() const {
     std::ostringstream out;
     write_run_report(out, telemetry,
                      ReportOptions{.run_name = "roundtrip",
                                    .sim_end = core::TimePoint::from_ns(9'000)});
-    return parse_lines(out.str());
+    return out.str();
+  }
+
+  [[nodiscard]] std::vector<core::Json> write() const {
+    return parse_lines(text());
+  }
+
+  /// The report as the reader decodes it; each decoded metric must match
+  /// its written line.
+  [[nodiscard]] ArtifactFile read() const {
+    const std::string report = text();
+    ArtifactFile file = test::read_back("report_roundtrip.jsonl", report);
+    expect_decoded(parse_lines(report), file);
+    return file;
+  }
+
+  static void expect_decoded(const std::vector<core::Json>& lines,
+                             const ArtifactFile& file) {
+    EXPECT_EQ(file.kind, ArtifactKind::kReport);
+    ASSERT_EQ(file.report.metrics.size() + 1, lines.size());
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      const core::Json& line = lines[i];
+      const ReportMetric& m = file.report.metrics[i - 1];
+      EXPECT_EQ(m.name, line["name"].as_string());
+      EXPECT_EQ(m.kind, line["kind"].as_string());
+      EXPECT_EQ(m.labels.size(), line["labels"].size());
+      for (const auto& [key, value] : m.labels) {
+        EXPECT_EQ(value, line["labels"][key].as_string());
+      }
+      EXPECT_EQ(m.value, line["value"].as_double());
+      EXPECT_EQ(m.count, line["count"].as_int());
+      EXPECT_EQ(m.p50, line["p50"].as_double());
+      EXPECT_EQ(m.p90, line["p90"].as_double());
+      EXPECT_EQ(m.p99, line["p99"].as_double());
+      EXPECT_EQ(m.max, line["max"].as_double());
+    }
   }
 };
 
@@ -69,6 +106,12 @@ TEST(ReportRoundtrip, MetaLineLeadsAndCountsMatch) {
   EXPECT_EQ(meta["event_count"].as_int(), event_lines);
   EXPECT_EQ(metric_lines, 3);
   EXPECT_EQ(event_lines, 0);
+
+  const ArtifactFile file = fx.read();
+  EXPECT_EQ(file.schema_version, 1);
+  EXPECT_EQ(file.run, "roundtrip");
+  EXPECT_EQ(file.sim_end_ns, 9'000);
+  EXPECT_EQ(file.report.metric_count, metric_lines);
 }
 
 TEST(ReportRoundtrip, ScalarMetricValuesSurvive) {
@@ -90,6 +133,16 @@ TEST(ReportRoundtrip, ScalarMetricValuesSurvive) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_gauge);
+
+  for (const ReportMetric& m : fx.read().report.metrics) {
+    if (m.name == "test.requests") {
+      EXPECT_EQ(m.value, 7.0);
+    }
+    if (m.name == "test.depth") {
+      EXPECT_EQ(m.value, 3.5);
+      EXPECT_EQ(m.labels, (ArtifactLabels{{"queue", "main"}}));
+    }
+  }
 }
 
 TEST(ReportRoundtrip, HistogramLineCarriesSummaryAndBuckets) {
@@ -120,6 +173,15 @@ TEST(ReportRoundtrip, HistogramLineCarriesSummaryAndBuckets) {
     EXPECT_EQ(in_buckets, 100);  // per-bucket counts partition the samples
   }
   EXPECT_TRUE(saw);
+
+  for (const ReportMetric& m : fx.read().report.metrics) {
+    if (m.name != "test.latency_ms") continue;
+    EXPECT_EQ(m.kind, "histogram");
+    EXPECT_EQ(m.count, 100);
+    EXPECT_EQ(m.max, 100.0);
+    EXPECT_GT(m.p50, 0.0);
+    EXPECT_LE(m.p90, m.p99);
+  }
 }
 
 TEST(ReportRoundtrip, MetricLinesAreNameSorted) {
@@ -132,6 +194,12 @@ TEST(ReportRoundtrip, MetricLinesAreNameSorted) {
   }
   ASSERT_EQ(names.size(), 3u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+
+  std::vector<std::string> decoded;
+  for (const ReportMetric& m : fx.read().report.metrics) {
+    decoded.push_back(m.name);
+  }
+  EXPECT_EQ(decoded, names);
 }
 
 TEST(ReportRoundtrip, ProfilerExportAppearsAsSpanGauges) {
@@ -153,6 +221,16 @@ TEST(ReportRoundtrip, ProfilerExportAppearsAsSpanGauges) {
     }
   }
   EXPECT_TRUE(saw_count);
+
+  std::size_t decoded_counts = 0;
+  for (const ReportMetric& m : fx.read().report.metrics) {
+    if (m.name == "profile.span.count" &&
+        m.labels == ArtifactLabels{{"span", "test.report_span"}}) {
+      ++decoded_counts;
+      EXPECT_EQ(m.value, 1.0);
+    }
+  }
+  EXPECT_EQ(decoded_counts, 1u);
 }
 
 TEST(ReportRoundtrip, WithoutTraceSinkReportHasNoEventLines) {
@@ -166,6 +244,11 @@ TEST(ReportRoundtrip, WithoutTraceSinkReportHasNoEventLines) {
   for (const core::Json& line : lines) {
     EXPECT_NE(line["type"].as_string(), "event");
   }
+
+  const ArtifactFile file = test::read_back("report_no_sink.jsonl", out.str());
+  ReportFixture::expect_decoded(lines, file);
+  EXPECT_EQ(file.run, "unnamed");
+  EXPECT_EQ(file.report.metric_count, 1);
 }
 
 }  // namespace

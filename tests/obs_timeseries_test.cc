@@ -11,6 +11,7 @@
 #include "core/json.h"
 #include "core/time.h"
 #include "obs/metrics.h"
+#include "support/read_back.h"
 #include "obs/telemetry.h"
 #include "sim/simulation.h"
 
@@ -207,6 +208,28 @@ TEST(TimeSeriesRecorder, WriteTimelineRoundTrips) {
   EXPECT_DOUBLE_EQ(points[1].as_array()[4].as_double(), 2.0);
 
   EXPECT_FALSE(std::getline(in, line));  // nothing after the last series
+
+  const ArtifactFile file = test::read_back("timeline.jsonl", out.str());
+  EXPECT_EQ(file.kind, ArtifactKind::kTimeline);
+  EXPECT_EQ(file.run, "unit_test");
+  EXPECT_EQ(file.sim_end_ns, at_s(3).ns());
+  EXPECT_EQ(file.timeline.cadence_ns, Duration::milliseconds(500).ns());
+  EXPECT_EQ(file.timeline.series_count, 1);
+  ASSERT_EQ(file.timeline.series.size(), 1u);
+  const TimelineSeries& decoded = file.timeline.series[0];
+  EXPECT_EQ(decoded.name, "a.b");
+  EXPECT_EQ(decoded.labels, (ArtifactLabels{{"dir", "up"}}));
+  EXPECT_EQ(decoded.probe, "callback");
+  EXPECT_EQ(decoded.samples, 2);
+  EXPECT_EQ(decoded.stride, s["stride"].as_int());
+  ASSERT_EQ(decoded.t_ns.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(decoded.t_ns[i], points[i].at(0).as_int());
+    EXPECT_EQ(decoded.min[i], points[i].at(1).as_double());
+    EXPECT_EQ(decoded.mean[i], points[i].at(2).as_double());
+    EXPECT_EQ(decoded.max[i], points[i].at(3).as_double());
+  }
+  EXPECT_EQ(decoded.last, 2.0);
 }
 
 TEST(SimulationSampler, RunUntilSamplesOnCadence) {

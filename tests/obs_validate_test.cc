@@ -30,7 +30,7 @@ const char* const kValid[] = {
     R"({"traceEvents":[
 {"ph":"M","name":"process_name","pid":1,"args":{"name":"unit"}},
 {"ph":"X","name":"sim.run","cat":"sim","pid":1,"tid":1,"ts":0,"dur":100.5,"args":{"self_us":40.5,"depth":0}},
-{"ph":"X","name":"mntp.engine.round","cat":"mntp","pid":1,"tid":1,"ts":10,"dur":60,"args":{"self_us":60,"depth":1}}
+{"ph":"X","name":"mntp.engine.round","cat":"mntp","pid":1,"tid":1,"ts":10,"dur":60,"args":{"agg_count":3,"min_us":15,"max_us":25,"self_us":60,"depth":1}}
 ]}
 )",
     R"({"schema_version":1,"kind":"mntp_perf_suite","reps":2,"warmup":1,
@@ -130,6 +130,10 @@ const Mutation kMutations[] = {
     {kProfile, R"("self_us":60,)", R"("self_us":60.5,)", "'self_us' 60.5 exceeds dur 60"},
     {kProfile, R"("self_us":40.5)", R"("self_us":-1)", "'self_us' must be a number >= 0"},
     {kProfile, R"("depth":1})", R"("depth":1.5})", "'depth' must be an integer"},
+    {kProfile, R"("agg_count":3)", R"("agg_count":"many")", "traceEvents[2]: args: 'agg_count' must be an integer >= 1"},
+    {kProfile, R"("min_us":15)", R"("min_us":"15")", "args: 'min_us' must be a number >= 0"},
+    {kProfile, R"("max_us":25)", R"("max_us":null)", "args: 'max_us' must be a number >= 0"},
+    {kProfile, R"("min_us":15,"max_us":25)", R"("min_us":90,"max_us":5)", "args: 'min_us' 90 exceeds 'max_us' 5"},
     // perf-suite results
     {kBench, R"("schema_version":1)", R"("schema_version":2)", "unsupported schema_version 2"},
     {kBench, R"("reps":2)", R"("reps":0)", "'reps' must be an integer >= 1"},

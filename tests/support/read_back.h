@@ -1,0 +1,36 @@
+// Read a writer's output back through the one artifact reader
+// (obs/artifact.h): the strict mode must accept it, and the lenient
+// mode decodes it for a round-trip test to compare with what was
+// written.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <string>
+
+#include "obs/artifact.h"
+
+namespace mntp::test {
+
+/// Write `text` to gtest's temp dir as `name`, require validate_artifact
+/// to accept it, and return its summary ("kind: ...").
+inline std::string validate_back(const std::string& name,
+                                 const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << text;
+  auto summary = obs::validate_artifact(path);
+  EXPECT_TRUE(summary.ok()) << summary.error().message;
+  return summary.ok() ? summary.value() : std::string();
+}
+
+/// validate_back, then read_artifact's decode of the same file.
+inline obs::ArtifactFile read_back(const std::string& name,
+                                   const std::string& text) {
+  validate_back(name, text);
+  auto file = obs::read_artifact(::testing::TempDir() + name);
+  EXPECT_TRUE(file.ok()) << file.error().message;
+  return file.ok() ? file.value() : obs::ArtifactFile{};
+}
+
+}  // namespace mntp::test

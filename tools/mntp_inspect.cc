@@ -7,12 +7,12 @@
 //   mntp-inspect run.jsonl profile.json BENCH_results.json
 //
 // The file kind is detected from content, not extension, and the file is
-// decoded by obs::read_artifact (src/obs/diff.h), the same decoder the
-// diff uses; this file only renders. For run reports
-// the tool prints the metric registry as tables and the span-profile
-// aggregates when present. For timelines it flags step changes: deltas
-// more than --sigma (default 4) standard deviations from the series' own
-// delta noise.
+// read by obs::read_artifact (src/obs/artifact.h), the lenient mode of
+// the one reader per kind that the diff uses too; this file only
+// renders. For run reports the tool prints the metric registry as
+// tables and the span-profile aggregates when present. For timelines it
+// flags step changes: deltas more than --sigma (default 4) standard
+// deviations from the series' own delta noise.
 //
 // Exit code: 0 on success (step changes are informational), 1 when any
 // input cannot be read or parsed, 2 on usage errors and on an empty or
@@ -22,13 +22,12 @@
 //
 //   mntp-inspect validate FILE...
 //
-// The `validate` subcommand is the strict half: obs::validate_artifact
-// runs every schema rule of the file's kind (the five above, `diff
-// --json` records, fleet reports and `diff --write-delta` perf deltas)
-// on the same loader. It takes no
-// flags and exits 0 when every file is valid, 1 when a rule is broken
-// or a file cannot be read or classified, 2 on a usage error or an
-// empty or cut-off file.
+// The `validate` subcommand is the strict mode of the same readers:
+// obs::validate_artifact runs every schema rule of the file's kind (the
+// five above, `diff --json` records, fleet reports and `diff
+// --write-delta` perf deltas). It takes no flags and exits 0 when every
+// file is valid, 1 when a rule is broken or a file cannot be read or
+// classified, 2 on a usage error or an empty or cut-off file.
 //
 // The `diff` subcommand (src/obs/diff.h) compares two artifacts of the
 // same kind and has its own exit contract: 0 identical within
@@ -390,7 +389,9 @@ int inspect_profile(const std::string& path, const ArtifactFile& file) {
                    mntp::core::fmt_count(static_cast<std::size_t>(agg.count)),
                    mntp::core::fmt_double(agg.total_us / 1e3),
                    mntp::core::fmt_double(agg.self_us / 1e3),
-                   mntp::core::fmt_double(agg.total_us / agg.count),
+                   agg.count > 0.0
+                       ? mntp::core::fmt_double(agg.total_us / agg.count)
+                       : "-",
                    agg.has_range ? mntp::core::fmt_double(agg.min_us) : "-",
                    agg.has_range ? mntp::core::fmt_double(agg.max_us) : "-"});
   }
