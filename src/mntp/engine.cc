@@ -56,11 +56,8 @@ MntpEngine::MntpEngine(MntpParams params, core::TimePoint start)
       // unconditionally.
       phase_(start_phase(params.warmup_period)),
       cycle_start_(start),
-      filter_(filter_config(params)) {}
-
-std::size_t MntpEngine::sources_to_query() const {
-  return phase_ == Phase::kWarmup ? params_.warmup_sources : 1;
-}
+      filter_(filter_config(params)),
+      last_emission_(start) {}
 
 void MntpEngine::withdraw_pruned() {
   if (!filter_.has_pruned()) return;
@@ -223,6 +220,23 @@ void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
              {"offset_ms", rr.offset_s * 1e3},
              {"residual_ms", rr.corrected_s * 1e3},
              {"sources", static_cast<std::int64_t>(sources)}});
+}
+
+obs::QueryId trace_wake(obs::QueryTracer& qt, core::TimePoint t,
+                        const net::WirelessHints& hints,
+                        const MntpEngine::Wake& w, Phase phase) {
+  const obs::QueryId id = qt.enabled() ? qt.begin(t, "round") : 0;
+  if (obs::recorded(id)) {
+    qt.stage(id, t, "gate", w.gate,
+             {{"rssi_dbm", hints.rssi.value()},
+              {"noise_dbm", hints.noise.value()},
+              {"snr_margin_db", hints.snr_margin().value()}});
+    if (!w.emits()) {
+      qt.finish(id, t, obs::Reason::kChannelDefer,
+                {{"phase", std::string(to_string(phase))}});
+    }
+  }
+  return w.emits() ? id : 0;
 }
 
 EngineCounters::EngineCounters(obs::MetricsRegistry& metrics)

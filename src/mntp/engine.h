@@ -1,13 +1,15 @@
 // MNTP protocol engine: Algorithm 1 as a pure, driver-agnostic state
 // machine.
 //
-// The engine owns phase bookkeeping (warm-up → regular → reset), the
-// channel gate, false-ticker rejection of multi-source rounds, and the
-// drift trend filter. It is deliberately free of any simulation or
-// network dependency so the *same* logic runs in two drivers:
+// The engine owns the wake decision (the channel gate and the
+// max_deferral fallback), phase bookkeeping (warm-up → regular → reset),
+// false-ticker rejection of multi-source rounds, and the drift trend
+// filter. It is deliberately free of any simulation or network
+// dependency so the *same* logic runs in two drivers, each of which calls
+// wake() at every acquisition opportunity:
 //
 //   * MntpClient   — live, event-driven against the simulated testbed;
-//   * tuner::Emulator — trace-driven replay over recorded logs (§5.3).
+//   * tuner::emulate / search — trace-driven replay over recorded logs (§5.3).
 //
 // The paper's MNTP tuner exists precisely because the algorithm is
 // replayable over traces; factoring the engine this way is what makes
@@ -20,11 +22,12 @@
 // (tuner.cc) decides those checks per configuration and copies the
 // engine only where configurations disagree.
 //
-// The engine only tallies what it did (rounds(), deferrals(), resets(),
-// outcome_count()). The registry counters those tallies feed
-// (mntp.rounds, mntp.deferrals, mntp.resets, mntp.sample{outcome}) live
-// in the drivers, through EngineCounters: MntpClient publishes each event
-// as it happens, tuner::emulate publishes a replay's totals once.
+// The engine only tallies what it did (rounds(), deferrals(),
+// forced_emissions(), resets(), outcome_count()). The registry counters
+// those tallies feed (mntp.rounds, mntp.deferrals, mntp.resets,
+// mntp.sample{outcome}) live in the drivers, through EngineCounters:
+// MntpClient publishes each event as it happens, tuner::emulate publishes
+// a replay's totals once.
 #pragma once
 
 #include <array>
@@ -90,17 +93,43 @@ class MntpEngine {
 
   [[nodiscard]] Phase phase() const { return phase_; }
 
-  /// favorableSNRCondition(): may a request be emitted under these hints?
-  [[nodiscard]] bool gate(const net::WirelessHints& hints) const {
-    return params_.thresholds.favorable(hints);
+  /// One acquisition opportunity's decision. `gate` is the gate stage's
+  /// reason: kOk (favorableSNRCondition() holds), kChannelDefer, or
+  /// kForcedEmission (closed, but max_deferral has passed since the last
+  /// emission). An emission queries `sources` (`warmup_sources` in
+  /// warm-up, one in the regular phase); a deferral looks at the channel
+  /// again after `recheck_after`.
+  struct Wake {
+    obs::Reason gate = obs::Reason::kOk;
+    std::size_t sources = 0;
+    core::Duration recheck_after{};
+    [[nodiscard]] bool emits() const {
+      return gate != obs::Reason::kChannelDefer;
+    }
+  };
+  /// Algorithm 1 steps 5/17 at t: emit when the channel is favourable,
+  /// or, closed for longer than max_deferral since the last emission
+  /// (the perpetually-unstable-channel fallback), emit anyway and let the
+  /// filter judge the sample. Tallies the deferral or the forced
+  /// emission. Defined here because the replay calls it on every step.
+  [[nodiscard]] Wake wake(core::TimePoint t, const net::WirelessHints& hints) {
+    obs::Reason gate = obs::Reason::kOk;
+    if (!params_.thresholds.favorable(hints)) {
+      const bool overdue = params_.max_deferral > core::Duration::zero() &&
+                           t - last_emission_ > params_.max_deferral;
+      if (!overdue) {
+        ++deferrals_;
+        return Wake{.gate = obs::Reason::kChannelDefer,
+                    .recheck_after = params_.hint_recheck_interval};
+      }
+      gate = obs::Reason::kForcedEmission;
+      ++forced_emissions_;
+    }
+    last_emission_ = t;
+    return Wake{.gate = gate,
+                .sources = phase_ == Phase::kWarmup ? params_.warmup_sources
+                                                    : std::size_t{1}};
   }
-
-  /// Record a deferral (gate closed at an acquisition opportunity).
-  void note_deferral() { ++deferrals_; }
-
-  /// Sources the driver should query for the next round: `warmup_sources`
-  /// in warm-up, one in the regular phase.
-  [[nodiscard]] std::size_t sources_to_query() const;
 
   // --- The checks that read a swept Algorithm 1 parameter ---
   // on_round() and next_wait() pass params(); the tuner's replay passes
@@ -148,7 +177,7 @@ class MntpEngine {
   };
 
   /// Feed the measured offsets (seconds) of one acquisition round taken
-  /// at time t. Zero, one, or `sources_to_query()` entries may be present
+  /// at time t. Zero, one, or `Wake::sources` entries may be present
   /// (failed queries simply do not contribute). Handles phase
   /// transitions and the reset period. The engine mints no query trace:
   /// a traced driver installs its round as the ambient query first, so
@@ -215,6 +244,10 @@ class MntpEngine {
     return records_;
   }
   [[nodiscard]] std::size_t deferrals() const { return deferrals_; }
+  /// Emissions forced by the max_deferral fallback.
+  [[nodiscard]] std::size_t forced_emissions() const {
+    return forced_emissions_;
+  }
   [[nodiscard]] std::size_t resets() const { return resets_; }
   [[nodiscard]] std::size_t rounds() const { return rounds_; }
   /// Rounds with at least one offset that ended in `outcome`.
@@ -227,9 +260,6 @@ class MntpEngine {
   /// changes take effect at the next wait computation.
   void set_regular_wait_time(core::Duration wait) {
     params_.regular_wait_time = wait;
-  }
-  void set_warmup_wait_time(core::Duration wait) {
-    params_.warmup_wait_time = wait;
   }
 
   /// Reported measured offsets in ms (for RMSE/summary computations).
@@ -263,7 +293,9 @@ class MntpEngine {
   /// Total applied correction (steps + integrated compensation) at t.
   [[nodiscard]] double applied_correction_s(core::TimePoint t) const;
   std::vector<OffsetRecord> records_;
+  core::TimePoint last_emission_;
   std::size_t deferrals_ = 0;
+  std::size_t forced_emissions_ = 0;
   std::size_t resets_ = 0;
   std::size_t rounds_ = 0;
   std::array<std::size_t, kSampleOutcomes> outcome_counts_{};
@@ -276,6 +308,15 @@ class MntpEngine {
 void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
                         core::TimePoint t, const MntpEngine::RoundResult& rr,
                         std::size_t sources);
+
+/// Mints the query of the acquisition opportunity `w` and writes its gate
+/// stage: w.gate with rssi_dbm, noise_dbm and snr_margin_db. A deferral's
+/// query closes here (channel_defer, `phase`) and 0 is returned; an
+/// emission returns the round's id (0 with the tracer off) for the driver
+/// to install and close with finish_round_trace().
+obs::QueryId trace_wake(obs::QueryTracer& qt, core::TimePoint t,
+                        const net::WirelessHints& hints,
+                        const MntpEngine::Wake& w, Phase phase);
 
 /// The registry counters of the engine's tallies: mntp.rounds,
 /// mntp.deferrals, mntp.resets and mntp.sample{outcome}. Drivers own

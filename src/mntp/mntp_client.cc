@@ -1,8 +1,6 @@
 #include "mntp/mntp_client.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <string>
 
 #include "obs/metric_names.h"
 #include "obs/query_trace.h"
@@ -11,14 +9,13 @@ namespace mntp::protocol {
 
 MntpClient::MntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
                        ntp::ServerPool& pool, net::WirelessChannel& channel,
-                       MntpParams params, core::Rng rng,
+                       MntpParams params, core::Rng /*unused*/,
                        ntp::QueryOptions query_options)
     : sim_(sim),
       clock_(clock),
       pool_(pool),
       channel_(channel),
       params_(params),
-      rng_(std::move(rng)),
       query_options_(query_options),
       query_engine_(sim, clock),
       engine_counters_(sim.telemetry().metrics()) {
@@ -37,7 +34,6 @@ MntpClient::MntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
 }
 
 void MntpClient::start() {
-  last_emission_ = sim_.now();
   engine_ = std::make_unique<MntpEngine>(params_, sim_.now());
   last_accepted_offset_s_.reset();
   // Registered in this order with each engine, so a bench running several
@@ -62,58 +58,29 @@ void MntpClient::start() {
 }
 
 void MntpClient::attempt() {
-  // Acquire offset only when channel is stable (Algorithm 1 steps 5/17).
-  const net::WirelessHints hints = channel_.observe_hints(sim_.now());
-  const bool favorable = engine_->gate(hints);
-  // Perpetually-unstable-channel fallback: after max_deferral without an
-  // emission, proceed regardless and let the filter judge the sample.
-  const auto& params = engine_->params();
-  const bool forced =
-      !favorable && params.max_deferral > core::Duration::zero() &&
-      sim_.now() - last_emission_ > params.max_deferral;
-  hint_log_.push_back(HintRecord{
-      .hints = hints, .favorable = favorable, .emitted = favorable || forced});
-  obs::QueryTracer& qt = sim_.telemetry().query_tracer();
-  if (!favorable && !forced) {
-    // Deferral: the opportunity is a complete (one-decision) query of
-    // its own — mint, record the gate readings, and close with the
-    // defer verdict.
-    engine_->note_deferral();
+  const core::TimePoint now = sim_.now();
+  const net::WirelessHints hints = channel_.observe_hints(now);
+  const MntpEngine::Wake w = engine_->wake(now, hints);
+  hint_log_.push_back(HintRecord{.hints = hints,
+                                 .favorable = w.gate == obs::Reason::kOk,
+                                 .emitted = w.emits()});
+  const obs::QueryId id = trace_wake(sim_.telemetry().query_tracer(), now,
+                                     hints, w, engine_->phase());
+  if (!w.emits()) {
     engine_counters_.count_deferral();
-    const obs::QueryId id = qt.enabled() ? qt.begin(sim_.now(), "round") : 0;
-    if (obs::recorded(id)) {
-      qt.stage(id, sim_.now(), "gate", obs::Reason::kChannelDefer,
-               {{"rssi_dbm", hints.rssi.value()},
-                {"noise_dbm", hints.noise.value()},
-                {"snr_margin_db", hints.snr_margin().value()}});
-      qt.finish(id, sim_.now(), obs::Reason::kChannelDefer,
-                {{"phase", std::string(to_string(engine_->phase()))}});
-    }
-    sim_.after(params.hint_recheck_interval, [this] { attempt(); });
+    sim_.after(w.recheck_after, [this] { attempt(); });
     return;
   }
-  if (qt.enabled()) round_trace_ = qt.begin(sim_.now(), "round");
-  if (obs::recorded(round_trace_)) {
-    qt.stage(round_trace_, sim_.now(), "gate",
-             forced ? obs::Reason::kForcedEmission : obs::Reason::kOk,
-             {{"rssi_dbm", hints.rssi.value()},
-              {"noise_dbm", hints.noise.value()},
-              {"snr_margin_db", hints.snr_margin().value()}});
-  }
-  if (forced) {
-    ++forced_emissions_;
-    forced_counter_->inc();
-  }
-  last_emission_ = sim_.now();
-  run_round();
+  if (w.gate == obs::Reason::kForcedEmission) forced_counter_->inc();
+  round_trace_ = id;
+  run_round(w.sources);
 }
 
-void MntpClient::run_round() {
+void MntpClient::run_round(std::size_t sources) {
   // Pick distinct pool members: getOffsetUsingMultipleSources() in warm-up
   // (the paper queries 0/1/3.pool.ntp.org in parallel), a single source in
   // the regular phase.
-  const std::size_t want =
-      std::min(engine_->sources_to_query(), pool_.size());
+  const std::size_t want = std::min(sources, pool_.size());
   std::vector<std::size_t> chosen;
   while (chosen.size() < want) {
     const std::size_t idx = pool_.pick_index();
@@ -138,8 +105,6 @@ void MntpClient::run_round() {
         [this, offsets, outstanding](core::Result<ntp::SntpSample> result) {
           if (result.ok()) {
             offsets->push_back(result.value().offset.to_seconds());
-          } else {
-            ++query_failures_;
           }
           if (--*outstanding == 0) finish_round(std::move(*offsets));
         });

@@ -35,9 +35,11 @@ struct HintRecord {
 
 class MntpClient {
  public:
+  /// The `core::Rng` is unused; callers fork it from their testbed's
+  /// stream, and dropping that fork would shift the testbed's later draws.
   MntpClient(sim::Simulation& sim, sim::DisciplinedClock& clock,
              ntp::ServerPool& pool, net::WirelessChannel& channel,
-             MntpParams params, core::Rng rng,
+             MntpParams params, core::Rng /*unused*/,
              ntp::QueryOptions query_options = {});
 
   void start();
@@ -47,16 +49,17 @@ class MntpClient {
   /// valid after start().
   [[nodiscard]] MntpEngine& mutable_engine() { return *engine_; }
   /// Emissions forced by the max_deferral fallback.
-  [[nodiscard]] std::size_t forced_emissions() const { return forced_emissions_; }
+  [[nodiscard]] std::size_t forced_emissions() const {
+    return engine_->forced_emissions();
+  }
   [[nodiscard]] const std::vector<HintRecord>& hint_log() const {
     return hint_log_;
   }
   [[nodiscard]] std::size_t requests_sent() const { return requests_sent_; }
-  [[nodiscard]] std::size_t query_failures() const { return query_failures_; }
 
  private:
   void attempt();
-  void run_round();
+  void run_round(std::size_t sources);
   void finish_round(std::vector<double> offsets_s);
 
   sim::Simulation& sim_;
@@ -64,16 +67,12 @@ class MntpClient {
   ntp::ServerPool& pool_;
   net::WirelessChannel& channel_;
   MntpParams params_;
-  core::Rng rng_;
   ntp::QueryOptions query_options_;
   ntp::QueryEngine query_engine_;
   std::unique_ptr<MntpEngine> engine_;
   EngineCounters engine_counters_;
   std::vector<HintRecord> hint_log_;
   std::size_t requests_sent_ = 0;
-  std::size_t query_failures_ = 0;
-  std::size_t forced_emissions_ = 0;
-  core::TimePoint last_emission_;
   /// Round trace minted at emission time (attempt()) so the gate
   /// decision, every exchange of the round, and the engine verdict all
   /// land under one query id. Zero while no round is in flight.

@@ -25,15 +25,17 @@ core::Duration SelfTuner::current_wait() const {
 }
 
 void SelfTuner::adapt() {
-  const auto& records = client_.engine().records();
-  // Only the rounds since the last adaptation vote.
+  // Only the rounds since the last adaptation vote: each judged round
+  // adds one to exactly one outcome tally.
   std::size_t accepted = 0, rejected = 0;
-  for (std::size_t i = seen_records_; i < records.size(); ++i) {
-    const bool ok = records[i].outcome == SampleOutcome::kAcceptedWarmup ||
-                    records[i].outcome == SampleOutcome::kAcceptedRegular;
-    (ok ? accepted : rejected) += 1;
+  for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
+    const auto outcome = static_cast<SampleOutcome>(i);
+    const std::size_t total = client_.engine().outcome_count(outcome);
+    const bool ok = outcome == SampleOutcome::kAcceptedWarmup ||
+                    outcome == SampleOutcome::kAcceptedRegular;
+    (ok ? accepted : rejected) += total - seen_outcomes_[i];
+    seen_outcomes_[i] = total;
   }
-  seen_records_ = records.size();
   const std::size_t n = accepted + rejected;
   if (n < params_.min_observations) return;
 

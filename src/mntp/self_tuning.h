@@ -13,6 +13,7 @@
 // (tuner.h) explores exhaustively.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "core/time.h"
@@ -55,7 +56,8 @@ class SelfTuner {
   MntpClient& client_;
   SelfTunerParams params_;
   sim::PeriodicProcess process_;
-  std::size_t seen_records_ = 0;
+  /// The engine's outcome tallies at the last adaptation.
+  std::array<std::size_t, kSampleOutcomes> seen_outcomes_{};
   std::size_t speedups_ = 0;
   std::size_t backoffs_ = 0;
 };

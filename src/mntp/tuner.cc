@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -11,7 +10,6 @@
 #include <utility>
 
 #include "core/format.h"
-#include "core/stats.h"
 #include "core/thread_pool.h"
 #include "obs/metric_names.h"
 #include "obs/profiler.h"
@@ -158,9 +156,7 @@ class Replay {
     std::size_t record = 0;
     /// Next instant at which the algorithm wants to act.
     double next_action_s = 0.0;
-    core::TimePoint last_emission = core::TimePoint::epoch();
     std::size_t requests = 0;
-    std::size_t forced = 0;
     /// Records retired from the engine: the running sum of the squared
     /// reported offsets (ms), in record order, as core::rmse sums them.
     double sum_sq_ms = 0.0;
@@ -184,7 +180,7 @@ class Replay {
 
   void step(Branch& b, std::size_t i);
   void close_round(Branch& b, std::size_t i, std::span<const double> offsets,
-                   std::optional<Phase> restart, bool forced);
+                   std::optional<Phase> restart, const MntpEngine::Wake& w);
   void advance(Branch& b, std::size_t i) const;
   void retire(Branch& b, const OffsetRecord& r) const;
   void finish(Branch& b);
@@ -192,6 +188,10 @@ class Replay {
   [[nodiscard]] core::TimePoint at(std::size_t i) const {
     return core::TimePoint::epoch() +
            core::Duration::from_seconds(trace_.records[i].t_s);
+  }
+  [[nodiscard]] net::WirelessHints hints(std::size_t i) const {
+    const TraceRecord& r = trace_.records[i];
+    return {at(i), core::Dbm{r.rssi_dbm}, core::Dbm{r.noise_dbm}};
   }
 
   const Trace& trace_;
@@ -252,39 +252,23 @@ void Replay::run() {
 void Replay::step(Branch& b, std::size_t i) {
   const TraceRecord& rec = trace_.records[i];
   const core::TimePoint t = at(i);
-  const net::WirelessHints hints{
-      .when = t,
-      .rssi = core::Dbm{rec.rssi_dbm},
-      .noise = core::Dbm{rec.noise_dbm},
-  };
-  const bool favorable = b.engine.gate(hints);
-  // Perpetually-unstable-channel fallback, as in MntpClient::attempt:
-  // after max_deferral without an emission, emit regardless.
-  const bool forced = !favorable &&
-                      family_.max_deferral > core::Duration::zero() &&
-                      t - b.last_emission > family_.max_deferral;
-  if (!favorable && !forced) {
-    // Each deferral is a one-stage query, as in MntpClient::attempt.
-    b.engine.note_deferral();
-    if (const obs::QueryId id =
-            tracer_.enabled() ? tracer_.begin(t, "round") : 0;
-        obs::recorded(id)) {
-      tracer_.finish(id, t, obs::Reason::kChannelDefer,
-                     {{"phase", std::string(to_string(b.engine.phase()))}});
+  const MntpEngine::Wake w = b.engine.wake(t, hints(i));
+  if (!w.emits()) {
+    // trace_wake() is out of line, and a replay step is too cheap to
+    // pay for the call with the tracer off.
+    if (tracer_.enabled()) {
+      trace_wake(tracer_, t, hints(i), w, b.engine.phase());
     }
-    b.next_action_s = rec.t_s + family_.hint_recheck_interval.to_seconds();
+    b.next_action_s = rec.t_s + w.recheck_after.to_seconds();
     return;
   }
-  if (forced) ++b.forced;
-  b.last_emission = t;
 
-  // Emit: consume up to sources_to_query() offsets from the record. The
-  // round is billed in the phase it was emitted in, before the reset
-  // check, as the live client bills it.
-  const std::size_t want = b.engine.sources_to_query();
-  b.requests += want;
-  const std::span<const double> offsets =
-      std::span(rec.offsets_s).first(std::min(want, rec.offsets_s.size()));
+  // Emit: consume up to w.sources offsets from the record. The round is
+  // billed in the phase it was emitted in, before the reset check, as the
+  // live client bills it.
+  b.requests += w.sources;
+  const std::span<const double> offsets = std::span(rec.offsets_s).first(
+      std::min(w.sources, rec.offsets_s.size()));
 
   // The reset check: each configuration restarts in warm-up, or
   // restarts in the regular phase, or goes on in its cycle. Every side
@@ -310,12 +294,12 @@ void Replay::step(Branch& b, std::size_t i) {
     if (begin == end) continue;
     if (end == b.end) {
       if (begin != b.begin) set_range(b, begin, end);
-      close_round(b, i, offsets, restart, forced);
+      close_round(b, i, offsets, restart, w);
       return;
     }
     Branch side = b;
     set_range(side, begin, end);
-    close_round(side, i, offsets, restart, forced);
+    close_round(side, i, offsets, restart, w);
     split_off(std::move(side), i);
     begin = end;
   }
@@ -323,18 +307,16 @@ void Replay::step(Branch& b, std::size_t i) {
 
 void Replay::close_round(Branch& b, std::size_t i,
                          std::span<const double> offsets,
-                         std::optional<Phase> restart, bool forced) {
+                         std::optional<Phase> restart,
+                         const MntpEngine::Wake& w) {
   const core::TimePoint t = at(i);
   // With tracing on, each judged round is one query, however many
   // configurations share it.
-  const obs::QueryId id = tracer_.enabled() ? tracer_.begin(t, "round") : 0;
+  const obs::QueryId id =
+      tracer_.enabled() ? trace_wake(tracer_, t, hints(i), w, b.engine.phase())
+                        : 0;
   std::optional<obs::ActiveQueryScope> scope;
-  if (id != 0) {
-    scope.emplace(tracer_, id);
-    if (forced && obs::recorded(id)) {
-      tracer_.stage(id, t, "gate", obs::Reason::kForcedEmission);
-    }
-  }
+  if (id != 0) scope.emplace(tracer_, id);
   const MntpEngine::RoundResult rr = b.engine.judge(t, offsets, restart);
 
   // The warm-up check: configurations whose warm-up goes on leave in a
@@ -391,7 +373,7 @@ void Replay::finish(Branch& b) {
   result.deferrals = b.engine.deferrals();
   result.rejections = b.rejected;
   result.resets = b.engine.resets();
-  result.forced_emissions = b.forced;
+  result.forced_emissions = b.engine.forced_emissions();
   result.rounds = b.engine.rounds();
   for (std::size_t k = 0; k < kSampleOutcomes; ++k) {
     result.outcomes[k] = b.engine.outcome_count(static_cast<SampleOutcome>(k));
@@ -506,10 +488,6 @@ std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space,
     pool.parallel_for(0, families, score);
   }
   return out;
-}
-
-std::vector<SearchEntry> search(const Trace& trace, const SearchSpace& space) {
-  return search(trace, space, SearchOptions{});
 }
 
 }  // namespace mntp::protocol::tuner

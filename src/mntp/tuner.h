@@ -103,21 +103,21 @@ struct EmulationResult {
   std::size_t deferrals = 0;
   std::size_t rejections = 0;
   std::size_t resets = 0;
-  /// Emissions forced by the max_deferral fallback (as
-  /// MntpClient::forced_emissions).
+  /// The engine's tallies (MntpEngine::forced_emissions / rounds /
+  /// outcome_count); emulate() also adds rounds and outcomes to the
+  /// mntp.rounds and mntp.sample counters.
   std::size_t forced_emissions = 0;
-  /// The engine's tallies (MntpEngine::rounds / outcome_count), which
-  /// emulate() also adds to the mntp.rounds and mntp.sample counters.
   std::size_t rounds = 0;
   std::array<std::size_t, kSampleOutcomes> outcomes{};
 };
 
 /// Replay Algorithm 1 over `trace` under `params`, as MntpClient drives
-/// it live (the same gate, max_deferral fallback, billing and engine
-/// steps). The result is a pure function of the inputs — no network, no
-/// randomness. Before returning it adds the replay's totals to the
-/// ambient registry's engine counters (see EngineCounters); an empty
-/// trace publishes nothing.
+/// it live: each step wakes the engine (MntpEngine::wake: the gate and
+/// the max_deferral fallback), traces the wake with trace_wake(), bills
+/// the round and judges it. The result is a pure function of the inputs —
+/// no network, no randomness. Before returning it adds the replay's
+/// totals to the ambient registry's engine counters (see EngineCounters);
+/// an empty trace publishes nothing.
 [[nodiscard]] EmulationResult emulate(const Trace& trace, const MntpParams& params);
 
 /// One searcher configuration and its score (a Table 2 row).
@@ -158,12 +158,8 @@ struct SearchOptions {
 /// own slot, so the entries are bit-identical for any `threads` value.
 /// With the query tracer on, a round that several configurations share
 /// is one traced query.
-[[nodiscard]] std::vector<SearchEntry> search(const Trace& trace,
-                                              const SearchSpace& space,
-                                              const SearchOptions& options);
-
-/// Serial convenience overload (SearchOptions defaults).
-[[nodiscard]] std::vector<SearchEntry> search(const Trace& trace,
-                                              const SearchSpace& space);
+[[nodiscard]] std::vector<SearchEntry> search(
+    const Trace& trace, const SearchSpace& space,
+    const SearchOptions& options = {});
 
 }  // namespace mntp::protocol::tuner

@@ -456,21 +456,28 @@ double bucket_mean(const std::vector<double>& v, std::size_t i,
   return acc / static_cast<double>(end - begin);
 }
 
-core::Result<DiffResult> diff_files(const std::string& a_path,
-                                    const std::string& b_path,
-                                    const DiffOptions& options) {
+core::Result<ArtifactPair> read_pair(const std::string& a_path,
+                                     const std::string& b_path) {
   auto read_a = read_artifact(a_path);
   if (!read_a.ok()) return read_a.error();
   auto read_b = read_artifact(b_path);
   if (!read_b.ok()) return read_b.error();
-  const ArtifactFile& a = read_a.value();
-  const ArtifactFile& b = read_b.value();
-  if (a.kind != b.kind) {
+  if (read_a.value().kind != read_b.value().kind) {
     return Error::invalid_argument(core::strformat(
         "artifact kinds differ: %s is %s, %s is %s", a_path.c_str(),
-        artifact_kind_name(a.kind), b_path.c_str(),
-        artifact_kind_name(b.kind)));
+        artifact_kind_name(read_a.value().kind), b_path.c_str(),
+        artifact_kind_name(read_b.value().kind)));
   }
+  return ArtifactPair{.a_path = a_path,
+                      .b_path = b_path,
+                      .a = std::move(read_a.value()),
+                      .b = std::move(read_b.value())};
+}
+
+core::Result<DiffResult> diff_pair(const ArtifactPair& pair,
+                                   const DiffOptions& options) {
+  const ArtifactFile& a = pair.a;
+  const ArtifactFile& b = pair.b;
   if (!options.budgets.empty() && a.kind != ArtifactKind::kBench) {
     return Error::invalid_argument(
         core::strformat("budgets apply to bench artifacts only, not %s",
@@ -499,28 +506,22 @@ core::Result<DiffResult> diff_files(const std::string& a_path,
       break;  // read_artifact decodes none of these
   }
   result.kind = a.kind;
-  result.a_path = a_path;
-  result.b_path = b_path;
+  result.a_path = pair.a_path;
+  result.b_path = pair.b_path;
   result.a_run = a.run;
   result.b_run = b.run;
   return result;
 }
 
-core::Result<std::string> render_perf_delta(const std::string& a_path,
-                                            const std::string& b_path) {
-  auto read_a = read_artifact(a_path);
-  if (!read_a.ok()) return read_a.error();
-  auto read_b = read_artifact(b_path);
-  if (!read_b.ok()) return read_b.error();
-  if (read_a.value().kind != ArtifactKind::kBench ||
-      read_b.value().kind != ArtifactKind::kBench) {
+core::Result<std::string> render_perf_delta(const ArtifactPair& pair) {
+  if (pair.a.kind != ArtifactKind::kBench ||
+      pair.b.kind != ArtifactKind::kBench) {
     return Error::invalid_argument(core::strformat(
         "a perf delta needs two bench artifacts, got %s and %s",
-        artifact_kind_name(read_a.value().kind),
-        artifact_kind_name(read_b.value().kind)));
+        artifact_kind_name(pair.a.kind), artifact_kind_name(pair.b.kind)));
   }
-  const BenchArtifact& base = read_a.value().bench;
-  const BenchArtifact& cand = read_b.value().bench;
+  const BenchArtifact& base = pair.a.bench;
+  const BenchArtifact& cand = pair.b.bench;
   const auto before = by_name(base);
   const auto after = by_name(cand);
   std::string out;

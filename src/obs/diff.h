@@ -4,9 +4,10 @@
 // Every artifact the observability stack writes describes ONE run. The
 // paper's whole evaluation is comparative, and so is every perf PR:
 // the question is "what moved between these two runs, and which span /
-// counter / reason / series moved it". diff_files() reads two artifacts
-// of the same kind with read_artifact() and compares them; this module
-// holds only the joins, the gate and the renderers.
+// counter / reason / series moved it". read_pair() reads two artifacts
+// of the same kind with read_artifact(), once each, and diff_pair()
+// compares them; this module holds only the joins, the gate and the
+// renderers.
 //
 // Every diff section is one outer join of two keyed maps under a
 // per-kind rule:
@@ -90,7 +91,7 @@ struct DiffOptions {
   /// carries every entry; exit codes never depend on this cap).
   std::size_t top = 20;
   /// Bench budgets; a failed or unresolvable one is a regression.
-  /// Non-empty budgets on any other kind make diff_files fail.
+  /// Non-empty budgets on any other kind make diff_pair fail.
   std::vector<BenchBudget> budgets;
 };
 
@@ -149,17 +150,26 @@ struct DiffResult {
   /// built with a different compiler or build type).
   std::vector<std::string> warnings;
 
-  /// The 0/1 half of the exit-code contract (2 is "diff_files returned
-  /// an error" and never appears in a DiffResult).
+  /// The 0/1 half of the exit-code contract (2 is "read_pair or
+  /// diff_pair returned an error" and never appears in a DiffResult).
   [[nodiscard]] int exit_code() const { return regressions > 0 ? 1 : 0; }
 };
 
-/// Load, kind-detect and diff two artifact files. Errors (unreadable
-/// file, malformed artifact, unsupported or mismatched kinds) come back
-/// as core::Result errors; the CLI maps them to exit 2.
-[[nodiscard]] core::Result<DiffResult> diff_files(const std::string& a_path,
-                                                  const std::string& b_path,
-                                                  const DiffOptions& options);
+/// Two artifact files of one kind, decoded once each.
+struct ArtifactPair {
+  std::string a_path, b_path;
+  ArtifactFile a, b;
+};
+
+/// Load and kind-detect two artifact files. Errors (unreadable file,
+/// malformed artifact, unsupported or mismatched kinds) come back as
+/// core::Result errors; the CLI maps them to exit 2.
+[[nodiscard]] core::Result<ArtifactPair> read_pair(const std::string& a_path,
+                                                   const std::string& b_path);
+
+/// Diff the pair. Budgets on any kind but bench are an error.
+[[nodiscard]] core::Result<DiffResult> diff_pair(const ArtifactPair& pair,
+                                                 const DiffOptions& options);
 
 /// The before/after record of a bench pair (A = baseline, B =
 /// candidate) in the committed BENCH_pr*.json format: kind
@@ -169,7 +179,7 @@ struct DiffResult {
 /// null before_median_us and a note, baseline-only ones follow with a
 /// null after_median_us. Fails unless both files are bench artifacts.
 [[nodiscard]] core::Result<std::string> render_perf_delta(
-    const std::string& a_path, const std::string& b_path);
+    const ArtifactPair& pair);
 
 /// Human rendering: one aligned table per section (rows capped at
 /// options.top) plus a one-line verdict.

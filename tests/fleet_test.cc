@@ -220,8 +220,8 @@ TEST(FleetReport, RendersAndRoundTripsKeyFields) {
   EXPECT_EQ(test::validate_back("fleet_report.json", doc),
             "fleet: " + std::to_string(p.clients) + " clients, " +
                 std::to_string(r.queries) + " queries");
-  EXPECT_FALSE(obs::read_artifact(::testing::TempDir() + "fleet_report.json")
-                   .ok());
+  EXPECT_FALSE(
+      obs::read_artifact(test::temp_path("fleet_report.json")).ok());
 }
 
 TEST(FleetMetrics, RegistryCountersMatchResultTotals) {

@@ -58,7 +58,7 @@ TEST(HintThresholds, AllThreeConditionsRequired) {
 TEST(MntpEngine, StartsInWarmupAndQueriesMultipleSources) {
   MntpEngine e(fast_params(), TimePoint::epoch());
   EXPECT_EQ(e.phase(), Phase::kWarmup);
-  EXPECT_EQ(e.sources_to_query(), 3u);
+  EXPECT_EQ(e.wake(at_s(0), good_hints()).sources, 3u);
   EXPECT_EQ(e.next_wait(), Duration::seconds(10));
 }
 
@@ -73,7 +73,7 @@ TEST(MntpEngine, TransitionsToRegularAfterPeriodAndSamples) {
   }
   EXPECT_TRUE(completed);
   EXPECT_EQ(e.phase(), Phase::kRegular);
-  EXPECT_EQ(e.sources_to_query(), 1u);
+  EXPECT_EQ(e.wake(at_s(t), good_hints()).sources, 1u);
   EXPECT_EQ(e.next_wait(), Duration::seconds(30));
   // Transition at >= warmup_period with >= 5 samples: t=120 earliest.
   EXPECT_GE(t, 120.0);
@@ -118,17 +118,43 @@ TEST(MntpEngine, FalseTickerRejectedInWarmupRound) {
 
 TEST(MntpEngine, DeferralsCounted) {
   MntpEngine e(fast_params(), TimePoint::epoch());
-  EXPECT_TRUE(e.gate(good_hints()));
-  EXPECT_FALSE(e.gate(bad_hints()));
-  e.note_deferral();
-  e.note_deferral();
+  const MntpEngine::Wake open = e.wake(at_s(0), good_hints());
+  EXPECT_EQ(open.gate, obs::Reason::kOk);
+  EXPECT_TRUE(open.emits());
+  EXPECT_EQ(open.sources, 3u);  // warm-up fans out
+  const MntpEngine::Wake closed = e.wake(at_s(1), bad_hints());
+  EXPECT_EQ(closed.gate, obs::Reason::kChannelDefer);
+  EXPECT_FALSE(closed.emits());
+  EXPECT_EQ(closed.sources, 0u);
+  EXPECT_EQ(closed.recheck_after, fast_params().hint_recheck_interval);
+  (void)e.wake(at_s(2), bad_hints());
   EXPECT_EQ(e.deferrals(), 2u);
+  EXPECT_EQ(e.forced_emissions(), 0u);
+}
+
+TEST(MntpEngine, MaxDeferralForcesOneEmissionPerWindow) {
+  MntpParams p = fast_params();
+  p.max_deferral = Duration::seconds(10);
+  MntpEngine e(p, TimePoint::epoch());
+  // The window counts from the start: nothing was emitted yet.
+  EXPECT_FALSE(e.wake(at_s(5), bad_hints()).emits());
+  EXPECT_FALSE(e.wake(at_s(10), bad_hints()).emits());  // not yet over
+  const MntpEngine::Wake forced = e.wake(at_s(11), bad_hints());
+  EXPECT_EQ(forced.gate, obs::Reason::kForcedEmission);
+  EXPECT_EQ(forced.sources, 3u);
+  // A forced emission restarts the window, and so does a favourable one.
+  EXPECT_FALSE(e.wake(at_s(12), bad_hints()).emits());
+  EXPECT_EQ(e.wake(at_s(13), good_hints()).gate, obs::Reason::kOk);
+  EXPECT_FALSE(e.wake(at_s(23), bad_hints()).emits());
+  EXPECT_EQ(e.wake(at_s(24), bad_hints()).gate, obs::Reason::kForcedEmission);
+  EXPECT_EQ(e.forced_emissions(), 2u);
+  EXPECT_EQ(e.deferrals(), 4u);
 }
 
 TEST(MntpEngine, HeadToHeadModeSkipsWarmupPhase) {
   MntpEngine e(head_to_head_params(), TimePoint::epoch());
   EXPECT_EQ(e.phase(), Phase::kRegular);
-  EXPECT_EQ(e.sources_to_query(), 1u);
+  EXPECT_EQ(e.wake(at_s(0), good_hints()).sources, 1u);
   EXPECT_EQ(e.next_wait(), Duration::seconds(5));
 }
 

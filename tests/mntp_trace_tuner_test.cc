@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "core/rng.h"
 #include "core/stats.h"
+#include "mntp/mntp_client.h"
 #include "mntp/trace.h"
 #include "mntp/tuner.h"
 #include "ntp/testbed.h"
@@ -248,8 +250,9 @@ TEST(Searcher, EngineCountersEqualReplayTalliesAtAnyThreadCount) {
 
 // The per-configuration replay loop emulate() ran before the search
 // shared replays: one engine per configuration, driven through on_round()
-// as MntpClient drives it live, including the max_deferral fallback of
-// MntpClient::attempt. The shared replay must match it bit for bit.
+// as MntpClient drives it live. It keeps its own gate and max_deferral
+// fallback arithmetic rather than calling MntpEngine::wake, so it stays
+// an independent reference. The shared replay must match it bit for bit.
 tuner::EmulationResult reference_emulate(const Trace& trace,
                                          const MntpParams& params) {
   tuner::EmulationResult result;
@@ -264,18 +267,19 @@ tuner::EmulationResult reference_emulate(const Trace& trace,
     const net::WirelessHints hints{.when = t,
                                    .rssi = core::Dbm{rec.rssi_dbm},
                                    .noise = core::Dbm{rec.noise_dbm}};
-    const bool favorable = engine.gate(hints);
+    const bool favorable = params.thresholds.favorable(hints);
     const bool forced = !favorable &&
                         params.max_deferral > Duration::zero() &&
                         t - last_emission > params.max_deferral;
     if (!favorable && !forced) {
-      engine.note_deferral();
+      ++result.deferrals;
       next_action_s = rec.t_s + params.hint_recheck_interval.to_seconds();
       continue;
     }
     if (forced) ++result.forced_emissions;
     last_emission = t;
-    const std::size_t want = engine.sources_to_query();
+    const std::size_t want =
+        engine.phase() == Phase::kWarmup ? params.warmup_sources : 1;
     offsets.assign(rec.offsets_s.begin(),
                    rec.offsets_s.begin() +
                        static_cast<std::ptrdiff_t>(
@@ -287,7 +291,6 @@ tuner::EmulationResult reference_emulate(const Trace& trace,
   }
   result.reported_offsets_ms = engine.accepted_offsets_ms();
   result.rmse_ms = core::rmse(result.reported_offsets_ms, 0.0);
-  result.deferrals = engine.deferrals();
   result.rejections = engine.rejected_offsets_ms().size();
   result.rounds = engine.rounds();
   for (std::size_t i = 0; i < kSampleOutcomes; ++i) {
@@ -362,7 +365,7 @@ TEST(Searcher, SharedReplayMatchesPerConfigReference) {
 TEST(Emulator, ResetRoundIsBilledInThePhaseItWasEmittedIn) {
   // MntpClient::attempt picks the round's sources before on_round() runs
   // the reset check, so the round on which a reset fires is billed and
-  // fed sources_to_query() of the phase before the reset: here one
+  // fed the sources of the phase before the reset: here one
   // regular-phase source, although the round is judged in the new
   // cycle's warm-up.
   Trace t = make_trace(25);  // 0..120 s, three offsets each
@@ -404,6 +407,88 @@ TEST(Emulator, MaxDeferralForcesEmissionsThroughALongUnfavorableStretch) {
   EXPECT_EQ(forced.requests, closed.requests + 4);
   EXPECT_EQ(forced.deferrals, closed.deferrals - 4);
   expect_same_replay(forced, reference_emulate(t, fallback), "fallback");
+}
+
+// Each gate stage in `traces`, in mint order: its reason and field names.
+std::vector<std::pair<obs::Reason, std::vector<std::string>>> gate_stages(
+    const std::vector<obs::QueryTrace>& traces) {
+  std::vector<std::pair<obs::Reason, std::vector<std::string>>> out;
+  for (const obs::QueryTrace& q : traces) {
+    for (const obs::QueryStage& stage : q.stages) {
+      if (stage.stage != "gate") continue;
+      std::vector<std::string> names;
+      for (const obs::Field& f : stage.fields) names.push_back(f.key);
+      out.emplace_back(stage.reason, std::move(names));
+    }
+  }
+  return out;
+}
+
+TEST(Emulator, GateStagesMatchTheLiveClient) {
+  // The field names the live client writes with each gate reason, from a
+  // traced run on a channel that opens, closes, and stays closed past the
+  // fallback window.
+  MntpParams params = head_to_head_params();
+  params.max_deferral = Duration::seconds(20);
+  std::map<obs::Reason, std::vector<std::string>> live;
+  {
+    obs::Telemetry telemetry;
+    obs::ScopedTelemetry scope(telemetry);
+    telemetry.query_tracer().set_enabled(true);
+    ntp::TestbedConfig config;
+    config.seed = 301;
+    config.wireless = true;
+    ntp::Testbed bed(config);
+    MntpClient client(bed.sim(), bed.target_clock(), bed.pool(),
+                      bed.channel(), params, bed.fork_rng());
+    bed.start();
+    client.start();
+    bed.sim().run_until(TimePoint::epoch() + Duration::minutes(30));
+    ASSERT_GT(client.forced_emissions(), 0u);
+    for (auto& [reason, names] :
+         gate_stages(telemetry.query_tracer().snapshot())) {
+      live.emplace(reason, std::move(names));
+    }
+  }
+  const std::vector<std::string> hint_fields = {"rssi_dbm", "noise_dbm",
+                                                "snr_margin_db"};
+  for (const obs::Reason reason :
+       {obs::Reason::kOk, obs::Reason::kChannelDefer,
+        obs::Reason::kForcedEmission}) {
+    ASSERT_TRUE(live.contains(reason)) << obs::to_string(reason);
+    EXPECT_EQ(live[reason], hint_fields) << obs::to_string(reason);
+  }
+
+  // The replay: a favourable record emits at 0 s, an unfavourable one
+  // defers at 5 s, and another is forced at 30 s, 30 s after the last
+  // emission.
+  Trace t = make_trace(3);
+  t.records[1].rssi_dbm = -85.0;
+  t.records[2].t_s = 30.0;
+  t.records[2].rssi_dbm = -86.0;
+  obs::Telemetry telemetry;
+  obs::ScopedTelemetry scope(telemetry);
+  telemetry.query_tracer().set_enabled(true);
+  const tuner::EmulationResult r = tuner::emulate(t, params);
+  EXPECT_EQ(r.deferrals, 1u);
+  EXPECT_EQ(r.forced_emissions, 1u);
+  const std::vector<obs::QueryTrace> traces =
+      telemetry.query_tracer().snapshot();
+  ASSERT_EQ(traces.size(), 3u);  // one query per acquisition opportunity
+  const auto replay = gate_stages(traces);
+  ASSERT_EQ(replay.size(), 3u);  // one gate stage in each
+  const obs::Reason want[] = {obs::Reason::kOk, obs::Reason::kChannelDefer,
+                              obs::Reason::kForcedEmission};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(replay[i].first, want[i]) << "query " << i;
+    EXPECT_EQ(replay[i].second, live[want[i]]) << "query " << i;
+    EXPECT_EQ(std::get<double>(traces[i].stages.front().fields[0].value),
+              t.records[i].rssi_dbm)
+        << "query " << i;
+  }
+  // The deferral is a complete one-stage query, as the live client's.
+  EXPECT_EQ(traces[1].verdict(), obs::Reason::kChannelDefer);
+  EXPECT_EQ(traces[1].stages.size(), 2u);  // gate, verdict
 }
 
 TEST(Emulator, FailedRoundBillsRequestsButReportsNoOffset) {

@@ -18,11 +18,27 @@ namespace mntp::obs {
 namespace {
 
 std::string write_file(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "obs_diff_" + name;
+  const std::string path = test::temp_path(name);
   std::ofstream out(path);
   out << content;
   EXPECT_TRUE(out.good()) << path;
   return path;
+}
+
+// read_pair, then diff_pair, as `mntp-inspect diff` runs them.
+core::Result<DiffResult> diff_files(const std::string& a_path,
+                                    const std::string& b_path,
+                                    const DiffOptions& options) {
+  auto pair = read_pair(a_path, b_path);
+  if (!pair.ok()) return pair.error();
+  return diff_pair(pair.value(), options);
+}
+
+core::Result<std::string> perf_delta(const std::string& a_path,
+                                     const std::string& b_path) {
+  auto pair = read_pair(a_path, b_path);
+  if (!pair.ok()) return pair.error();
+  return render_perf_delta(pair.value());
 }
 
 std::string bench_doc(double engine_median, double engine_mad,
@@ -262,7 +278,7 @@ TEST(DiffBench, PerfDeltaRecord) {
   const std::string base =
       write_file("delta_a.json", bench_doc(1000.0, 10.0, false));
   const std::string cand = write_file("delta_b.json", bench_doc(800.0, 4.0));
-  auto delta = render_perf_delta(base, cand);
+  auto delta = perf_delta(base, cand);
   ASSERT_TRUE(delta.ok()) << delta.error().message;
   auto doc = core::Json::parse(delta.value());
   ASSERT_TRUE(doc.ok()) << doc.error().message;
@@ -281,7 +297,7 @@ TEST(DiffBench, PerfDeltaRecord) {
   EXPECT_TRUE(workloads[1]["before_median_us"].is_null());
   EXPECT_EQ(workloads[1]["note"].as_string(), "new workload in this PR");
 
-  auto reverse = render_perf_delta(cand, base);
+  auto reverse = perf_delta(cand, base);
   ASSERT_TRUE(reverse.ok());
   const auto reverse_doc = core::Json::parse(reverse.value());
   ASSERT_TRUE(reverse_doc.ok());
@@ -297,11 +313,11 @@ TEST(DiffBench, PerfDeltaRecord) {
             "perf-delta: 2 workloads");
   EXPECT_EQ(test::validate_back("delta_ba.json", reverse.value()),
             "perf-delta: 2 workloads");
-  EXPECT_FALSE(read_artifact(::testing::TempDir() + "delta_ab.json").ok());
+  EXPECT_FALSE(read_artifact(test::temp_path("delta_ab.json")).ok());
 
   const std::string prof =
       write_file("delta_prof.json", profile_doc("p", 100.0, 80.0));
-  EXPECT_FALSE(render_perf_delta(prof, prof).ok());
+  EXPECT_FALSE(perf_delta(prof, prof).ok());
 }
 
 TEST(DiffProfile, PerturbedSpanIsTopContributor) {

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "obs/diff.h"
+#include "support/read_back.h"
 
 namespace mntp::obs {
 namespace {
@@ -258,7 +259,7 @@ const Mutation kMutations[] = {
 };
 
 std::string write_file(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "obs_validate_" + name;
+  const std::string path = test::temp_path(name);
   std::ofstream out(path);
   out << content;
   EXPECT_TRUE(out.good()) << path;

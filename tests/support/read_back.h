@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 
@@ -13,11 +14,23 @@
 
 namespace mntp::test {
 
-/// Write `text` to gtest's temp dir as `name`, require validate_artifact
-/// to accept it, and return its summary ("kind: ...").
+/// `name` in gtest's temp dir, prefixed with the running test's suite
+/// and name. CTest runs each test in its own process, so a fixed name
+/// would let one test rewrite the file while another reads it.
+inline std::string temp_path(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string prefix = std::string(info->test_suite_name()) + "." +
+                       info->name() + ".";
+  std::replace(prefix.begin(), prefix.end(), '/', '_');  // parameterized
+  return ::testing::TempDir() + prefix + name;
+}
+
+/// Write `text` to temp_path(name), require validate_artifact to accept
+/// it, and return its summary ("kind: ...").
 inline std::string validate_back(const std::string& name,
                                  const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = temp_path(name);
   std::ofstream(path) << text;
   auto summary = obs::validate_artifact(path);
   EXPECT_TRUE(summary.ok()) << summary.error().message;
@@ -28,7 +41,7 @@ inline std::string validate_back(const std::string& name,
 inline obs::ArtifactFile read_back(const std::string& name,
                                    const std::string& text) {
   validate_back(name, text);
-  auto file = obs::read_artifact(::testing::TempDir() + name);
+  auto file = obs::read_artifact(temp_path(name));
   EXPECT_TRUE(file.ok()) << file.error().message;
   return file.ok() ? file.value() : obs::ArtifactFile{};
 }

@@ -748,7 +748,11 @@ int main(int argc, char** argv) {
                    "<A> <B>\n");
       return 2;
     }
-    auto result = mntp::obs::diff_files(paths[0], paths[1], opt.diff_opt);
+    // Each file is read once, for the diff and the --write-delta record.
+    const auto pair = mntp::obs::read_pair(paths[0], paths[1]);
+    auto result = pair.ok()
+                      ? mntp::obs::diff_pair(pair.value(), opt.diff_opt)
+                      : mntp::core::Result<mntp::obs::DiffResult>(pair.error());
     if (!result.ok()) {
       std::fprintf(stderr, "mntp-inspect: diff: %s\n",
                    result.error().message.c_str());
@@ -758,7 +762,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "mntp-inspect: warning: %s\n", warning.c_str());
     }
     if (!opt.write_delta.empty()) {
-      auto delta = mntp::obs::render_perf_delta(paths[0], paths[1]);
+      auto delta = mntp::obs::render_perf_delta(pair.value());
       if (!delta.ok()) {
         std::fprintf(stderr, "mntp-inspect: --write-delta: %s\n",
                      delta.error().message.c_str());
