@@ -1,8 +1,8 @@
 #include "core/json_writer.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace mntp::core {
 
@@ -16,10 +16,10 @@ void append_json_number(std::string& out, double v) {
   out.append(buf, end);
 }
 
-void JsonWriter::append_escaped(std::string_view s) {
+void JsonWriter::append_escaped_from(std::string_view s, std::size_t first) {
   // Copy each run of plain bytes whole; escape the rest one by one.
   std::size_t run = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
+  for (std::size_t i = first; i < s.size(); ++i) {
     const auto c = static_cast<unsigned char>(s[i]);
     if (c >= 0x20 && c != '"' && c != '\\') continue;
     out_.append(s.data() + run, i - run);
@@ -56,20 +56,6 @@ void JsonWriter::append_escaped(std::string_view s) {
   out_.append(s.data() + run, s.size() - run);
 }
 
-JsonWriter& JsonWriter::value(std::int64_t v) {
-  element_prologue();
-  char buf[24];
-  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::uint64_t v) {
-  element_prologue();
-  char buf[24];
-  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-  return *this;
-}
-
 JsonWriter& JsonWriter::value_fixed(double v, int decimals) {
   element_prologue();
   if (!std::isfinite(v)) {
@@ -82,29 +68,10 @@ JsonWriter& JsonWriter::value_fixed(double v, int decimals) {
   return *this;
 }
 
-void JsonWriter::element_prologue() {
-  if (levels_.empty()) return;
-  Level& top = levels_.back();
-  if (top.in_object && top.key_pending) {
-    // This element is the value for the pending key; no separator.
-    top.key_pending = false;
-    return;
-  }
-  if (!top.first) out_ += ',';
-  top.first = false;
-  if (indent_ > 0) {
-    out_ += '\n';
-    out_.append(static_cast<size_t>(indent_) * levels_.size(), ' ');
-  }
-}
-
-void JsonWriter::close_level() {
-  const bool was_empty = levels_.back().first;
-  levels_.pop_back();
-  if (indent_ > 0 && !was_empty) {
-    out_ += '\n';
-    out_.append(static_cast<size_t>(indent_) * levels_.size(), ' ');
-  }
+void JsonWriter::too_deep() {
+  std::fprintf(stderr, "JsonWriter: nesting deeper than %d levels\n",
+               kMaxDepth);
+  std::abort();
 }
 
 }  // namespace mntp::core

@@ -113,6 +113,8 @@ bool write_fleet_report(const std::string& path, const FleetParams& params,
   std::ofstream out(path);
   if (!out) return false;
   out << render_fleet_report(params, result);
+  // A full device only reports on the flush of the last buffered bytes.
+  out.flush();
   return static_cast<bool>(out);
 }
 

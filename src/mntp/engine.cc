@@ -216,7 +216,7 @@ void finish_round_trace(obs::QueryTracer& qt, obs::QueryId id,
   if (!obs::recorded(id)) return;
   qt.finish(id, t,
             sources == 0 ? obs::Reason::kNoSamples : to_reason(rr.outcome),
-            {{"phase", std::string(to_string(rr.phase))},
+            {{"phase", to_string(rr.phase)},
              {"offset_ms", rr.offset_s * 1e3},
              {"residual_ms", rr.corrected_s * 1e3},
              {"sources", static_cast<std::int64_t>(sources)}});
@@ -233,7 +233,7 @@ obs::QueryId trace_wake(obs::QueryTracer& qt, core::TimePoint t,
               {"snr_margin_db", hints.snr_margin().value()}});
     if (!w.emits()) {
       qt.finish(id, t, obs::Reason::kChannelDefer,
-                {{"phase", std::string(to_string(phase))}});
+                {{"phase", to_string(phase)}});
     }
   }
   return w.emits() ? id : 0;

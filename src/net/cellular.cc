@@ -38,7 +38,7 @@ class CellularNetwork::DirectionalLink final : public Link {
       drop_counter_->inc();
       if (auto q = obs::ambient_query(); q.tracer) {
         q.tracer->stage(q.id, now, "cell", obs::Reason::kNone,
-                        {{"dir", std::string(is_uplink_ ? "up" : "down")},
+                        {{"dir", is_uplink_ ? "up" : "down"},
                          {"congested", congested},
                          {"dropped", true}});
       }
@@ -72,7 +72,7 @@ class CellularNetwork::DirectionalLink final : public Link {
     has_delay_ = true;
     if (auto q = obs::ambient_query(); q.tracer) {
       q.tracer->stage(q.id, now, "cell", obs::Reason::kNone,
-                      {{"dir", std::string(is_uplink_ ? "up" : "down")},
+                      {{"dir", is_uplink_ ? "up" : "down"},
                        {"congested", congested},
                        {"delay_ms", delay.to_millis()}});
     }

@@ -129,7 +129,7 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
     drop_counter_[dir]->inc();
     if (auto q = obs::ambient_query(); q.tracer) {
       q.tracer->stage(q.id, now, "airtime", obs::Reason::kNone,
-                      {{"dir", std::string(is_uplink ? "up" : "down")},
+                      {{"dir", is_uplink ? "up" : "down"},
                        {"attempts", static_cast<std::int64_t>(params_.max_retries) + 1},
                        {"exhausted", true},
                        {"snr_db", snr.value()},
@@ -176,7 +176,7 @@ TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
   if (auto q = obs::ambient_query(); q.tracer) {
     // Per-query airtime breakdown: where this packet's delay came from.
     q.tracer->stage(q.id, now, "airtime", obs::Reason::kNone,
-                    {{"dir", std::string(is_uplink ? "up" : "down")},
+                    {{"dir", is_uplink ? "up" : "down"},
                      {"retries", static_cast<std::int64_t>(mac.retries)},
                      {"backoff_ms", backoff.to_millis()},
                      {"queueing_ms", queueing.to_millis()},

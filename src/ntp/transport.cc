@@ -100,7 +100,7 @@ void QueryEngine::query(const ServerEndpoint& endpoint,
   if (obs::recorded(ex->qid)) {
     qt.stage(ex->qid, ex->send_true, "request", obs::Reason::kOk,
              {{"wire_bytes", static_cast<std::int64_t>(options.wire_bytes)},
-              {"mode", std::string(options.sntp_style ? "sntp" : "ntp")},
+              {"mode", options.sntp_style ? "sntp" : "ntp"},
               {"timeout_ms", options.timeout.to_millis()}});
   }
 

@@ -7,7 +7,7 @@
 // minted at the client, and every hop and accept/defer/reject decision
 // along its path appends a stage record — simulation timestamp, stage
 // name, typed reason code (obs/reason_codes.h), and numeric payload
-// fields — to a bounded per-query store owned by the Telemetry context.
+// fields — to a bounded store owned by the Telemetry context.
 //
 // Lifecycle of a trace:
 //
@@ -30,15 +30,15 @@
 // disabled, an instrumented decision point costs one thread-local read
 // and a branch.
 //
-// Sampling decides at mint: begin() runs the gate before it takes any
-// lock, and a query the store will not hold (sampled out, or the store
-// is full) gets its id back with kUnrecordedMark set. Emitters holding
-// an id test obs::recorded(id) before they build a payload; stage() and
-// finish() return before the lock for a marked id. An ActiveQueryScope
-// for a marked id installs a null ambient tracer but keeps the id, so
-// ambient emitters under it build nothing, it still hides an enclosing
-// recorded query from them, and children minted under it still name it
-// as their parent (parents are stored without the mark).
+// Sampling decides at mint: begin() runs the gate first, and a query
+// the store will not hold (sampled out, or the store is full) gets its
+// id back with kUnrecordedMark set. Emitters holding an id test
+// obs::recorded(id) before they build a payload; stage() and finish()
+// return at once for a marked id. An ActiveQueryScope for a marked id
+// installs a null ambient tracer but keeps the id, so ambient emitters
+// under it build nothing, it still hides an enclosing recorded query
+// from them, and children minted under it still name it as their parent
+// (parents are stored without the mark).
 //
 // Determinism & overhead: the tracer only OBSERVES — it never consumes
 // RNG draws, never schedules events, and is off by default behind the
@@ -47,21 +47,37 @@
 // mntp_engine_test; perf_suite's telemetry_overhead_off prices the off
 // path). The store is bounded
 // (max_queries / max_stages_per_query); overflow increments dropped
-// counters instead of growing without bound. Only recorded queries
-// reach the store, and their begin/stage/finish serialize on one mutex —
-// safe under the parallel tuner, where each worker's rounds interleave
-// arbitrarily but each stage append is atomic. Minting and the
-// sampled-out count are lock-free atomics.
+// counters instead of growing without bound. Minting, the sampled-out
+// count and the max_queries cap are lock-free atomics.
+//
+// Thread contract: a query's stages and verdict are written on the
+// thread that minted it. Each thread appends to its own store: a flat
+// arena of trace, stage and field records, registered with the tracer
+// under its mutex the first time the thread keeps a query. stage() and
+// finish() then find the open query in the calling thread's store with
+// no lock and no hash, so replicates on pool workers and the parallel
+// tuner's tasks never contend. A stage or finish for an id that is not
+// open on the calling thread is dropped, like a straggler after the
+// verdict. The mutex guards only that registration and the readers
+// (export, snapshot), which run after the recording threads are done.
+//
+// Literal-name rule: stage names, query kinds and field keys are Names,
+// built only from string literals (a consteval constructor rejects a
+// runtime string at compile time), so the store keeps their pointers
+// and nothing it points at can dangle. String field values are copied
+// into the store. Emitters pass fields as an initializer list, so a
+// stage() call allocates nothing of its own.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -72,8 +88,46 @@ namespace mntp::obs {
 
 class MetricsRegistry;
 
-/// Stage payload values keep JSON's scalar types; int64 covers counts
-/// and ns.
+/// A stage name, query kind or field key. Only a string literal makes
+/// one (the constructor is consteval), so the store keeps the pointer.
+class Name {
+ public:
+  template <std::size_t N>
+  consteval Name(const char (&literal)[N])  // NOLINT(google-explicit-constructor)
+      : data_(literal) {}
+  [[nodiscard]] std::string_view view() const { return data_; }
+
+ private:
+  const char* data_;
+};
+
+/// One stage payload entry as an emitter passes it: a literal key and a
+/// JSON scalar. A string value is borrowed for the call and copied into
+/// the store; int64 covers counts and ns. Other integer types must be
+/// cast, so no value silently changes its JSON type.
+struct FieldArg {
+  enum class Type : std::uint8_t { kInt, kDouble, kBool, kString };
+
+  FieldArg(Name k, std::int64_t v) : key(k), type(Type::kInt), i(v) {}
+  FieldArg(Name k, double v) : key(k), type(Type::kDouble), d(v) {}
+  FieldArg(Name k, bool v) : key(k), type(Type::kBool), b(v) {}
+  FieldArg(Name k, std::string_view v) : key(k), type(Type::kString), s(v) {}
+  FieldArg(Name k, const char* v) : FieldArg(k, std::string_view(v)) {}
+
+  Name key;
+  Type type;
+  union {
+    std::int64_t i;
+    double d;
+    bool b;
+    std::string_view s;
+  };
+};
+
+using Fields = std::initializer_list<FieldArg>;
+
+/// Stage payload values as snapshot() materializes them: JSON's scalar
+/// types, owned.
 using FieldValue = std::variant<std::int64_t, double, std::string, bool>;
 
 struct Field {
@@ -95,7 +149,8 @@ inline constexpr QueryId kUnrecordedMark = QueryId{1} << 63;
   return id != 0 && (id & kUnrecordedMark) == 0;
 }
 
-/// One hop or decision in the life of a query.
+/// One hop or decision in the life of a query (as snapshot() returns
+/// it; the store itself keeps flat records).
 struct QueryStage {
   core::TimePoint t;        ///< simulation time of the record
   std::string stage;        ///< "request", "hop", "gate", "verdict", ...
@@ -170,8 +225,9 @@ class QueryTracer {
     ReplicateScope* previous_;
   };
 
-  QueryTracer() = default;
-  explicit QueryTracer(Limits limits) : limits_(limits) {}
+  QueryTracer();
+  explicit QueryTracer(Limits limits);
+  ~QueryTracer();
   QueryTracer(const QueryTracer&) = delete;
   QueryTracer& operator=(const QueryTracer&) = delete;
 
@@ -184,25 +240,26 @@ class QueryTracer {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Mint a new query. Returns 0 when disabled. The sampling gate runs
-  /// before any lock: a query the store will not hold (sampled out, or
-  /// the store is full — then counted as dropped) comes back with
-  /// kUnrecordedMark set, and every other call treats it like id 0, so
-  /// callers skip payload construction with obs::recorded(id). The
-  /// minted numbers stay monotonic either way. `parent` is stored
-  /// without its mark.
-  QueryId begin(core::TimePoint t, std::string_view kind,
-                QueryId parent = 0);
+  /// Mint a new query. Returns 0 when disabled. The sampling gate and
+  /// the max_queries cap are atomics: a query the store will not hold
+  /// (sampled out, or the store is full — then counted as dropped) comes
+  /// back with kUnrecordedMark set, and every other call treats it like
+  /// id 0, so callers skip payload construction with obs::recorded(id).
+  /// A kept query goes into the calling thread's store (registered under
+  /// the mutex on the thread's first kept query). The minted numbers
+  /// stay monotonic either way. `parent` is stored without its mark.
+  QueryId begin(core::TimePoint t, Name kind, QueryId parent = 0);
 
-  /// Append a stage to a live query. No-ops for id 0, marked ids, or
-  /// already-finished queries; only recorded ids take the lock.
-  void stage(QueryId id, core::TimePoint t, std::string_view stage,
-             Reason reason, std::vector<Field> fields = {});
+  /// Append a stage to a query open on the calling thread. No-ops for
+  /// id 0, marked ids, already-finished queries and queries minted on
+  /// another thread. Takes no lock.
+  void stage(QueryId id, core::TimePoint t, Name stage, Reason reason,
+             Fields fields = {});
 
   /// Append the terminal "verdict" stage and latch the trace. Later
-  /// stage()/finish() calls for this id are dropped.
+  /// stage()/finish() calls for this id are dropped. Takes no lock.
   void finish(QueryId id, core::TimePoint t, Reason reason,
-              std::vector<Field> fields = {});
+              Fields fields = {});
 
   /// Configure sampling. Call before the run fans out (the same
   /// configure-then-record rule Telemetry documents for sinks); changing
@@ -210,7 +267,8 @@ class QueryTracer {
   void set_sampling(const Sampling& sampling);
   [[nodiscard]] Sampling sampling() const;
 
-  /// Snapshot of all stored traces, in mint order.
+  /// All stored traces materialized, in mint order (for tests). Like
+  /// the export, call it once the recording threads are done.
   [[nodiscard]] std::vector<QueryTrace> snapshot() const;
   /// Queries minted while enabled (including dropped ones).
   [[nodiscard]] std::uint64_t minted() const;
@@ -226,40 +284,56 @@ class QueryTracer {
   /// can tell "sampled away on purpose" from "lost". Call at finalize.
   void export_counters(MetricsRegistry& registry) const;
 
-  /// Stream the store as query-trace JSONL (schema v1): a meta line
+  /// Stream the stores as query-trace JSONL (schema v1): a meta line
   /// {"type":"meta","kind":"mntp_query_trace",...} then one
   /// {"type":"query",...} line per trace in mint order, written in
   /// chunks of about 64 KiB, so the artifact is never held whole in
   /// memory. `run` names the producing bench; `sim_end` stamps the end
-  /// of the simulated run.
+  /// of the simulated run. Call it once the recording threads are done.
   void write_jsonl(std::ostream& out, std::string_view run,
                    core::TimePoint sim_end) const;
-  /// write_jsonl to a file; returns false on I/O failure.
+  /// write_jsonl to a file; returns false on I/O failure, including a
+  /// failed final flush.
   bool write_jsonl_file(const std::string& path, std::string_view run,
                         core::TimePoint sim_end) const;
 
  private:
+  /// One thread's append-only store (defined in query_trace.cc).
+  struct Store;
+
   /// True when the gate keeps this key (pure function of sampling_ and
   /// key).
   [[nodiscard]] bool gate_keeps(std::uint64_t key) const;
   [[nodiscard]] bool sampling_active() const {
     return sampling_.sample_one_in_n > 1;
   }
+  /// The calling thread's store, found through a small thread-local
+  /// cache keyed by serial_; on a miss, looked up (or, with `create`,
+  /// registered) under the mutex. Null when the thread has none.
+  Store* local_store(bool create);
+  /// The stores' traces in id order. Requires mutex_.
+  template <typename Visit>
+  void for_each_in_id_order(Visit&& visit) const;
 
   Limits limits_;
+  /// Names this tracer in the thread-local store caches; never reused,
+  /// so a cache entry of a destroyed tracer never matches again.
+  const std::uint64_t serial_;
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mutex_;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> sampled_out_{0};
   /// Written by set_sampling before the run fans out; read by begin()
   /// without the lock.
   Sampling sampling_;
   std::uint64_t gate_seed_ = 0;  // derive_stream_seed(sampling_.seed, 0)
-  /// Append-only store in insertion order; index_ maps id -> slot.
-  std::vector<QueryTrace> traces_;
-  std::unordered_map<QueryId, std::size_t> index_;
-  std::uint64_t dropped_queries_ = 0;
-  std::uint64_t dropped_stages_ = 0;
+  /// The counters every begin() bumps live on their own cache line, so
+  /// they do not evict enabled_ and the limits from the readers.
+  alignas(64) std::atomic<std::uint64_t> next_id_{1};
+  std::atomic<std::uint64_t> sampled_out_{0};
+  /// Queries that passed the gate: the first max_queries are kept, the
+  /// rest are dropped.
+  std::atomic<std::uint64_t> admitted_{0};
+  /// Guards stores_ (registration and the readers) and sampling_ writes.
+  alignas(64) mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<Store>> stores_;
 };
 
 /// The ambient query: (tracer, id) for the query the current thread is

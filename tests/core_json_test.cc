@@ -185,5 +185,206 @@ TEST(JsonNumber, ShortestFormRoundTripsBitExact) {
   EXPECT_EQ(render_number(std::nan("")), "null");
 }
 
+
+// ------------------------------------------------------------ golden bytes
+// The exact bytes every artifact is built from, recorded before the
+// writer's nesting stack became a fixed array: compact and pretty forms,
+// nested and empty containers, escaped keys and values, fixed-decimal
+// and non-finite numbers.
+
+void write_golden_document(JsonWriter& w) {
+  const double inf = std::numeric_limits<double>::infinity();
+  w.begin_object()
+      .kv("name", "mntp")
+      .kv("int", std::int64_t{-42})
+      .kv("uint", std::numeric_limits<std::uint64_t>::max())
+      .kv("small", 7)
+      .kv("pi", 3.141592653589793)
+      .kv("tenth", 0.1)
+      .kv("inf", inf)
+      .kv("nan", std::nan(""))
+      .key("fixed").value_fixed(1.23456, 3)
+      .key("fixed_neg").value_fixed(-0.5, 0)
+      .key("fixed_inf").value_fixed(-inf, 2)
+      .kv("yes", true)
+      .kv("no", false)
+      .key("nothing").null()
+      .kv("esc\"key\n",
+          std::string_view("tab\there \"q\" \\ \x01 \xc3\xa9 \x7f", 21))
+      .key("empty_obj").begin_object().end_object()
+      .key("empty_arr").begin_array().end_array()
+      .key("nested").begin_array()
+        .value(1.5)
+        .begin_object()
+          .kv("a", std::int64_t{1})
+          .key("b").begin_array().value("x").begin_array().end_array()
+          .end_array()
+        .end_object()
+        .begin_array().begin_object().end_object().end_array()
+      .end_array()
+      .end_object();
+}
+
+std::string golden_document(int indent) {
+  std::string out;
+  JsonWriter w(out, indent);
+  write_golden_document(w);
+  return out;
+}
+
+TEST(JsonWriterGolden, Compact) {
+  EXPECT_EQ(golden_document(0),
+            "{\"name\":\"mntp\",\"int\":-42,\"uint\":18446744073709551615,"
+            "\"small\":7,\"pi\":3.141592653589793,\"tenth\":0.1,"
+            "\"inf\":null,\"nan\":null,\"fixed\":1.235,\"fixed_neg\":-0,"
+            "\"fixed_inf\":null,\"yes\":true,\"no\":false,\"nothing\":null,"
+            "\"esc\\\"key\\n\":\"tab\\there \\\"q\\\" \\\\ \\u0001 \xc3\xa9 \x7f\","
+            "\"empty_obj\":{},\"empty_arr\":[],\"nested\":[1.5,{\"a\":1,"
+            "\"b\":[\"x\",[]]},[{}]]}");
+}
+
+TEST(JsonWriterGolden, IndentOne) {
+  EXPECT_EQ(golden_document(1),
+            "{\n"
+            " \"name\": \"mntp\",\n"
+            " \"int\": -42,\n"
+            " \"uint\": 18446744073709551615,\n"
+            " \"small\": 7,\n"
+            " \"pi\": 3.141592653589793,\n"
+            " \"tenth\": 0.1,\n"
+            " \"inf\": null,\n"
+            " \"nan\": null,\n"
+            " \"fixed\": 1.235,\n"
+            " \"fixed_neg\": -0,\n"
+            " \"fixed_inf\": null,\n"
+            " \"yes\": true,\n"
+            " \"no\": false,\n"
+            " \"nothing\": null,\n"
+            " \"esc\\\"key\\n\": \"tab\\there \\\"q\\\" \\\\ \\u0001 \xc3\xa9 \x7f\",\n"
+            " \"empty_obj\": {},\n"
+            " \"empty_arr\": [],\n"
+            " \"nested\": [\n"
+            "  1.5,\n"
+            "  {\n"
+            "   \"a\": 1,\n"
+            "   \"b\": [\n"
+            "    \"x\",\n"
+            "    []\n"
+            "   ]\n"
+            "  },\n"
+            "  [\n"
+            "   {}\n"
+            "  ]\n"
+            " ]\n"
+            "}");
+}
+
+TEST(JsonWriterGolden, IndentTwo) {
+  EXPECT_EQ(golden_document(2),
+            "{\n"
+            "  \"name\": \"mntp\",\n"
+            "  \"int\": -42,\n"
+            "  \"uint\": 18446744073709551615,\n"
+            "  \"small\": 7,\n"
+            "  \"pi\": 3.141592653589793,\n"
+            "  \"tenth\": 0.1,\n"
+            "  \"inf\": null,\n"
+            "  \"nan\": null,\n"
+            "  \"fixed\": 1.235,\n"
+            "  \"fixed_neg\": -0,\n"
+            "  \"fixed_inf\": null,\n"
+            "  \"yes\": true,\n"
+            "  \"no\": false,\n"
+            "  \"nothing\": null,\n"
+            "  \"esc\\\"key\\n\": \"tab\\there \\\"q\\\" \\\\ \\u0001 \xc3\xa9 \x7f\",\n"
+            "  \"empty_obj\": {},\n"
+            "  \"empty_arr\": [],\n"
+            "  \"nested\": [\n"
+            "    1.5,\n"
+            "    {\n"
+            "      \"a\": 1,\n"
+            "      \"b\": [\n"
+            "        \"x\",\n"
+            "        []\n"
+            "      ]\n"
+            "    },\n"
+            "    [\n"
+            "      {}\n"
+            "    ]\n"
+            "  ]\n"
+            "}");
+}
+
+/// `depth` levels, alternating array and object, around the value 1.
+std::string deep_document(int depth, int indent) {
+  std::string out;
+  JsonWriter w(out, indent);
+  for (int i = 0; i < depth; ++i) {
+    if (i % 2 == 0) {
+      w.begin_array();
+    } else {
+      w.begin_object().key("k");
+    }
+  }
+  w.value(std::int64_t{1});
+  for (int i = depth - 1; i >= 0; --i) {
+    if (i % 2 == 0) {
+      w.end_array();
+    } else {
+      w.end_object();
+    }
+  }
+  return out;
+}
+
+TEST(JsonWriterGolden, MaximumDepth) {
+  static_assert(JsonWriter::kMaxDepth == 16);
+  EXPECT_EQ(deep_document(JsonWriter::kMaxDepth, 0),
+            "[{\"k\":[{\"k\":[{\"k\":[{\"k\":[{\"k\":[{\"k\":[{\"k\":"
+            "[{\"k\":1}]}]}]}]}]}]}]}]");
+  EXPECT_EQ(deep_document(JsonWriter::kMaxDepth, 1),
+            "[\n"
+            " {\n"
+            "  \"k\": [\n"
+            "   {\n"
+            "    \"k\": [\n"
+            "     {\n"
+            "      \"k\": [\n"
+            "       {\n"
+            "        \"k\": [\n"
+            "         {\n"
+            "          \"k\": [\n"
+            "           {\n"
+            "            \"k\": [\n"
+            "             {\n"
+            "              \"k\": [\n"
+            "               {\n"
+            "                \"k\": 1\n"
+            "               }\n"
+            "              ]\n"
+            "             }\n"
+            "            ]\n"
+            "           }\n"
+            "          ]\n"
+            "         }\n"
+            "        ]\n"
+            "       }\n"
+            "      ]\n"
+            "     }\n"
+            "    ]\n"
+            "   }\n"
+            "  ]\n"
+            " }\n"
+            "]");
+}
+
+TEST(JsonWriterGoldenDeathTest, DeeperThanTheLimitAborts) {
+  // The nesting stack is a fixed array: one level more is a caller bug
+  // that stops the program, in every build type, instead of a clipped
+  // or corrupt document.
+  EXPECT_DEATH(deep_document(JsonWriter::kMaxDepth + 1, 0),
+               "JsonWriter: nesting deeper than");
+}
+
 }  // namespace
 }  // namespace mntp::core

@@ -224,6 +224,19 @@ TEST(FleetReport, RendersAndRoundTripsKeyFields) {
       obs::read_artifact(test::temp_path("fleet_report.json")).ok());
 }
 
+TEST(FleetReport, WriteToFullDeviceFails) {
+  // The report is smaller than the stream's buffer, so the device's
+  // refusal only shows when the last bytes are flushed.
+  obs::Telemetry tel;
+  obs::ScopedTelemetry scope(tel);
+  const fleet::FleetParams p = small_params();
+  fleet::Simulator sim(
+      std::make_shared<const fleet::ClientFleet>(fleet::ClientFleet::build(p)),
+      p);
+  const fleet::FleetResult r = sim.run(1);
+  EXPECT_FALSE(fleet::write_fleet_report("/dev/full", p, r));
+}
+
 TEST(FleetMetrics, RegistryCountersMatchResultTotals) {
   obs::Telemetry tel;
   obs::ScopedTelemetry scope(tel);

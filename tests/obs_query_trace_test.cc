@@ -1,7 +1,8 @@
 // Query-tracer tests: lifecycle and latching, store bounds, ambient
 // scoping, JSONL serialization, engine round ownership, the tracing-off
-// bit-identity guarantee, the sampling gate and its sampled-out mark, and
-// thread safety under the parallel tuner.
+// bit-identity guarantee, the per-thread store contract, the sampling
+// gate and its sampled-out mark, and thread safety under the parallel
+// tuner.
 #include "obs/query_trace.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/json.h"
@@ -226,6 +229,16 @@ TEST(QueryTracer, JsonlSerializesMetaAndTypedFields) {
   EXPECT_TRUE(fields["exhausted"].as_bool());
 }
 
+TEST(QueryTracer, WriteToFullDeviceFails) {
+  // One query is far smaller than the stream's buffer, so the device's
+  // refusal only shows when the last bytes are flushed.
+  QueryTracer tracer;
+  tracer.set_enabled(true);
+  const QueryId id = tracer.begin(at(1), "round");
+  tracer.finish(id, at(2), Reason::kOk);
+  EXPECT_FALSE(tracer.write_jsonl_file("/dev/full", "run", at(3)));
+}
+
 /// One engine round the way a traced driver runs it: mint the round,
 /// install it as the ambient query, judge, close with the verdict.
 protocol::MntpEngine::RoundResult traced_round(
@@ -302,6 +315,169 @@ TEST(QueryTracer, EngineOutputBitIdenticalTracingOnOrOff) {
     EXPECT_EQ(off[i].phase, on[i].phase) << "record " << i;
     EXPECT_EQ(off[i].bootstrap, on[i].bootstrap) << "record " << i;
   }
+}
+
+// ------------------------------------------------------ per-thread stores
+
+// Names are literals only: a runtime string cannot become one, so the
+// store's pointers cannot dangle.
+static_assert(!std::is_convertible_v<std::string, Name>);
+static_assert(!std::is_convertible_v<const char*, Name>);
+static_assert(!std::is_convertible_v<std::string_view, Name>);
+
+/// The meta line of `tracer`'s artifact.
+core::Json meta_of(const QueryTracer& tracer) {
+  const std::string jsonl = to_jsonl(tracer, "run", at(1'000));
+  auto meta = core::Json::parse(jsonl.substr(0, jsonl.find('\n')));
+  EXPECT_TRUE(meta.ok());
+  return meta.value();
+}
+
+TEST(QueryTracerStore, ConcurrentMintersKeepLatchAndCaps) {
+  // Four threads mint at once into a store capped at 200 queries and 3
+  // stages per query. Each query gets 5 stages, a verdict, then a
+  // straggler stage and a second verdict: the caps and the latch hold
+  // per query, whichever thread's store holds it.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  QueryTracer tracer(QueryTracer::Limits{.max_queries = 200,
+                                         .max_stages_per_query = 3});
+  tracer.set_enabled(true);
+  std::vector<std::thread> pool;
+  for (int w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&tracer] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const QueryId id = tracer.begin(at(i), "exchange");
+        for (std::int64_t k = 0; k < 5; ++k) {
+          tracer.stage(id, at(i), "hop", Reason::kNone, {{"hop", k}});
+        }
+        tracer.finish(id, at(i + 1), Reason::kTimeout);
+        tracer.stage(id, at(i + 2), "server", Reason::kOk);
+        tracer.finish(id, at(i + 3), Reason::kOk);
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+
+  EXPECT_EQ(tracer.minted(), std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(tracer.kept(), 200u);
+  EXPECT_EQ(tracer.dropped(), 200u);
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 200u);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const QueryTrace& t = traces[i];
+    if (i > 0) {
+      EXPECT_LT(traces[i - 1].id, t.id);
+    }
+    ASSERT_EQ(t.stages.size(), 4u) << "query " << t.id;
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(t.stages[k].stage, "hop");
+      EXPECT_EQ(std::get<std::int64_t>(t.stages[k].fields[0].value),
+                static_cast<std::int64_t>(k));
+    }
+    EXPECT_EQ(t.verdict(), Reason::kTimeout);
+  }
+  const core::Json meta = meta_of(tracer);
+  EXPECT_EQ(meta["query_count"].as_int(), 200);
+  EXPECT_EQ(meta["dropped"].as_int(), 200);
+  EXPECT_EQ(meta["dropped_stages"].as_int(), 200 * 2);
+}
+
+TEST(QueryTracerStore, ThreadAlternatingTracersKeepsItsOpenQueries) {
+  // One thread round-robins over more tracers than its store cache
+  // holds, with a query open in each: every stage lands in its own
+  // tracer's query, and none leaks into another tracer.
+  constexpr std::size_t kTracers = 7;
+  std::vector<std::unique_ptr<QueryTracer>> tracers;
+  for (std::size_t i = 0; i < kTracers; ++i) {
+    tracers.push_back(std::make_unique<QueryTracer>());
+    tracers.back()->set_enabled(true);
+  }
+  // Tracer i's first query opens at t = i; ids restart at 1 per tracer.
+  std::vector<QueryId> open(kTracers);
+  for (std::size_t i = 0; i < kTracers; ++i) {
+    open[i] = tracers[i]->begin(at(static_cast<std::int64_t>(i)), "round");
+  }
+  for (std::int64_t round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < kTracers; ++i) {
+      tracers[i]->stage(open[i], at(round), "gate", Reason::kOk,
+                        {{"tracer", static_cast<std::int64_t>(i)}});
+    }
+  }
+  for (std::size_t i = 0; i < kTracers; ++i) {
+    tracers[i]->finish(open[i], at(10), Reason::kOk);
+  }
+  for (std::size_t i = 0; i < kTracers; ++i) {
+    const auto traces = tracers[i]->snapshot();
+    ASSERT_EQ(traces.size(), 1u) << "tracer " << i;
+    EXPECT_EQ(traces[0].started, at(static_cast<std::int64_t>(i)));
+    ASSERT_EQ(traces[0].stages.size(), 4u) << "tracer " << i;
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(std::get<std::int64_t>(traces[0].stages[k].fields[0].value),
+                static_cast<std::int64_t>(i));
+    }
+    EXPECT_EQ(traces[0].verdict(), Reason::kOk);
+  }
+}
+
+TEST(QueryTracerStore, StageFromAnotherThreadRecordsNothing) {
+  // The contract: a query's stages are written on the thread that
+  // minted it. A stage or verdict for it from any other thread — one
+  // with no store, or one with a store of its own — is dropped.
+  QueryTracer tracer;
+  tracer.set_enabled(true);
+  const QueryId id = tracer.begin(at(1), "round");
+  QueryId other = 0;
+  std::thread stranger([&] {
+    tracer.stage(id, at(2), "gate", Reason::kOk);
+    tracer.finish(id, at(3), Reason::kTimeout);
+    other = tracer.begin(at(4), "exchange");
+    tracer.stage(id, at(5), "gate", Reason::kOk);
+    tracer.finish(id, at(6), Reason::kTimeout);
+    tracer.finish(other, at(7), Reason::kOk);
+  });
+  stranger.join();
+  auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces[0].id, id);
+  EXPECT_TRUE(traces[0].stages.empty());
+  EXPECT_FALSE(traces[0].finished);
+  EXPECT_EQ(traces[1].id, other);
+  EXPECT_EQ(traces[1].verdict(), Reason::kOk);
+
+  // The minting thread still owns the query.
+  tracer.finish(id, at(8), Reason::kOk);
+  traces = tracer.snapshot();
+  ASSERT_EQ(traces[0].stages.size(), 1u);
+  EXPECT_EQ(traces[0].verdict(), Reason::kOk);
+}
+
+TEST(QueryTracerStore, StringValuesOutliveTheCallersBuffer) {
+  QueryTracer tracer;
+  tracer.set_enabled(true);
+  const QueryId id = tracer.begin(at(1), "exchange");
+  {
+    std::string hop = "wifi.up";
+    tracer.stage(id, at(2), "hop", Reason::kNone, {{"hop", hop}});
+    hop.assign(hop.size(), 'x');
+  }
+  {
+    auto buffer = std::make_unique<std::string>("sntp \"quoted\"");
+    tracer.finish(id, at(3), Reason::kOk,
+                  {{"mode", std::string_view(*buffer)}});
+    buffer->assign(buffer->size(), 'y');
+  }
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  ASSERT_EQ(traces[0].stages.size(), 2u);
+  EXPECT_EQ(std::get<std::string>(traces[0].stages[0].fields[0].value),
+            "wifi.up");
+  EXPECT_EQ(std::get<std::string>(traces[0].stages[1].fields[0].value),
+            "sntp \"quoted\"");
+  const std::string jsonl = to_jsonl(tracer, "run", at(4));
+  EXPECT_NE(jsonl.find("\"hop\":\"wifi.up\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"mode\":\"sntp \\\"quoted\\\"\""),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------- sampling
@@ -446,7 +622,7 @@ TEST(QueryTracerSampling, ReplicateKeysAreThreadCountInvariant) {
 
 /// Mints queries of `kind` until the gate answers `keep`; returns that
 /// id. The kept queries minted on the way stay in the store, stageless.
-QueryId mint_until(QueryTracer& tracer, bool keep, std::string_view kind,
+QueryId mint_until(QueryTracer& tracer, bool keep, Name kind,
                    QueryId parent = 0) {
   for (;;) {
     const QueryId id = tracer.begin(at(1), kind, parent);

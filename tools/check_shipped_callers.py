@@ -50,10 +50,6 @@ ALLOWLIST = {
         "cellular tests read the congestion state the delays follow",
     "mntp::ntp::ClockFilter::reset()":
         "RFC 5905 filter clear; ClockFilter.ResetClearsEverything pins it",
-    "mntp::obs::QueryTracer::kept() const":
-        "sampling tests read the conservation ledger in memory",
-    "mntp::obs::QueryTracer::sampled_out() const":
-        "sampling tests read the conservation ledger in memory",
     "mntp::obs::QueryTracer::snapshot() const":
         "tracer tests read the kept traces without an export round trip",
     "mntp::protocol::DriftFilter::predict_s(mntp::core::TimePoint) const":
