@@ -21,6 +21,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common.h"
@@ -53,10 +55,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(params.clients),
               params.duration_s, params.shards, threads);
 
-  auto fleet = std::make_shared<const fleet::ClientFleet>(
-      fleet::ClientFleet::build(params));
-  fleet::Simulator sim(fleet, params);
-  fleet::FleetResult result = sim.run(threads);
+  // An out-of-range --clients, --seconds or --shards is a usage error:
+  // the library's message names the parameter.
+  std::shared_ptr<const fleet::ClientFleet> fleet;
+  std::optional<fleet::Simulator> sim;
+  try {
+    fleet = std::make_shared<const fleet::ClientFleet>(
+        fleet::ClientFleet::build(params));
+    sim.emplace(fleet, params);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fleet_qps: %s\n", e.what());
+    return 2;
+  }
+  fleet::FleetResult result = sim->run(threads);
 
   // --- Table 1 shape: per-server request totals --------------------------
   {
@@ -197,7 +208,7 @@ int main(int argc, char** argv) {
                 "cache: bucket reuse dominates at fleet request rates");
 
   if (check_determinism) {
-    fleet::FleetResult serial = sim.run(1);
+    fleet::FleetResult serial = sim->run(1);
     checks.expect(result.deterministic_equal(serial),
                   "determinism: threaded run bit-identical to serial");
   }

@@ -3,8 +3,11 @@
 // Everything a query reads about its client (SNR margin, base OWD, clock
 // error and skew, home server, trait bits, provider) sits in one
 // ClientRow, so the simulator's Phase A touches the row and the client's
-// ClientState and nothing else: at 10^6 clients a query costs two cache
-// lines instead of one line per column. The rows are IMMUTABLE after
+// ClientState and nothing else: two cache lines per query (three when
+// the row straddles a line boundary) instead of one line per column. At
+// 10^6 clients those lines live in DRAM, so Phase A prefetches them a
+// fixed number of drained ids ahead and the misses overlap instead of
+// stalling one query at a time. The rows are IMMUTABLE after
 // build() — per-run mutable state (next poll, backed-off interval,
 // shadowing) lives in the Simulator's ClientState array, so one fleet
 // can be shared read-only across runs, threads and bench reps.

@@ -14,6 +14,11 @@ namespace mntp::fleet {
 namespace {
 constexpr std::uint64_t kServerStream = 1;  // see client_fleet.cc seed map
 constexpr double kNsPerMs = 1e6;
+// KoD look-ahead, in arrivals: past the limit every arrival rewrites its
+// client's DRAM-resident interval, so the loop asks for the state this
+// many arrivals ahead. Measured on fleet_e2e (2M clients): 8 to 32
+// read the same, within noise.
+constexpr std::size_t kKodPrefetchDistance = 16;
 }  // namespace
 
 ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
@@ -52,7 +57,12 @@ void ServerFleet::process_slice(std::size_t server,
   const std::uint64_t server_seed =
       core::derive_stream_seed(seed_root_, server);
   std::uint64_t slice_requests = 0;
-  for (const ArrivalRecord& a : arrivals) {
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const ArrivalRecord& a = arrivals[i];
+    const std::size_t ahead = i + kKodPrefetchDistance;
+    if (ahead >= kod_limit_ && ahead < arrivals.size()) {
+      __builtin_prefetch(&clients[arrivals[ahead].client], /*rw=*/1);
+    }
     ++st.totals.requests;
     // Batching: a new batch window opens a new batch. The cursor
     // persists across slices so a window straddling a slice boundary is

@@ -20,6 +20,25 @@ constexpr std::uint64_t kClientStream = 0;  // see client_fleet.cc seed map
 constexpr double kNsPerSec = 1e9;
 constexpr double kNsPerMs = 1e6;
 
+// Phase A look-ahead, in drained ids. At fleet sizes the client arrays
+// are DRAM-resident and every query's first touch of its row and state
+// is a miss; the drained slot already names the ids to come, so the
+// loop asks for the lines this many queries ahead. Measured on
+// fleet_e2e (2M clients, 4 threads): 8 to 24 read the same, within
+// noise, and 1.4x the throughput of no look-ahead.
+constexpr std::size_t kPrefetchDistance = 12;
+
+/// Starts the loads of client `id`'s state (about to be written) and
+/// row. A 20-byte row can straddle two cache lines: prefetching its
+/// first and its last byte covers both.
+inline void prefetch_client(const ClientState* state, const ClientRow* rows,
+                            std::uint32_t id) {
+  __builtin_prefetch(state + id, /*rw=*/1);
+  const char* row = reinterpret_cast<const char*>(rows + id);
+  __builtin_prefetch(row);
+  __builtin_prefetch(row + sizeof(ClientRow) - 1);
+}
+
 }  // namespace
 
 bool FleetResult::deterministic_equal(const FleetResult& other) const {
@@ -40,6 +59,11 @@ Simulator::Simulator(std::shared_ptr<const ClientFleet> fleet,
   if (!fleet_) throw std::invalid_argument("Simulator: null fleet");
   if (params_.shards == 0) {
     throw std::invalid_argument("Simulator: shards must be > 0");
+  }
+  // Rejects NaN and infinity too: run() casts the duration to uint64 ns.
+  if (!(params_.duration_s > 0.0 && params_.duration_s * kNsPerSec < 0x1p64)) {
+    throw std::invalid_argument(
+        "Simulator: duration_s must be finite, > 0 and under 2^64 ns");
   }
   const double min_poll_s =
       std::min(params_.sntp_poll_min_s,
@@ -130,7 +154,16 @@ FleetResult Simulator::run(std::size_t threads) {
       scratch.swap(wheel[sh][slot_index]);
       std::uint64_t q_count = 0;
       std::uint64_t d_count = 0;
-      for (const std::uint32_t id : scratch) {
+      const std::size_t drained = scratch.size();
+      for (std::size_t k = 0; k < std::min(drained, kPrefetchDistance); ++k) {
+        prefetch_client(state.data(), rows.data(), scratch[k]);
+      }
+      for (std::size_t i = 0; i < drained; ++i) {
+        if (i + kPrefetchDistance < drained) {
+          prefetch_client(state.data(), rows.data(),
+                          scratch[i + kPrefetchDistance]);
+        }
+        const std::uint32_t id = scratch[i];
         ClientState& cs = state[id];
         const ClientRow& row = rows[id];
         const std::uint64_t poll_ns = cs.next_poll_ns;

@@ -26,7 +26,11 @@ WiredLinkParams WiredLinkParams::wan(core::Duration base) {
 }
 
 WiredLink::WiredLink(WiredLinkParams params, core::Rng rng)
-    : params_(params), rng_(std::move(rng)) {
+    : params_(params),
+      rng_(std::move(rng)),
+      jitter_mu_(params_.jitter_median > core::Duration::zero()
+                     ? std::log(params_.jitter_median.to_seconds())
+                     : 0.0) {
   if (params_.loss_probability < 0.0 || params_.loss_probability > 1.0) {
     throw std::invalid_argument("WiredLink: loss probability out of range");
   }
@@ -37,10 +41,9 @@ TransmitResult WiredLink::transmit(core::TimePoint /*now*/, std::size_t bytes) {
     return {.delivered = false, .delay = core::Duration::zero()};
   }
   // Lognormal with median = jitter_median: mu = ln(median).
-  const double median_s = params_.jitter_median.to_seconds();
   double jitter_s = 0.0;
-  if (median_s > 0.0) {
-    jitter_s = rng_.lognormal(std::log(median_s), params_.jitter_sigma);
+  if (params_.jitter_median > core::Duration::zero()) {
+    jitter_s = rng_.lognormal(jitter_mu_, params_.jitter_sigma);
   }
   double serialization_s = 0.0;
   if (params_.bytes_per_second > 0.0) {

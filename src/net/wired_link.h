@@ -41,6 +41,7 @@ class WiredLink final : public Link {
  private:
   WiredLinkParams params_;
   core::Rng rng_;
+  double jitter_mu_;  // ln(jitter_median in s), the lognormal's mu
 };
 
 }  // namespace mntp::net

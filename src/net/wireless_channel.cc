@@ -83,40 +83,33 @@ bool WirelessChannel::in_bad_state(core::TimePoint now) {
   return bad_;
 }
 
-core::Dbm WirelessChannel::true_rssi(core::TimePoint now) {
+WirelessHints WirelessChannel::true_hints(core::TimePoint now) {
   advance_to(now);
   core::Dbm rssi = tx_power_ - params_.path_loss + core::Decibels{shadow_db_};
-  if (bad_) rssi = rssi - params_.bad_extra_fade;
-  return rssi;
-}
-
-core::Dbm WirelessChannel::true_noise(core::TimePoint now) {
-  advance_to(now);
   core::Dbm noise = params_.base_noise + core::Decibels{noise_wander_db_} +
                     core::Decibels{params_.load_noise_rise.value() * utilization_};
-  if (bad_) noise = noise + params_.bad_noise_rise;
-  return noise;
+  if (bad_) {
+    rssi = rssi - params_.bad_extra_fade;
+    noise = noise + params_.bad_noise_rise;
+  }
+  return WirelessHints{.when = now, .rssi = rssi, .noise = noise};
 }
 
 WirelessHints WirelessChannel::observe_hints(core::TimePoint now) {
-  const core::Dbm rssi = true_rssi(now);
-  const core::Dbm noise = true_noise(now);
-  return WirelessHints{
-      .when = now,
-      .rssi = rssi + core::Decibels{rng_.normal(0.0, params_.fast_fading_sigma_db)},
-      .noise = noise + core::Decibels{rng_.normal(0.0, params_.fast_fading_sigma_db * 0.5)},
-  };
+  WirelessHints h = true_hints(now);
+  h.rssi = h.rssi + core::Decibels{rng_.normal(0.0, params_.fast_fading_sigma_db)};
+  h.noise = h.noise + core::Decibels{rng_.normal(0.0, params_.fast_fading_sigma_db * 0.5)};
+  return h;
 }
 
 TransmitResult WirelessChannel::transmit_dir(core::TimePoint now,
                                              std::size_t bytes,
                                              bool is_uplink) {
-  advance_to(now);
+  const core::Decibels snr = true_hints(now).snr_margin();
   const std::size_t dir = is_uplink ? 0 : 1;
   tx_counter_[dir]->inc();
   const double queue_factor = is_uplink ? 1.0 : params_.downlink_queue_factor;
   const double spike_factor = is_uplink ? 1.0 : params_.downlink_spike_factor;
-  const core::Decibels snr = true_rssi(now) - true_noise(now);
   // MAC retry loop over the SNR + collision failure curve; a drop draws
   // no backoff for the retry that never happens.
   const double p_fail = wireless_kernel::attempt_failure_probability(

@@ -123,10 +123,9 @@ class WirelessChannel {
   /// True while the Gilbert–Elliott process is in the bad state.
   [[nodiscard]] bool in_bad_state(core::TimePoint now);
 
-  /// Noise-free RSSI/noise at `now` (state without measurement noise);
-  /// used by tests to validate the hint observation path.
-  [[nodiscard]] core::Dbm true_rssi(core::TimePoint now);
-  [[nodiscard]] core::Dbm true_noise(core::TimePoint now);
+  /// Noise-free RSSI/noise at `now` (the slow state without measurement
+  /// noise): what transmit_dir's SNR and observe_hints start from.
+  [[nodiscard]] WirelessHints true_hints(core::TimePoint now);
 
   [[nodiscard]] const WirelessChannelParams& params() const { return params_; }
 

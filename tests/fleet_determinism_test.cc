@@ -6,6 +6,7 @@
 // Also the tsan_fleet target: under ThreadSanitizer this exercises the
 // two-phase shard/server fan-out for races.
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -68,12 +69,27 @@ TEST(FleetDeterminism, BitIdenticalAcrossShardCounts) {
   fleet::FleetParams p = base_params();
   p.shards = 3;
   const fleet::FleetResult reference = run_once(p, 2);
-  for (const std::size_t shards : {std::size_t{16}, std::size_t{64}}) {
+  // One shard drains the longest slots; 16 and 64 split them.
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
     p.shards = shards;
     const fleet::FleetResult other = run_once(p, 2);
     EXPECT_TRUE(reference.deterministic_equal(other))
         << "shards=" << shards;
   }
+
+  // One client per shard: every drained slot holds 0 or 1 id, and a
+  // tight KoD limit sends short server batches down the backoff path.
+  fleet::FleetParams tiny = base_params();
+  tiny.clients = 200;
+  tiny.kod_limit_per_slice = 2;
+  tiny.shards = 1;
+  const fleet::FleetResult one_shard = run_once(tiny, 2);
+  ASSERT_GT(one_shard.kod, 0U);
+  tiny.shards = tiny.clients;
+  const fleet::FleetResult per_client = run_once(tiny, 2);
+  EXPECT_TRUE(one_shard.deterministic_equal(per_client))
+      << "shards=" << tiny.shards;
 }
 
 TEST(FleetDeterminism, RegistryHistogramsMatchAcrossThreads) {
@@ -124,13 +140,32 @@ struct HistPin {
   std::uint64_t count;
   double min;
   double max;
+  std::uint64_t buckets_fnv;  // bucket_checksum() of the full vector
 };
+
+/// FNV-1a over every (upper bound bits, count) pair of buckets(), so the
+/// pin covers the whole distribution, not only its count and extrema.
+std::uint64_t bucket_checksum(const obs::HdrHistogram& h) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFFU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto& [bound, count] : h.buckets()) {
+    mix(std::bit_cast<std::uint64_t>(bound));
+    mix(count);
+  }
+  return hash;
+}
 
 void expect_hist(const obs::HdrHistogram& h, const HistPin& pin,
                  const std::string& what) {
   EXPECT_EQ(h.count(), pin.count) << what;
   EXPECT_EQ(h.min(), pin.min) << what;
   EXPECT_EQ(h.max(), pin.max) << what;
+  EXPECT_EQ(bucket_checksum(h), pin.buckets_fnv) << what;
 }
 
 TEST(FleetDeterminism, GoldenResultPinned) {
@@ -156,10 +191,14 @@ TEST(FleetDeterminism, GoldenResultPinned) {
 
   // [speaker][population]: ntp/sntp x wired/wireless.
   const std::array<std::array<HistPin, 2>, 2> by_class = {{
-      {{{2177, 0.22886128631928904, 1677.3730460566373},
-        {674, 0.391164216219828, 2988.1758950561302}}},
-      {{{14011, 0.2593003918100536, 2990.0873518431426},
-        {7852, 0.24241125012607911, 2999.7342074268859}}},
+      {{{2177, 0.22886128631928904, 1677.3730460566373,
+         3175136253918869820ULL},
+        {674, 0.391164216219828, 2988.1758950561302,
+         3290698212101695828ULL}}},
+      {{{14011, 0.2593003918100536, 2990.0873518431426,
+         15146497914598335826ULL},
+        {7852, 0.24241125012607911, 2999.7342074268859,
+         7775375902606870134ULL}}},
   }};
   for (std::size_t sp = 0; sp < 2; ++sp) {
     for (std::size_t pop = 0; pop < 2; ++pop) {
@@ -170,10 +209,14 @@ TEST(FleetDeterminism, GoldenResultPinned) {
   }
   // cloud, isp, broadband, mobile.
   const std::array<HistPin, 4> by_category = {{
-      {3790, 0.22886128631928904, 755.42235500975539},
-      {7222, 0.24241125012607911, 653.57713592923812},
-      {9593, 5.2547242614253102, 2998.2027002157829},
-      {4109, 166.17797208515725, 2999.7342074268859},
+      {3790, 0.22886128631928904, 755.42235500975539,
+       13572850589863017440ULL},
+      {7222, 0.24241125012607911, 653.57713592923812,
+       8431898532221899293ULL},
+      {9593, 5.2547242614253102, 2998.2027002157829,
+       13031391050024797192ULL},
+      {4109, 166.17797208515725, 2999.7342074268859,
+       14401140860822321294ULL},
   }};
   for (std::size_t c = 0; c < 4; ++c) {
     expect_hist(r.owd.by_category[c], by_category[c],

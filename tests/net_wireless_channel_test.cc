@@ -95,7 +95,7 @@ TEST(WirelessChannel, BadStateDegradesSnr) {
   core::RunningStats good_snr, bad_snr;
   for (int i = 0; i < 20000; ++i) {
     const TimePoint t = at_s(i * 0.5);
-    const double snr = (c.true_rssi(t) - c.true_noise(t)).value();
+    const double snr = c.true_hints(t).snr_margin().value();
     (c.in_bad_state(t) ? bad_snr : good_snr).add(snr);
   }
   ASSERT_GT(good_snr.count(), 100u);
@@ -109,9 +109,9 @@ TEST(WirelessChannel, TxPowerMovesRssi) {
   p.shadowing_sigma_db = 0.0;
   p.fast_fading_sigma_db = 0.0;
   WirelessChannel c(p, Rng(9));
-  const double before = c.true_rssi(at_s(1)).value();
+  const double before = c.true_hints(at_s(1)).rssi.value();
   c.set_tx_power(c.tx_power() + core::Decibels{5.0});
-  const double after = c.true_rssi(at_s(1.01)).value();
+  const double after = c.true_hints(at_s(1.01)).rssi.value();
   EXPECT_NEAR(after - before, 5.0, 1e-9);
 }
 
@@ -124,14 +124,14 @@ TEST(WirelessChannel, UtilizationRaisesNoiseAndDelay) {
   p.mean_good_duration = Duration::seconds(1'000'000'000);
   WirelessChannel c(p, Rng(10));
   c.set_utilization(0.0);
-  const double noise_idle = c.true_noise(at_s(1)).value();
+  const double noise_idle = c.true_hints(at_s(1)).noise.value();
   core::RunningStats idle_delay;
   for (int i = 0; i < 2000; ++i) {
     const auto r = c.transmit_dir(at_s(1 + i * 0.001), 76, true);
     if (r.delivered) idle_delay.add(r.delay.to_millis());
   }
   c.set_utilization(0.9);
-  const double noise_busy = c.true_noise(at_s(4)).value();
+  const double noise_busy = c.true_hints(at_s(4)).noise.value();
   core::RunningStats busy_delay;
   for (int i = 0; i < 2000; ++i) {
     const auto r = c.transmit_dir(at_s(4 + i * 0.001), 76, true);
@@ -220,7 +220,7 @@ TEST(WirelessChannel, HintObservationTracksTrueState) {
   for (int i = 0; i < 5000; ++i) {
     const TimePoint t = at_s(i * 0.5);
     const auto h = c.observe_hints(t);
-    error.add(h.rssi.value() - c.true_rssi(t).value());
+    error.add(h.rssi.value() - c.true_hints(t).rssi.value());
   }
   EXPECT_NEAR(error.mean(), 0.0, 0.1);
   EXPECT_NEAR(error.stddev(), WirelessChannelParams{}.fast_fading_sigma_db, 0.1);
