@@ -18,9 +18,7 @@ int main(int argc, char** argv) {
   sim::Simulation sim;
   // GPS-corrected baseline: the device clock is held at true time (the
   // SmartTimeSync app role), so measured offsets isolate the network.
-  sim::DisciplinedClock clock(
-      sim::OscillatorParams{.constant_skew_ppm = 0.0, .read_noise_s = 30e-6},
-      rng.fork());
+  sim::DisciplinedClock clock(sim::OscillatorParams{}, rng.fork());
   net::CellularNetwork cellular(net::CellularParams{}, rng.fork());
   ntp::ServerPool pool(ntp::PoolParams{}, rng.fork());
 

@@ -111,9 +111,7 @@ void sntp_offsets(bool wireless, bool corrected) {
 void cellular_offsets() {
   core::Rng rng(14);
   sim::Simulation sim;
-  sim::DisciplinedClock clock(
-      sim::OscillatorParams{.constant_skew_ppm = 0.0, .read_noise_s = 30e-6},
-      rng.fork());
+  sim::DisciplinedClock clock(sim::OscillatorParams{}, rng.fork());
   net::CellularNetwork cellular(net::CellularParams{}, rng.fork());
   ntp::ServerPool pool(ntp::PoolParams{}, rng.fork());
   ntp::SntpClientPolicy policy;

@@ -37,13 +37,12 @@ struct TestbedConfig {
 
   /// Target node oscillator. Defaults model the paper's laptop: ~-5.5 ppm
   /// constant skew (Fig 12 shows ≈ -20 ms/hour free-run drift), modest
-  /// wander, a diurnal temperature term and tens-of-µs read noise.
+  /// wander and a diurnal temperature term.
   sim::OscillatorParams client_clock{
       .initial_offset_s = 0.0,
       .constant_skew_ppm = -5.5,
       .wander_ppm_per_sqrt_s = 0.015,
       .temp_amplitude_ppm = 0.8,
-      .read_noise_s = 25e-6,
   };
 
   net::WirelessChannelParams channel;

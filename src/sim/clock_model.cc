@@ -6,19 +6,23 @@
 
 namespace mntp::sim {
 
+namespace {
+
+constexpr core::Duration kIntegrationStep = core::Duration::milliseconds(500);
+constexpr double kWanderClampPpm = 10.0;
+constexpr core::Duration kTempPeriod = core::Duration::hours(24);
+
+}  // namespace
+
 OscillatorModel::OscillatorModel(OscillatorParams params, core::Rng rng)
     : params_(params), rng_(std::move(rng)), offset_s_(params.initial_offset_s) {
-  if (params_.integration_step <= core::Duration::zero()) {
-    throw std::invalid_argument("OscillatorModel: integration_step must be > 0");
-  }
   last_temp_ppm_ = temp_skew_ppm(core::TimePoint::epoch());
 }
 
 double OscillatorModel::temp_skew_ppm(core::TimePoint t) const {
   if (params_.temp_amplitude_ppm == 0.0) return 0.0;
-  const double phase = 2.0 * std::numbers::pi * t.to_seconds() /
-                           params_.temp_period.to_seconds() +
-                       params_.temp_phase_rad;
+  const double phase =
+      2.0 * std::numbers::pi * t.to_seconds() / kTempPeriod.to_seconds();
   return params_.temp_amplitude_ppm * std::sin(phase);
 }
 
@@ -26,9 +30,9 @@ void OscillatorModel::advance_to(core::TimePoint t) {
   if (t < last_) {
     throw std::logic_error("OscillatorModel: time moved backwards");
   }
-  const double step_s = params_.integration_step.to_seconds();
+  const double step_s = kIntegrationStep.to_seconds();
   while (last_ < t) {
-    const core::TimePoint next = std::min(t, last_ + params_.integration_step);
+    const core::TimePoint next = std::min(t, last_ + kIntegrationStep);
     const double dt = (next - last_).to_seconds();
     // Trapezoidal integration of the frequency error over [last_, next].
     const double temp_now = temp_skew_ppm(next);
@@ -39,8 +43,7 @@ void OscillatorModel::advance_to(core::TimePoint t) {
     // process statistics do not depend on query granularity.
     if (params_.wander_ppm_per_sqrt_s > 0.0 && dt >= step_s * 0.999) {
       wander_ppm_ += rng_.normal(0.0, params_.wander_ppm_per_sqrt_s * std::sqrt(dt));
-      wander_ppm_ = std::clamp(wander_ppm_, -params_.wander_clamp_ppm,
-                               params_.wander_clamp_ppm);
+      wander_ppm_ = std::clamp(wander_ppm_, -kWanderClampPpm, kWanderClampPpm);
     }
     last_temp_ppm_ = temp_now;
     last_ = next;
@@ -52,28 +55,9 @@ double OscillatorModel::offset_at(core::TimePoint t) {
   return offset_s_;
 }
 
-double OscillatorModel::read_offset(core::TimePoint t) {
-  const double base = offset_at(t);
-  if (params_.read_noise_s <= 0.0) return base;
-  return base + rng_.normal(0.0, params_.read_noise_s);
-}
-
-core::TimePoint OscillatorModel::local_time(core::TimePoint t) {
-  return t + core::Duration::from_seconds(offset_at(t));
-}
-
-double OscillatorModel::current_skew_ppm() const {
-  return params_.constant_skew_ppm + wander_ppm_ + last_temp_ppm_;
-}
-
 double DisciplinedClock::offset_at(core::TimePoint t) {
   integrate_comp(t);
   return osc_.offset_at(t) + corr_s_;
-}
-
-double DisciplinedClock::read_offset(core::TimePoint t) {
-  integrate_comp(t);
-  return osc_.read_offset(t) + corr_s_;
 }
 
 core::TimePoint DisciplinedClock::local_time(core::TimePoint t) {
@@ -82,7 +66,6 @@ core::TimePoint DisciplinedClock::local_time(core::TimePoint t) {
 
 void DisciplinedClock::step(core::Duration delta) {
   corr_s_ += delta.to_seconds();
-  total_stepped_ += delta.abs();
 }
 
 void DisciplinedClock::set_frequency_compensation(core::TimePoint t, double ppm) {

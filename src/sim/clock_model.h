@@ -32,20 +32,9 @@ struct OscillatorParams {
   /// Random-walk frequency modulation: the per-sqrt(second) standard
   /// deviation of the wander increment, in ppm.
   double wander_ppm_per_sqrt_s = 0.0;
-  /// Hard bound on |variable skew| so wander cannot run away over long
-  /// simulations (physically, temperature-compensated bounds).
-  double wander_clamp_ppm = 10.0;
-  /// Peak amplitude of the diurnal temperature-induced frequency swing.
+  /// Peak amplitude of the diurnal (24 h) temperature-induced frequency
+  /// swing, in ppm.
   double temp_amplitude_ppm = 0.0;
-  /// Period of the temperature cycle (default 24 h).
-  core::Duration temp_period = core::Duration::hours(24);
-  /// Phase of the temperature cycle at t = 0, radians.
-  double temp_phase_rad = 0.0;
-  /// White phase noise added to each *reading*, seconds (stddev). Does
-  /// not integrate into the clock state.
-  double read_noise_s = 0.0;
-  /// Integration step for the wander process.
-  core::Duration integration_step = core::Duration::milliseconds(500);
 };
 
 /// A free-running local clock. Queries must be issued with non-decreasing
@@ -54,21 +43,9 @@ class OscillatorModel {
  public:
   OscillatorModel(OscillatorParams params, core::Rng rng);
 
-  /// True offset (local - true) at true time t, in seconds, excluding
-  /// read noise. Advances internal wander state; t must be >= the last
-  /// queried time.
+  /// True offset (local - true) at true time t, in seconds. Advances
+  /// internal wander state; t must be >= the last queried time.
   [[nodiscard]] double offset_at(core::TimePoint t);
-
-  /// A clock *reading* at true time t: offset plus white read noise.
-  [[nodiscard]] double read_offset(core::TimePoint t);
-
-  /// Local time corresponding to true time t (no read noise).
-  [[nodiscard]] core::TimePoint local_time(core::TimePoint t);
-
-  /// Current total frequency error (constant + wander + temperature), ppm.
-  [[nodiscard]] double current_skew_ppm() const;
-
-  [[nodiscard]] const OscillatorParams& params() const { return params_; }
 
  private:
   void advance_to(core::TimePoint t);
@@ -91,11 +68,8 @@ class DisciplinedClock {
       : osc_(params, std::move(rng)) {}
 
   /// Offset (local - true) of the *disciplined* clock at true time t,
-  /// seconds, excluding read noise.
+  /// seconds.
   [[nodiscard]] double offset_at(core::TimePoint t);
-
-  /// A noisy reading of the disciplined clock's offset.
-  [[nodiscard]] double read_offset(core::TimePoint t);
 
   /// Local (disciplined) time at true time t.
   [[nodiscard]] core::TimePoint local_time(core::TimePoint t);
@@ -110,11 +84,6 @@ class DisciplinedClock {
 
   [[nodiscard]] double frequency_compensation_ppm() const { return comp_ppm_; }
 
-  /// Total phase stepped so far (diagnostics).
-  [[nodiscard]] core::Duration total_stepped() const { return total_stepped_; }
-
-  [[nodiscard]] OscillatorModel& oscillator() { return osc_; }
-
  private:
   void integrate_comp(core::TimePoint t);
 
@@ -123,7 +92,6 @@ class DisciplinedClock {
   double comp_ppm_ = 0.0;      // active frequency compensation
   core::TimePoint comp_since_; // last time the compensation integral advanced
   bool comp_started_ = false;
-  core::Duration total_stepped_ = core::Duration::zero();
 };
 
 }  // namespace mntp::sim

@@ -56,14 +56,6 @@ ALLOWLIST = {
         "filter tests read the trend-line prediction the gate judges by",
     "mntp::protocol::MntpEngine::predict_offset_s(mntp::core::TimePoint) const":
         "engine tests read the prediction net of frequency compensation",
-    "mntp::sim::DisciplinedClock::read_offset(mntp::core::TimePoint)":
-        "clock-model tests observe the noisy reading a client takes",
-    "mntp::sim::OscillatorModel::current_skew_ppm() const":
-        "clock-model tests observe the wander clamp",
-    "mntp::sim::OscillatorModel::local_time(mntp::core::TimePoint)":
-        "clock-model tests check local time against offset_at",
-    "mntp::sim::OscillatorModel::read_offset(mntp::core::TimePoint)":
-        "clock-model and Allan tests observe the noisy oscillator reading",
 }
 
 
