@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -224,9 +225,11 @@ std::size_t parse_size_flag(int argc, char** argv, const char* flag,
   const std::string value = parse_flag(argc, argv, flag);
   if (value.empty()) return def;
   char* end = nullptr;
+  errno = 0;
   const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0') {
-    reject_flag(flag, value, "a non-negative integer");
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    reject_flag(flag, value, "a non-negative integer below 2^64");
   }
   return static_cast<std::size_t>(n);
 }

@@ -94,9 +94,9 @@ struct FleetParams {
   double server_err_sigma_ms = 2.0;
 
   // --- Channel ---------------------------------------------------------
-  // Wireless clients run the testbed channel's kernel
-  // (net/wireless_kernel.h): exact shadowing OU, logistic attempt
-  // failure, MAC retry loop. No collision term: cross-traffic is a
+  // Wireless clients run the testbed channel's kernel: exact shadowing
+  // OU (sim/ou.h), logistic attempt failure and MAC retry loop
+  // (net/wireless_kernel.h). No collision term: cross-traffic is a
   // testbed-only process.
   /// Mean SNR margin and its per-client spread (dB); per-query SNR adds
   /// the OU shadowing state.

@@ -11,6 +11,7 @@
 #include "net/wireless_kernel.h"
 #include "obs/metric_names.h"
 #include "obs/telemetry.h"
+#include "sim/ou.h"
 
 namespace mntp::fleet {
 
@@ -181,7 +182,7 @@ FleetResult Simulator::run(std::size_t threads) {
           namespace kernel = net::wireless_kernel;
           const double gap_s =
               static_cast<double>(poll_ns - cs.last_adv_ns) / kNsPerSec;
-          const double sh_db = kernel::ou_advance(
+          const double sh_db = sim::ou_advance(
               cs.shadow_db, gap_s, params_.shadowing_sigma_db,
               params_.shadowing_tau_s, q);
           cs.shadow_db = sh_db;

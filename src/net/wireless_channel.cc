@@ -5,6 +5,7 @@
 
 #include "net/wireless_kernel.h"
 #include "obs/metric_names.h"
+#include "sim/ou.h"
 
 namespace mntp::net {
 
@@ -69,12 +70,11 @@ void WirelessChannel::advance_to(core::TimePoint t) {
   }
   // Exact OU transitions across the gap; a zero gap draws nothing.
   const double gap_s = (t - last_).to_seconds();
-  shadow_db_ = wireless_kernel::ou_advance(shadow_db_, gap_s,
-                                           params_.shadowing_sigma_db,
-                                           params_.shadowing_tau_s, rng_);
-  noise_wander_db_ = wireless_kernel::ou_advance(
-      noise_wander_db_, gap_s, params_.noise_sigma_db, params_.noise_tau_s,
-      rng_);
+  shadow_db_ = sim::ou_advance(shadow_db_, gap_s, params_.shadowing_sigma_db,
+                               params_.shadowing_tau_s, rng_);
+  noise_wander_db_ = sim::ou_advance(noise_wander_db_, gap_s,
+                                     params_.noise_sigma_db,
+                                     params_.noise_tau_s, rng_);
   last_ = t;
 }
 

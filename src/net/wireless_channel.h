@@ -15,8 +15,9 @@
 // CrossTrafficGenerator) raises utilization, which adds queueing delay,
 // collision losses and a noise-floor rise. Transmit power is adjustable
 // at runtime — the knob the paper's monitor node scripts. The per-frame
-// physics (exact OU advance, failure curve, MAC retry loop) is the
-// stateless kernel in net/wireless_kernel.h, shared with the fleet.
+// physics (failure curve, MAC retry loop) is the stateless kernel in
+// net/wireless_kernel.h and the OU advance is sim/ou.h, both shared with
+// the fleet.
 //
 // All state advances lazily and deterministically from the owning
 // simulation's clock; two packets offered at the same instant see the

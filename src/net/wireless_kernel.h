@@ -2,13 +2,10 @@
 // applies to one frame, shared by the testbed channel
 // (net::WirelessChannel, one core::Rng per channel) and the fleet
 // simulator (fleet::Simulator, one core::Rng per query). There is one
-// copy of it, so the two cannot drift apart.
+// copy of it, so the two cannot drift apart. The slow processes
+// (shadowing, noise-floor wander) advance across idle gaps through the
+// one OU integrator, sim::ou_advance (sim/ou.h).
 //
-//   * ou_advance — the exact Ornstein–Uhlenbeck transition of a slow
-//     process (shadowing, noise-floor wander) across an idle gap:
-//     X(t+g) = e^{-g/tau} X(t) + sigma sqrt(1 - e^{-2g/tau}) N(0,1).
-//     It is exact at any horizon, so the realized law does not depend
-//     on how often the link is queried — only the draws do.
 //   * snr_failure_probability / attempt_failure_probability — the
 //     logistic per-attempt failure curve in the SNR margin, plus an
 //     independent collision term from cross-traffic.
@@ -16,31 +13,18 @@
 //     independently with p_fail; a failed attempt that will be retried
 //     costs an exponential backoff scaled by the attempt number.
 //
-// The templates take any generator G with `normal(mean, sd)`,
-// `bernoulli(p)` and `exponential(mean)`: core::Rng, or a counting stub
-// in tests. Draw discipline, pinned by net_wireless_kernel_test:
-// ou_advance takes one normal per call with gap > 0 and none at gap 0
-// (with core::Rng, every second normal is the cached polar spare and
-// consumes no engine draw); mac_transmit takes one bernoulli per attempt
-// and one exponential per failed attempt that is retried — none for the
-// final attempt, so a drop never shifts the stream of later draws.
+// The templates take any generator G with `bernoulli(p)` and
+// `exponential(mean)`: core::Rng, or a counting stub in tests. Draw
+// discipline, pinned by net_wireless_kernel_test: mac_transmit takes one
+// bernoulli per attempt and one exponential per failed attempt that is
+// retried — none for the final attempt, so a drop never shifts the stream
+// of later draws.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
 namespace mntp::net::wireless_kernel {
-
-/// Advance an OU process with stationary stddev `sigma` and relaxation
-/// time `tau_s` from value `x` across `gap_s` seconds.
-template <class G>
-[[nodiscard]] double ou_advance(double x, double gap_s, double sigma,
-                                double tau_s, G& gen) {
-  if (gap_s <= 0.0) return x;
-  const double decay = std::exp(-gap_s / tau_s);
-  return decay * x +
-         sigma * std::sqrt(1.0 - decay * decay) * gen.normal(0.0, 1.0);
-}
 
 /// Probability that one attempt fails from SNR alone: ~0 above snr50 +
 /// a few slopes, 1/2 at snr50, ~1 well below.

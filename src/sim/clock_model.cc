@@ -1,53 +1,39 @@
 #include "sim/clock_model.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+
+#include "sim/ou.h"
 
 namespace mntp::sim {
 
-namespace {
-
-constexpr core::Duration kIntegrationStep = core::Duration::milliseconds(500);
-constexpr double kWanderClampPpm = 10.0;
-constexpr core::Duration kTempPeriod = core::Duration::hours(24);
-
-}  // namespace
+constexpr double kTempOmega = 2.0 * std::numbers::pi / kTempPeriod.to_seconds();
 
 OscillatorModel::OscillatorModel(OscillatorParams params, core::Rng rng)
-    : params_(params), rng_(std::move(rng)), offset_s_(params.initial_offset_s) {
-  last_temp_ppm_ = temp_skew_ppm(core::TimePoint::epoch());
-}
-
-double OscillatorModel::temp_skew_ppm(core::TimePoint t) const {
-  if (params_.temp_amplitude_ppm == 0.0) return 0.0;
-  const double phase =
-      2.0 * std::numbers::pi * t.to_seconds() / kTempPeriod.to_seconds();
-  return params_.temp_amplitude_ppm * std::sin(phase);
-}
+    : params_(params),
+      rng_(std::move(rng)),
+      wander_sd_ppm_(params.wander_ppm_per_sqrt_s *
+                     std::sqrt(kWanderTau.to_seconds() / 2.0)),
+      offset_s_(params.initial_offset_s) {}
 
 void OscillatorModel::advance_to(core::TimePoint t) {
   if (t < last_) {
     throw std::logic_error("OscillatorModel: time moved backwards");
   }
-  const double step_s = kIntegrationStep.to_seconds();
-  while (last_ < t) {
-    const core::TimePoint next = std::min(t, last_ + kIntegrationStep);
-    const double dt = (next - last_).to_seconds();
-    // Trapezoidal integration of the frequency error over [last_, next].
-    const double temp_now = temp_skew_ppm(next);
-    const double freq_ppm =
-        params_.constant_skew_ppm + wander_ppm_ + 0.5 * (last_temp_ppm_ + temp_now);
-    offset_s_ += freq_ppm * 1e-6 * dt;
-    // Random-walk update of the variable skew, full steps only so the
-    // process statistics do not depend on query granularity.
-    if (params_.wander_ppm_per_sqrt_s > 0.0 && dt >= step_s * 0.999) {
-      wander_ppm_ += rng_.normal(0.0, params_.wander_ppm_per_sqrt_s * std::sqrt(dt));
-      wander_ppm_ = std::clamp(wander_ppm_, -kWanderClampPpm, kWanderClampPpm);
-    }
-    last_temp_ppm_ = temp_now;
-    last_ = next;
+  if (t == last_) return;
+  const double h = (t - last_).to_seconds();
+  const OuStep wander = ou_advance_integrated(
+      wander_ppm_, h, wander_sd_ppm_, kWanderTau.to_seconds(), rng_);
+  double ppm_s = params_.constant_skew_ppm * h + wander.integral;
+  if (params_.temp_amplitude_ppm != 0.0) {  // integral of A sin(w t)
+    const double temp_cos = std::cos(kTempOmega * t.to_seconds());
+    ppm_s += params_.temp_amplitude_ppm / kTempOmega * (temp_cos_ - temp_cos);
+    temp_cos_ = temp_cos;
   }
+  offset_s_ += ppm_s * 1e-6;
+  wander_ppm_ = wander.x;
+  last_ = t;
 }
 
 double OscillatorModel::offset_at(core::TimePoint t) {

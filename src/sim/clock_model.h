@@ -3,22 +3,29 @@
 // Each simulated host owns an oscillator whose time drifts away from true
 // time. Following the measurement literature the paper builds on (Paxson's
 // calibration work [45], Murdoch's skew study [42]), the model is a
-// constant frequency skew — which dominates in practice — plus a bounded
-// random-walk variable skew, a diurnal temperature-driven frequency term
-// (the paper observes wired drift is "dependent on the temperature of the
-// vendor-specific oscillator"), and white phase noise on each reading.
+// constant frequency skew — which dominates in practice — plus an
+// Ornstein–Uhlenbeck frequency wander and a diurnal temperature-driven
+// frequency term (the paper observes wired drift is "dependent on the
+// temperature of the vendor-specific oscillator"). Each read advances the
+// wander and its integral by their exact joint transition (sim/ou.h) and
+// the temperature term in closed form, so the clock's law does not depend
+// on how often it is read.
 //
 // `DisciplinedClock` layers correction state (phase steps and frequency
 // compensation, the two knobs a clock discipline such as ntpd's PLL has)
 // on top of the free-running oscillator.
 #pragma once
 
-#include <stdexcept>
-
 #include "core/rng.h"
 #include "core/time.h"
 
 namespace mntp::sim {
+
+/// Relaxation time of the wander; its stationary sd is s = diffusion *
+/// sqrt(tau / 2). A week keeps the testbed's 4 h offset rms within 1% of a
+/// random walk's (14.83 vs 14.97 ms), with s = 8.2 ppm (DESIGN.md §9).
+inline constexpr core::Duration kWanderTau = core::Duration::hours(7 * 24);
+inline constexpr core::Duration kTempPeriod = core::Duration::hours(24);
 
 /// Free-running oscillator parameters. Signs follow the convention
 /// offset = local - true: a positive skew means the local clock runs fast.
@@ -29,11 +36,10 @@ struct OscillatorParams {
   /// are typically within +-50 ppm; the paper's 4-hour free-run (Fig 12)
   /// shows a drift trend of roughly -20 ms/hour ~ -5.5 ppm.
   double constant_skew_ppm = 0.0;
-  /// Random-walk frequency modulation: the per-sqrt(second) standard
-  /// deviation of the wander increment, in ppm.
+  /// Diffusion of the OU wander: over h << kWanderTau its increment has
+  /// sd wander_ppm_per_sqrt_s * sqrt(h), in ppm.
   double wander_ppm_per_sqrt_s = 0.0;
-  /// Peak amplitude of the diurnal (24 h) temperature-induced frequency
-  /// swing, in ppm.
+  /// Amplitude A of the temperature swing A sin(2 pi t / kTempPeriod), ppm.
   double temp_amplitude_ppm = 0.0;
 };
 
@@ -49,14 +55,14 @@ class OscillatorModel {
 
  private:
   void advance_to(core::TimePoint t);
-  [[nodiscard]] double temp_skew_ppm(core::TimePoint t) const;
 
   OscillatorParams params_;
   core::Rng rng_;
+  double wander_sd_ppm_;  // s
   core::TimePoint last_;
   double offset_s_;
   double wander_ppm_ = 0.0;
-  double last_temp_ppm_ = 0.0;
+  double temp_cos_ = 1.0;  // cos of the temperature phase at last_
 };
 
 /// A disciplined clock: an oscillator plus correction state. This is the

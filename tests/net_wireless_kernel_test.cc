@@ -1,7 +1,8 @@
 // The stateless per-link kernel behind net::WirelessChannel and
-// fleet::Simulator: the exact OU transition's law at any query spacing,
-// the failure curve, and the MAC loop's draw discipline — checked with
-// core::Rng, the one generator both callers use.
+// fleet::Simulator: the law of the exact OU transition they advance
+// shadowing with (sim/ou.h) at any query spacing, the failure curve, and
+// the MAC loop's draw discipline — checked with core::Rng, the one
+// generator both callers use.
 #include "net/wireless_kernel.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 
 #include "core/rng.h"
+#include "sim/ou.h"
 
 namespace mntp::net {
 namespace {
@@ -48,7 +50,7 @@ OuMoments sample_ou(double spacing_s, double sigma, double tau_s, int n,
   double x = gen.normal(0.0, sigma);
   double sum = 0.0, sum_sq = 0.0, sum_lag = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double next = kernel::ou_advance(x, spacing_s, sigma, tau_s, gen);
+    const double next = sim::ou_advance(x, spacing_s, sigma, tau_s, gen);
     sum += next;
     sum_sq += next * next;
     sum_lag += x * next;
@@ -81,10 +83,10 @@ TEST(WirelessKernel, OuStationaryLawAtAnyQuerySpacing) {
 
 TEST(WirelessKernel, OuAdvanceDrawsOncePerGapAndNeverAtZeroGap) {
   CountingGen gen;
-  EXPECT_DOUBLE_EQ(kernel::ou_advance(1.5, 0.0, 2.5, 25.0, gen), 1.5);
+  EXPECT_DOUBLE_EQ(sim::ou_advance(1.5, 0.0, 2.5, 25.0, gen), 1.5);
   EXPECT_EQ(gen.normals, 0);
   // With a zero innovation the transition is the pure decay.
-  EXPECT_DOUBLE_EQ(kernel::ou_advance(1.5, 25.0, 2.5, 25.0, gen),
+  EXPECT_DOUBLE_EQ(sim::ou_advance(1.5, 25.0, 2.5, 25.0, gen),
                    1.5 * std::exp(-1.0));
   EXPECT_EQ(gen.normals, 1);
 }
