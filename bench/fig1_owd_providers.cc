@@ -5,11 +5,15 @@
 // Paper claims reproduced: four latency regimes — cloud/hosting ~40 ms,
 // ISPs ~50 ms, broadband ~250 ms, mobile ~550 ms with huge interquartile
 // ranges and a near-linear CDF; 50% of mobile clients above 400 ms.
+//
+// The logs are the three servers' captures of the §3.1 client population
+// (fleet::section31_params: 1:20 of Table 1's unique clients, seed 1).
 #include <cstdio>
 
 #include "common.h"
+#include "fleet/client_fleet.h"
+#include "fleet/server_log.h"
 #include "logs/analyze.h"
-#include "logs/generate.h"
 
 using namespace mntp;
 
@@ -60,13 +64,14 @@ void print_server(const logs::ServerLog& log,
 int main(int argc, char** argv) {
   bench::reject_unknown_flags(argc, argv);
   std::printf("== Figure 1: min OWDs per service provider (AG1, JW2, SU1) ==\n");
-  logs::LogGenerator generator({.scale = 1.0 / 500.0}, core::Rng(2));
+  const fleet::FleetParams params = fleet::section31_params();
+  const fleet::ClientFleet population = fleet::ClientFleet::build(params);
 
   bench::Checks checks;
   std::vector<std::vector<logs::ProviderOwdStats>> per_server;
   std::vector<logs::ServerLog> kept;
   for (std::size_t idx : kServers) {
-    kept.push_back(generator.generate(idx));
+    kept.push_back(fleet::server_log(population, params, idx));
     per_server.push_back(logs::LogAnalyzer::provider_owd_stats(kept.back(), 10));
     print_server(kept.back(), per_server.back());
   }

@@ -152,13 +152,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Totals: %llu queries (%llu arrived, %llu dropped), "
-              "%llu KoD, %llu batches, cache %llu hit / %llu miss, "
+              "%llu KoD, cache %llu hit / %llu miss, "
               "OWD %llu valid / %llu invalid\n",
               static_cast<unsigned long long>(result.queries),
               static_cast<unsigned long long>(result.arrived),
               static_cast<unsigned long long>(result.dropped),
               static_cast<unsigned long long>(result.kod),
-              static_cast<unsigned long long>(result.batches),
               static_cast<unsigned long long>(result.cache_hits),
               static_cast<unsigned long long>(result.cache_misses),
               static_cast<unsigned long long>(result.owd.valid),
@@ -204,8 +203,21 @@ int main(int argc, char** argv) {
                 "(Figure 1)");
   checks.expect(result.owd.invalid > 0,
                 "filter: unsynchronized clients produce invalid OWDs");
-  checks.expect(result.cache_hits > result.cache_misses,
-                "cache: bucket reuse dominates at fleet request rates");
+  // With about one miss per server per bucket, reuse dominates once the
+  // cache serves two requests per server per bucket; below that rate (a
+  // small fleet or a short run) it need not.
+  const double served_per_bucket =
+      static_cast<double>(result.arrived - result.kod) /
+      (static_cast<double>(result.server_requests.size()) *
+       params.duration_s * 1e3 / params.cache_bucket_ms);
+  if (served_per_bucket >= 2.0) {
+    checks.expect(result.cache_hits > result.cache_misses,
+                  "cache: bucket reuse dominates at fleet request rates");
+  } else {
+    std::printf("cache reuse not checked: %.2f requests per server per "
+                "%.0f ms bucket, under 2\n",
+                served_per_bucket, params.cache_bucket_ms);
+  }
 
   if (check_determinism) {
     fleet::FleetResult serial = sim->run(1);

@@ -35,9 +35,9 @@
 #include "core/table.h"
 #include "fleet/client_fleet.h"
 #include "fleet/params.h"
+#include "fleet/server_log.h"
 #include "fleet/simulator.h"
 #include "logs/analyze.h"
-#include "logs/generate.h"
 #include "mntp/engine.h"
 #include "mntp/trace.h"
 #include "mntp/tuner.h"
@@ -234,17 +234,22 @@ std::vector<Workload> build_workloads() {
     }});
   }
 
-  // Log pipeline: generate one mid-size server log (JW2 at 1:200 scale)
-  // and run both classification passes over it.
-  workloads.push_back({"log_generate_classify", [] {
-    logs::LogGenerator gen({.scale = 1.0 / 200.0}, core::Rng(10));
-    const logs::ServerLog log = gen.generate(8);
-    const logs::ServerStats stats = logs::LogAnalyzer::server_stats(log);
-    const auto providers = logs::LogAnalyzer::provider_owd_stats(log, 1);
-    // Keep the results observable so the passes cannot be elided.
-    [[maybe_unused]] static volatile std::size_t sink;
-    sink = stats.unique_clients + providers.size();
-  }});
+  // Log pipeline: render one mid-size server log (JW2 of the §3.1
+  // population at 1:200, 167 clients) and run both classification passes
+  // over it. The population is built once, outside the timed body.
+  {
+    const fleet::FleetParams params = fleet::section31_params(1.0 / 200.0);
+    auto population = std::make_shared<const fleet::ClientFleet>(
+        fleet::ClientFleet::build(params));
+    workloads.push_back({"log_generate_classify", [params, population] {
+      const logs::ServerLog log = fleet::server_log(*population, params, 8);
+      const logs::ServerStats stats = logs::LogAnalyzer::server_stats(log);
+      const auto providers = logs::LogAnalyzer::provider_owd_stats(log, 1);
+      // Keep the results observable so the passes cannot be elided.
+      [[maybe_unused]] static volatile std::size_t sink;
+      sink = stats.unique_clients + providers.size();
+    }});
+  }
 
   // Event kernel: 64 interleaved self-rescheduling chains churning 100k
   // events through the queue — dispatch + reschedule, no payload.

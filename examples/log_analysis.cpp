@@ -1,22 +1,26 @@
-// NTP server log analysis walkthrough (§3.1): generate a day of logs for
-// one server, then run each stage of the measurement pipeline the paper
-// describes — protocol classification from raw packets, hostname-based
-// provider classification, synchronization-state filtering, and min-OWD
-// extraction — printing what each stage sees.
+// NTP server log analysis walkthrough (§3.1): render a day of one
+// server's log from the §3.1 client population, then run each stage of
+// the measurement pipeline the paper describes — protocol classification
+// from raw packets, hostname-based provider classification,
+// synchronization-state filtering, and min-OWD extraction — printing what
+// each stage sees.
 #include <cstdio>
 
 #include "core/stats.h"
+#include "fleet/client_fleet.h"
+#include "fleet/server_log.h"
 #include "logs/analyze.h"
 #include "logs/classify.h"
-#include "logs/generate.h"
 
 using namespace mntp;
 
 int main() {
-  // Generate the SU1 log at 1:200 scale (~106 clients).
-  logs::LogGenerator generator({.scale = 1.0 / 200.0}, core::Rng(4));
-  const logs::ServerLog log = generator.generate(14);  // SU1
-  std::printf("generated log for %s: %zu clients, %llu requests\n",
+  // The population Table 1 and Figures 1-2 analyse (1:20 of Table 1's
+  // unique clients, seed 1), seen from SU1 (~1,050 clients).
+  const fleet::FleetParams params = fleet::section31_params();
+  const fleet::ClientFleet population = fleet::ClientFleet::build(params);
+  const logs::ServerLog log = fleet::server_log(population, params, 14);
+  std::printf("rendered log for %s: %zu clients, %llu requests\n",
               std::string(log.spec.id).c_str(), log.clients.size(),
               static_cast<unsigned long long>(log.total_requests()));
 

@@ -11,10 +11,12 @@ namespace mntp::fleet {
 
 namespace {
 
-// Seed namespace: streams 0/1/2 of the fleet seed belong to clients,
-// servers and the population build respectively (see simulator.cc for
-// the client/server halves). Keeping the three roots disjoint means a
-// client id can never collide with a server index in seed space.
+// Seed namespace: streams 0/1/2/3 of the fleet seed belong to clients,
+// servers, the population build and the rendered server logs
+// respectively (see simulator.cc and server_fleet.cc for the
+// client/server halves, server_log.cc for the logs). Keeping the roots
+// disjoint means a client id can never collide with a server index in
+// seed space.
 constexpr std::uint64_t kBuildStream = 2;
 
 /// Cumulative Table-1 unique-client weights for the home-server pick.
@@ -30,7 +32,7 @@ std::array<double, logs::kPaperServers.size()> server_cumulative() {
 
 /// Provider weights for one server class. ISP-internal servers serve
 /// mostly infrastructure (routers): non-ISP providers are downweighted
-/// x0.05, the same bias logs::generate applies.
+/// x0.05.
 std::array<double, logs::kPaperProviders.size()> provider_cumulative(
     bool isp_internal) {
   std::array<double, logs::kPaperProviders.size()> cum{};
@@ -124,10 +126,10 @@ ClientFleet ClientFleet::build(const FleetParams& params) {
       traits |= ClientTraits::kWireless;
     }
 
-    // Base (minimum) OWD from the provider's min-OWD distribution, the
-    // same shapes logs::generate draws: lognormal around the median for
-    // fixed-line providers, wide uniform for mobile. Clamped like the
-    // log generator so no provider escapes its category band.
+    // Base (minimum) OWD from the provider's min-OWD distribution:
+    // lognormal around the median for fixed-line providers, wide uniform
+    // for mobile (Figure 1's linear CDF). Clamped to the observed OWD
+    // range (§1) so no provider escapes its category band.
     double base_ms;
     if (mobile) {
       base_ms = rng.uniform(0.35 * provider.min_owd_median_ms,

@@ -12,12 +12,14 @@
 // shadowing) lives in the Simulator's ClientState array, so one fleet
 // can be shared read-only across runs, threads and bench reps.
 //
-// The population mirrors logs::generate's calibration against the
-// paper's Table 1 / Figures 1-2 (src/logs/spec.h): clients pick a home
-// server weighted by Table-1 unique-client counts, a provider weighted
-// by the Figure-1 structure (ISP-internal servers biased toward
-// infrastructure NTP speakers), an SNTP/NTP speaker per the provider's
-// SNTP share, and a base OWD from the provider's min-OWD distribution.
+// The population is calibrated against the paper's Table 1 / Figures
+// 1-2 (src/logs/spec.h): clients pick a home server weighted by Table-1
+// unique-client counts, a provider weighted by the Figure-1 structure
+// (ISP-internal servers biased toward infrastructure NTP speakers), an
+// SNTP/NTP speaker per the provider's SNTP share, and a base OWD from
+// the provider's min-OWD distribution. It is the one §3.1 population:
+// fleet/server_log.h renders each server's log of it for the Table 1
+// and Figure 1-2 analysis.
 #pragma once
 
 #include <cstdint>

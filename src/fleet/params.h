@@ -46,8 +46,8 @@ struct FleetParams {
   std::uint64_t clients = 100'000;
   std::uint64_t seed = 1;
   /// Fraction of clients whose clock is wildly unsynchronized (their
-  /// measured OWDs fall outside the validity window and are filtered,
-  /// mirroring the Durairajan heuristic logs::generate models).
+  /// measured OWDs fall outside the validity window and are filtered:
+  /// the Durairajan heuristic of §3.1).
   double unsynchronized_fraction = 0.06;
   /// Synchronized clients: clock offset ~ N(0, sigma) ms, skew ~ N(0,
   /// sigma) ppm. Unsynchronized: |offset| uniform in [min,max] seconds.
@@ -87,31 +87,24 @@ struct FleetParams {
   /// Response cache: a server computes its transmit-timestamp error once
   /// per time bucket and serves every request in the bucket from cache.
   double cache_bucket_ms = 250.0;
-  /// Request batching: arrivals within one window are processed as one
-  /// batch (fleet.server.batches counts windows, not requests).
-  double batch_window_ms = 10.0;
   /// Server clock error stddev (the per-bucket cached value), ms.
   double server_err_sigma_ms = 2.0;
 
   // --- Channel ---------------------------------------------------------
-  // Wireless clients run the testbed channel's kernel: exact shadowing
-  // OU (sim/ou.h), logistic attempt failure and MAC retry loop
-  // (net/wireless_kernel.h). No collision term: cross-traffic is a
-  // testbed-only process.
+  // Wireless clients run the testbed channel's kernel with the testbed
+  // channel's constants (net::WirelessChannelParams' shadowing, failure
+  // curve and MAC retries): exact shadowing OU (sim/ou.h), logistic
+  // attempt failure and MAC retry loop (net/wireless_kernel.h). No
+  // collision term: cross-traffic is a testbed-only process.
   /// Mean SNR margin and its per-client spread (dB); per-query SNR adds
   /// the OU shadowing state.
   double snr_mean_db = 12.0;
   double snr_sigma_db = 3.0;
-  double snr50_db = 8.0;
-  double snr_slope_db = 2.2;
-  double shadowing_sigma_db = 2.5;
-  double shadowing_tau_s = 25.0;
-  int max_retries = 6;
-  double retry_backoff_ms = 5.0;
   /// Fixed-line last hop: plain Bernoulli loss, no retry delay.
   double wired_loss = 0.002;
   /// Per-sample OWD jitter: base * Pareto(1, shape); heavier tail for
-  /// mobile-provider clients (logs::generate uses the same split).
+  /// mobile-provider clients. Both the simulated queries and the
+  /// rendered server logs (fleet/server_log.h) draw it.
   double pareto_shape_mobile = 2.2;
   double pareto_shape_fixed = 4.0;
   double owd_cap_ms = 3'000.0;

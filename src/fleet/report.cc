@@ -28,7 +28,7 @@ std::string render_fleet_report(const FleetParams& params,
   core::JsonWriter w(out, 2);
   w.begin_object();
   w.kv("kind", "mntp_fleet_report");
-  w.kv("schema_version", std::int64_t{2});
+  w.kv("schema_version", std::int64_t{3});
 
   w.key("params").begin_object();
   w.kv("clients", params.clients);
@@ -37,7 +37,6 @@ std::string render_fleet_report(const FleetParams& params,
   w.kv("seed", params.seed);
   w.kv("kod_limit_per_slice", params.kod_limit_per_slice);
   w.key("cache_bucket_ms").value_fixed(params.cache_bucket_ms, 3);
-  w.key("batch_window_ms").value_fixed(params.batch_window_ms, 3);
   w.end_object();
 
   w.key("population").begin_object();
@@ -53,7 +52,6 @@ std::string render_fleet_report(const FleetParams& params,
   w.kv("arrived", result.arrived);
   w.kv("dropped", result.dropped);
   w.kv("kod", result.kod);
-  w.kv("batches", result.batches);
   w.kv("cache_hits", result.cache_hits);
   w.kv("cache_misses", result.cache_misses);
   w.kv("owd_valid", result.owd.valid);

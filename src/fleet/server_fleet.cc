@@ -28,8 +28,6 @@ ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
       kod_cap_ns_(static_cast<std::uint64_t>(params.kod_backoff_cap_s * 1e9)),
       cache_bucket_ns_(
           static_cast<std::uint64_t>(params.cache_bucket_ms * kNsPerMs)),
-      batch_window_ns_(
-          static_cast<std::uint64_t>(params.batch_window_ms * kNsPerMs)),
       server_err_sigma_ms_(params.server_err_sigma_ms),
       state_(servers) {
   obs::MetricsRegistry& m = obs::Telemetry::global().metrics();
@@ -43,7 +41,6 @@ ServerFleet::ServerFleet(const FleetParams& params, std::size_t servers)
                   obs::Labels{{"server", std::string(id)}}));
   }
   kod_counter_ = m.counter(obs::metric_names::kFleetServerKod);
-  batches_counter_ = m.counter(obs::metric_names::kFleetServerBatches);
   cache_hit_counter_ = m.counter(obs::metric_names::kFleetServerCacheHits);
   cache_miss_counter_ = m.counter(obs::metric_names::kFleetServerCacheMisses);
 }
@@ -64,14 +61,6 @@ void ServerFleet::process_slice(std::size_t server,
       __builtin_prefetch(&clients[arrivals[ahead].client], /*rw=*/1);
     }
     ++st.totals.requests;
-    // Batching: a new batch window opens a new batch. The cursor
-    // persists across slices so a window straddling a slice boundary is
-    // still one batch.
-    const std::uint64_t batch = a.arrive_ns / batch_window_ns_;
-    if (batch != st.prev_batch) {
-      st.prev_batch = batch;
-      ++st.totals.batches;
-    }
     // KoD rate limit: over-limit requests get no time response; the
     // client backs off its poll interval (capped).
     if (++slice_requests > kod_limit_) {
@@ -99,7 +88,6 @@ void ServerFleet::process_slice(std::size_t server,
   }
   // The registry counters take this slice's increments in one add each.
   requests_counter_[server]->inc(st.totals.requests - before.requests);
-  batches_counter_->inc(st.totals.batches - before.batches);
   kod_counter_->inc(st.totals.kod - before.kod);
   cache_hit_counter_->inc(st.totals.cache_hits - before.cache_hits);
   cache_miss_counter_->inc(st.totals.cache_misses - before.cache_misses);

@@ -1,13 +1,10 @@
-// Server-side request pipeline: batching, response caching, KoD.
+// Server-side request pipeline: response caching, KoD.
 //
 // Phase B of the fleet simulator (see simulator.h) hands each server the
 // slice's arrivals in canonical order — sorted by (arrival time, client
 // id), which is invariant under shard partitioning and thread count —
-// and this pipeline applies the three server-side mechanisms the
-// tentpole models:
+// and this pipeline applies the two server-side mechanisms:
 //
-//   * request batching: arrivals within one batch window are one
-//     processing batch (fleet.server.batches counts windows);
 //   * response caching: the server's transmit-timestamp error is
 //     computed once per cache bucket and served from cache within it.
 //     The cached value is a pure function of (server seed, bucket
@@ -49,7 +46,6 @@ static_assert(sizeof(ArrivalRecord) == 24);
 struct ServerTotals {
   std::uint64_t requests = 0;
   std::uint64_t kod = 0;
-  std::uint64_t batches = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 };
@@ -59,8 +55,8 @@ class ServerFleet {
   /// `servers` = number of server slots (indices into logs::kPaperServers
   /// when the fleet uses the paper population). Binds registry handles
   /// from the current global obs context: per-server
-  /// fleet.server.requests{server=...} plus fleet-wide kod / batches /
-  /// cache counters, each added once per processed slice.
+  /// fleet.server.requests{server=...} plus fleet-wide kod / cache
+  /// counters, each added once per processed slice.
   ServerFleet(const FleetParams& params, std::size_t servers);
 
   /// Process one server's canonically-sorted slice batch. Safe to call
@@ -82,7 +78,6 @@ class ServerFleet {
   struct State {
     std::uint64_t cached_bucket = kNoBucket;
     double cached_err_ms = 0.0;
-    std::uint64_t prev_batch = kNoBucket;
     ServerTotals totals;
   };
 
@@ -91,12 +86,10 @@ class ServerFleet {
   double kod_backoff_factor_;
   std::uint64_t kod_cap_ns_;
   std::uint64_t cache_bucket_ns_;
-  std::uint64_t batch_window_ns_;
   double server_err_sigma_ms_;
   std::vector<State> state_;
   std::vector<obs::ShardedCounter*> requests_counter_;  // per server
   obs::ShardedCounter* kod_counter_;
-  obs::ShardedCounter* batches_counter_;
   obs::ShardedCounter* cache_hit_counter_;
   obs::ShardedCounter* cache_miss_counter_;
 };

@@ -8,6 +8,7 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "net/wireless_channel.h"
 #include "net/wireless_kernel.h"
 #include "obs/metric_names.h"
 #include "obs/telemetry.h"
@@ -48,8 +49,7 @@ bool FleetResult::deterministic_equal(const FleetResult& other) const {
          wireless_clients == other.wireless_clients &&
          wired_clients == other.wired_clients && queries == other.queries &&
          arrived == other.arrived && dropped == other.dropped &&
-         kod == other.kod && batches == other.batches &&
-         cache_hits == other.cache_hits &&
+         kod == other.kod && cache_hits == other.cache_hits &&
          cache_misses == other.cache_misses &&
          server_requests == other.server_requests && owd == other.owd;
 }
@@ -142,6 +142,10 @@ FleetResult Simulator::run(std::size_t threads) {
       core::derive_stream_seed(params_.seed, kClientStream);
   const double mobile_shape = params_.pareto_shape_mobile;
   const double fixed_shape = params_.pareto_shape_fixed;
+  // The testbed channel's constants, so a channel fit moves the testbed
+  // and the fleet together.
+  const net::WirelessChannelParams channel{};
+  const double retry_backoff_ms = channel.retry_backoff.to_millis();
 
   core::ThreadPool pool(threads <= 1 ? 0 : threads);
 
@@ -182,16 +186,15 @@ FleetResult Simulator::run(std::size_t threads) {
           namespace kernel = net::wireless_kernel;
           const double gap_s =
               static_cast<double>(poll_ns - cs.last_adv_ns) / kNsPerSec;
-          const double sh_db = sim::ou_advance(
-              cs.shadow_db, gap_s, params_.shadowing_sigma_db,
-              params_.shadowing_tau_s, q);
+          const double sh_db =
+              sim::ou_advance(cs.shadow_db, gap_s, channel.shadowing_sigma_db,
+                              channel.shadowing_tau_s, q);
           cs.shadow_db = sh_db;
           cs.last_adv_ns = poll_ns;
           const double p_fail = kernel::snr_failure_probability(
-              row.snr_mean_db + sh_db, params_.snr50_db,
-              params_.snr_slope_db);
+              row.snr_mean_db + sh_db, channel.snr50_db, channel.snr_slope_db);
           const kernel::MacResult mac = kernel::mac_transmit(
-              p_fail, params_.max_retries, params_.retry_backoff_ms, q);
+              p_fail, channel.max_retries, retry_backoff_ms, q);
           delivered = mac.delivered;
           backoff_ms = mac.backoff;
         } else {
@@ -237,7 +240,7 @@ FleetResult Simulator::run(std::size_t threads) {
 
     // Phase B: servers. Gather each server's arrivals from every shard,
     // sort into the canonical (arrival, client) order, run the
-    // batching / cache / KoD pipeline. KoD interval writes are disjoint
+    // cache / KoD pipeline. KoD interval writes are disjoint
     // by home server.
     pool.parallel_for(0, servers, [&](std::size_t s) {
       std::vector<ArrivalRecord>& batch = gather[s];
@@ -273,7 +276,6 @@ FleetResult Simulator::run(std::size_t threads) {
     result.server_requests[s] = t.requests;
     result.arrived += t.requests;
     result.kod += t.kod;
-    result.batches += t.batches;
     result.cache_hits += t.cache_hits;
     result.cache_misses += t.cache_misses;
   }

@@ -13,7 +13,7 @@
 //   Phase B (parallel over servers): each server gathers its arrivals
 //     from every shard, sorts them by (arrival time, client id) — a
 //     canonical order independent of sharding — and runs the
-//     batching / response-cache / KoD pipeline (fleet/server_fleet.h).
+//     response-cache / KoD pipeline (fleet/server_fleet.h).
 //
 // Determinism: every random draw is a pure function of seeds (per-query
 // core::Rng streams keyed by (client seed, poll time); per-bucket
@@ -53,7 +53,6 @@ struct FleetResult {
   std::uint64_t arrived = 0;
   std::uint64_t dropped = 0;
   std::uint64_t kod = 0;
-  std::uint64_t batches = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::vector<std::uint64_t> server_requests;

@@ -46,7 +46,7 @@ std::vector<ProviderOwdStats> LogAnalyzer::provider_owd_stats(
 
   for (const ClientRecord& c : log.clients) {
     // Classification is from the hostname, as in the paper — not from
-    // the generator's ground truth.
+    // the population's ground truth.
     const auto provider = provider_from_hostname(c.hostname);
     if (!provider) continue;
     const auto min_owd = client_min_owd_ms(c);

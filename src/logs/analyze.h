@@ -10,11 +10,39 @@
 
 #include "core/stats.h"
 #include "logs/classify.h"
-#include "logs/generate.h"
+#include "logs/spec.h"
+#include "ntp/packet.h"
 
 namespace mntp::logs {
 
-/// Table 1 row (counts are of the generated, downscaled population; the
+/// One client observed at one server over the capture day.
+struct ClientRecord {
+  std::uint64_t client_id = 0;
+  std::string hostname;
+  std::size_t provider_index = 0;  // into kPaperProviders
+  /// Representative request packet as captured on the wire.
+  std::array<std::uint8_t, ntp::NtpPacket::kWireSize> request_wire{};
+  /// Total requests this client issued over the day.
+  std::uint32_t request_count = 0;
+  /// Per-request OWD samples (ms), capped at a sampling bound; the
+  /// analyzer extracts the minimum. Invalid (unsynchronized) probes are
+  /// recorded as negative placeholders and must be filtered out.
+  std::vector<float> owd_samples_ms;
+};
+
+/// One server's capture: the clients it saw over the day.
+struct ServerLog {
+  ServerSpec spec;
+  std::vector<ClientRecord> clients;
+
+  [[nodiscard]] std::uint64_t total_requests() const {
+    std::uint64_t n = 0;
+    for (const ClientRecord& c : clients) n += c.request_count;
+    return n;
+  }
+};
+
+/// Table 1 row (counts are of the rendered, downscaled population; the
 /// bench scales back for display).
 struct ServerStats {
   std::string server_id;

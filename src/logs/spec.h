@@ -1,10 +1,13 @@
 // Published facts from the paper's NTP-server log study (§3.1) used to
-// calibrate the synthetic log generator: the 19 servers of Table 1 and
-// the service-provider structure behind Figures 1–2.
+// calibrate the fleet's client population (fleet::ClientFleet): the 19
+// servers of Table 1 and the service-provider structure behind
+// Figures 1–2.
 //
 // Server and provider names in the paper are anonymized (AG1, SP 22, …);
-// we reuse those labels. Client/measurement counts are Table 1's, used
-// as generation targets under a configurable downscale factor.
+// we reuse those labels. Client/measurement counts are Table 1's: the
+// fleet draws home servers in proportion to the client counts, and a
+// rendered server log (fleet/server_log.h) draws request counts from the
+// measurements-per-client ratio.
 #pragma once
 
 #include <array>

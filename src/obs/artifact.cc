@@ -749,7 +749,7 @@ long long check_owd_row(const Reader& r, const Json& row) {
 /// cache hit/miss and OWD valid/invalid, both net of KoD-limited
 /// requests, which receive no time response).
 std::string check_fleet(const Reader& r, const Json& doc) {
-  r.schema_version(doc, 2);
+  r.schema_version(doc, 3);
   const Json& params = r.object(doc, "params");
   long long clients = 0;
   r.within("params", [&] {
@@ -757,8 +757,7 @@ std::string check_fleet(const Reader& r, const Json& doc) {
     for (const char* key : {"shards", "seed", "kod_limit_per_slice"}) {
       r.integer(params, key);
     }
-    for (const char* key :
-         {"duration_s", "cache_bucket_ms", "batch_window_ms"}) {
+    for (const char* key : {"duration_s", "cache_bucket_ms"}) {
       r.number(params, key, kPositive);
     }
   });
@@ -777,7 +776,6 @@ std::string check_fleet(const Reader& r, const Json& doc) {
   long long queries = 0, arrived = 0, owd_valid = 0;
   r.within("totals", [&] {
     arrived = r.integer(totals, "arrived");
-    r.integer(totals, "batches");
     queries = r.integer(totals, "queries");
     r.expect(queries == r.sum(arrived, r.integer(totals, "dropped")),
              "queries != arrived + dropped");

@@ -71,7 +71,6 @@ inline constexpr const char kFleetClientQueries[] = "fleet.client.queries";
 inline constexpr const char kFleetClientDropped[] = "fleet.client.dropped";
 inline constexpr const char kFleetServerRequests[] = "fleet.server.requests";
 inline constexpr const char kFleetServerKod[] = "fleet.server.kod";
-inline constexpr const char kFleetServerBatches[] = "fleet.server.batches";
 inline constexpr const char kFleetServerCacheHits[] =
     "fleet.server.cache_hits";
 inline constexpr const char kFleetServerCacheMisses[] =

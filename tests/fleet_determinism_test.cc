@@ -179,7 +179,6 @@ TEST(FleetDeterminism, GoldenResultPinned) {
   EXPECT_EQ(r.arrived, 35'300U);
   EXPECT_EQ(r.dropped, 327U);
   EXPECT_EQ(r.kod, 8'637U);
-  EXPECT_EQ(r.batches, 26'258U);
   EXPECT_EQ(r.cache_hits, 21'477U);
   EXPECT_EQ(r.cache_misses, 5'186U);
   const std::vector<std::uint64_t> server_requests = {
@@ -255,8 +254,6 @@ TEST(FleetDeterminism, RegistryHoldsTwiceTheResultAfterTwoRuns) {
         expected = r.dropped;
       } else if (m.name == "fleet.server.kod") {
         expected = r.kod;
-      } else if (m.name == "fleet.server.batches") {
-        expected = r.batches;
       } else if (m.name == "fleet.server.cache_hits") {
         expected = r.cache_hits;
       } else if (m.name == "fleet.server.cache_misses") {
@@ -305,9 +302,9 @@ TEST(FleetDeterminism, RegistryHoldsTwiceTheResultAfterTwoRuns) {
     EXPECT_EQ(m.max, both.max()) << m.name;
     EXPECT_EQ(m.buckets, buckets) << m.name;
   }
-  // 2 client + 19 per-server + 4 server-wide counters, the invalid
+  // 2 client + 19 per-server + 3 server-wide counters, the invalid
   // counter, 4 speaker x population and 4 category histograms.
-  EXPECT_EQ(checked, 2U + logs::kPaperServers.size() + 4U + 1U + 4U + 4U);
+  EXPECT_EQ(checked, 2U + logs::kPaperServers.size() + 3U + 1U + 4U + 4U);
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ TEST(FleetReport, RendersAndRoundTripsKeyFields) {
   const fleet::FleetResult r = sim.run(1);
   const std::string doc = fleet::render_fleet_report(p, r);
   EXPECT_NE(doc.find("\"kind\": \"mntp_fleet_report\""), std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(doc.find("\"qps_per_core\""), std::string::npos);
   EXPECT_NE(doc.find("\"category\": \"mobile\""), std::string::npos);
   EXPECT_NE(doc.find("\"speaker\": \"sntp\""), std::string::npos);

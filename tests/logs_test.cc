@@ -1,17 +1,18 @@
-// Log substrate tests: spec tables, classifiers, generator, analyzer.
+// Log substrate tests: spec tables, classifiers, the server-log renderer
+// (fleet/server_log.h), analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "fleet/client_fleet.h"
+#include "fleet/server_log.h"
 #include "logs/analyze.h"
 #include "logs/classify.h"
-#include "logs/generate.h"
 #include "logs/spec.h"
 
 namespace mntp::logs {
 namespace {
-
-using core::Rng;
 
 TEST(Spec, PaperTablesWellFormed) {
   EXPECT_EQ(kPaperServers.size(), 19u);
@@ -91,25 +92,55 @@ TEST(Classify, ProtocolFromPacket) {
   EXPECT_EQ(classify_protocol(full), Protocol::kNtp);
 }
 
-GeneratorParams test_params() {
-  GeneratorParams p;
-  p.scale = 1.0 / 5000.0;
-  return p;
+// Every log test reads the population Table 1 and Figures 1-2 analyse
+// (fleet::section31_params), through the same renderer.
+const fleet::FleetParams& population_params() {
+  static const fleet::FleetParams params = fleet::section31_params();
+  return params;
+}
+
+const fleet::ClientFleet& population() {
+  static const fleet::ClientFleet fleet =
+      fleet::ClientFleet::build(population_params());
+  return fleet;
+}
+
+ServerLog render(std::size_t server) {
+  return fleet::server_log(population(), population_params(), server);
+}
+
+Protocol protocol_of(const ClientRecord& c) {
+  const auto packet = ntp::NtpPacket::parse(c.request_wire);
+  EXPECT_TRUE(packet.ok());
+  return classify_protocol(packet.value());
+}
+
+void expect_same_record(const ClientRecord& a, const ClientRecord& b) {
+  EXPECT_EQ(a.client_id, b.client_id);
+  EXPECT_EQ(a.hostname, b.hostname);
+  EXPECT_EQ(a.provider_index, b.provider_index);
+  EXPECT_EQ(a.request_wire, b.request_wire);
+  EXPECT_EQ(a.request_count, b.request_count);
+  EXPECT_EQ(a.owd_samples_ms, b.owd_samples_ms);
 }
 
 TEST(Generator, ClientCountsScale) {
-  LogGenerator gen(test_params(), Rng(1));
-  const ServerLog ag1 = gen.generate(0);  // AG1: 639,704 clients
-  EXPECT_NEAR(static_cast<double>(ag1.clients.size()), 639'704.0 / 5000.0, 2.0);
-  const ServerLog ci1 = gen.generate(1);  // CI1: 606 clients -> min 1
+  const ServerLog ag1 = render(0);  // AG1: 639,704 clients
+  // Home servers are drawn per client, so a server's count is binomial
+  // around its Table-1 share: within 4 standard deviations.
+  const double expected = 639'704.0 * fleet::kSection31Scale;
+  EXPECT_NEAR(static_cast<double>(ag1.clients.size()), expected,
+              4.0 * std::sqrt(expected));
+  const ServerLog ci1 = render(1);  // CI1: 606 clients
   EXPECT_GE(ci1.clients.size(), 1u);
 }
 
 TEST(Generator, Deterministic) {
-  LogGenerator a(test_params(), Rng(2));
-  LogGenerator b(test_params(), Rng(2));
-  const ServerLog la = a.generate(0);
-  const ServerLog lb = b.generate(0);
+  // Two fleets built from the same parameters render the same log.
+  const fleet::ClientFleet again =
+      fleet::ClientFleet::build(population_params());
+  const ServerLog la = render(0);
+  const ServerLog lb = fleet::server_log(again, population_params(), 0);
   ASSERT_EQ(la.clients.size(), lb.clients.size());
   for (std::size_t i = 0; i < la.clients.size(); ++i) {
     ASSERT_EQ(la.clients[i].hostname, lb.clients[i].hostname);
@@ -118,8 +149,7 @@ TEST(Generator, Deterministic) {
 }
 
 TEST(Generator, ClientsCarryParseableRequests) {
-  LogGenerator gen(test_params(), Rng(3));
-  const ServerLog log = gen.generate(0);
+  const ServerLog log = render(0);
   for (const auto& c : log.clients) {
     const auto p = ntp::NtpPacket::parse(c.request_wire);
     ASSERT_TRUE(p.ok());
@@ -128,8 +158,7 @@ TEST(Generator, ClientsCarryParseableRequests) {
 }
 
 TEST(Generator, OwdsWithinObservedRange) {
-  LogGenerator gen(test_params(), Rng(4));
-  const ServerLog log = gen.generate(0);
+  const ServerLog log = render(0);
   for (const auto& c : log.clients) {
     EXPECT_FALSE(c.owd_samples_ms.empty());
     for (float owd : c.owd_samples_ms) {
@@ -141,8 +170,8 @@ TEST(Generator, OwdsWithinObservedRange) {
 }
 
 TEST(Generator, IspInternalServersSkewIsp) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0}, Rng(5));
-  const ServerLog ci1 = gen.generate(1);  // CI1, isp_internal
+  const ServerLog ci1 = render(1);  // CI1, isp_internal
+  ASSERT_FALSE(ci1.clients.empty());
   std::size_t isp = 0;
   for (const auto& c : ci1.clients) {
     if (kPaperProviders[c.provider_index].category == ProviderCategory::kIsp) {
@@ -152,9 +181,46 @@ TEST(Generator, IspInternalServersSkewIsp) {
   EXPECT_GT(static_cast<double>(isp) / ci1.clients.size(), 0.5);
 }
 
+TEST(ServerLog, ClientsAreTheFleetRowsOfTheServer) {
+  // Each server's log holds exactly the fleet rows homed there, in id
+  // order, with the row's provider, speaker and synchronization state.
+  const std::vector<fleet::ClientRow>& rows = population().rows();
+  for (std::size_t s = 0; s < kPaperServers.size(); ++s) {
+    const ServerLog log = render(s);
+    EXPECT_EQ(log.spec.id, kPaperServers[s].id);
+    std::vector<std::uint64_t> homed;
+    for (std::size_t id = 0; id < rows.size(); ++id) {
+      if (rows[id].server == s) homed.push_back(id);
+    }
+    ASSERT_EQ(log.clients.size(), homed.size()) << kPaperServers[s].id;
+    for (std::size_t i = 0; i < homed.size(); ++i) {
+      const ClientRecord& c = log.clients[i];
+      const fleet::ClientRow& row = rows[homed[i]];
+      ASSERT_EQ(c.client_id, homed[i]);
+      EXPECT_EQ(c.provider_index, row.provider);
+      EXPECT_EQ(provider_from_hostname(c.hostname), row.provider);
+      EXPECT_EQ(protocol_of(c) == Protocol::kSntp,
+                fleet::speaker_of(row.traits) == fleet::Speaker::kSntp);
+      const bool unsynchronized =
+          (row.traits & fleet::ClientTraits::kUnsynchronized) != 0;
+      EXPECT_EQ(LogAnalyzer::client_min_owd_ms(c).has_value(),
+                !unsynchronized);
+    }
+  }
+}
+
+TEST(ServerLog, RenderIndependentOfOtherServers) {
+  const ServerLog alone = render(14);  // SU1
+  for (std::size_t s = 0; s < 14; ++s) (void)render(s);
+  const ServerLog after_others = render(14);
+  ASSERT_EQ(alone.clients.size(), after_others.clients.size());
+  for (std::size_t i = 0; i < alone.clients.size(); ++i) {
+    expect_same_record(alone.clients[i], after_others.clients[i]);
+  }
+}
+
 TEST(Analyzer, ServerStatsCountsAndProtocolShares) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0 / 500.0}, Rng(6));
-  const ServerLog log = gen.generate(0);  // AG1, public
+  const ServerLog log = render(0);  // AG1, public
   const ServerStats stats = LogAnalyzer::server_stats(log);
   EXPECT_EQ(stats.server_id, "AG1");
   EXPECT_EQ(stats.unique_clients, log.clients.size());
@@ -165,8 +231,7 @@ TEST(Analyzer, ServerStatsCountsAndProtocolShares) {
 }
 
 TEST(Analyzer, IspInternalServersAreNtpHeavy) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0}, Rng(7));
-  const ServerStats stats = LogAnalyzer::server_stats(gen.generate(1));  // CI1
+  const ServerStats stats = LogAnalyzer::server_stats(render(1));  // CI1
   EXPECT_LT(stats.sntp_share(), 0.7);
 }
 
@@ -182,11 +247,10 @@ TEST(Analyzer, MinOwdFiltersInvalidProbes) {
 }
 
 TEST(Analyzer, CategoryMediansReproducePaperOrdering) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0 / 200.0}, Rng(8));
   // A few large public servers give enough clients per category.
   std::vector<ServerLog> logs;
-  logs.push_back(gen.generate(0));   // AG1
-  logs.push_back(gen.generate(14));  // SU1
+  logs.push_back(render(0));   // AG1
+  logs.push_back(render(14));  // SU1
   const auto medians = LogAnalyzer::category_median_owd_ms(logs);
   const double cloud = medians[0], isp = medians[1], broadband = medians[2],
                mobile = medians[3];
@@ -201,8 +265,7 @@ TEST(Analyzer, CategoryMediansReproducePaperOrdering) {
 }
 
 TEST(Analyzer, MobileProvidersMostlySntp) {
-  LogGenerator gen(GeneratorParams{.scale = 1.0 / 200.0}, Rng(9));
-  const ServerLog log = gen.generate(14);  // SU1
+  const ServerLog log = render(14);  // SU1
   const auto stats = LogAnalyzer::provider_owd_stats(log, 5);
   bool saw_mobile = false;
   for (const auto& ps : stats) {
@@ -217,8 +280,7 @@ TEST(Analyzer, MobileProvidersMostlySntp) {
 TEST(Analyzer, MobileMinOwdSpreadIsWide) {
   // Fig 1's "linear trend": mobile clients' min OWDs spread near-uniform,
   // so the IQR is a large fraction of the median.
-  LogGenerator gen(GeneratorParams{.scale = 1.0 / 200.0}, Rng(11));
-  const auto stats = LogAnalyzer::provider_owd_stats(gen.generate(0), 10);
+  const auto stats = LogAnalyzer::provider_owd_stats(render(0), 10);
   for (const auto& ps : stats) {
     if (ps.category != ProviderCategory::kMobile) continue;
     const double iqr = ps.min_owd_ms.p75 - ps.min_owd_ms.p25;

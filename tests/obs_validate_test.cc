@@ -56,10 +56,10 @@ const char* const kValid[] = {
 {"name":"engine_round","before":100,"after":400,"delta":300,"score":1.5,"significant":true,"regression":true,"class":"changed","note":""},
 {"name":"fleet_qps","before":null,"after":50,"delta":0,"score":0,"significant":false,"regression":false,"class":"added","note":"new workload"}]}]}
 )",
-    R"({"kind":"mntp_fleet_report","schema_version":2,
-"params":{"clients":10,"duration_s":60.000,"shards":2,"seed":1,"kod_limit_per_slice":0,"cache_bucket_ms":1.000,"batch_window_ms":5.000},
+    R"({"kind":"mntp_fleet_report","schema_version":3,
+"params":{"clients":10,"duration_s":60.000,"shards":2,"seed":1,"kod_limit_per_slice":0,"cache_bucket_ms":1.000},
 "population":{"clients":10,"sntp_clients":7,"ntp_clients":3,"wireless_clients":4,"wired_clients":6},
-"totals":{"queries":20,"arrived":18,"dropped":2,"kod":1,"batches":5,"cache_hits":10,"cache_misses":7,"owd_valid":15,"owd_invalid":2},
+"totals":{"queries":20,"arrived":18,"dropped":2,"kod":1,"cache_hits":10,"cache_misses":7,"owd_valid":15,"owd_invalid":2},
 "throughput":{"threads":2,"wall_s":0.010,"qps":2000.0,"qps_per_core":1000.0},
 "servers":[{"id":"AG1","requests":10},{"id":"CI1","requests":8}],
 "owd":[
@@ -219,14 +219,14 @@ const Mutation kMutations[] = {
     {kDiff, R"("regressions":1)", R"("regressions":0)", "'regressions' is 0 but entries flag 1"},
     {kDiff, R"("exit_hint":1)", R"("exit_hint":0)", "exit_hint 0 inconsistent with 1 regression(s)"},
     // fleet report
-    {kFleet, R"("schema_version":2)", R"("schema_version":1)", "unsupported schema_version 1"},
+    {kFleet, R"("schema_version":3)", R"("schema_version":2)", "unsupported schema_version 2"},
     {kFleet, R"("params":{)", R"("parameters":{)", "missing 'params'"},
     {kFleet, R"("seed":1)", R"("seed":-1)", "params: 'seed' must be an integer >= 0"},
     {kFleet, R"("duration_s":60.000)", R"("duration_s":0)", "'duration_s' must be a number > 0"},
     {kFleet, R"("sntp_clients":7)", R"("sntp_clients":8)", "sntp_clients + ntp_clients != clients"},
     {kFleet, R"("wireless_clients":4)", R"("wireless_clients":5)", "wireless_clients + wired_clients != clients"},
     {kFleet, R"("params":{"clients":10)", R"("params":{"clients":11)", "clients != params.clients"},
-    {kFleet, R"("batches":5)", R"("batches":5.0)", "totals: 'batches' must be an integer"},
+    {kFleet, R"("kod":1)", R"("kod":1.0)", "totals: 'kod' must be an integer"},
     {kFleet, R"("queries":20)", R"("queries":21)", "queries != arrived + dropped"},
     {kFleet, R"("cache_hits":10)", R"("cache_hits":11)", "cache_hits + cache_misses != arrived - kod"},
     {kFleet, R"("owd_invalid":2)", R"("owd_invalid":3)", "owd_valid + owd_invalid != arrived - kod"},
